@@ -58,14 +58,19 @@ def write_outputs(out_dir: Path, resolved: dict[str, object],
 
     warmup = result.config.warmup_s
     post = [row for row in result.timeseries if row[0] >= warmup]
+
+    def post_mean(col: int) -> float | None:
+        # no sample after warm-up: there is no mean, and 0 would read as one
+        return sum(r[col] for r in post) / len(post) if post else None
+
     summary = {
         "n_ue": result.n_ue,
         "observation_s": result.observation_s,
         "tx_events": len(result.event_log.tx_events),
         "event_log_digest": result.event_log.digest(),
-        "mean_cbp_pct": sum(r[1] for r in post) / len(post) if post else 0.0,
-        "mean_power_dbm": sum(r[2] for r in post) / len(post) if post else 0.0,
-        "mean_itt_ms": sum(r[3] for r in post) / len(post) if post else 0.0,
+        "mean_cbp_pct": post_mean(1),
+        "mean_power_dbm": post_mean(2),
+        "mean_itt_ms": post_mean(3),
         "blind_ue_count": blind.blind_ue_count,
         "blind_pairs": len(blind.pairs),
         "collided_by_second": {str(k): v for k, v in sorted(result.collided_by_second().items())},
@@ -89,8 +94,13 @@ def _cmd_run(args) -> int:
     summary = execute_run(resolved, out_dir)
     print(f"run complete: {out_dir}")
     print(f"  tx_events={summary['tx_events']} blind_ues={summary['blind_ue_count']} "
-          f"mean_itt={summary['mean_itt_ms']:.1f}ms mean_cbp={summary['mean_cbp_pct']:.1f}%")
+          f"mean_itt={_shown(summary['mean_itt_ms'], 'ms')} "
+          f"mean_cbp={_shown(summary['mean_cbp_pct'], '%')}")
     return 0
+
+
+def _shown(value: float | None, unit: str) -> str:
+    return "n/a" if value is None else f"{value:.1f}{unit}"
 
 
 def _read_bin_csv(path: Path, value_col: str) -> list[metrics.BinValue]:

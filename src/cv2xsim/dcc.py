@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import Position, RoadGeometry, dbm_to_mw, distance
 from .mac_sps import SensingWindow
 
@@ -83,37 +85,42 @@ def smooth_density(n_new: float, n_prev_smoothed: float) -> float:
     return (n_new + n_prev_smoothed) / 2.0
 
 
-def compute_itt(n_sta_smoothed: float, cfg: RateControlConfig) -> float:
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def compute_itt(n_sta_smoothed, cfg: RateControlConfig):
     """Inter-transmit time in ms from the smoothed neighbor count.
 
     Flat at 100 ms up to the density coefficient, then linear, then capped at
     itt_max_ms once the count reaches (itt_max / 100 ms) times the coefficient.
+    Takes a scalar or an array of counts (one per UE) and returns the same.
     """
-    if n_sta_smoothed < 0:
+    n = np.asarray(n_sta_smoothed, dtype=float)
+    if np.any(n < 0):
         raise ValueError("neighbor count cannot be negative")
     b = cfg.density_coefficient
-    if n_sta_smoothed <= b:
-        return 100.0
-    if n_sta_smoothed < (cfg.itt_max_ms / 100.0) * b:
-        return (n_sta_smoothed / b) * 100.0
-    return cfg.itt_max_ms
+    return _scalar_or_array(np.where(
+        n <= b, 100.0,
+        np.where(n < (cfg.itt_max_ms / 100.0) * b, (n / b) * 100.0, cfg.itt_max_ms)))
 
 
-def power_target(cbp_pct: float, cfg: RangeControlConfig) -> float:
+def power_target(cbp_pct, cfg: RangeControlConfig):
     """Piecewise-linear busy-percentage-to-power map: full power below u_min,
-    minimum power at and above u_max, linear in between."""
-    if cbp_pct < cfg.u_min_pct:
-        return cfg.p_max_dbm
-    if cbp_pct >= cfg.u_max_pct:
-        return cfg.p_min_dbm
-    frac = (cfg.u_max_pct - cbp_pct) / (cfg.u_max_pct - cfg.u_min_pct)
-    return cfg.p_min_dbm + frac * (cfg.p_max_dbm - cfg.p_min_dbm)
+    minimum power at and above u_max, linear in between.  Scalar or array."""
+    c = np.asarray(cbp_pct, dtype=float)
+    frac = (cfg.u_max_pct - c) / (cfg.u_max_pct - cfg.u_min_pct)
+    return _scalar_or_array(np.where(
+        c < cfg.u_min_pct, cfg.p_max_dbm,
+        np.where(c >= cfg.u_max_pct, cfg.p_min_dbm,
+                 cfg.p_min_dbm + frac * (cfg.p_max_dbm - cfg.p_min_dbm))))
 
 
-def update_power(p_k_dbm: float, cbp_pct: float, cfg: RangeControlConfig) -> float:
+def update_power(p_k_dbm, cbp_pct, cfg: RangeControlConfig):
     """One smoothed step of the power feedback loop:
-    p_{k+1} = p_k + eta * (target(cbp) - p_k)."""
-    return p_k_dbm + cfg.eta * (power_target(cbp_pct, cfg) - p_k_dbm)
+    p_{k+1} = p_k + eta * (target(cbp) - p_k).  Scalar or array."""
+    p = np.asarray(p_k_dbm, dtype=float)
+    return _scalar_or_array(p + cfg.eta * (power_target(cbp_pct, cfg) - p))
 
 
 def update_pte(actual: tuple[float, float], last_broadcast: tuple[float, float, int],

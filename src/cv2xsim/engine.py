@@ -16,7 +16,7 @@ import numpy as np
 from . import dcc, mac_sps, metrics, mobility
 from .channel import ChannelModel, Outcome, ReceiverSet, Transmission, resolve_subframe
 from .core import Csr, Position, RngPool
-from .mac_sps import Grant, ReservationRecord, SensingStore, SensingWindow, SpsConfig
+from .mac_sps import Grant, ReservationBlock, SensingStore, SensingWindow, SpsConfig
 
 
 @dataclass
@@ -260,7 +260,7 @@ class Simulation:
                 counts = (np.sum(self.pair_dist <= rate_cfg.neighbor_radius_m, axis=1) - 1)
                 self.n_sta_s = dcc.smooth_density(counts.astype(float), self.n_sta_s)
                 if scheme.enabled:
-                    self.itt_ms = np.array([dcc.compute_itt(v, rate_cfg) for v in self.n_sta_s])
+                    self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
 
             # busy measurement -> range control
             if n % cfg.power_period_ms == 0 and n > 0:
@@ -268,9 +268,7 @@ class Simulation:
                 ok = slots > 0
                 self.cbp_pct[ok] = 100.0 * busy[ok] / slots[ok]
                 if scheme.enabled:
-                    self.power_dbm = np.array([
-                        dcc.update_power(p, c, range_cfg)
-                        for p, c in zip(self.power_dbm, self.cbp_pct)])
+                    self.power_dbm = dcc.update_power(self.power_dbm, self.cbp_pct, range_cfg)
 
             # packet release: rate timer, plus the tracking-error override.
             # Kinematic state is continuous even though propagation samples
@@ -349,7 +347,6 @@ class Simulation:
                 res = resolve_subframe(txs, self.receivers, cfg.channel, shadow_rng,
                                        self.geometry, cfg.subchannels, self.static_shadow,
                                        fading_rng=fading_rng)
-                records = []
                 post_warmup = n >= self.warmup_sf
                 m_pairs: list[np.ndarray] = []
                 m_dist: list[np.ndarray] = []
@@ -369,9 +366,6 @@ class Simulation:
                                 float(res.rx_power_dbm[t, r]), float(res.sinr_db[t, r]),
                                 float(res.distance_m[t, r])))
                     heard = res.decoded_mask(t)
-                    records.append(ReservationRecord(n, tx.csr.subchannel, tx.ue,
-                                                     tx.reservation_period_ms, heard,
-                                                     res.rx_power_dbm[t].astype(np.float32)))
                     if post_warmup and region_lo <= tx.position.x <= region_hi:
                         keep = self.receivers.ids != tx.ue
                         m_pairs.append(tx.ue * n_ue + self.receivers.ids[keep])
@@ -383,9 +377,14 @@ class Simulation:
                                                np.concatenate(m_decoded))
                 sensed = self._all_sensed.copy()
                 sensed[[tx.ue for tx in txs]] = False
-                self.store.record_subframe(n, res.srssi_mw, sensed, records)
+                reservations = ReservationBlock(
+                    np.array([tx.csr.subchannel for tx in txs]),
+                    np.array([tx.reservation_period_ms for tx in txs]),
+                    np.where(res.outcome == Outcome.DECODED, res.rx_power_dbm,
+                             -np.inf).astype(np.float32))
+                self.store.record_subframe(n, res.srssi_mw, sensed, reservations)
             else:
-                self.store.record_subframe(n, self._noise_matrix, self._all_sensed, [])
+                self.store.record_subframe(n, self._noise_matrix, self._all_sensed, None)
 
             if n % cfg.timeseries_period_ms == 0:
                 self.timeseries.append((n / 1000.0, float(self.cbp_pct.mean()),

@@ -59,15 +59,84 @@ class Grant:
         return (self.next_subframe % self.period_sf, self.subchannel)
 
 
-class ReservationRecord(NamedTuple):
-    """One decoded transmission as seen by every receiver (mask + per-UE RSRP)."""
+class ReservationBlock(NamedTuple):
+    """The decoded transmissions of one subframe, as columns.
 
-    subframe: int
-    subchannel: int
-    tx_ue: int
-    period_sf: int
-    heard: np.ndarray      # (n_ue,) bool, True where this UE decoded it
-    rsrp_dbm: np.ndarray   # (n_ue,) float32
+    Row k of `rsrp_dbm` is transmission k as seen by every receiver: its
+    PSSCH-RSRP where that receiver decoded it, -inf where it did not.
+    """
+
+    subchannel: np.ndarray   # (k,) int
+    period_sf: np.ndarray    # (k,) int, announced reservation period
+    rsrp_dbm: np.ndarray     # (k, n_ue) float32
+
+
+class ReservationColumns:
+    """Decoded reservations of the sensing window, one column per record.
+
+    A ring of `capacity` slots holding `subframe`, `subchannel` and `period`
+    (int64) per record and a (n_ue, capacity) float32 RSRP block whose cells
+    are -inf for receivers that did not decode the record.  Live records
+    occupy `head`, `head + 1`, ... (mod capacity) in arrival order; the ring
+    doubles when an append would overflow it.  Slots never written carry
+    subframe -1 and evicted slots keep their old subframe, so a reader that
+    restricts subframes to the sensing window needs no other liveness test.
+    """
+
+    def __init__(self, n_ue: int, capacity: int = 64):
+        self.subframe = np.full(capacity, -1, dtype=np.int64)
+        self.subchannel = np.zeros(capacity, dtype=np.int64)
+        self.period = np.ones(capacity, dtype=np.int64)
+        self.rsrp_dbm = np.full((n_ue, capacity), -np.inf, dtype=np.float32)
+        self.head = 0
+        self.size = 0
+        self._arrivals: deque[list[int]] = deque()   # [subframe, count] per append
+
+    def __len__(self) -> int:
+        return self.size
+
+    def append(self, subframe: int, subchannel: np.ndarray, period: np.ndarray,
+               rsrp_dbm: np.ndarray) -> None:
+        """Add k records decoded at `subframe`; `rsrp_dbm` is (n_ue, k)."""
+        k = len(subchannel)
+        if k == 0:
+            return
+        if self.size + k > len(self.subframe):
+            self._grow(max(2 * len(self.subframe), self.size + k))
+        cap = len(self.subframe)
+        end = (self.head + self.size) % cap
+        if end + k <= cap:
+            pieces = ((slice(end, end + k), slice(0, k)),)
+        else:
+            split = cap - end
+            pieces = ((slice(end, cap), slice(0, split)), (slice(0, k - split), slice(split, k)))
+        for dst, src in pieces:
+            self.subframe[dst] = subframe
+            self.subchannel[dst] = subchannel[src]
+            self.period[dst] = period[src]
+            self.rsrp_dbm[:, dst] = rsrp_dbm[:, src]
+        self.size += k
+        self._arrivals.append([subframe, k])
+
+    def evict_through(self, horizon: int) -> None:
+        """Drop every record decoded at or before subframe `horizon`."""
+        while self._arrivals and self._arrivals[0][0] <= horizon:
+            _, k = self._arrivals.popleft()
+            self.head = (self.head + k) % len(self.subframe)
+            self.size -= k
+
+    def _grow(self, capacity: int) -> None:
+        first = min(self.size, len(self.subframe) - self.head)
+        grown = ReservationColumns(self.rsrp_dbm.shape[0], capacity)
+        for dst, src in ((slice(0, first), slice(self.head, self.head + first)),
+                         (slice(first, self.size), slice(0, self.size - first))):
+            grown.subframe[dst] = self.subframe[src]
+            grown.subchannel[dst] = self.subchannel[src]
+            grown.period[dst] = self.period[src]
+            grown.rsrp_dbm[:, dst] = self.rsrp_dbm[:, src]
+        self.subframe, self.subchannel, self.period, self.rsrp_dbm = \
+            grown.subframe, grown.subchannel, grown.period, grown.rsrp_dbm
+        self.head = 0
 
 
 class SensingStore:
@@ -75,8 +144,12 @@ class SensingStore:
 
     Rows live in a ring of `span` subframes; a row is valid only while its
     stamped subframe is the one currently mapped to that slot.  Decoded
-    reservations are kept as shared records with per-UE visibility masks so
-    the store stays small even with hundreds of receivers.
+    reservations live in `reservations`, a `ReservationColumns` ring with one
+    float32 RSRP cell per (receiver, record), so a UE's view of every
+    reservation is one contiguous row.  A record is kept only when some
+    receiver decoded it above `keep_rsrp_above_dbm` (the engine passes the
+    SPS exemption threshold, which the working threshold never goes below),
+    and is evicted once it falls out of the span.
     """
 
     def __init__(self, n_ue: int, n_subch: int, span: int = 1000,
@@ -90,10 +163,10 @@ class SensingStore:
         self.sensed = np.zeros((span, n_ue), dtype=bool)
         self.row_subframe = np.full(span, -1, dtype=np.int64)
         self.newest = -1
-        self.reservations: deque[ReservationRecord] = deque()
+        self.reservations = ReservationColumns(n_ue)
 
     def record_subframe(self, n: int, srssi_mw: np.ndarray, sensed_mask: np.ndarray,
-                        reservations: list[ReservationRecord]) -> None:
+                        reservations: ReservationBlock | None) -> None:
         if n < self.newest:
             raise ValueError(f"out-of-order sensing record: {n} < newest {self.newest}")
         row = n % self.span
@@ -101,12 +174,20 @@ class SensingStore:
         self.srssi_mw[row] = srssi_mw
         self.sensed[row] = sensed_mask
         self.newest = n
-        for rec in reservations:
-            if rec.rsrp_dbm[rec.heard].size and rec.rsrp_dbm[rec.heard].max() > self.keep_rsrp_above_dbm:
-                self.reservations.append(rec)
-        horizon = n - self.span
-        while self.reservations and self.reservations[0].subframe <= horizon:
-            self.reservations.popleft()
+        if reservations is not None:
+            self._keep(n, reservations)
+        self.reservations.evict_through(n - self.span)
+
+    def _keep(self, n: int, block: ReservationBlock) -> None:
+        # The keep test runs in float32 (the threshold is rounded to the
+        # RSRP's precision); selection compares in float64.
+        rsrp = block.rsrp_dbm
+        keep = rsrp.max(axis=1, initial=-np.inf) > np.float32(self.keep_rsrp_above_dbm)
+        if keep.all():
+            self.reservations.append(n, block.subchannel, block.period_sf, rsrp.T)
+        elif keep.any():
+            self.reservations.append(n, np.asarray(block.subchannel)[keep],
+                                     np.asarray(block.period_sf)[keep], rsrp[keep].T)
 
     def oldest_valid(self) -> int:
         return max(0, self.newest - self.span + 1)
@@ -115,20 +196,16 @@ class SensingStore:
         row = j % self.span
         return row if self.row_subframe[row] == j else None
 
-    def valid_subframes(self, lo: int, hi: int) -> list[int]:
-        """Recorded subframes j with lo <= j <= hi, ascending."""
-        lo = max(lo, 0)
-        return [j for j in range(lo, hi + 1) if self.row_subframe[j % self.span] == j]
+    def recorded(self, lo: int, hi: int) -> np.ndarray:
+        """(span,) mask of the ring rows holding a recorded subframe j, lo <= j <= hi."""
+        return (self.row_subframe >= max(lo, 0)) & (self.row_subframe <= hi)
 
     def cbp_counts(self, n: int, window_sf: int, threshold_mw: float):
         """(busy slot count, sensed slot count) per UE over [n-window, n-1]."""
-        busy = np.zeros(self.n_ue, dtype=np.int64)
-        slots = np.zeros(self.n_ue, dtype=np.int64)
-        for j in self.valid_subframes(n - window_sf, n - 1):
-            row = j % self.span
-            sensed = self.sensed[row]
-            slots += sensed * self.n_subch
-            busy += np.sum(self.srssi_mw[row] > threshold_mw, axis=1) * sensed
+        rows = self.recorded(n - window_sf, n - 1)
+        sensed = self.sensed[rows]
+        busy = (np.sum(self.srssi_mw[rows] > threshold_mw, axis=2) * sensed).sum(axis=0)
+        slots = sensed.sum(axis=0, dtype=np.int64) * self.n_subch
         return busy, slots
 
 
@@ -146,8 +223,7 @@ class SensingWindow:
 
     def __len__(self) -> int:
         s = self.store
-        lo = s.oldest_valid()
-        return sum(1 for j in range(lo, s.newest + 1) if s.row_subframe[j % s.span] == j)
+        return int(np.count_nonzero(s.recorded(s.oldest_valid(), s.newest)))
 
     def record(self, n: int, measurement: RxMeasurement) -> None:
         """Add a per-subchannel measurement at subframe n (standalone windows only)."""
@@ -163,16 +239,12 @@ class SensingWindow:
         subch = measurement.csr.subchannel
         s.srssi_mw[row, self.ue_index, subch] = dbm_to_mw(measurement.srssi_dbm)
         s.sensed[row, self.ue_index] = True
-        for src, rsrp, period_ms in measurement.decoded_sources:
-            heard = np.zeros(s.n_ue, dtype=bool)
-            heard[self.ue_index] = True
-            rsrp_v = np.zeros(s.n_ue, dtype=np.float32)
-            rsrp_v[self.ue_index] = rsrp
-            if rsrp > s.keep_rsrp_above_dbm:
-                s.reservations.append(ReservationRecord(n, subch, src, period_ms, heard, rsrp_v))
-        horizon = n - s.span
-        while s.reservations and s.reservations[0].subframe <= horizon:
-            s.reservations.popleft()
+        sources = measurement.decoded_sources
+        rsrp = np.full((len(sources), s.n_ue), -np.inf, dtype=np.float32)
+        rsrp[:, self.ue_index] = [r for _, r, _ in sources]
+        s._keep(n, ReservationBlock(np.full(len(sources), subch),
+                                    [p for _, _, p in sources], rsrp))
+        s.reservations.evict_through(n - s.span)
 
     def mark_transmitted(self, n: int) -> None:
         """Flag subframe n as UNSENSED: the owner was transmitting (half-duplex)."""
@@ -206,19 +278,6 @@ class SelectionResult:
     pool_size: int             # size of the initial candidate set
 
 
-def _projected_candidates(j: int, period: int, lo: int, hi: int):
-    """Future subframes t in [lo, hi] with t = j + m*period, m >= 1."""
-    if period <= 0:
-        return
-    m = (lo - j + period - 1) // period
-    if m < 1:
-        m = 1
-    t = j + m * period
-    while t <= hi:
-        yield t
-        t += period
-
-
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
                       n_subch: int | None = None, own_period_sf: int = 100) -> SelectionResult:
     """Run the selection pipeline and return the final candidate set.
@@ -238,79 +297,112 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
        noise floor) and keep the lowest ceil(keep_fraction * pool) of them.
        Ties at the keep boundary are kept, so indistinguishable resources
        stay equally likely.
+
+    The pool is a (T2-T1+1, n_subch) grid, subframe-major.  Every step is
+    array code over it, and the result is exactly that of enumerating the
+    rules resource by resource (tests/oracles.py keeps that reference):
+
+    - Each cell's `cover` is the strongest RSRP, in float64, among this UE's
+      live reservations on that subchannel with a past occurrence congruent
+      to the cell's subframe.  Only reservations above th_sps_dbm can ever
+      exempt, because the working threshold only rises, so each threshold
+      level is the single comparison `cover > threshold`.
+    - A half-duplex subframe j exempts subframe t iff t = j (mod own period):
+      t > j holds for every t in the window.
+    - The ranking sum is accumulated lag by lag, newest first, in the order a
+      sequential sum over the projections adds them, so the averages are
+      bit-equal.  Survivors are enumerated in (subframe, subchannel) order and
+      sorted stably by average, which is the (average, subframe, subchannel)
+      order.
     """
     store = window.store
     ue = window.ue_index
     n_subch = store.n_subch if n_subch is None else n_subch
+    if n_subch > store.n_subch:
+        raise ValueError(f"n_subch {n_subch} exceeds the store's {store.n_subch} subchannels")
     lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
-    pool = [Csr(t, c) for t in range(lo, hi + 1) for c in range(n_subch)]
-    need = math.ceil(cfg.keep_fraction * len(pool))
+    ts = np.arange(lo, hi + 1)
+    pool_size = len(ts) * n_subch
+    need = math.ceil(cfg.keep_fraction * pool_size)
     oldest = store.oldest_valid()
 
-    # Reservations heard in the same congruence class exempt the same future
-    # resources, so only the strongest occurrence per class matters at every
-    # threshold level.
-    classes: dict[tuple[int, int, int], float] = {}
-    for rec in store.reservations:
-        if oldest <= rec.subframe < n and rec.heard[ue]:
-            key = (rec.subframe % rec.period_sf, rec.subchannel, rec.period_sf)
-            rsrp = float(rec.rsrp_dbm[ue])
-            if classes.get(key, -math.inf) < rsrp:
-                classes[key] = rsrp
+    # strongest covering reservation per cell; the cast to float64 keeps the
+    # threshold comparisons exact for thresholds a float32 cannot hold
+    res = store.reservations
+    rsrp = res.rsrp_dbm[ue].astype(np.float64)
+    live = np.flatnonzero((rsrp > cfg.th_sps_dbm) & (res.subframe >= oldest) & (res.subframe < n))
+    period, subch, rsrp = res.period[live], res.subchannel[live], rsrp[live]
+    if np.any(period < 1):
+        raise ValueError("reservation periods must be at least one subframe")
+    t = lo + (res.subframe[live] - lo) % period
+    cover = np.full((len(ts), store.n_subch), -np.inf)
+    while t.size:
+        inside = t <= hi
+        t, period, subch, rsrp = t[inside], period[inside], subch[inside], rsrp[inside]
+        np.maximum.at(cover, (t - lo, subch), rsrp)
+        t = t + period
 
-    unsensed_exempt: set[Csr] = set()
-    if cfg.unsensed_exempt:
-        for j in store.valid_subframes(max(oldest, n - store.span), n - 1):
-            if not store.sensed[j % store.span, ue]:
-                for t in _projected_candidates(j, own_period_sf, lo, hi):
-                    for c in range(n_subch):
-                        unsensed_exempt.add(Csr(t, c))
+    half_duplex = np.zeros(len(ts), dtype=bool)
+    if cfg.unsensed_exempt and own_period_sf > 0:
+        unsensed = store.row_subframe[store.recorded(max(oldest, n - store.span), n - 1)
+                                      & ~store.sensed[:, ue]]
+        if unsensed.size:
+            residue = np.zeros(own_period_sf, dtype=bool)
+            residue[unsensed % own_period_sf] = True
+            half_duplex = residue[ts % own_period_sf]
 
     threshold = cfg.th_sps_dbm
     escalations = 0
     while True:
-        rsrp_exempt: set[Csr] = set()
-        for (residue, c, period), rsrp in classes.items():
-            if rsrp > threshold:
-                first = lo + (residue - lo) % period
-                for t in range(first, hi + 1, period):
-                    rsrp_exempt.add(Csr(t, c))
-        survivors = [csr for csr in pool if csr not in rsrp_exempt and csr not in unsensed_exempt]
-        if len(survivors) >= need:
+        exempt = cover > threshold
+        survivors = ~(exempt[:, :n_subch] | half_duplex[:, None])
+        if np.count_nonzero(survivors) >= need:
             break
-        if not rsrp_exempt:
+        if not exempt.any():
             # threshold exhausted; lifting the half-duplex exemptions is the
             # only remaining way to reach the required pool fraction
-            survivors = list(pool)
+            survivors[:] = True
             break
         threshold += 3.0
         escalations += 1
 
-    ranked = sorted(((_rank_metric(window, csr, cfg, oldest, n - 1),
-                      csr.subframe, csr.subchannel, csr)
-                     for csr in survivors), key=lambda e: e[:3])
-    cut = ranked[min(need, len(ranked)) - 1][0]
-    kept = [e[3] for e in ranked if e[0] <= cut]
-    return SelectionResult(kept, escalations, threshold, len(pool))
+    metric = _rank_metric(store, ue, ts, n_subch, cfg, oldest, n - 1)
+    t_idx, c_idx = np.nonzero(survivors)
+    ranked = metric[t_idx, c_idx]
+    order = np.argsort(ranked, kind="stable")
+    ranked = ranked[order]
+    cut = ranked[min(need, len(ranked)) - 1]
+    kept = order[:np.searchsorted(ranked, cut, side="right")]
+    candidates = list(map(Csr._make, zip(ts[t_idx[kept]].tolist(), c_idx[kept].tolist())))
+    return SelectionResult(candidates, escalations, threshold, pool_size)
 
 
-def _rank_metric(window: SensingWindow, csr: Csr, cfg: SpsConfig, oldest: int,
-                 latest: int) -> float:
-    """Average S-RSSI over the candidate's past projections, newest first.
-    Only subframes strictly before the selection instant count."""
-    store, ue = window.store, window.ue_index
-    values = []
-    j = csr.subframe - cfg.rank_period_sf
-    while j >= oldest:
-        if j <= latest:
-            row = store.row_of(j)
-            if row is not None and store.sensed[row, ue]:
-                v = float(store.srssi_mw[row, ue, csr.subchannel])
-                values.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
-        j -= cfg.rank_period_sf
-    if not values:
-        return store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
-    return sum(values) / len(values)
+def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, n_subch: int,
+                 cfg: SpsConfig, oldest: int, latest: int) -> np.ndarray:
+    """(len(ts), n_subch) average S-RSSI over each resource's past projections,
+    newest first.  Only subframes strictly before the selection instant count."""
+    stamp = store.row_subframe
+    usable = store.recorded(oldest, latest) & store.sensed[:, ue]       # per ring row
+    lags = cfg.rank_period_sf * np.arange(1, max(0, (ts[-1] - oldest) // cfg.rank_period_sf) + 1)
+    js = ts[None, :] - lags[:, None]                  # (lag, subframe), newest first
+    rows = js % store.span
+    ok = (stamp[rows] == js) & usable[rows]
+    values = np.where(ok[..., None], store.srssi_mw[:, ue, :n_subch][rows], 0.0)
+    if cfg.rank_average == "db":
+        values[ok] = 10.0 * _log10(values[ok])
+    total = np.zeros((len(ts), n_subch))
+    for v in values:        # one lag at a time: the order a sequential sum adds them
+        total += v          # (adding 0.0 for a skipped projection changes nothing)
+    count = ok.sum(axis=0)[:, None]
+    empty = store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(count > 0, total / count, empty)
+
+
+def _log10(values: np.ndarray) -> np.ndarray:
+    # math.log10 is the C library's; NumPy's vectorised log10 may differ from
+    # it in the last bit depending on the CPU's instruction set
+    return np.array([math.log10(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: RngStream, *,

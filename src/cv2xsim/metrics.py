@@ -63,16 +63,20 @@ class MetricsStore:
         """Batched form of record_transmission over pre-flattened pair ids;
         every pair may appear at most once per call."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
-        np.add.at(self.tx_count, (pair_ids, bins), 1)
+        # pairs are unique within a call, so no (pair, bin) cell repeats
+        self.tx_count[pair_ids, bins] += 1
         if decoded.any():
             dp, db = pair_ids[decoded], bins[decoded]
-            np.add.at(self.rx_count, (dp, db), 1)
+            self.rx_count[dp, db] += 1
             prev = self.last_rx_ms[dp]
             has_prev = prev >= 0
             if has_prev.any():
                 gaps = (now_ms - prev[has_prev]).astype(np.int64)
-                np.add.at(self.gap_sum_ms, db[has_prev], gaps)
-                np.add.at(self.gap_count, db[has_prev], 1)
+                # gaps are whole milliseconds, so the float sums stay exact
+                # whatever the order of addition
+                self.gap_sum_ms += np.bincount(db[has_prev], weights=gaps,
+                                               minlength=self.n_bins)
+                self.gap_count += np.bincount(db[has_prev], minlength=self.n_bins)
                 self._gap_chunks.append(gaps)
             self.last_rx_ms[dp] = now_ms
 

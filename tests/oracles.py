@@ -1,0 +1,165 @@
+"""Reference implementations the array code in cv2xsim is checked against.
+
+`compute_itt`, `power_target` and `update_power` are the one-UE, branch by
+branch form of the congestion-control rules in `cv2xsim.dcc`.
+
+`select_candidates` and `_rank_metric` are the resource-by-resource form of
+`cv2xsim.mac_sps.select_candidates`: sets of exempt resources, a Python sort
+over (average, subframe, subchannel) and a sequential sum per candidate.
+They read the same `SensingStore`, through `reservation_records`, which
+turns its reservation columns back into one record per decoded
+transmission.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from cv2xsim.core import Csr
+from cv2xsim.dcc import RangeControlConfig, RateControlConfig
+from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
+
+
+class Record(NamedTuple):
+    """One decoded transmission as seen by every receiver."""
+
+    subframe: int
+    subchannel: int
+    period_sf: int
+    heard: np.ndarray      # (n_ue,) bool, True where this UE decoded it
+    rsrp_dbm: np.ndarray   # (n_ue,) float32
+
+
+def reservation_records(store: SensingStore) -> list[Record]:
+    """The store's live reservations, oldest first."""
+    res = store.reservations
+    slots = (res.head + np.arange(len(res))) % len(res.subframe)
+    return [Record(int(res.subframe[s]), int(res.subchannel[s]), int(res.period[s]),
+                   res.rsrp_dbm[:, s] > -np.inf, res.rsrp_dbm[:, s])
+            for s in slots]
+
+
+def valid_subframes(store: SensingStore, lo: int, hi: int) -> list[int]:
+    """Recorded subframes j with lo <= j <= hi, ascending."""
+    lo = max(lo, 0)
+    return [j for j in range(lo, hi + 1) if store.row_subframe[j % store.span] == j]
+
+
+def _projected_candidates(j: int, period: int, lo: int, hi: int):
+    """Future subframes t in [lo, hi] with t = j + m*period, m >= 1."""
+    if period <= 0:
+        return
+    m = (lo - j + period - 1) // period
+    if m < 1:
+        m = 1
+    t = j + m * period
+    while t <= hi:
+        yield t
+        t += period
+
+
+def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
+                      n_subch: int | None = None, own_period_sf: int = 100) -> SelectionResult:
+    """Resource-by-resource form of `cv2xsim.mac_sps.select_candidates`."""
+    store = window.store
+    ue = window.ue_index
+    n_subch = store.n_subch if n_subch is None else n_subch
+    lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
+    pool = [Csr(t, c) for t in range(lo, hi + 1) for c in range(n_subch)]
+    need = math.ceil(cfg.keep_fraction * len(pool))
+    oldest = store.oldest_valid()
+
+    # Reservations heard in the same congruence class exempt the same future
+    # resources, so only the strongest occurrence per class matters at every
+    # threshold level.
+    classes: dict[tuple[int, int, int], float] = {}
+    for rec in reservation_records(store):
+        if oldest <= rec.subframe < n and rec.heard[ue]:
+            key = (rec.subframe % rec.period_sf, rec.subchannel, rec.period_sf)
+            rsrp = float(rec.rsrp_dbm[ue])
+            if classes.get(key, -math.inf) < rsrp:
+                classes[key] = rsrp
+
+    unsensed_exempt: set[Csr] = set()
+    if cfg.unsensed_exempt:
+        for j in valid_subframes(store, max(oldest, n - store.span), n - 1):
+            if not store.sensed[j % store.span, ue]:
+                for t in _projected_candidates(j, own_period_sf, lo, hi):
+                    for c in range(n_subch):
+                        unsensed_exempt.add(Csr(t, c))
+
+    threshold = cfg.th_sps_dbm
+    escalations = 0
+    while True:
+        rsrp_exempt: set[Csr] = set()
+        for (residue, c, period), rsrp in classes.items():
+            if rsrp > threshold:
+                first = lo + (residue - lo) % period
+                for t in range(first, hi + 1, period):
+                    rsrp_exempt.add(Csr(t, c))
+        survivors = [csr for csr in pool if csr not in rsrp_exempt and csr not in unsensed_exempt]
+        if len(survivors) >= need:
+            break
+        if not rsrp_exempt:
+            # threshold exhausted; lifting the half-duplex exemptions is the
+            # only remaining way to reach the required pool fraction
+            survivors = list(pool)
+            break
+        threshold += 3.0
+        escalations += 1
+
+    ranked = sorted(((_rank_metric(window, csr, cfg, oldest, n - 1),
+                      csr.subframe, csr.subchannel, csr)
+                     for csr in survivors), key=lambda e: e[:3])
+    cut = ranked[min(need, len(ranked)) - 1][0]
+    kept = [e[3] for e in ranked if e[0] <= cut]
+    return SelectionResult(kept, escalations, threshold, len(pool))
+
+
+def _rank_metric(window: SensingWindow, csr: Csr, cfg: SpsConfig, oldest: int,
+                 latest: int) -> float:
+    """Average S-RSSI over the candidate's past projections, newest first.
+    Only subframes strictly before the selection instant count."""
+    store, ue = window.store, window.ue_index
+    values = []
+    j = csr.subframe - cfg.rank_period_sf
+    while j >= oldest:
+        if j <= latest:
+            row = store.row_of(j)
+            if row is not None and store.sensed[row, ue]:
+                v = float(store.srssi_mw[row, ue, csr.subchannel])
+                values.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
+        j -= cfg.rank_period_sf
+    if not values:
+        return store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
+    return sum(values) / len(values)
+
+
+def compute_itt(n_sta_smoothed: float, cfg: RateControlConfig) -> float:
+    """Inter-transmit time in ms from one UE's smoothed neighbor count."""
+    if n_sta_smoothed < 0:
+        raise ValueError("neighbor count cannot be negative")
+    b = cfg.density_coefficient
+    if n_sta_smoothed <= b:
+        return 100.0
+    if n_sta_smoothed < (cfg.itt_max_ms / 100.0) * b:
+        return (n_sta_smoothed / b) * 100.0
+    return cfg.itt_max_ms
+
+
+def power_target(cbp_pct: float, cfg: RangeControlConfig) -> float:
+    """Piecewise-linear busy-percentage-to-power map for one UE."""
+    if cbp_pct < cfg.u_min_pct:
+        return cfg.p_max_dbm
+    if cbp_pct >= cfg.u_max_pct:
+        return cfg.p_min_dbm
+    frac = (cfg.u_max_pct - cbp_pct) / (cfg.u_max_pct - cfg.u_min_pct)
+    return cfg.p_min_dbm + frac * (cfg.p_max_dbm - cfg.p_min_dbm)
+
+
+def update_power(p_k_dbm: float, cbp_pct: float, cfg: RangeControlConfig) -> float:
+    """One smoothed step of one UE's power feedback loop."""
+    return p_k_dbm + cfg.eta * (power_target(cbp_pct, cfg) - p_k_dbm)

@@ -113,6 +113,17 @@ class TestCliCommands:
         assert manifest["config"]["run.scheme"] == "baseline"
         assert manifest["config"]["run.seed"] == 7
 
+    def test_run_without_post_warmup_samples_reports_null_means(self, tmp_path, capsys):
+        out = tmp_path / "short"
+        rc = main(["run", "--scenario", "mini-low", "--scheme", "dcc-std", "--seed", "1",
+                   "--out", str(out), "--set", "run.duration_s=0.3", "--set", "run.warmup_s=0.1"])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for key in ("mean_cbp_pct", "mean_power_dbm", "mean_itt_ms"):
+            assert summary[key] is None, key
+        printed = capsys.readouterr().out
+        assert "mean_itt=n/a mean_cbp=n/a" in printed
+
     def test_rerun_from_manifest_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", "mini-low", "--scheme", "dcc-std",

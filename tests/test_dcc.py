@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from cv2xsim.channel import RxMeasurement
 from cv2xsim.core import Csr, Position, RngStream, RoadGeometry
@@ -120,6 +124,18 @@ class TestComputeItt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             compute_itt(-1.0, RATE)
+        with pytest.raises(ValueError):
+            compute_itt(np.array([30.0, -1.0, 200.0]), RATE)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=50),
+           st.sampled_from([25.0, 35.0, 45.0, 55.0]))
+    def test_array_matches_reference(self, counts, b):
+        cfg = RateControlConfig(density_coefficient=b)
+        counts += [b, 6.0 * b]      # the branch edges
+        got = compute_itt(np.array(counts), cfg)
+        assert got.tolist() == [oracles.compute_itt(c, cfg) for c in counts]
+        assert compute_itt(counts[0], cfg) == oracles.compute_itt(counts[0], cfg)
 
 
 class TestUpdatePower:
@@ -147,6 +163,20 @@ class TestUpdatePower:
             c = rng.uniform(0.0, 100.0)
             out = update_power(p, c, RANGE)
             assert RANGE.p_min_dbm - 1e-12 <= out <= RANGE.p_max_dbm + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 23.0), st.floats(0.0, 100.0)),
+                    min_size=1, max_size=50),
+           st.sampled_from(list(SCHEMES.values())))
+    def test_array_matches_reference(self, rows, scheme):
+        cfg = scheme.range
+        rows += [(23.0, cfg.u_min_pct), (23.0, cfg.u_max_pct)]     # the branch edges
+        power, cbp = np.array(rows).T
+        assert power_target(cbp, cfg).tolist() == [oracles.power_target(c, cfg) for _, c in rows]
+        assert update_power(power, cbp, cfg).tolist() == \
+            [oracles.update_power(p, c, cfg) for p, c in rows]
+        p, c = rows[0]
+        assert update_power(p, c, cfg) == oracles.update_power(p, c, cfg)
 
     def test_geometric_convergence_to_target(self):
         p = 23.0

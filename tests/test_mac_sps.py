@@ -3,13 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from cv2xsim.channel import RxMeasurement
 from cv2xsim.core import Csr, RngStream
-from cv2xsim.mac_sps import (CbpDensityTable, Grant, ReservationRecord, SensingStore,
+from cv2xsim.mac_sps import _rank_metric
+from cv2xsim.mac_sps import (CbpDensityTable, Grant, ReservationBlock, SensingStore,
                              SensingWindow, SpsConfig, compute_cr, cr_limit,
                              on_transmission, record_observation, select_candidates,
                              select_resource)
+from oracles import reservation_records
 
 NOISE_MW = 1e-10  # -100 dBm
 
@@ -188,10 +194,11 @@ def build_window(records, span=30, n_subch=2):
     store = SensingStore(1, n_subch, span, NOISE_MW)
     for n, srssi_dbm, sensed, reservations in records:
         row = np.array([[10 ** (v / 10.0) for v in srssi_dbm]])
-        recs = [ReservationRecord(n, subch, src, period,
-                                  np.array([True]), np.array([rsrp], dtype=np.float32))
-                for (subch, src, period, rsrp) in reservations]
-        store.record_subframe(n, row, np.array([sensed]), recs)
+        block = ReservationBlock(np.array([subch for subch, _, _, _ in reservations], dtype=int),
+                                 np.array([period for _, _, period, _ in reservations], dtype=int),
+                                 np.array([[rsrp] for _, _, _, rsrp in reservations],
+                                          dtype=np.float32).reshape(-1, 1))
+        store.record_subframe(n, row, np.array([sensed]), block)
     return SensingWindow(store, 0)
 
 
@@ -204,7 +211,7 @@ def oracle_candidates(window, n, cfg, n_subch, own_period_sf):
     oldest = max(0, store.newest - store.span + 1)
 
     heard = [(rec.subframe, rec.subchannel, rec.period_sf, float(rec.rsrp_dbm[ue]))
-             for rec in store.reservations
+             for rec in reservation_records(store)
              if oldest <= rec.subframe < n and rec.heard[ue]]
     unsensed = [j for j in range(oldest, n)
                 if store.row_subframe[j % store.span] == j and not store.sensed[j % store.span, ue]]
@@ -360,6 +367,13 @@ class TestSelection:
                                     n_subch=2, own_period_sf=5)
         assert len(relaxed.candidates) >= len(result.candidates)
 
+    def test_malformed_inputs_fail_loudly(self):
+        w = build_window([(0, (-70.0, -70.0), True, [(0, 7, 0, -60.0)])], span=30)
+        with pytest.raises(ValueError, match="period"):
+            select_candidates(w, 1, toy_cfg(), n_subch=2)
+        with pytest.raises(ValueError, match="n_subch"):
+            select_candidates(w, 1, toy_cfg(), n_subch=3)
+
     def test_oracle_equivalence_quick(self):
         rnd = random.Random(99)
         escalated = 0
@@ -385,3 +399,110 @@ def test_sps_config_validation():
         SpsConfig(p_resel=1.5)
     with pytest.raises(ValueError):
         SpsConfig(rank_average="median")
+
+
+# ---------------------------------------------------------------------------
+# columnar store and array selection against the resource-by-resource reference
+
+TH_CHOICES = [-85.0, -85.3, -85.3000031, -90.7, -79.9]
+
+
+@st.composite
+def sensing_histories(draw):
+    """A store filled through record_subframe with a known list of decodes.
+
+    Histories run past the span (eviction, ring reuse, column growth), skip
+    subframes (gaps), leave UEs unsensed (half-duplex), draw periods up to
+    several selection windows long, put RSRP values on and next to the
+    float32 rounding of the threshold, and in saturated histories reserve
+    almost everything above it so the threshold must escalate.
+    """
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    th = draw(st.sampled_from(TH_CHOICES))
+    saturated = draw(st.booleans())
+    cfg = toy_cfg(t1_sf=draw(st.integers(1, 3)), t2_sf=draw(st.integers(4, 14)),
+                  th_sps_dbm=th, keep_fraction=draw(st.sampled_from([0.2, 0.5, 1.0])),
+                  rank_period_sf=draw(st.integers(1, 9)),
+                  rank_average=draw(st.sampled_from(["mw", "db"])),
+                  unsensed_exempt=draw(st.booleans()))
+    n_ue, n_subch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    span = draw(st.integers(12, 40))
+    keep = draw(st.sampled_from([-math.inf, th]))
+    near = [float(v) for v in (np.float32(th), np.nextafter(np.float32(th), np.float32(-np.inf)),
+                               np.nextafter(np.float32(th), np.float32(np.inf)))]
+    store = SensingStore(n_ue, n_subch, span, NOISE_MW, keep_rsrp_above_dbm=keep)
+    decodes = []      # (subframe, subchannel, period, rsrp per UE with -inf = not decoded)
+    last = rnd.randint(span // 2, 3 * span)
+    levels = [-99.0, -90.0, -80.0, -70.0]
+    for n in range(last + 1):
+        if rnd.random() < 0.1:
+            continue
+        srssi = np.array([[10 ** (rnd.choice(levels + [rnd.uniform(-99.0, -60.0)]) / 10.0)
+                           for _ in range(n_subch)] for _ in range(n_ue)])
+        sensed = np.array([rnd.random() > 0.15 for _ in range(n_ue)])
+        k = rnd.choice([1, 2, 3] if saturated else [0, 0, 0, 1, 2])
+        subch = np.array([rnd.randrange(n_subch) for _ in range(k)], dtype=int)
+        period = np.array([rnd.choice([1, 2] if saturated else [2, 3, 5, 7, 20, 50])
+                           for _ in range(k)], dtype=int)
+        rsrp = np.full((k, n_ue), -np.inf, dtype=np.float32)
+        for i in range(k):
+            for u in range(n_ue):
+                if rnd.random() < 0.7:
+                    rsrp[i, u] = rnd.choice(near + [rnd.uniform(-70.0, -55.0) if saturated
+                                                    else rnd.uniform(-110.0, -60.0)])
+        store.record_subframe(n, srssi, sensed, ReservationBlock(subch, period, rsrp))
+        decodes += [(n, int(subch[i]), int(period[i]), rsrp[i]) for i in range(k)
+                    if rsrp[i].max() > np.float32(keep)]
+    n = last + 1 + draw(st.integers(0, 2))
+    ue = draw(st.integers(0, n_ue - 1))
+    own_period = draw(st.integers(1, 3 * span))
+    return store, decodes, n, ue, cfg, own_period, draw(st.integers(1, n_subch))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sensing_histories())
+def test_store_keeps_exactly_the_live_decodes(history):
+    store, decodes, *_ = history
+    horizon = store.newest - store.span
+    want = [(j, c, p, r.tolist()) for j, c, p, r in decodes if j > horizon]
+    got = [(r.subframe, r.subchannel, r.period_sf, r.rsrp_dbm.tolist())
+           for r in reservation_records(store)]
+    assert got == want
+    assert len(store.reservations) == len(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sensing_histories())
+def test_selection_matches_reference(history):
+    store, _, n, ue, cfg, own_period, n_subch = history
+    w = SensingWindow(store, ue)
+    got = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own_period)
+    want = oracles.select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own_period)
+    assert got.candidates == want.candidates
+    assert all(type(t) is int and type(c) is int for t, c in got.candidates)
+    assert (got.escalations, got.threshold_dbm, got.pool_size) == \
+        (want.escalations, want.threshold_dbm, want.pool_size)
+    pick = select_resource(w, n, cfg, RngStream(7, "sps"), n_subch=n_subch,
+                           own_period_sf=own_period)
+    assert pick == RngStream(7, "sps").choice(want.candidates)
+    # every pool cell's ranking average, bit for bit
+    ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)
+    oldest = store.oldest_valid()
+    metric = _rank_metric(store, ue, ts, store.n_subch, cfg, oldest, n - 1)
+    assert metric.tolist() == [[oracles._rank_metric(w, Csr(int(t), c), cfg, oldest, n - 1)
+                                for c in range(store.n_subch)] for t in ts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sensing_histories(), st.integers(1, 60), st.floats(1e-11, 1e-6))
+def test_cbp_counts_match_per_subframe_count(history, window_sf, threshold_mw):
+    store, _, n, *_ = history
+    window_sf = min(window_sf, store.span)
+    busy, slots = store.cbp_counts(n, window_sf, threshold_mw)
+    want_busy = np.zeros(store.n_ue, dtype=np.int64)
+    want_slots = np.zeros(store.n_ue, dtype=np.int64)
+    for j in oracles.valid_subframes(store, n - window_sf, n - 1):
+        row = j % store.span
+        want_slots += store.sensed[row] * store.n_subch
+        want_busy += np.sum(store.srssi_mw[row] > threshold_mw, axis=1) * store.sensed[row]
+    assert busy.tolist() == want_busy.tolist() and slots.tolist() == want_slots.tolist()

@@ -228,3 +228,32 @@ def test_store_guards():
         slt(store(), 0.0)
     with pytest.raises(MemoryError):
         MetricsStore(20_000, bin_width_m=1.0, max_range_m=100_000.0)
+
+
+def test_batched_recording_matches_per_link_accumulation():
+    """record_arrays over whole subframes equals adding every link one by one."""
+    rng = np.random.default_rng(11)
+    n_ue = 7
+    s = store(n_ue=n_ue)
+    tx_count = np.zeros_like(s.tx_count)
+    rx_count = np.zeros_like(s.rx_count)
+    gap_sum, gap_count = np.zeros(s.n_bins), np.zeros(s.n_bins, dtype=np.int64)
+    last = {}
+    for now in range(0, 3000, 7):
+        senders = rng.choice(n_ue, size=int(rng.integers(1, 4)), replace=False)
+        pairs = np.concatenate([tx * n_ue + np.delete(np.arange(n_ue), tx) for tx in senders])
+        dist = rng.uniform(1.0, 600.0, pairs.size)
+        ok = rng.random(pairs.size) < 0.6
+        s.record_arrays(now, pairs, dist, ok)
+        for p, d, o in zip(pairs.tolist(), dist.tolist(), ok.tolist()):
+            b = min(int(d / s.bin_width_m), s.n_bins - 1)
+            tx_count[p, b] += 1
+            if o:
+                rx_count[p, b] += 1
+                if p in last:
+                    gap_sum[b] += now - last[p]
+                    gap_count[b] += 1
+                last[p] = now
+    assert np.array_equal(s.tx_count, tx_count) and np.array_equal(s.rx_count, rx_count)
+    assert s.gap_sum_ms.tolist() == gap_sum.tolist()
+    assert s.gap_count.tolist() == gap_count.tolist()
