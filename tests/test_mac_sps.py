@@ -10,12 +10,10 @@ import oracles
 
 from cv2xsim.channel import RxMeasurement
 from cv2xsim.core import Csr, RngStream
-from cv2xsim.mac_sps import _rank_metric
 from cv2xsim.mac_sps import (CbpDensityTable, Grant, ReservationBlock, SensingStore,
-                             SensingWindow, SpsConfig, compute_cr, cr_limit,
+                             SensingWindow, SpsConfig, _rank_metric, compute_cr, cr_limit,
                              on_transmission, record_observation, select_candidates,
                              select_resource)
-from oracles import reservation_records
 
 NOISE_MW = 1e-10  # -100 dBm
 
@@ -211,7 +209,7 @@ def oracle_candidates(window, n, cfg, n_subch, own_period_sf):
     oldest = max(0, store.newest - store.span + 1)
 
     heard = [(rec.subframe, rec.subchannel, rec.period_sf, float(rec.rsrp_dbm[ue]))
-             for rec in reservation_records(store)
+             for rec in oracles.reservation_records(store)
              if oldest <= rec.subframe < n and rec.heard[ue]]
     unsensed = [j for j in range(oldest, n)
                 if store.row_subframe[j % store.span] == j and not store.sensed[j % store.span, ue]]
@@ -466,7 +464,7 @@ def test_store_keeps_exactly_the_live_decodes(history):
     horizon = store.newest - store.span
     want = [(j, c, p, r.tolist()) for j, c, p, r in decodes if j > horizon]
     got = [(r.subframe, r.subchannel, r.period_sf, r.rsrp_dbm.tolist())
-           for r in reservation_records(store)]
+           for r in oracles.reservation_records(store)]
     assert got == want
     assert len(store.reservations) == len(want)
 
