@@ -2,15 +2,18 @@
 
 Each case exercises one path of the simulator (shadowing mode, fading, CR
 limit, ranking average, half-duplex exemption, rate control with speed
-perturbation, an oversaturated ring).  When the digests were pinned, every
+perturbation, an oversaturated ring, per-receiver outcome logging).  The
+metric CSVs of the first case are pinned byte for byte as well.  When the digests were pinned, every
 case with an override was checked to differ from the same run without it,
 so a change to that path moves its digest.  A change that moves a digest on
 purpose must say why and re-pin.
 """
 
+import hashlib
+
 import pytest
 
-from cv2xsim import config, engine
+from cv2xsim import cli, config, engine
 
 SHORT = {"run.duration_s": "1.5", "run.warmup_s": "0.5"}
 SHORT_OVERSAT = {"run.duration_s": "1.0", "run.warmup_s": "0.5"}
@@ -39,7 +42,17 @@ CASES = [
     ("db-ranking", "mini-oversat", "dcc-7", 3,
      {**SHORT_OVERSAT, "sps.rank_average": "db"},
      "42ec9dad68373e8e39ee540445327ca8de9319e6dab820b3b58378076dd01ec4"),
+    ("rx-outcome-log", "mini-low", "baseline", 1, {**SHORT, "run.log_rx_outcomes": "true"},
+     "388fe1925f1323e10ed5530a28288d2994203a594b8df880edf50872cda599ac"),
 ]
+
+# sha256 of the metric CSVs that `cli.write_outputs` writes for mini-low-baseline
+CSV_PINS = {
+    "pdr_vs_distance.csv": "bf4adb3853a2df295ed69525a6dfab9f5e010dce56d2327b81270791077b0466",
+    "slt_vs_distance.csv": "36c48c8a6c0f1281dfc80a58e2ed9048b6787e263a9a7a0b99602f9cc278b7a6",
+    "ipg.csv": "8bb4fc70f363dadd1c1c160f2c1553d749288f81048194c7cc9100801bc198c1",
+    "blind_nodes.csv": "10f4cdcb3d27c3da002f2fd8f3d7ac9e408138a25a34b05bba3473b755e89c5a",
+}
 
 
 def test_pins_are_distinct():
@@ -53,3 +66,11 @@ def test_event_log_digest(scenario, scheme, seed, overrides, digest):
     resolved = config.resolve(None, overrides, scenario=scenario, scheme=scheme, seed=seed)
     result = engine.run(config.build_run_config(resolved))
     assert result.event_log.digest() == digest
+
+
+def test_metric_csvs(tmp_path):
+    resolved = config.resolve(None, SHORT, scenario="mini-low", scheme="baseline", seed=1)
+    result = engine.run(config.build_run_config(resolved))
+    cli.write_outputs(tmp_path, resolved, result)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_PINS}
+    assert got == CSV_PINS
