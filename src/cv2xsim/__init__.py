@@ -5,7 +5,7 @@ metrics."""
 
 __version__ = "0.1.0"
 
-from .channel import ChannelModel, Outcome, RxMeasurement, RxOutcome, Transmission
+from .channel import ChannelModel, Outcome, Transmission
 from .core import Csr, Position, RngPool, RngStream, RoadGeometry, dbm_to_mw, distance, mw_to_dbm
 from .dcc import DccScheme, RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
@@ -15,7 +15,7 @@ from .mobility import PRESETS, ScenarioPreset
 __all__ = [
     "ChannelModel", "Csr", "DccScheme", "Grant", "Outcome", "PRESETS", "Position",
     "RangeControlConfig", "RateControlConfig", "RngPool", "RngStream", "RoadGeometry",
-    "RunConfig", "RunResult", "RxMeasurement", "RxOutcome", "SCHEMES", "ScenarioPreset",
+    "RunConfig", "RunResult", "SCHEMES", "ScenarioPreset",
     "SensingStore", "SensingWindow", "Simulation", "SpsConfig", "Transmission",
     "dbm_to_mw", "distance", "mw_to_dbm", "run", "__version__",
 ]

@@ -4,7 +4,6 @@ the S-RSSI / PSSCH-RSRP measurements consumed by sensing and congestion control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
@@ -65,12 +64,10 @@ def pathloss(d_m, model: ChannelModel):
     return float(pl) if np.isscalar(d_m) or np.ndim(d_m) == 0 else pl
 
 
-def received_power(tx_dbm, d_m, shadow_db, fade_db, model: ChannelModel):
-    """Link budget: tx - pathloss(d) - shadow - fade, all in dB domain."""
-    return tx_dbm - pathloss(d_m, model) - shadow_db - fade_db
+class Outcome:
+    """Reception outcome codes of one link, as stored in
+    `SubframeResolution.outcome`.  Plain ints, which NumPy takes as they are."""
 
-
-class Outcome(IntEnum):
     DECODED = 0
     COLLIDED = 1
     BELOW_SENSITIVITY = 2
@@ -88,26 +85,6 @@ class Transmission:
     reservation_period_ms: int = 100
 
 
-@dataclass(frozen=True)
-class RxOutcome:
-    tx_ue: int
-    rx_ue: int
-    csr: Csr
-    outcome: Outcome
-    rx_power_dbm: float
-    sinr_db: float | None
-    distance_m: float
-
-
-@dataclass(frozen=True)
-class RxMeasurement:
-    """Per-receiver, per-subchannel channel observation for one subframe."""
-
-    csr: Csr
-    srssi_dbm: float
-    decoded_sources: tuple = ()   # (ue, rsrp_dbm, reservation_period_ms) triples
-
-
 class ReceiverSet:
     """Receiver ids and coordinates as arrays, reusable across subframes."""
 
@@ -117,16 +94,6 @@ class ReceiverSet:
         self.y = np.asarray(y, dtype=float)
         self._index = {int(u): i for i, u in enumerate(self.ids)}
 
-    @classmethod
-    def from_positions(cls, entries: Sequence[tuple[int, Position]], geometry: RoadGeometry):
-        ids = np.array([ue for ue, _ in entries], dtype=int)
-        x = np.array([p.x for _, p in entries], dtype=float)
-        y = np.array([p.y(geometry) for _, p in entries], dtype=float)
-        return cls(ids, x, y)
-
-    def index_of(self, ue: int) -> int:
-        return self._index[ue]
-
     def __len__(self):
         return len(self.ids)
 
@@ -135,9 +102,7 @@ class ReceiverSet:
 class SubframeResolution:
     """Array-backed result of resolving one subframe.
 
-    Rows follow `transmissions` order, columns follow the receiver set.  The
-    object accessors materialize RxOutcome / RxMeasurement views on demand so
-    large runs never build per-link objects.
+    Rows follow `transmissions` order, columns follow the receiver set.
     """
 
     subframe: int
@@ -161,28 +126,6 @@ class SubframeResolution:
         if self.transmissions[t_index].ue in self.receivers._index:
             counts[Outcome.HALF_DUPLEX_BLOCKED] -= 1  # drop the self pair
         return (int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
-
-    def outcomes_for(self, rx_ue: int) -> list[RxOutcome]:
-        r = self.receivers.index_of(rx_ue)
-        out = []
-        for t, tx in enumerate(self.transmissions):
-            if tx.ue == rx_ue:
-                continue
-            code = Outcome(int(self.outcome[t, r]))
-            sinr = float(self.sinr_db[t, r])
-            out.append(RxOutcome(tx.ue, rx_ue, tx.csr, code,
-                                 float(self.rx_power_dbm[t, r]), sinr,
-                                 float(self.distance_m[t, r])))
-        return out
-
-    def measurement_for(self, rx_ue: int, subchannel: int) -> RxMeasurement:
-        r = self.receivers.index_of(rx_ue)
-        decoded = tuple(
-            (tx.ue, float(self.rx_power_dbm[t, r]), tx.reservation_period_ms)
-            for t, tx in enumerate(self.transmissions)
-            if tx.csr.subchannel == subchannel and self.outcome[t, r] == Outcome.DECODED)
-        srssi_dbm = 10.0 * np.log10(self.srssi_mw[r, subchannel])
-        return RxMeasurement(Csr(self.subframe, subchannel), float(srssi_dbm), decoded)
 
 
 def resolve_subframe(transmissions: Sequence[Transmission], receivers: ReceiverSet,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import json
-from dataclasses import asdict
+from dataclasses import Field, asdict, fields
 
 from . import dcc, mobility
 from .channel import ChannelModel
@@ -23,36 +23,41 @@ class ConfigError(Exception):
         super().__init__("\n".join(str(e) for e in self.errors))
 
 
-_RUN_DEFAULTS = {
-    "duration_s": 20.0, "warmup_s": 10.0, "seed": 1, "subchannels": 2,
-    "payload_bytes": 190, "mcs_index": 5, "scenario": "freeway-high",
-    "scheme": "baseline", "mobility_tick_ms": 100, "density_period_ms": 1000,
-    "power_period_ms": 200, "cbp_window_ms": 100, "cbp_rssi_threshold_dbm": -94.0,
-    "timeseries_period_ms": 1000, "log_rx_outcomes": False,
+_DEFAULT_SCENARIO, _DEFAULT_SCHEME = "freeway-high", "baseline"
+
+# RunConfig fields set from a section other than [run]; every other field of
+# RunConfig that is not a nested config is a [run] key of the same name
+_RUN_FIELD_KEYS = {
+    "bin_width_m": "metrics.bin_width_m", "roi_radius_m": "metrics.roi_radius_m",
+    "cr_limit_enabled": "cr.enabled", "cbp_limit": "cr.cbp_limit",
+    "cr_calibration": "cr.calibration",
 }
-_SCENARIO_DEFAULTS = {
-    "vehicle_count": 300, "speed_kmh": 140.0, "road_length_km": 3.6, "lanes": 12,
-    "lane_width_m": 4.0, "wraparound": False, "region": "middle-third",
-    "speed_sigma": 0.0, "speed_reversion": 0.5,
-}
-_METRICS_DEFAULTS = {"bin_width_m": 25.0, "roi_radius_m": 100.0}
-_CR_DEFAULTS = {"enabled": False, "cbp_limit": 0.6, "calibration": "0:0,1:200"}
+_NESTED = {"channel": ChannelModel, "sps": SpsConfig,
+           "rate": RateControlConfig, "range": RangeControlConfig}
+
+
+def _run_fields() -> dict[str, Field]:
+    """{section.key: RunConfig field} for the keys that set RunConfig fields."""
+    return {_RUN_FIELD_KEYS.get(f.name, f"run.{f.name}"): f for f in fields(RunConfig)
+            if f.name not in ("scenario", "scheme", *_NESTED)}
+
+
+def _scenario_values(preset: mobility.ScenarioPreset) -> dict[str, object]:
+    return {f"scenario.{k}": v for k, v in asdict(preset).items()
+            if k not in ("name", "adjustments")}
 
 
 def default_config() -> dict[str, object]:
-    """Flat {section.key: value} map with every supported key."""
-    out = {}
-    for section, mapping in (
-            ("run", _RUN_DEFAULTS),
-            ("channel", asdict(ChannelModel())),
-            ("sps", asdict(SpsConfig())),
-            ("rate", asdict(RateControlConfig())),
-            ("range", asdict(RangeControlConfig())),
-            ("scenario", _SCENARIO_DEFAULTS),
-            ("metrics", _METRICS_DEFAULTS),
-            ("cr", _CR_DEFAULTS)):
-        for key, value in mapping.items():
-            out[f"{section}.{key}"] = value
+    """Flat {section.key: value} map with every supported key, each default
+    taken from the dataclass that the key configures."""
+    out: dict[str, object] = {"run.scenario": _DEFAULT_SCENARIO, "run.scheme": _DEFAULT_SCHEME}
+    for key, f in _run_fields().items():
+        out[key] = f.default
+    out["cr.calibration"] = ",".join(f"{cbp:g}:{density:g}" for cbp, density
+                                     in out["cr.calibration"])
+    for section, cls in _NESTED.items():
+        out.update({f"{section}.{k}": v for k, v in asdict(cls()).items()})
+    out.update(_scenario_values(mobility.preset_by_name(_DEFAULT_SCENARIO)))
     return out
 
 
@@ -121,9 +126,7 @@ def _scheme_layer(name: str) -> dict[str, object]:
 
 def _scenario_layer(name: str) -> dict[str, object]:
     preset = mobility.preset_by_name(name)
-    layer = {f"scenario.{k}": getattr(preset, k) for k in _SCENARIO_DEFAULTS}
-    layer.update(preset.adjustments)
-    return layer
+    return {**_scenario_values(preset), **preset.adjustments}
 
 
 def read_config_file(path: str) -> dict[str, object]:
@@ -156,9 +159,9 @@ def resolve(file_values: dict[str, object] | None = None,
     overrides = dict(overrides or {})
 
     scheme_name = scheme or overrides.get("run.scheme") or file_values.get("run.scheme") \
-        or resolved["run.scheme"]
+        or _DEFAULT_SCHEME
     scenario_name = scenario or overrides.get("run.scenario") or file_values.get("run.scenario") \
-        or resolved["run.scenario"]
+        or _DEFAULT_SCENARIO
     try:
         _apply(resolved, _scheme_layer(str(scheme_name)), errors)
         resolved["run.scheme"] = str(scheme_name)
@@ -198,59 +201,32 @@ def parse_calibration(text: str) -> tuple[tuple[float, float], ...]:
 def build_run_config(resolved: dict[str, object]) -> RunConfig:
     """Materialize the typed RunConfig; invariant violations become ConfigError."""
     errors: list[str] = []
-    channel = sps = rate = rng_cfg = preset = None
-    try:
-        channel = ChannelModel(**_section(resolved, "channel"))
-    except (ValueError, TypeError) as e:
-        errors.append(f"[channel] {e}")
-    try:
-        sps = SpsConfig(**_section(resolved, "sps"))
-    except (ValueError, TypeError) as e:
-        errors.append(f"[sps] {e}")
-    try:
-        rate = RateControlConfig(**_section(resolved, "rate"))
-    except (ValueError, TypeError) as e:
-        errors.append(f"[rate] {e}")
-    try:
-        rng_cfg = RangeControlConfig(**_section(resolved, "range"))
-    except (ValueError, TypeError) as e:
-        errors.append(f"[range] {e}")
+    nested = {}
+    for section, cls in _NESTED.items():
+        try:
+            nested[section] = cls(**_section(resolved, section))
+        except (ValueError, TypeError) as e:
+            errors.append(f"[{section}] {e}")
     try:
         preset = mobility.ScenarioPreset(name=str(resolved["run.scenario"]),
                                          **_section(resolved, "scenario"))
     except (ValueError, TypeError) as e:
         errors.append(f"[scenario] {e}")
-    run = _section(resolved, "run")
+    run = {f.name: type(f.default)(resolved[key]) for key, f in _run_fields().items()
+           if key != "cr.calibration"}
     if run["warmup_s"] >= run["duration_s"]:
         errors.append("run.warmup_s must be below run.duration_s")
     try:
-        calibration = parse_calibration(resolved["cr.calibration"])
+        run["cr_calibration"] = parse_calibration(resolved["cr.calibration"])
     except ValueError as e:
         errors.append(f"cr.calibration: {e}")
-        calibration = ((0.0, 0.0), (1.0, 200.0))
     if errors:
         raise ConfigError(errors)
 
-    scheme_name = str(run["scheme"])
-    scheme = DccScheme(name=scheme_name, enabled=scheme_name != "baseline",
-                       rate=rate, range=rng_cfg)
-    cfg = RunConfig(
-        scenario=preset, scheme=scheme, channel=channel, sps=sps,
-        duration_s=float(run["duration_s"]), warmup_s=float(run["warmup_s"]),
-        seed=int(run["seed"]), subchannels=int(run["subchannels"]),
-        payload_bytes=int(run["payload_bytes"]), mcs_index=int(run["mcs_index"]),
-        mobility_tick_ms=int(run["mobility_tick_ms"]),
-        density_period_ms=int(run["density_period_ms"]),
-        power_period_ms=int(run["power_period_ms"]),
-        cbp_window_ms=int(run["cbp_window_ms"]),
-        cbp_rssi_threshold_dbm=float(run["cbp_rssi_threshold_dbm"]),
-        timeseries_period_ms=int(run["timeseries_period_ms"]),
-        bin_width_m=float(resolved["metrics.bin_width_m"]),
-        roi_radius_m=float(resolved["metrics.roi_radius_m"]),
-        log_rx_outcomes=bool(run["log_rx_outcomes"]),
-        cr_limit_enabled=bool(resolved["cr.enabled"]),
-        cbp_limit=float(resolved["cr.cbp_limit"]),
-        cr_calibration=calibration)
+    scheme_name = str(resolved["run.scheme"])
+    scheme = DccScheme(name=scheme_name, enabled=dcc.scheme_by_name(scheme_name).enabled,
+                       rate=nested.pop("rate"), range=nested.pop("range"))
+    cfg = RunConfig(scenario=preset, scheme=scheme, **nested, **run)
     try:
         cfg.validate()
     except ValueError as e:

@@ -4,20 +4,17 @@ percentage, and the position-tracking-error transmit trigger."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Position, RoadGeometry, dbm_to_mw, distance
-from .mac_sps import SensingWindow
+from .core import RoadGeometry
 
 
 @dataclass(frozen=True)
 class RateControlConfig:
     density_coefficient: float = 25.0   # vehicle count where the rate starts stretching
     itt_max_ms: float = 600.0
-    smoothing: float = 0.5              # single-step memory weight on the new sample
     neighbor_radius_m: float = 100.0
     pte_threshold_m: float = 0.5
     pte_enabled: bool = True
@@ -28,6 +25,8 @@ class RateControlConfig:
             raise ValueError("density_coefficient must be positive")
         if self.itt_max_ms < 100.0:
             raise ValueError("itt_max_ms must be at least 100 ms")
+        if self.neighbor_radius_m <= 0:
+            raise ValueError("neighbor_radius_m must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,42 +46,21 @@ class RangeControlConfig:
             raise ValueError("eta must be in (0, 1]")
 
 
-@dataclass
-class DccState:
-    """Per-UE congestion controller state."""
-
-    n_sta_smoothed: float = 0.0
-    itt_ms: float = 100.0
-    power_dbm: float = 23.0
-    last_tx_time: int = -(10 ** 9)
-    last_broadcast: tuple[float, float, int] | None = None  # (x, speed, subframe)
-    cbp_pct: float = 0.0
-
-
-def measure_cbp(window: SensingWindow, n: int, rssi_threshold_dbm: float,
-                cbp_window_sf: int = 100) -> float:
-    """Busy percentage over the trailing window: the share of sensed
-    subchannel slots whose S-RSSI exceeds the threshold.  Subframes the owner
-    spent transmitting contribute to neither count."""
-    busy, slots = window.store.cbp_counts(n, cbp_window_sf, dbm_to_mw(rssi_threshold_dbm))
-    b, s = int(busy[window.ue_index]), int(slots[window.ue_index])
-    if s == 0:
-        raise ValueError("no sensed slots in the busy-measurement window")
-    return 100.0 * b / s
-
-
-def count_neighbors(host: Position, others: list[Position], radius_m: float,
-                    geometry: RoadGeometry) -> int:
-    """Vehicles within radius_m of host (boundary inclusive), host excluded."""
-    if radius_m <= 0:
-        raise ValueError("radius_m must be positive")
-    return sum(1 for p in others
-               if p is not host and distance(host, p, geometry) <= radius_m)
+def neighbor_counts(pair_dist: np.ndarray, radius_m: float) -> np.ndarray:
+    """Vehicles within radius_m of each vehicle (boundary inclusive), itself
+    excluded, from the (n, n) matrix of pair distances."""
+    return (np.sum(pair_dist <= radius_m, axis=1) - 1).astype(float)
 
 
 def smooth_density(n_new: float, n_prev_smoothed: float) -> float:
     """Single-step memory with a 1/2 smoothing factor."""
     return (n_new + n_prev_smoothed) / 2.0
+
+
+def busy_percentage(busy: np.ndarray, slots: np.ndarray, previous_pct: np.ndarray) -> np.ndarray:
+    """CBP in percent per UE: busy over sensed subchannel slots of the
+    measurement window.  A UE that sensed no slot keeps its previous value."""
+    return np.where(slots > 0, 100.0 * busy / np.maximum(slots, 1), previous_pct)
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -123,27 +101,31 @@ def update_power(p_k_dbm, cbp_pct, cfg: RangeControlConfig):
     return _scalar_or_array(p + cfg.eta * (power_target(cbp_pct, cfg) - p))
 
 
-def update_pte(actual: tuple[float, float], last_broadcast: tuple[float, float, int],
-               now: int, geometry: RoadGeometry, lane: int = 0) -> float:
-    """Position tracking error: how far the vehicle has drifted from the
-    constant-velocity extrapolation of its last broadcast state.
+def tracking_error(x_m: np.ndarray, last_x_m: np.ndarray, last_speed_mps: np.ndarray,
+                   elapsed_ms: np.ndarray, geometry: RoadGeometry) -> np.ndarray:
+    """Position tracking error: how far each vehicle (at x_m, on the road)
+    has drifted from the constant-velocity extrapolation of its last
+    broadcast state, elapsed_ms after that broadcast."""
+    if np.any(elapsed_ms < 0):
+        raise ValueError("elapsed time since the last broadcast cannot be negative")
+    predicted = geometry.wrap_x(last_x_m + last_speed_mps * (elapsed_ms / 1000.0))
+    return geometry.dx(predicted, x_m)
 
-    `actual` is (x, speed); `last_broadcast` is (x, speed, subframe).
+
+def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, itt_ms: np.ndarray,
+                     pte_m: np.ndarray | None, pte_threshold_m: float):
+    """Masks of the UEs that release a packet now, as (timer, tracking).
+
+    Only UEs with no packet pending release.  The rate timer fires once
+    elapsed_ms since the last transmission reaches itt_ms; the tracking
+    trigger fires where the tracking error exceeds the threshold, and never
+    when there is no tracking error (pte_m None).
     """
-    bx, bv, bt = last_broadcast
-    if now < bt:
-        raise ValueError("now precedes the last broadcast")
-    dt_s = (now - bt) / 1000.0
-    predicted_x = geometry.wrap_x(bx + bv * dt_s)
-    return distance(Position(geometry.wrap_x(actual[0]), lane),
-                    Position(predicted_x, lane), geometry)
-
-
-def should_transmit(state: DccState, pte_m: float, now: int, cfg: RateControlConfig) -> bool:
-    """True when the rate timer expired or the tracking error forces an update."""
-    if now - state.last_tx_time >= state.itt_ms:
-        return True
-    return cfg.pte_enabled and pte_m > cfg.pte_threshold_m
+    idle = ~pending
+    timer = idle & (elapsed_ms >= itt_ms)
+    if pte_m is None:
+        return timer, np.zeros_like(timer)
+    return timer, idle & (pte_m > pte_threshold_m)
 
 
 @dataclass(frozen=True)

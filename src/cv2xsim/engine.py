@@ -30,7 +30,6 @@ class RunConfig:
     seed: int = 1
     subchannels: int = 2
     payload_bytes: int = 190
-    mcs_index: int = 5
     mobility_tick_ms: int = 100
     density_period_ms: int = 1000
     power_period_ms: int = 200
@@ -220,19 +219,6 @@ class Simulation:
         self.grants[ue] = Grant(csr.subframe, csr.subchannel, period, slrrc)
         self.next_tx[ue] = csr.subframe
 
-    def _cr_allows(self, ue: int, n: int) -> bool:
-        tau1, tau2 = n - 750, n + 250
-        used = [t for t in self._own_tx_history[ue] if tau1 <= t < tau2]
-        g = self.grants[ue]
-        t = n
-        while t < tau2:
-            used.append(t)
-            t += max(1, g.period_sf)
-        cr = len(used) / (1000.0 * self.cfg.subchannels)
-        limit = mac_sps.cr_limit(min(self.cbp_pct[ue] / 100.0, 1.0), self.cfg.cbp_limit,
-                                 self._cr_table)
-        return cr <= limit
-
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue
         scheme, rate_cfg, range_cfg = self.scheme, self.scheme.rate, self.scheme.range
@@ -257,16 +243,15 @@ class Simulation:
 
             # density sample -> smoothed neighbor count -> rate control
             if n % cfg.density_period_ms == 0:
-                counts = (np.sum(self.pair_dist <= rate_cfg.neighbor_radius_m, axis=1) - 1)
-                self.n_sta_s = dcc.smooth_density(counts.astype(float), self.n_sta_s)
+                counts = dcc.neighbor_counts(self.pair_dist, rate_cfg.neighbor_radius_m)
+                self.n_sta_s = dcc.smooth_density(counts, self.n_sta_s)
                 if scheme.enabled:
                     self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
 
             # busy measurement -> range control
             if n % cfg.power_period_ms == 0 and n > 0:
                 busy, slots = self.store.cbp_counts(n, cfg.cbp_window_ms, cbp_thresh_mw)
-                ok = slots > 0
-                self.cbp_pct[ok] = 100.0 * busy[ok] / slots[ok]
+                self.cbp_pct = dcc.busy_percentage(busy, slots, self.cbp_pct)
                 if scheme.enabled:
                     self.power_dbm = dcc.update_power(self.power_dbm, self.cbp_pct, range_cfg)
 
@@ -276,23 +261,15 @@ class Simulation:
             # exactly zero tracking error.
             if pte_on:
                 frac_s = (n % cfg.mobility_tick_ms) / 1000.0
-                x_true = self.x + self.speed * frac_s
-                dt_s = (n - self.bcast_t) / 1000.0
-                pred = self.bcast_x + self.bcast_v * dt_s
-                if self.geometry.wraparound:
-                    x_true %= self.geometry.length_m
-                    pred %= self.geometry.length_m
-                pte = self.geometry.dx(pred, x_true)
+                x_true = self.geometry.wrap_x(self.x + self.speed * frac_s)
+                pte = dcc.tracking_error(x_true, self.bcast_x, self.bcast_v,
+                                         n - self.bcast_t, self.geometry)
             else:
                 x_true = None
                 pte = None
-            ready = ~self.pending & ((n - self.last_tx) >= self.itt_ms)
-            if pte is not None:
-                pte_fire = ~self.pending & (pte > rate_cfg.pte_threshold_m)
-                gen = ready | pte_fire
-            else:
-                pte_fire = None
-                gen = ready
+            ready, pte_fire = dcc.release_triggers(self.pending, n - self.last_tx, self.itt_ms,
+                                                   pte, rate_cfg.pte_threshold_m)
+            gen = ready | pte_fire
             if gen.any():
                 for ue in np.nonzero(gen)[0]:
                     ue = int(ue)
@@ -300,7 +277,7 @@ class Simulation:
                     self.gen_time[ue] = n
                     if self.grants[ue] is None:
                         self._select_grant(ue, n)
-                    elif pte_fire is not None and pte_fire[ue] and not ready[ue] \
+                    elif pte_fire[ue] and not ready[ue] \
                             and self.next_tx[ue] - n > rate_cfg.pte_wait_limit_ms:
                         # grant lands too late for a tracking update: reselect now
                         self._select_grant(ue, n)
@@ -313,8 +290,14 @@ class Simulation:
             for ue in due:
                 ue = int(ue)
                 grant = self.grants[ue]
-                if not self.pending[ue] or \
-                        (self._cr_table is not None and not self._cr_allows(ue, n)):
+                skip = not self.pending[ue]
+                if not skip and self._cr_table is not None:
+                    # occupancy above its congestion limit: let this occurrence pass
+                    cr = mac_sps.compute_cr(n, self._own_tx_history[ue], grant.period_sf,
+                                            cfg.subchannels)
+                    skip = cr > mac_sps.cr_limit(min(self.cbp_pct[ue] / 100.0, 1.0),
+                                                 cfg.cbp_limit, self._cr_table)
+                if skip:
                     self.next_tx[ue] = n + max(1, grant.period_sf)
                     grant.next_subframe = self.next_tx[ue]
                     continue

@@ -14,8 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import RxMeasurement
-from .core import Csr, RngStream, dbm_to_mw
+from .core import Csr, RngStream
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,6 @@ class Grant:
     subchannel: int
     period_sf: int
     slrrc: int
-
-    @property
-    def csr_offset(self) -> tuple[int, int]:
-        return (self.next_subframe % self.period_sf, self.subchannel)
 
 
 class ReservationBlock(NamedTuple):
@@ -179,10 +174,10 @@ class SensingStore:
         self.reservations.evict_through(n - self.span)
 
     def _keep(self, n: int, block: ReservationBlock) -> None:
-        # The keep test runs in float32 (the threshold is rounded to the
-        # RSRP's precision); selection compares in float64.
+        # compared in float64, as selection does: a float32 compare would
+        # round a threshold that float32 cannot hold
         rsrp = block.rsrp_dbm
-        keep = rsrp.max(axis=1, initial=-np.inf) > np.float32(self.keep_rsrp_above_dbm)
+        keep = rsrp.max(axis=1, initial=-np.inf).astype(np.float64) > self.keep_rsrp_above_dbm
         if keep.all():
             self.reservations.append(n, block.subchannel, block.period_sf, rsrp.T)
         elif keep.any():
@@ -191,10 +186,6 @@ class SensingStore:
 
     def oldest_valid(self) -> int:
         return max(0, self.newest - self.span + 1)
-
-    def row_of(self, j: int) -> int | None:
-        row = j % self.span
-        return row if self.row_subframe[row] == j else None
 
     def recorded(self, lo: int, hi: int) -> np.ndarray:
         """(span,) mask of the ring rows holding a recorded subframe j, lo <= j <= hi."""
@@ -209,65 +200,11 @@ class SensingStore:
         return busy, slots
 
 
-class SensingWindow:
+class SensingWindow(NamedTuple):
     """One UE's view of a SensingStore (its column of measurements and masks)."""
 
-    def __init__(self, store: SensingStore, ue_index: int = 0):
-        self.store = store
-        self.ue_index = ue_index
-
-    @classmethod
-    def standalone(cls, n_subch: int = 2, span: int = 1000, noise_mw: float = 1e-10,
-                   keep_rsrp_above_dbm: float = -math.inf) -> "SensingWindow":
-        return cls(SensingStore(1, n_subch, span, noise_mw, keep_rsrp_above_dbm), 0)
-
-    def __len__(self) -> int:
-        s = self.store
-        return int(np.count_nonzero(s.recorded(s.oldest_valid(), s.newest)))
-
-    def record(self, n: int, measurement: RxMeasurement) -> None:
-        """Add a per-subchannel measurement at subframe n (standalone windows only)."""
-        s = self.store
-        if n < s.newest:
-            raise ValueError(f"out-of-order sensing record: {n} < newest {s.newest}")
-        row = n % s.span
-        if s.row_subframe[row] != n:
-            s.row_subframe[row] = n
-            s.srssi_mw[row] = s.noise_mw
-            s.sensed[row] = True
-        s.newest = n
-        subch = measurement.csr.subchannel
-        s.srssi_mw[row, self.ue_index, subch] = dbm_to_mw(measurement.srssi_dbm)
-        s.sensed[row, self.ue_index] = True
-        sources = measurement.decoded_sources
-        rsrp = np.full((len(sources), s.n_ue), -np.inf, dtype=np.float32)
-        rsrp[:, self.ue_index] = [r for _, r, _ in sources]
-        s._keep(n, ReservationBlock(np.full(len(sources), subch),
-                                    [p for _, _, p in sources], rsrp))
-        s.reservations.evict_through(n - s.span)
-
-    def mark_transmitted(self, n: int) -> None:
-        """Flag subframe n as UNSENSED: the owner was transmitting (half-duplex)."""
-        s = self.store
-        if n < s.newest:
-            raise ValueError(f"out-of-order sensing record: {n} < newest {s.newest}")
-        row = n % s.span
-        if s.row_subframe[row] != n:
-            s.row_subframe[row] = n
-            s.srssi_mw[row] = s.noise_mw
-            s.sensed[row] = True
-            s.newest = n
-        s.sensed[row, self.ue_index] = False
-
-    def is_sensed(self, j: int) -> bool | None:
-        row = self.store.row_of(j)
-        return None if row is None else bool(self.store.sensed[row, self.ue_index])
-
-
-def record_observation(window: SensingWindow, n: int, measurement: RxMeasurement) -> SensingWindow:
-    """Store one subchannel measurement; entries older than the span are evicted."""
-    window.record(n, measurement)
-    return window
+    store: SensingStore
+    ue_index: int
 
 
 @dataclass
@@ -429,27 +366,16 @@ def on_transmission(grant: Grant, rng: RngStream, cfg: SpsConfig) -> Grant | Non
     return replace(grant, slrrc=rng.randint(cfg.slrrc_min, cfg.slrrc_max))
 
 
-def compute_cr(n: int, pool: np.ndarray, used: np.ndarray, window: tuple[int, int]) -> float:
-    """Channel-occupancy ratio over a half-open window [tau1, tau2).
-
-    `pool` and `used` are (tau2 - tau1, n_subch) indicator tables: membership
-    of each subchannel slot in the UE's resource pool and whether the UE used
-    or reserved it.  The window must cover exactly 1000 subframes and straddle
-    n with its majority in the past.
-    """
-    tau1, tau2 = window
-    if tau2 - tau1 != 1000:
-        raise ValueError("occupancy window must cover exactly 1000 subframes")
-    if n - tau1 <= (tau2 - tau1) / 2:
-        raise ValueError("occupancy window must have its majority in the past of n")
-    pool = np.asarray(pool)
-    used = np.asarray(used)
-    if pool.shape != used.shape or pool.shape[0] != tau2 - tau1:
-        raise ValueError("pool/used tables must both cover the window")
-    denom = int(pool.sum())
-    if denom == 0:
-        raise ValueError("resource pool is empty over the window")
-    return float((pool * used).sum()) / denom
+def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> float:
+    """Channel-occupancy ratio of one UE at subframe n over the window
+    [n-750, n+250) (ETSI TS 103 574): its own transmissions in the window
+    (`past_tx`, all before n) plus its grant's occurrences n, n+period_sf, ...
+    before n+250, over the window's 1000 * n_subch subchannel slots."""
+    if period_sf < 1 or n_subch < 1:
+        raise ValueError("period_sf and n_subch must be at least 1")
+    past = sum(1 for t in past_tx if n - 750 <= t < n + 250)
+    future = -(-250 // period_sf)
+    return (past + future) / (1000.0 * n_subch)
 
 
 def cr_limit(cbp: float, cbp_limit: float, f_inv: Callable[[float], float]) -> float:

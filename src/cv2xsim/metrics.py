@@ -51,17 +51,12 @@ class MetricsStore:
         self.roi_always = ~np.eye(n_ue, dtype=bool)
         self.observation_s = 0.0
 
-    def record_transmission(self, now_ms: int, tx_ue: int, rx_ids: np.ndarray,
-                            dist_m: np.ndarray, decoded: np.ndarray) -> None:
-        """Account one broadcast: an attempt toward every receiver's current
-        bin, a reception (and possibly a gap sample) where it decoded."""
-        pairs = tx_ue * self.n_ue + np.asarray(rx_ids, dtype=np.int64)
-        self.record_arrays(now_ms, pairs, np.asarray(dist_m), np.asarray(decoded))
-
     def record_arrays(self, now_ms: int, pair_ids: np.ndarray, dist_m: np.ndarray,
                       decoded: np.ndarray) -> None:
-        """Batched form of record_transmission over pre-flattened pair ids;
-        every pair may appear at most once per call."""
+        """Account the links of one subframe: an attempt toward each pair's
+        current distance bin, a reception (and possibly a gap sample) where it
+        decoded.  Pair ids are flattened tx*n_ue+rx, and every pair may
+        appear at most once per call."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
         # pairs are unique within a call, so no (pair, bin) cell repeats
         self.tx_count[pair_ids, bins] += 1
@@ -91,23 +86,6 @@ class MetricsStore:
 
     def bin_edges(self, b: int) -> tuple[float, float]:
         return (b * self.bin_width_m, (b + 1) * self.bin_width_m)
-
-    def merge(self, other: "MetricsStore") -> "MetricsStore":
-        """Pool another ledger covering the same window into this one.
-
-        Counter addition is associative and commutative; in-flight gap state
-        (last reception times) is not merged, so merge only after recording
-        has finished on both sides.
-        """
-        if (self.n_ue, self.n_bins, self.bin_width_m) != (other.n_ue, other.n_bins, other.bin_width_m):
-            raise ValueError("cannot merge ledgers with different shapes or binning")
-        self.tx_count += other.tx_count
-        self.rx_count += other.rx_count
-        self.gap_sum_ms += other.gap_sum_ms
-        self.gap_count += other.gap_count
-        self._gap_chunks.extend(other._gap_chunks)
-        self.roi_always &= other.roi_always
-        return self
 
 
 @dataclass(frozen=True)

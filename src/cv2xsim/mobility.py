@@ -115,12 +115,6 @@ def step(vehicles: list[VehicleKinematics], dt_s: float, preset: ScenarioPreset,
     return respawned
 
 
-def in_measurement_region(p: Position, preset: ScenarioPreset) -> bool:
-    """Inside the stretch metrics are drawn from (bounds inclusive)."""
-    lo, hi = preset.region_bounds_m
-    return lo <= p.x <= hi
-
-
 PRESETS: dict[str, ScenarioPreset] = {
     # nominal densities: 7 / 14 / 28 / 56 / 111 vehicles per km per lane
     "freeway-high": ScenarioPreset("freeway-high", 300, 140.0),

@@ -3,6 +3,10 @@
 `compute_itt`, `power_target` and `update_power` are the one-UE, branch by
 branch form of the congestion-control rules in `cv2xsim.dcc`.
 
+`compute_cr` is the table form of `cv2xsim.mac_sps.compute_cr`: (1000,
+n_subch) indicator tables of the resource pool and of the slots the UE used
+or reserved over the occupancy window.
+
 `select_candidates` and `_rank_metric` are the resource-by-resource form of
 `cv2xsim.mac_sps.select_candidates`: sets of exempt resources, a Python sort
 over (average, subframe, subchannel) and a sequential sum per candidate.
@@ -128,8 +132,8 @@ def _rank_metric(window: SensingWindow, csr: Csr, cfg: SpsConfig, oldest: int,
     j = csr.subframe - cfg.rank_period_sf
     while j >= oldest:
         if j <= latest:
-            row = store.row_of(j)
-            if row is not None and store.sensed[row, ue]:
+            row = j % store.span
+            if store.row_subframe[row] == j and store.sensed[row, ue]:
                 v = float(store.srssi_mw[row, ue, csr.subchannel])
                 values.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
         j -= cfg.rank_period_sf
@@ -163,3 +167,30 @@ def power_target(cbp_pct: float, cfg: RangeControlConfig) -> float:
 def update_power(p_k_dbm: float, cbp_pct: float, cfg: RangeControlConfig) -> float:
     """One smoothed step of one UE's power feedback loop."""
     return p_k_dbm + cfg.eta * (power_target(cbp_pct, cfg) - p_k_dbm)
+
+
+def occupancy_ratio(n: int, pool: np.ndarray, used: np.ndarray, window: tuple[int, int]) -> float:
+    """Channel-occupancy ratio over a half-open window [tau1, tau2) from
+    pool-membership and used-or-reserved indicator tables."""
+    tau1, tau2 = window
+    if tau2 - tau1 != 1000:
+        raise ValueError("occupancy window must cover exactly 1000 subframes")
+    if n - tau1 <= (tau2 - tau1) / 2:
+        raise ValueError("occupancy window must have its majority in the past of n")
+    if pool.shape != used.shape or pool.shape[0] != tau2 - tau1:
+        raise ValueError("pool/used tables must both cover the window")
+    denom = int(pool.sum())
+    if denom == 0:
+        raise ValueError("resource pool is empty over the window")
+    return float((pool * used).sum()) / denom
+
+
+def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> float:
+    """One UE's occupancy at n: its past transmissions and its grant's future
+    occurrences marked on subchannel 0 of a table of the window [n-750, n+250)."""
+    tau1, tau2 = n - 750, n + 250
+    used = np.zeros((tau2 - tau1, n_subch), dtype=int)
+    for t in list(past_tx) + list(range(n, tau2, period_sf)):
+        if tau1 <= t < tau2:
+            used[t - tau1, 0] = 1
+    return occupancy_ratio(n, np.ones_like(used), used, (tau1, tau2))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cv2xsim.channel import (ChannelModel, Outcome, ReceiverSet, Transmission,
-                             pathloss, received_power, resolve_subframe)
+from cv2xsim.channel import (ChannelModel, Outcome, ReceiverSet, Transmission, pathloss,
+                             resolve_subframe)
 from cv2xsim.core import Csr, Position, RngStream, RoadGeometry
 
 GEO = RoadGeometry(length_m=10_000.0, lanes=12, lane_width_m=4.0)
@@ -19,7 +19,19 @@ def single_slope(**kw):
 
 
 def rx_set(entries):
-    return ReceiverSet.from_positions(entries, GEO)
+    """Receivers from (ue, Position) pairs."""
+    return ReceiverSet(np.array([ue for ue, _ in entries], dtype=int),
+                       np.array([p.x for _, p in entries]),
+                       np.array([p.y(GEO) for _, p in entries]))
+
+
+def links_to(res, rx_ue):
+    """{transmitter: (outcome, rx_power_dbm, sinr_db)} for every other UE's
+    transmission toward receiver rx_ue."""
+    r = int(np.flatnonzero(res.receivers.ids == rx_ue)[0])
+    return {tx.ue: (int(res.outcome[t, r]), float(res.rx_power_dbm[t, r]),
+                    float(res.sinr_db[t, r]))
+            for t, tx in enumerate(res.transmissions) if tx.ue != rx_ue}
 
 
 def tx(ue, subframe, subch, power, x, lane=0, period=100):
@@ -55,10 +67,21 @@ class TestPathloss:
 
 
 class TestReceivedPower:
+    """The link budget that resolve_subframe applies to every link."""
+
     def test_link_budget_arithmetic(self):
+        # tx - pathloss(d) - shadow, with the shadowing looked up per pair
         m = single_slope(d0_m=10.0, pl0_db=100.0)
-        assert received_power(23.0, 10.0, 0.0, 0.0, m) == pytest.approx(-77.0)
-        assert received_power(23.0, 10.0, 3.0, 0.0, m) == pytest.approx(-80.0)
+        receivers = rx_set([(1, Position(10.0, 0))])
+        res = resolve_subframe([tx(0, 5, 0, 23.0, 0.0)], receivers, m,
+                               RngStream(1, "shadow"), GEO)
+        assert res.rx_power_dbm[0, 0] == pytest.approx(-77.0)
+        static = single_slope(d0_m=10.0, pl0_db=100.0, shadowing_sigma_db=1.0,
+                              shadowing_mode="static")
+        res = resolve_subframe([tx(0, 5, 0, 23.0, 0.0)], receivers, static,
+                               RngStream(1, "shadow"), GEO, static_shadow=np.full((2, 2), 3.0))
+        assert res.rx_power_dbm[0, 0] == pytest.approx(-80.0)
+        assert res.shadow_db[0, 0] == 3.0
 
     def test_shadowing_distribution_zero_mean(self):
         sigma = 3.0
@@ -69,8 +92,10 @@ class TestReceivedPower:
     def test_monotone_in_distance_without_noise_terms(self):
         m = clean_model()
         d = np.linspace(1.0, 2000.0, 500)
-        p = received_power(23.0, d, 0.0, 0.0, m)
-        assert np.all(np.diff(p) <= 0)
+        receivers = rx_set([(i + 1, Position(float(x), 0)) for i, x in enumerate(d)])
+        res = resolve_subframe([tx(0, 5, 0, 23.0, 0.0)], receivers, m,
+                               RngStream(1, "shadow"), GEO)
+        assert np.all(np.diff(res.rx_power_dbm[0]) <= 0)
 
 
 class TestResolveSubframe:
@@ -79,11 +104,11 @@ class TestResolveSubframe:
         res = resolve_subframe([tx(0, 5, 0, 23.0, 0.0)],
                                rx_set([(0, Position(0.0, 0)), (1, Position(50.0, 0))]),
                                m, RngStream(1, "shadow"), GEO)
-        out = res.outcomes_for(1)
-        assert len(out) == 1 and out[0].outcome == Outcome.DECODED
+        [(outcome, rx_power_dbm, sinr_db)] = links_to(res, 1).values()
+        assert outcome == Outcome.DECODED
         # SINR equals SNR exactly when nobody else transmits
-        snr_db = out[0].rx_power_dbm - m.noise_floor_dbm
-        assert out[0].sinr_db == pytest.approx(snr_db, abs=1e-9)
+        snr_db = rx_power_dbm - m.noise_floor_dbm
+        assert sinr_db == pytest.approx(snr_db, abs=1e-9)
 
     def test_half_duplex_blocks_own_subframe(self):
         m = clean_model()
@@ -91,8 +116,8 @@ class TestResolveSubframe:
             [tx(0, 5, 0, 23.0, 0.0), tx(1, 5, 1, 23.0, 50.0)],
             rx_set([(0, Position(0.0, 0)), (1, Position(50.0, 0)), (2, Position(100.0, 0))]),
             m, RngStream(1, "shadow"), GEO)
-        assert all(o.outcome == Outcome.HALF_DUPLEX_BLOCKED for o in res.outcomes_for(1))
-        assert all(o.outcome == Outcome.DECODED for o in res.outcomes_for(2))
+        assert [o for o, _, _ in links_to(res, 1).values()] == [Outcome.HALF_DUPLEX_BLOCKED]
+        assert [o for o, _, _ in links_to(res, 2).values()] == [Outcome.DECODED] * 2
 
     def test_equidistant_equal_power_collision(self):
         # signal == interference gives SINR below 1 before noise
@@ -101,7 +126,7 @@ class TestResolveSubframe:
             [tx(0, 5, 0, 23.0, 0.0), tx(1, 5, 0, 23.0, 200.0)],
             rx_set([(0, Position(0.0, 0)), (1, Position(200.0, 0)), (2, Position(100.0, 0))]),
             m, RngStream(1, "shadow"), GEO)
-        out = {o.tx_ue: o.outcome for o in res.outcomes_for(2)}
+        out = {ue: o for ue, (o, _, _) in links_to(res, 2).items()}
         assert out == {0: Outcome.COLLIDED, 1: Outcome.COLLIDED}
 
     def test_below_sensitivity(self):
@@ -109,7 +134,7 @@ class TestResolveSubframe:
         res = resolve_subframe([tx(0, 5, 0, 23.0, 0.0)],
                                rx_set([(0, Position(0.0, 0)), (1, Position(5000.0, 0))]),
                                m, RngStream(1, "shadow"), GEO)
-        assert res.outcomes_for(1)[0].outcome == Outcome.BELOW_SENSITIVITY
+        assert links_to(res, 1)[0][0] == Outcome.BELOW_SENSITIVITY
 
     def test_rejects_mixed_subframes(self):
         with pytest.raises(ValueError):
@@ -144,17 +169,17 @@ class TestResolveSubframe:
         receivers = rx_set([(9, Position(150.0, 4))])
         txs = [tx(0, 5, 0, 23.0, 0.0), tx(1, 5, 0, 23.0, 300.0), tx(2, 5, 1, 23.0, 100.0)]
         res = resolve_subframe(txs, receivers, m, rng, GEO)
-        for subch in (0, 1):
-            meas = res.measurement_for(9, subch)
-            for _, rsrp, _ in meas.decoded_sources:
-                assert rsrp <= meas.srssi_dbm + 0.5
+        for t, sent in enumerate(txs):
+            if res.outcome[t, 0] == Outcome.DECODED:
+                srssi_dbm = 10.0 * np.log10(res.srssi_mw[0, sent.csr.subchannel])
+                assert res.rx_power_dbm[t, 0] <= srssi_dbm + 0.5
 
     def test_empty_subframe_is_noise_only(self):
         m = clean_model()
         res = resolve_subframe([], rx_set([(0, Position(0.0, 0))]), m,
                                RngStream(1, "shadow"), GEO)
         assert res.srssi_mw[0, 0] == pytest.approx(m.noise_mw)
-        assert res.measurement_for(0, 0).srssi_dbm == pytest.approx(m.noise_floor_dbm)
+        assert 10.0 * np.log10(res.srssi_mw[0, 0]) == pytest.approx(m.noise_floor_dbm)
 
     def test_nakagami_fading_draws_do_not_shift_shadowing(self):
         base = ChannelModel(shadowing_sigma_db=3.0, fading="none")

@@ -1,10 +1,15 @@
 import json
-from pathlib import Path
+from dataclasses import asdict, fields
 
 import pytest
 
 from cv2xsim import config
+from cv2xsim.channel import ChannelModel
 from cv2xsim.cli import main
+from cv2xsim.dcc import SCHEMES, RangeControlConfig, RateControlConfig
+from cv2xsim.engine import RunConfig
+from cv2xsim.mac_sps import SpsConfig
+from cv2xsim.mobility import PRESETS
 
 
 FAST = {"run.duration_s": "2", "run.warmup_s": "1"}
@@ -59,6 +64,35 @@ def test_cross_field_violations_name_keys():
     assert "warmup_s" in str(err.value)
 
 
+def test_each_default_is_the_dataclass_default():
+    defaults = config.default_config()
+    run = RunConfig(scenario=PRESETS["freeway-high"], scheme=SCHEMES["baseline"])
+    renamed = {"bin_width_m": "metrics.bin_width_m", "roi_radius_m": "metrics.roi_radius_m",
+               "cr_limit_enabled": "cr.enabled", "cbp_limit": "cr.cbp_limit",
+               "cr_calibration": "cr.calibration"}
+    want = {"run.scenario": "freeway-high", "run.scheme": "baseline"}
+    for f in fields(RunConfig):
+        if f.name not in ("scenario", "scheme", "channel", "sps"):
+            want[renamed.get(f.name, f"run.{f.name}")] = getattr(run, f.name)
+    want["cr.calibration"] = "0:0,1:200"
+    for section, value in (("channel", ChannelModel()), ("sps", SpsConfig()),
+                           ("rate", RateControlConfig()), ("range", RangeControlConfig())):
+        want.update({f"{section}.{k}": v for k, v in asdict(value).items()})
+    want.update({f"scenario.{k}": v for k, v in asdict(PRESETS["freeway-high"]).items()
+                 if k not in ("name", "adjustments")})
+    assert defaults == want
+    assert len(defaults) == 62
+    assert config.parse_calibration(defaults["cr.calibration"]) == run.cr_calibration
+    # resolving nothing builds exactly the dataclass defaults
+    assert config.build_run_config(config.resolve()) == run
+
+
+def test_scheme_enabled_follows_the_scheme_table():
+    for name, scheme in SCHEMES.items():
+        cfg = config.build_run_config(config.resolve(scenario="mini-low", scheme=name))
+        assert cfg.scheme.enabled is scheme.enabled, name
+
+
 def test_ini_round_trip(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nseed = 9\nduration_s = 2\nwarmup_s = 1\n"
@@ -88,6 +122,18 @@ class TestCliCommands:
         rc = main(["validate", "--scenario", "mini-low", "--scheme", "dcc-std",
                    "--set", "run.warmup_s=99"])
         assert rc == 2
+
+    def test_removed_key_exit_code(self, capsys):
+        rc = main(["validate", "--scenario", "mini-low", "--set", "run.mcs_index=5"])
+        assert rc == 2
+        assert "run.mcs_index" in capsys.readouterr().err
+
+    def test_manifest_with_removed_key_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        config.write_manifest(path, {**config.resolve(scenario="mini-low"),
+                                     "rate.smoothing": 0.5}, "0.1.0")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "rate.smoothing" in capsys.readouterr().err
 
     def test_unknown_preset_exit_code(self, capsys):
         rc = main(["validate", "--scenario", "nowhere", "--scheme", "dcc-std"])

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sensing import build_window
 
-from cv2xsim.channel import RxMeasurement
-from cv2xsim.core import Csr, Position, RngStream, RoadGeometry
-from cv2xsim.dcc import (DccState, RangeControlConfig, RateControlConfig, SCHEMES,
-                         compute_itt, count_neighbors, measure_cbp, power_target,
-                         scheme_by_name, should_transmit, smooth_density, update_power,
-                         update_pte)
-from cv2xsim.mac_sps import SensingWindow, record_observation
+from cv2xsim.core import RngStream, RoadGeometry, dbm_to_mw
+from cv2xsim.dcc import (RangeControlConfig, RateControlConfig, SCHEMES, busy_percentage,
+                         compute_itt, neighbor_counts, power_target, release_triggers,
+                         scheme_by_name, smooth_density, tracking_error, update_power)
 
 GEO = RoadGeometry(length_m=100_000.0, lanes=12, lane_width_m=4.0)
 RATE = RateControlConfig()     # B=25, itt_max=600
@@ -19,56 +17,73 @@ RANGE = RangeControlConfig()   # P [10,23], U [50,80], eta 0.5
 
 
 class TestMeasureCbp:
-    def build(self, srssi_rows, span=200):
-        w = SensingWindow.standalone(n_subch=2, span=span, noise_mw=1e-10)
-        for n, (a, b) in enumerate(srssi_rows):
-            record_observation(w, n, RxMeasurement(Csr(n, 0), a))
-            record_observation(w, n, RxMeasurement(Csr(n, 1), b))
-        return w
+    """The engine's CBP: `SensingStore.cbp_counts` over the trailing window,
+    turned into a percentage by `busy_percentage`."""
+
+    def build(self, srssi_rows, span=200, sensed=None):
+        sensed = sensed or [True] * len(srssi_rows)
+        return build_window([(n, row, ok, []) for n, (row, ok) in
+                             enumerate(zip(srssi_rows, sensed))], span=span).store
+
+    def cbp(self, store, n, threshold_dbm, window_sf, previous=0.0):
+        busy, slots = store.cbp_counts(n, window_sf, dbm_to_mw(threshold_dbm))
+        return float(busy_percentage(busy, slots, np.array([previous]))[0])
 
     def test_quiet_channel_is_zero(self):
-        w = self.build([(-100.0, -100.0)] * 100)
-        assert measure_cbp(w, 100, -94.0, 100) == 0.0
+        store = self.build([(-100.0, -100.0)] * 100)
+        assert self.cbp(store, 100, -94.0, 100) == 0.0
 
     def test_direct_count(self):
         # 120 of 200 slots busy -> 60%
-        rows = [(-60.0, -60.0)] * 60 + [(-60.0, -100.0)] * 0 + [(-100.0, -100.0)] * 40
-        w = self.build(rows)
-        assert measure_cbp(w, 100, -94.0, 100) == pytest.approx(60.0)
+        rows = [(-60.0, -60.0)] * 60 + [(-100.0, -100.0)] * 40
+        store = self.build(rows)
+        assert self.cbp(store, 100, -94.0, 100) == pytest.approx(60.0)
 
     def test_saturated_channel(self):
-        w = self.build([(-60.0, -55.0)] * 100)
-        assert measure_cbp(w, 100, -94.0, 100) == pytest.approx(100.0)
+        store = self.build([(-60.0, -55.0)] * 100)
+        assert self.cbp(store, 100, -94.0, 100) == pytest.approx(100.0)
 
     def test_unsensed_excluded_from_both_counts(self):
-        w = self.build([(-60.0, -60.0)] * 50)
-        for n in range(50, 100):
-            w.mark_transmitted(n)
-        assert measure_cbp(w, 100, -94.0, 100) == pytest.approx(100.0)
+        store = self.build([(-60.0, -60.0)] * 100, sensed=[True] * 50 + [False] * 50)
+        assert self.cbp(store, 100, -94.0, 100) == pytest.approx(100.0)
 
-    def test_no_sensed_slots_is_an_error(self):
-        w = SensingWindow.standalone(n_subch=2, span=50, noise_mw=1e-10)
-        w.mark_transmitted(0)
-        with pytest.raises(ValueError):
-            measure_cbp(w, 1, -94.0, 100)
+    def test_no_sensed_slots_keeps_previous_value(self):
+        store = self.build([(-60.0, -60.0)], span=50, sensed=[False])
+        assert self.cbp(store, 1, -94.0, 100, previous=37.5) == 37.5
+        busy, slots = np.array([3, 0, 5]), np.array([4, 0, 10])
+        assert busy_percentage(busy, slots, np.array([1.0, 2.0, 3.0])).tolist() == \
+            [75.0, 2.0, 50.0]
 
     def test_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             rows = [tuple(rng.uniform(-100, -50, size=2)) for _ in range(30)]
-            w = self.build(rows, span=64)
-            assert 0.0 <= measure_cbp(w, 30, -80.0, 30) <= 100.0
+            store = self.build(rows, span=64)
+            assert 0.0 <= self.cbp(store, 30, -80.0, 30) <= 100.0
+
+
+def pair_distances(xs, lanes, geometry=GEO):
+    """The (n, n) distance matrix the engine keeps, for vehicles at xs on lanes."""
+    x, y = np.asarray(xs, dtype=float), geometry.lane_y(np.asarray(lanes))
+    return np.hypot(geometry.dx(x[:, None], x[None, :]), y[:, None] - y[None, :])
 
 
 class TestCountNeighbors:
+    """`neighbor_counts` over the pair-distance matrix the engine keeps."""
+
     def test_alone(self):
-        assert count_neighbors(Position(0.0, 0), [], 100.0, GEO) == 0
+        assert neighbor_counts(pair_distances([0.0], [0]), 100.0).tolist() == [0.0]
 
     def test_boundary_inclusive(self):
-        host = Position(0.0, 0)
-        others = [Position(50.0, 0), Position(99.0, 0), Position(101.0, 0)]
-        assert count_neighbors(host, others, 100.0, GEO) == 2
-        assert count_neighbors(host, [Position(100.0, 0)], 100.0, GEO) == 1
+        d = pair_distances([0.0, 50.0, 99.0, 101.0], [0, 0, 0, 0])
+        assert neighbor_counts(d, 100.0)[0] == 2
+        assert neighbor_counts(pair_distances([0.0, 100.0], [0, 0]), 100.0).tolist() == [1, 1]
+
+    def test_lane_offset_counts(self):
+        # one lane (4 m) across: 99 m along is 99.08 m away, 99.95 m along 100.03 m
+        d = pair_distances([0.0, 99.0, 99.95], [0, 1, 1])
+        assert neighbor_counts(d, 100.0).tolist() == [1.0, 2.0, 1.0]
+        assert neighbor_counts(d, 99.0).tolist() == [0.0, 1.0, 1.0]
 
     def test_uniform_density_monte_carlo(self):
         # density rho on a line -> mean count ~ 200 * rho within a 100 m radius
@@ -79,14 +94,13 @@ class TestCountNeighbors:
         trials = 200
         for _ in range(trials):
             xs = rng.uniform_array(0.0, length, size=int(rho * length))
-            host = Position(length / 2.0, 0)
-            others = [Position(float(x), 0) for x in xs]
-            total += count_neighbors(host, others, 100.0, GEO)
+            host_row = np.abs(np.concatenate([[length / 2.0], xs]) - length / 2.0)
+            total += neighbor_counts(host_row[None, :], 100.0)[0]
         assert total / trials == pytest.approx(200.0 * rho, rel=0.05)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
-            count_neighbors(Position(0, 0), [], 0.0, GEO)
+            RateControlConfig(neighbor_radius_m=0.0)
 
 
 class TestSmoothing:
@@ -185,49 +199,70 @@ class TestUpdatePower:
         assert abs(p - 10.0) < 1e-4
 
 
+def pte(x, last_x, last_speed, elapsed_ms, geometry=GEO):
+    return float(tracking_error(np.array([x]), np.array([last_x]), np.array([last_speed]),
+                                np.array([elapsed_ms]), geometry)[0])
+
+
 class TestUpdatePte:
+    """`tracking_error`, the position tracking error."""
+
     def test_exact_extrapolation_is_zero(self):
         # constant velocity since the broadcast
-        pte = update_pte((100.0 + 20.0 * 2.0, 20.0), (100.0, 20.0, 0), 2000, GEO)
-        assert pte == pytest.approx(0.0)
+        assert pte(100.0 + 20.0 * 2.0, 100.0, 20.0, 2000) == pytest.approx(0.0)
 
     def test_motion_after_stationary_broadcast(self):
-        pte = update_pte((1.0, 0.0), (0.0, 0.0, 0), 500, GEO)
-        assert pte == pytest.approx(1.0)
-        assert pte > 0.5
+        error = pte(1.0, 0.0, 0.0, 500)
+        assert error == pytest.approx(1.0)
+        assert error > 0.5
 
     def test_deceleration_boundary(self):
         # 1 m/s^2 for 1 s after a constant-velocity broadcast: error = a t^2 / 2
         v0, a, t = 20.0, -1.0, 1.0
         actual_x = v0 * t + 0.5 * a * t * t
-        pte = update_pte((actual_x, v0 + a * t), (0.0, v0, 0), 1000, GEO)
-        assert pte == pytest.approx(0.5, abs=1e-9)
+        assert pte(actual_x, 0.0, v0, 1000) == pytest.approx(0.5, abs=1e-9)
 
     def test_rejects_time_travel(self):
         with pytest.raises(ValueError):
-            update_pte((0.0, 0.0), (0.0, 0.0, 100), 50, GEO)
+            pte(0.0, 0.0, 0.0, -50)
 
     def test_wraparound_extrapolation(self):
         ring = RoadGeometry(1200.0, 2, wraparound=True)
-        pte = update_pte((10.0, 20.0), (1190.0, 20.0, 0), 1000, ring)
-        assert pte == pytest.approx(0.0)
+        assert pte(10.0, 1190.0, 20.0, 1000, ring) == pytest.approx(0.0)
+        # more than one lap since the broadcast
+        assert pte(10.0, 1190.0, 20.0, 61_000, ring) == pytest.approx(0.0)
+
+    def test_one_error_per_vehicle(self):
+        got = tracking_error(np.array([10.0, 25.0, 0.0]), np.array([0.0, 0.0, 5.0]),
+                             np.array([10.0, 20.0, 0.0]), np.array([1000, 1000, 0]), GEO)
+        assert got.tolist() == pytest.approx([0.0, 5.0, 5.0])
 
 
 class TestShouldTransmit:
+    """`release_triggers`: the rate timer and the tracking-error override."""
+
+    IDLE = np.array([False])
+
     def test_timer_expiry(self):
-        st = DccState(itt_ms=100.0, last_tx_time=0)
-        assert should_transmit(st, 0.0, 100, RATE) is True
-        assert should_transmit(st, 0.0, 99, RATE) is False
+        assert release_triggers(self.IDLE, np.array([100]), np.array([100.0]), None, 0.5)[0][0]
+        assert not release_triggers(self.IDLE, np.array([99]), np.array([100.0]), None, 0.5)[0][0]
 
     def test_tracking_error_override(self):
-        st = DccState(itt_ms=100.0, last_tx_time=0)
-        assert should_transmit(st, 0.6, 50, RATE) is True
-        assert should_transmit(st, 0.4, 50, RATE) is False
+        itt = np.array([100.0])
+        timer, tracking = release_triggers(self.IDLE, np.array([50]), itt, np.array([0.6]), 0.5)
+        assert tracking[0] and not timer[0]
+        _, tracking = release_triggers(self.IDLE, np.array([50]), itt, np.array([0.4]), 0.5)
+        assert not tracking[0]
 
     def test_override_disabled(self):
-        cfg = RateControlConfig(pte_enabled=False)
-        st = DccState(itt_ms=100.0, last_tx_time=0)
-        assert should_transmit(st, 5.0, 50, cfg) is False
+        # the engine passes no tracking error when the trigger is off
+        timer, tracking = release_triggers(self.IDLE, np.array([50]), np.array([100.0]), None, 0.5)
+        assert not timer[0] and not tracking[0]
+
+    def test_pending_packet_blocks_release(self):
+        timer, tracking = release_triggers(np.array([True, False]), np.array([500, 500]),
+                                           np.array([100.0, 100.0]), np.array([9.0, 9.0]), 0.5)
+        assert timer.tolist() == [False, True] and tracking.tolist() == [False, True]
 
 
 class TestSchemes:

@@ -130,6 +130,23 @@ class TestEngineInvariants:
         assert attempts[0].sum() == 0 and attempts[1].sum() == 0    # outside the region
         assert attempts[2].sum() > 0 and attempts[3].sum() > 0
 
+    def test_region_bounds_are_inclusive(self):
+        # the middle third of the 3.6 km road is [1200, 2400]
+        preset = ScenarioPreset("bounds", 5, 0.0, lanes=2, region="middle-third")
+        cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=4, channel=quiet_channel())
+        xs = [1800.0, 500.0, 1200.0, 2400.0, 2400.1]
+        res = run(cfg, stationary(preset, [(x, 0) for x in xs]))
+        attempts = res.metrics.tx_count.sum(axis=1).reshape(5, 5).sum(axis=1)
+        assert (attempts > 0).tolist() == [True, False, True, True, False]
+
+    def test_full_region_covers_the_whole_ring(self):
+        preset = ScenarioPreset("ring-ends", 2, 0.0, road_length_km=1.2, lanes=2,
+                                wraparound=True, region="full")
+        cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=4, channel=quiet_channel())
+        res = run(cfg, stationary(preset, [(0.0, 0), (1199.0, 0)]))
+        attempts = res.metrics.tx_count.sum(axis=1).reshape(2, 2)
+        assert attempts[0, 1] > 0 and attempts[1, 0] > 0
+
     def test_queue_delay_logged_and_mostly_zero(self):
         # the cadence matches the grant period, so delay is zero except for the
         # one re-aligning transmission right after each reselection
@@ -181,6 +198,16 @@ class TestPteTrigger:
 
     def test_constant_speed_never_triggers(self):
         preset, scheme, vehicles = self.wobbly_pair(speed_sigma=0.0)
+        cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
+                       channel=quiet_channel())
+        res = run(cfg, vehicles)
+        per_ue = collections.Counter(e.ue for e in res.event_log.tx_events)
+        assert max(per_ue.values()) <= 11
+
+    def test_disabled_trigger_ignores_tracking_error(self):
+        preset, scheme, vehicles = self.wobbly_pair(speed_sigma=6.0)
+        scheme = DccScheme(name="dcc-no-pte", range=scheme.range,
+                           rate=RateControlConfig(density_coefficient=0.01, pte_enabled=False))
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
         res = run(cfg, vehicles)

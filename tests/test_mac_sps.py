@@ -7,59 +7,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sensing import NOISE_MW, build_window, recorded_count
 
-from cv2xsim.channel import RxMeasurement
 from cv2xsim.core import Csr, RngStream
 from cv2xsim.mac_sps import (CbpDensityTable, Grant, ReservationBlock, SensingStore,
                              SensingWindow, SpsConfig, _rank_metric, compute_cr, cr_limit,
-                             on_transmission, record_observation, select_candidates,
-                             select_resource)
-
-NOISE_MW = 1e-10  # -100 dBm
-
-
-def meas(subframe, subch, srssi_dbm, decoded=()):
-    return RxMeasurement(Csr(subframe, subch), srssi_dbm, tuple(decoded))
+                             on_transmission, select_candidates, select_resource)
 
 
 # ---------------------------------------------------------------------------
 # sensing window bookkeeping
 
 class TestSensingWindow:
+    """Sensing-span bookkeeping of the store behind every SensingWindow."""
+
     def test_single_measurement(self):
-        w = SensingWindow.standalone(n_subch=2, span=10, noise_mw=NOISE_MW)
-        record_observation(w, 0, meas(0, 0, -80.0))
-        assert len(w) == 1
+        w = build_window([(0, (-80.0, -100.0), True, [])], span=10)
+        assert recorded_count(w.store) == 1
 
     def test_ring_eviction_keeps_span(self):
-        w = SensingWindow.standalone(n_subch=2, span=10, noise_mw=NOISE_MW)
-        for n in range(10):
-            record_observation(w, n, meas(n, 0, -80.0))
-        assert len(w) == 10
-        record_observation(w, 10, meas(10, 0, -80.0))
-        assert len(w) == 10
-        assert w.store.row_of(0) is None      # oldest evicted
-        assert w.store.row_of(10) is not None
+        rows = [(n, (-80.0, -100.0), True, []) for n in range(11)]
+        assert recorded_count(build_window(rows[:10], span=10).store) == 10
+        store = build_window(rows, span=10).store
+        assert recorded_count(store) == 10
+        assert not store.recorded(0, 0).any()      # oldest evicted
+        assert store.recorded(10, 10).any()
 
     def test_out_of_order_rejected(self):
-        w = SensingWindow.standalone(span=10, noise_mw=NOISE_MW)
-        record_observation(w, 5, meas(5, 0, -80.0))
+        store = build_window([(5, (-80.0, -100.0), True, [])], span=10).store
         with pytest.raises(ValueError):
-            record_observation(w, 4, meas(4, 0, -80.0))
+            store.record_subframe(4, np.full((1, 2), NOISE_MW), np.array([True]), None)
 
     def test_own_transmission_marks_unsensed(self):
-        w = SensingWindow.standalone(span=10, noise_mw=NOISE_MW)
-        w.mark_transmitted(3)
-        assert w.is_sensed(3) is False
-        assert len(w) == 1
+        store = build_window([(3, (-100.0, -100.0), False, [])], span=10).store
+        assert not store.sensed[3, 0]
+        assert recorded_count(store) == 1
 
     def test_reservation_eviction(self):
-        w = SensingWindow.standalone(span=10, noise_mw=NOISE_MW)
-        record_observation(w, 0, meas(0, 0, -70.0, [(42, -72.0, 5)]))
-        assert len(w.store.reservations) == 1
-        for n in range(1, 11):
-            record_observation(w, n, meas(n, 0, -90.0))
-        assert len(w.store.reservations) == 0
+        rows = [(0, (-70.0, -100.0), True, [(0, 42, 5, -72.0)])]
+        rows += [(n, (-90.0, -100.0), True, []) for n in range(1, 11)]
+        assert len(build_window(rows[:1], span=10).store.reservations) == 1
+        assert len(build_window(rows, span=10).store.reservations) == 0
+
+    def test_keep_threshold_compares_in_float64(self):
+        # float32(-85.3000031) lies above -85.3000031: a reservation heard at
+        # exactly that RSRP exceeds the threshold, so it must be kept
+        th = -85.3000031
+        assert float(np.float32(th)) > th
+        rows = [(0, (-70.0, -100.0), True, [(0, 42, 100, float(np.float32(th)))])]
+        kept = build_window(rows, span=10, keep_rsrp_above_dbm=th).store
+        assert len(kept.reservations) == 1
+        below = [(0, (-70.0, -100.0), True, [(0, 42, 100, -85.4)])]
+        assert len(build_window(below, span=10, keep_rsrp_above_dbm=th).store.reservations) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -118,45 +117,34 @@ class TestOnTransmission:
 
 class TestComputeCr:
     def test_zero_usage(self):
-        pool = np.ones((1000, 2), dtype=int)
-        assert compute_cr(1000, pool, np.zeros((1000, 2), dtype=int), (250, 1250)) == 0.0
+        # no past transmission: the grant's occurrences in [n, n+250) alone
+        assert compute_cr(1000, [], 1000, 2) == pytest.approx(1 / 2000)
+        assert compute_cr(1000, [], 1, 2) == pytest.approx(250 / 2000)
 
     def test_direct_count(self):
-        pool = np.ones((1000, 2), dtype=int)
-        used = np.zeros((1000, 2), dtype=int)
-        used[:10, 0] = 1
-        assert compute_cr(1000, pool, used, (250, 1250)) == pytest.approx(10 / 2000)
+        # the window is [n-750, n+250): n-750 counts, n-751 does not
+        past = [249, 250, 251, 900, 999]
+        assert compute_cr(1000, past, 1000, 2) == pytest.approx((4 + 1) / 2000)
 
     def test_periodic_steady_state(self):
         # one subchannel every 100 subframes -> 10 slots per window
-        pool = np.ones((1000, 2), dtype=int)
-        used = np.zeros((1000, 2), dtype=int)
-        used[::100, 0] = 1
-        assert compute_cr(1000, pool, used, (250, 1250)) == pytest.approx(0.005)
+        past = list(range(0, 1000, 100))
+        assert compute_cr(1000, past, 100, 2) == pytest.approx(0.005)
 
     def test_window_validation(self):
-        pool = np.ones((999, 2), dtype=int)
         with pytest.raises(ValueError):
-            compute_cr(1000, pool, pool, (0, 999))
-        pool = np.ones((1000, 2), dtype=int)
+            compute_cr(1000, [], 0, 2)
         with pytest.raises(ValueError):
-            compute_cr(100, pool, pool, (0, 1000))   # majority of window not in the past
-        with pytest.raises(ValueError):
-            compute_cr(1000, np.zeros((1000, 2), dtype=int),
-                       np.zeros((1000, 2), dtype=int), (250, 1250))
+            compute_cr(1000, [], 100, 0)
 
-    def test_randomized_against_direct_count(self):
-        rnd = random.Random(17)
-        for _ in range(300):
-            pool = (np.random.default_rng(rnd.randrange(2**32)).random((1000, 2)) < 0.8).astype(int)
-            used = (np.random.default_rng(rnd.randrange(2**32)).random((1000, 2)) < 0.1).astype(int)
-            if pool.sum() == 0:
-                continue
-            got = compute_cr(1000, pool, used, (250, 1250))
-            want = sum(int(pool[j, i] and used[j, i]) for j in range(1000) for i in range(2)) \
-                / pool.sum()
-            assert got == want
-            assert 0.0 <= got <= 1.0
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5000), st.lists(st.integers(1, 1000), max_size=40, unique=True),
+           st.integers(1, 300), st.integers(1, 4))
+    def test_randomized_against_direct_count(self, n, ages, period, n_subch):
+        past = sorted(n - a for a in ages if n - a >= 0)
+        got = compute_cr(n, past, period, n_subch)
+        assert got == oracles.compute_cr(n, past, period, n_subch)
+        assert 0.0 <= got <= 1.0
 
 
 class TestCrLimit:
@@ -185,19 +173,6 @@ def toy_cfg(**kw):
                 keep_fraction=0.2, rank_period_sf=5)
     base.update(kw)
     return SpsConfig(**base)
-
-
-def build_window(records, span=30, n_subch=2):
-    """records: list of (subframe, srssi_dbm pair, sensed, reservations)."""
-    store = SensingStore(1, n_subch, span, NOISE_MW)
-    for n, srssi_dbm, sensed, reservations in records:
-        row = np.array([[10 ** (v / 10.0) for v in srssi_dbm]])
-        block = ReservationBlock(np.array([subch for subch, _, _, _ in reservations], dtype=int),
-                                 np.array([period for _, _, period, _ in reservations], dtype=int),
-                                 np.array([[rsrp] for _, _, _, rsrp in reservations],
-                                          dtype=np.float32).reshape(-1, 1))
-        store.record_subframe(n, row, np.array([sensed]), block)
-    return SensingWindow(store, 0)
 
 
 def oracle_candidates(window, n, cfg, n_subch, own_period_sf):
@@ -283,7 +258,7 @@ def random_instance(rnd):
 
 class TestSelection:
     def test_empty_window_offers_whole_pool(self):
-        w = SensingWindow.standalone(n_subch=2, span=1000, noise_mw=NOISE_MW)
+        w = SensingWindow(SensingStore(1, 2, 1000, NOISE_MW), 0)
         cfg = SpsConfig()
         result = select_candidates(w, 0, cfg, n_subch=2)
         assert result.pool_size == 200
@@ -450,7 +425,7 @@ def sensing_histories(draw):
                                                     else rnd.uniform(-110.0, -60.0)])
         store.record_subframe(n, srssi, sensed, ReservationBlock(subch, period, rsrp))
         decodes += [(n, int(subch[i]), int(period[i]), rsrp[i]) for i in range(k)
-                    if rsrp[i].max() > np.float32(keep)]
+                    if float(rsrp[i].max()) > keep]
     n = last + 1 + draw(st.integers(0, 2))
     ue = draw(st.integers(0, n_ue - 1))
     own_period = draw(st.integers(1, 3 * span))

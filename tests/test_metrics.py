@@ -10,8 +10,20 @@ def store(n_ue=4, bin_width=25.0, max_range=500.0, payload=190):
 
 
 def record(s, now, tx, rx, dist, ok):
-    s.record_transmission(now, tx, np.array([rx]), np.array([float(dist)]),
-                          np.array([bool(ok)]))
+    s.record_arrays(now, np.array([tx * s.n_ue + rx]), np.array([float(dist)]),
+                    np.array([bool(ok)]))
+
+
+def random_ledger(seed, n_ue=5, sends=100):
+    """A ledger fed one random broadcast (toward every other UE) per call."""
+    rng = np.random.default_rng(seed)
+    s = store(n_ue=n_ue)
+    for t in range(sends):
+        tx = int(rng.integers(0, n_ue))
+        rx = np.array([r for r in range(n_ue) if r != tx])
+        s.record_arrays(10 * t, tx * n_ue + rx, rng.uniform(1.0, 400.0, rx.size),
+                        rng.random(rx.size) < 0.6)
+    return s
 
 
 class TestPdr:
@@ -126,7 +138,7 @@ class TestSlt:
             d = rng.uniform(5.0, 400.0, size=rx.size)
             ok = rng.random(rx.size) < 0.5
             decoded_total += int(ok.sum())
-            s.record_transmission(10 * t, tx, rx, d, ok)
+            s.record_arrays(10 * t, tx * 6 + rx, d, ok)
         assert int(s.rx_count.sum()) == decoded_total
 
 
@@ -187,35 +199,8 @@ class TestGains:
                   self.bins([0.5], width=50.0), self.bins([1.0], width=50.0))
 
 
-class TestMerge:
-    def build(self, seed):
-        rng = np.random.default_rng(seed)
-        s = store(n_ue=5)
-        for t in range(100):
-            tx = int(rng.integers(0, 5))
-            rx = np.array([r for r in range(5) if r != tx])
-            s.record_transmission(10 * t, tx, rx,
-                                  rng.uniform(1.0, 400.0, rx.size), rng.random(rx.size) < 0.6)
-        return s
-
-    def test_merge_commutative_and_associative(self):
-        a1, b1, c1 = self.build(1), self.build(2), self.build(3)
-        a2, b2, c2 = self.build(1), self.build(2), self.build(3)
-        left = a1.merge(b1).merge(c1)
-        right = b2.merge(c2)
-        right = right.merge(a2)
-        assert np.array_equal(left.tx_count, right.tx_count)
-        assert np.array_equal(left.rx_count, right.rx_count)
-        assert np.array_equal(left.gap_count, right.gap_count)
-        assert sorted(left.gap_samples().tolist()) == sorted(right.gap_samples().tolist())
-
-    def test_merge_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            store(n_ue=4).merge(store(n_ue=5))
-
-
 def test_metrics_are_pure_functions_of_the_ledger():
-    s = TestMerge().build(9)
+    s = random_ledger(9)
     first = [(r.bin_lo_m, r.value, r.n_pairs) for r in pdr(s)]
     second = [(r.bin_lo_m, r.value, r.n_pairs) for r in pdr(s)]
     assert first == second

@@ -3,8 +3,7 @@ import collections
 import pytest
 
 from cv2xsim.core import RngStream
-from cv2xsim.mobility import (PRESETS, ScenarioPreset, generate_scenario,
-                              in_measurement_region, preset_by_name, step)
+from cv2xsim.mobility import PRESETS, ScenarioPreset, generate_scenario, preset_by_name, step
 
 
 class TestPresets:
@@ -136,20 +135,12 @@ class TestStep:
 
 
 class TestMeasurementRegion:
+    # which transmitters the engine records from these bounds: test_engine.py
     def test_middle_third_of_default_road(self):
-        p = preset_by_name("freeway-high")
-        from cv2xsim.core import Position
-        assert in_measurement_region(Position(1800.0, 0), p)       # center
-        assert not in_measurement_region(Position(500.0, 0), p)    # edge region
-        assert in_measurement_region(Position(1200.0, 0), p)       # boundary inclusive
-        assert in_measurement_region(Position(2400.0, 0), p)
-        assert not in_measurement_region(Position(2400.1, 0), p)
+        assert preset_by_name("freeway-high").region_bounds_m == (1200.0, 2400.0)
 
     def test_full_region_on_ring_presets(self):
-        from cv2xsim.core import Position
-        p = preset_by_name("mini-oversat")
-        assert in_measurement_region(Position(0.0, 0), p)
-        assert in_measurement_region(Position(1199.0, 0), p)
+        assert preset_by_name("mini-oversat").region_bounds_m == (0.0, 1200.0)
 
     def test_mini_presets_shape(self):
         assert PRESETS["mini-sat"].vehicle_count == 250
