@@ -6,7 +6,7 @@ metrics."""
 __version__ = "0.1.0"
 
 from .channel import ChannelModel, Outcome, Transmission
-from .core import Csr, Position, RngPool, RngStream, RoadGeometry, dbm_to_mw, distance, mw_to_dbm
+from .core import Csr, Position, RngPool, RngStream, RoadGeometry, dbm_to_mw
 from .dcc import DccScheme, RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
 from .mac_sps import Grant, SensingStore, SensingWindow, SpsConfig
@@ -17,5 +17,5 @@ __all__ = [
     "RangeControlConfig", "RateControlConfig", "RngPool", "RngStream", "RoadGeometry",
     "RunConfig", "RunResult", "SCHEMES", "ScenarioPreset",
     "SensingStore", "SensingWindow", "Simulation", "SpsConfig", "Transmission",
-    "dbm_to_mw", "distance", "mw_to_dbm", "run", "__version__",
+    "dbm_to_mw", "run", "__version__",
 ]

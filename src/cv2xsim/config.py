@@ -25,6 +25,10 @@ class ConfigError(Exception):
 
 _DEFAULT_SCENARIO, _DEFAULT_SCHEME = "freeway-high", "baseline"
 
+# A run whose estimated memory (RunConfig.memory_estimate_mib) exceeds this
+# is rejected before anything is allocated.
+MEMORY_LIMIT_MIB = 4096
+
 # RunConfig fields set from a section other than [run]; every other field of
 # RunConfig that is not a nested config is a [run] key of the same name
 _RUN_FIELD_KEYS = {
@@ -231,6 +235,10 @@ def build_run_config(resolved: dict[str, object]) -> RunConfig:
         cfg.validate()
     except ValueError as e:
         raise ConfigError([str(e)]) from None
+    need_mib = cfg.memory_estimate_mib()
+    if need_mib > MEMORY_LIMIT_MIB:
+        raise ConfigError(f"scenario.vehicle_count = {preset.vehicle_count} needs an estimated "
+                          f"{need_mib:.0f} MiB, above the {MEMORY_LIMIT_MIB} MiB limit")
     return cfg
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,15 +20,6 @@ PowerMw = float
 def dbm_to_mw(p_dbm):
     """10^(p/10). Accepts scalars or numpy arrays."""
     return 10.0 ** (np.asarray(p_dbm) / 10.0) if isinstance(p_dbm, np.ndarray) else 10.0 ** (p_dbm / 10.0)
-
-
-def mw_to_dbm(p_mw):
-    """Inverse of dbm_to_mw; requires p_mw > 0."""
-    if isinstance(p_mw, np.ndarray):
-        return 10.0 * np.log10(p_mw)
-    if p_mw <= 0.0:
-        raise ValueError(f"power must be positive in mW, got {p_mw}")
-    return 10.0 * math.log10(p_mw)
 
 
 class Csr(NamedTuple):
@@ -72,13 +62,6 @@ class Position:
 
     def y(self, geometry: RoadGeometry) -> float:
         return geometry.lane_y(self.lane)
-
-
-def distance(a: Position, b: Position, geometry: RoadGeometry) -> float:
-    """Euclidean separation including the lateral lane offset."""
-    dx = geometry.dx(a.x, b.x)
-    dy = a.y(geometry) - b.y(geometry)
-    return math.hypot(dx, dy)
 
 
 def _derive_key(seed: int, purpose: str, ue: int | None) -> np.ndarray:

@@ -55,6 +55,27 @@ class RunConfig:
         if self.cbp_window_ms > self.sps.sensing_window_sf:
             raise ValueError("cbp_window_ms cannot exceed the sensing window span")
 
+    def memory_estimate_mib(self) -> float:
+        """Estimated peak size of the state that grows with the square of the
+        vehicle count, in MiB.
+
+        Per ordered pair: `pair_dist` plus the three float64 arrays that
+        recompute it on each mobility tick, the ledger's `last_rx_ms`,
+        `roi_always` and the mask ANDed into it, and the static shadowing
+        draws when enabled.  Sensing: the (span, n, subchannels) S-RSSI ring
+        and the reservation ring's float32 RSRP cell per receiver and record,
+        at one record per vehicle per 100 ms (the shortest inter-transmit
+        time) and twice that for the ring's doubling.
+        """
+        n = self.scenario.vehicle_count
+        per_pair = 4 * 8 + 8 + 2 * 1
+        if self.channel.shadowing_mode == "static" and self.channel.shadowing_sigma_db > 0:
+            per_pair += 8
+        span = self.sps.sensing_window_sf
+        records = n * span // 100
+        sensing = span * n * (8 * self.subchannels + 1) + 2 * records * n * 4
+        return (n * n * per_pair + sensing) / 2 ** 20
+
 
 @dataclass(frozen=True)
 class TxEvent:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,15 +19,82 @@ def fmt(v) -> str:
     return f"{float(v):.6g}"
 
 
+class SparseCounts:
+    """Exact occurrence counts of int64 keys.
+
+    Keys are appended to a preallocated buffer of `buffer_keys`.  Once it
+    holds as many keys as the compacted set (at least `min_fold`, at most
+    the whole buffer), the buffer alone is reduced with `np.unique` and
+    merged into the sorted unique keys and their counts; so a merge's
+    copy of the compacted arrays is paid for by as many new keys, and a
+    small ledger never touches more of the buffer than it needs.  A batch
+    above that limit is merged directly.
+    """
+
+    def __init__(self, buffer_keys: int, min_fold: int):
+        self._buf = np.empty(buffer_keys, dtype=np.int64)
+        self._min_fold = min_fold
+        self._fill = 0
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)
+
+    def add(self, keys: np.ndarray) -> None:
+        k = keys.size
+        limit = min(self._buf.size, max(self._min_fold, self._keys.size))
+        if self._fill + k > limit:
+            self._fold_buffer()
+            if k > limit:
+                self._merge(keys)
+                return
+        self._buf[self._fill:self._fill + k] = keys
+        self._fill += k
+
+    def compacted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique keys and their counts, the buffer included."""
+        self._fold_buffer()
+        return self._keys, self._counts
+
+    def _fold_buffer(self) -> None:
+        if self._fill:
+            self._merge(self._buf[:self._fill])
+            self._fill = 0
+
+    def _merge(self, keys: np.ndarray) -> None:
+        new, counts = np.unique(keys, return_counts=True)
+        pos = np.searchsorted(self._keys, new)
+        hit = pos < self._keys.size
+        hit[hit] = self._keys[pos[hit]] == new[hit]
+        self._counts[pos[hit]] += counts[hit]
+        miss = ~hit
+        self._keys = np.insert(self._keys, pos[miss], new[miss])
+        self._counts = np.insert(self._counts, pos[miss], counts[miss])
+
+
+class LedgerCells(NamedTuple):
+    """The (pair, distance bin) cells with at least one attempt, ordered by
+    bin and, inside a bin, by pair (tx*n_ue+rx)."""
+
+    pair: np.ndarray
+    bin: np.ndarray
+    tx: np.ndarray       # attempts
+    rx: np.ndarray       # decodes
+
+
 class MetricsStore:
     """Pairwise reception ledger with distance-binned accumulators.
 
-    Rows are ordered (transmitter, receiver) pairs flattened to tx*n_ue+rx;
-    columns are distance bins at transmission time.  Gap statistics pool all
-    pairs; the region-of-interest mask is ANDed down over time so blind-node
-    detection only reports pairs that stayed in range for the whole
-    observation window.
+    Pairs are ordered (transmitter, receiver) flattened to tx*n_ue+rx; bins
+    are distances at transmission time.  Each link is counted under the key
+    2*cell + decoded of its (pair, bin) cell, cell = bin*n_ue**2 + pair, so
+    only cells that saw an attempt take memory, and the sorted keys list the
+    cells bin by bin with pairs ascending.  Gap statistics pool all pairs; the
+    region-of-interest mask is ANDed down over time so blind-node detection
+    only reports pairs that stayed in range for the whole observation
+    window.
     """
+
+    BUFFER_KEYS = 1 << 18    # most links held between merges
+    MIN_FOLD = 1 << 13       # fewest links held between merges
 
     def __init__(self, n_ue: int, bin_width_m: float = 25.0, max_range_m: float = 1000.0,
                  payload_bytes: int = 190, roi_radius_m: float = 100.0):
@@ -37,13 +105,7 @@ class MetricsStore:
         self.n_bins = int(math.ceil(max_range_m / bin_width_m))
         self.payload_bytes = payload_bytes
         self.roi_radius_m = roi_radius_m
-        cells = n_ue * n_ue * self.n_bins
-        if cells > 200_000_000:
-            raise MemoryError(
-                f"{n_ue} UEs x {self.n_bins} bins needs {cells} ledger cells; "
-                "raise bin_width_m or lower max_range_m")
-        self.tx_count = np.zeros((n_ue * n_ue, self.n_bins), dtype=np.int32)
-        self.rx_count = np.zeros((n_ue * n_ue, self.n_bins), dtype=np.int32)
+        self._links = SparseCounts(self.BUFFER_KEYS, self.MIN_FOLD)
         self.gap_sum_ms = np.zeros(self.n_bins)
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
         self._gap_chunks: list[np.ndarray] = []
@@ -58,11 +120,9 @@ class MetricsStore:
         decoded.  Pair ids are flattened tx*n_ue+rx, and every pair may
         appear at most once per call."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
-        # pairs are unique within a call, so no (pair, bin) cell repeats
-        self.tx_count[pair_ids, bins] += 1
+        self._links.add(2 * (bins * (self.n_ue * self.n_ue) + pair_ids) + decoded)
         if decoded.any():
             dp, db = pair_ids[decoded], bins[decoded]
-            self.rx_count[dp, db] += 1
             prev = self.last_rx_ms[dp]
             has_prev = prev >= 0
             if has_prev.any():
@@ -74,6 +134,16 @@ class MetricsStore:
                 self.gap_count += np.bincount(db[has_prev], minlength=self.n_bins)
                 self._gap_chunks.append(gaps)
             self.last_rx_ms[dp] = now_ms
+
+    def cells(self) -> LedgerCells:
+        """Attempt and decode counts of every cell that saw an attempt."""
+        keys, counts = self._links.compacted()
+        cell = keys >> 1
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        tx = np.add.reduceat(counts, starts)
+        rx = np.add.reduceat(counts * (keys & 1), starts)
+        b, pair = np.divmod(cell[starts], self.n_ue * self.n_ue)
+        return LedgerCells(pair, b, tx, rx)
 
     def update_roi(self, within_roi: np.ndarray) -> None:
         """AND the (n_ue, n_ue) in-range mask into the whole-window ROI mask."""
@@ -96,21 +166,24 @@ class BinValue:
     n_pairs: int
 
 
+def _bin_means(store: MetricsStore, cells: LedgerCells, values: np.ndarray) -> list[BinValue]:
+    """Mean of `values` (one per cell) over the pairs of each bin, summed in
+    pair order; bins without an attempt are omitted."""
+    starts = np.flatnonzero(np.diff(cells.bin, prepend=-1))
+    ends = np.append(starts[1:], cells.bin.size)
+    out = []
+    for b, lo_i, hi_i in zip(cells.bin[starts].tolist(), starts.tolist(), ends.tolist()):
+        lo, hi = store.bin_edges(b)
+        out.append(BinValue(lo, hi, float(values[lo_i:hi_i].mean()), hi_i - lo_i))
+    return out
+
+
 def pdr(store: MetricsStore) -> list[BinValue]:
     """Per-bin delivery ratio: each pair's received/transmitted inside the
     bin, averaged over pairs with at least one attempt there.  Empty bins are
     omitted."""
-    out = []
-    for b in range(store.n_bins):
-        tx = store.tx_count[:, b]
-        mask = tx > 0
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        ratios = store.rx_count[mask, b] / tx[mask]
-        lo, hi = store.bin_edges(b)
-        out.append(BinValue(lo, hi, float(ratios.mean()), n))
-    return out
+    cells = store.cells()
+    return _bin_means(store, cells, cells.rx / cells.tx)
 
 
 @dataclass(frozen=True)
@@ -132,7 +205,8 @@ def ipg_stats(store: MetricsStore) -> IpgStats:
         lo, hi = store.bin_edges(b)
         bins.append(BinValue(lo, hi, float(store.gap_sum_ms[b] / store.gap_count[b]),
                              int(store.gap_count[b])))
-    gaps = np.sort(store.gap_samples())
+    gaps = store.gap_samples()
+    gaps.sort()     # a fresh array: sorting in place saves a copy
     if gaps.size:
         probs = np.arange(1, gaps.size + 1) / gaps.size
         p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1])
@@ -147,17 +221,8 @@ def slt(store: MetricsStore, observation_s: float) -> list[BinValue]:
     by the observation time, averaged over pairs with an attempt there."""
     if observation_s <= 0:
         raise ValueError("observation_s must be positive")
-    out = []
-    for b in range(store.n_bins):
-        tx = store.tx_count[:, b]
-        mask = tx > 0
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        rates = store.rx_count[mask, b] * store.payload_bytes / observation_s
-        lo, hi = store.bin_edges(b)
-        out.append(BinValue(lo, hi, float(rates.mean()), n))
-    return out
+    cells = store.cells()
+    return _bin_means(store, cells, cells.rx * store.payload_bytes / observation_s)
 
 
 @dataclass(frozen=True)
@@ -169,11 +234,12 @@ class BlindReport:
 def blind_nodes(store: MetricsStore) -> BlindReport:
     """Pairs that stayed inside the region of interest for the whole window,
     saw at least one attempt, and decoded nothing."""
-    attempts = store.tx_count.sum(axis=1).reshape(store.n_ue, store.n_ue)
-    decodes = store.rx_count.sum(axis=1).reshape(store.n_ue, store.n_ue)
-    blind = store.roi_always & (attempts > 0) & (decodes == 0)
-    pairs = [(int(a), int(b)) for a, b in np.argwhere(blind)]
-    return BlindReport(int(np.unique([b for _, b in pairs]).size) if pairs else 0, pairs)
+    cells = store.cells()
+    silent = np.zeros(store.n_ue * store.n_ue, dtype=bool)
+    silent[cells.pair] = True
+    silent[cells.pair[cells.rx > 0]] = False
+    tx, rx = np.divmod(np.flatnonzero(silent & store.roi_always.reshape(-1)), store.n_ue)
+    return BlindReport(len(set(rx.tolist())), list(zip(tx.tolist(), rx.tolist())))
 
 
 @dataclass(frozen=True)
@@ -223,6 +289,9 @@ def write_slt_csv(path, rows: list[BinValue]) -> None:
             w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
 
 
+_ECDF_CHUNK = 1 << 12
+
+
 def write_ipg_csv(path, stats: IpgStats) -> None:
     """Single file with three row kinds: per-bin means, the pooled ECDF, and
     the 80th percentile."""
@@ -231,8 +300,12 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
         w.writerow(["kind", "bin_lo_m", "bin_hi_m", "gap_ms", "value"])
         for r in stats.bins:
             w.writerow(["bin_mean", fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
-        for g, p in zip(stats.ecdf_gaps_ms, stats.ecdf_probs):
-            w.writerow(["ecdf", "", "", fmt(g), fmt(p)])
+        # the rows csv.writer would emit (gaps are whole ms, so fmt gives
+        # str(int)), formatted a chunk at a time to keep few strings alive
+        gaps, probs = stats.ecdf_gaps_ms, stats.ecdf_probs
+        for i in range(0, gaps.size, _ECDF_CHUNK):
+            f.writelines(f"ecdf,,,{g},{p:.6g}\r\n" for g, p in
+                         zip(gaps[i:i + _ECDF_CHUNK].tolist(), probs[i:i + _ECDF_CHUNK].tolist()))
         if stats.p80_ms is not None:
             w.writerow(["p80", "", "", fmt(stats.p80_ms), ""])
 

@@ -13,6 +13,11 @@ over (average, subframe, subchannel) and a sequential sum per candidate.
 They read the same `SensingStore`, through `reservation_records`, which
 turns its reservation columns back into one record per decoded
 transmission.
+
+`DenseMetricsStore`, `pdr`, `slt` and `blind_nodes` are the dense form of
+the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
+tables written cell by cell and swept column by column.  `dense_counts`
+lays the sparse ledger's cells out in the same tables.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 
 from cv2xsim.core import Csr
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
+from cv2xsim.metrics import BinValue, BlindReport, MetricsStore
 from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
 
 
@@ -194,3 +200,102 @@ def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> floa
         if tau1 <= t < tau2:
             used[t - tau1, 0] = 1
     return occupancy_ratio(n, np.ones_like(used), used, (tau1, tau2))
+
+
+class DenseMetricsStore:
+    """Reception ledger with a dense (n_ue**2, n_bins) table per count."""
+
+    def __init__(self, n_ue: int, bin_width_m: float = 25.0, max_range_m: float = 1000.0,
+                 payload_bytes: int = 190, roi_radius_m: float = 100.0):
+        if bin_width_m <= 0 or max_range_m <= 0:
+            raise ValueError("bin_width_m and max_range_m must be positive")
+        self.n_ue = n_ue
+        self.bin_width_m = bin_width_m
+        self.n_bins = int(math.ceil(max_range_m / bin_width_m))
+        self.payload_bytes = payload_bytes
+        self.roi_radius_m = roi_radius_m
+        self.tx_count = np.zeros((n_ue * n_ue, self.n_bins), dtype=np.int32)
+        self.rx_count = np.zeros((n_ue * n_ue, self.n_bins), dtype=np.int32)
+        self.gap_sum_ms = np.zeros(self.n_bins)
+        self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
+        self._gap_chunks: list[np.ndarray] = []
+        self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int64)
+        self.roi_always = ~np.eye(n_ue, dtype=bool)
+        self.observation_s = 0.0
+
+    def record_arrays(self, now_ms: int, pair_ids: np.ndarray, dist_m: np.ndarray,
+                      decoded: np.ndarray) -> None:
+        bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
+        # pairs are unique within a call, so no (pair, bin) cell repeats
+        self.tx_count[pair_ids, bins] += 1
+        if decoded.any():
+            dp, db = pair_ids[decoded], bins[decoded]
+            self.rx_count[dp, db] += 1
+            prev = self.last_rx_ms[dp]
+            has_prev = prev >= 0
+            if has_prev.any():
+                gaps = (now_ms - prev[has_prev]).astype(np.int64)
+                self.gap_sum_ms += np.bincount(db[has_prev], weights=gaps,
+                                               minlength=self.n_bins)
+                self.gap_count += np.bincount(db[has_prev], minlength=self.n_bins)
+                self._gap_chunks.append(gaps)
+            self.last_rx_ms[dp] = now_ms
+
+    def update_roi(self, within_roi: np.ndarray) -> None:
+        self.roi_always &= within_roi
+
+    def gap_samples(self) -> np.ndarray:
+        if not self._gap_chunks:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate(self._gap_chunks)
+
+    def bin_edges(self, b: int) -> tuple[float, float]:
+        return (b * self.bin_width_m, (b + 1) * self.bin_width_m)
+
+
+def pdr(store: DenseMetricsStore) -> list[BinValue]:
+    out = []
+    for b in range(store.n_bins):
+        tx = store.tx_count[:, b]
+        mask = tx > 0
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        ratios = store.rx_count[mask, b] / tx[mask]
+        lo, hi = store.bin_edges(b)
+        out.append(BinValue(lo, hi, float(ratios.mean()), n))
+    return out
+
+
+def slt(store: DenseMetricsStore, observation_s: float) -> list[BinValue]:
+    if observation_s <= 0:
+        raise ValueError("observation_s must be positive")
+    out = []
+    for b in range(store.n_bins):
+        tx = store.tx_count[:, b]
+        mask = tx > 0
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        rates = store.rx_count[mask, b] * store.payload_bytes / observation_s
+        lo, hi = store.bin_edges(b)
+        out.append(BinValue(lo, hi, float(rates.mean()), n))
+    return out
+
+
+def blind_nodes(store: DenseMetricsStore) -> BlindReport:
+    attempts = store.tx_count.sum(axis=1).reshape(store.n_ue, store.n_ue)
+    decodes = store.rx_count.sum(axis=1).reshape(store.n_ue, store.n_ue)
+    blind = store.roi_always & (attempts > 0) & (decodes == 0)
+    pairs = [(int(a), int(b)) for a, b in np.argwhere(blind)]
+    return BlindReport(int(np.unique([b for _, b in pairs]).size) if pairs else 0, pairs)
+
+
+def dense_counts(store: MetricsStore) -> tuple[np.ndarray, np.ndarray]:
+    """(attempts, decodes) of a sparse ledger as (n_ue**2, n_bins) tables."""
+    cells = store.cells()
+    tx = np.zeros((store.n_ue * store.n_ue, store.n_bins), dtype=np.int64)
+    rx = np.zeros_like(tx)
+    tx[cells.pair, cells.bin] = cells.tx
+    rx[cells.pair, cells.bin] = cells.rx
+    return tx, rx

@@ -135,6 +135,25 @@ class TestCliCommands:
         assert main(["validate", "--config", str(path)]) == 2
         assert "rate.smoothing" in capsys.readouterr().err
 
+    def test_oversized_config_exit_code(self, tmp_path, capsys):
+        # fails in validation, before the run allocates or writes anything
+        too_many = ["--scenario", "freeway-low", "--set", "scenario.vehicle_count=20000"]
+        assert main(["validate", *too_many]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.vehicle_count" in err and "MiB" in err
+        out = tmp_path / "big"
+        assert main(["run", *too_many, "--out", str(out)]) == 2
+        assert "scenario.vehicle_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_urban_preset_runs(self, tmp_path, capsys):
+        out = tmp_path / "urban"
+        rc = main(["run", "--scenario", "urban-medium", "--scheme", "baseline", "--seed", "1",
+                   "--out", str(out), "--set", "run.duration_s=0.3", "--set", "run.warmup_s=0.1"])
+        assert rc == 0
+        for name in ("pdr_vs_distance.csv", "slt_vs_distance.csv", "ipg.csv", "blind_nodes.csv"):
+            assert len((out / name).read_text().splitlines()) > 1, name
+
     def test_unknown_preset_exit_code(self, capsys):
         rc = main(["validate", "--scenario", "nowhere", "--scheme", "dcc-std"])
         assert rc == 2

@@ -3,10 +3,7 @@ import random
 
 import pytest
 
-from cv2xsim.core import (Position, RngPool, RngStream, RoadGeometry, dbm_to_mw,
-                          distance, mw_to_dbm)
-
-STRAIGHT = RoadGeometry(length_m=10_000.0, lanes=12, lane_width_m=4.0)
+from cv2xsim.core import RngPool, RngStream, RoadGeometry, dbm_to_mw
 
 
 def test_dbm_to_mw_definition():
@@ -20,39 +17,15 @@ def test_power_roundtrip_across_range():
     rnd = random.Random(42)
     for _ in range(2000):
         p = rnd.uniform(-120.0, 40.0)
-        back = mw_to_dbm(dbm_to_mw(p))
+        back = 10.0 * math.log10(dbm_to_mw(p))
         assert back == pytest.approx(p, rel=1e-9, abs=1e-9)
-
-
-def test_mw_to_dbm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        mw_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        mw_to_dbm(-3.0)
-
-
-def test_distance_identity_and_1d():
-    a = Position(250.0, 3)
-    assert distance(a, a, STRAIGHT) == 0.0
-    b = Position(350.0, 3)
-    assert distance(a, b, STRAIGHT) == pytest.approx(100.0)
-
-
-def test_distance_with_lane_offset():
-    # dx=30 m, lanes one apart at 4 m width -> dy=4 m
-    a = Position(0.0, 0)
-    b = Position(30.0, 1)
-    assert distance(a, b, STRAIGHT) == pytest.approx(30.265, abs=1e-3)
-    assert distance(a, b, STRAIGHT) == pytest.approx(math.hypot(30.0, 4.0))
 
 
 def test_wraparound_distance():
     ring = RoadGeometry(length_m=1200.0, lanes=2, wraparound=True)
-    a = Position(10.0, 0)
-    b = Position(1190.0, 0)
-    assert distance(a, b, ring) == pytest.approx(20.0)
+    assert ring.dx(10.0, 1190.0) == pytest.approx(20.0)
     flat = RoadGeometry(length_m=1200.0, lanes=2, wraparound=False)
-    assert distance(a, b, flat) == pytest.approx(1180.0)
+    assert flat.dx(10.0, 1190.0) == pytest.approx(1180.0)
 
 
 def test_rng_stream_reproducible():

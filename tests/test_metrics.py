@@ -1,8 +1,13 @@
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cv2xsim.metrics import (BinValue, MetricsStore, blind_nodes, gains, ipg_stats,
-                             pdr, slt)
+import oracles
+from cv2xsim.metrics import (BinValue, MetricsStore, SparseCounts, blind_nodes, gains,
+                             ipg_stats, pdr, slt)
 
 
 def store(n_ue=4, bin_width=25.0, max_range=500.0, payload=190):
@@ -139,7 +144,7 @@ class TestSlt:
             ok = rng.random(rx.size) < 0.5
             decoded_total += int(ok.sum())
             s.record_arrays(10 * t, tx * 6 + rx, d, ok)
-        assert int(s.rx_count.sum()) == decoded_total
+        assert int(s.cells().rx.sum()) == decoded_total
 
 
 class TestBlindNodes:
@@ -211,8 +216,6 @@ def test_store_guards():
         MetricsStore(4, bin_width_m=0.0)
     with pytest.raises(ValueError):
         slt(store(), 0.0)
-    with pytest.raises(MemoryError):
-        MetricsStore(20_000, bin_width_m=1.0, max_range_m=100_000.0)
 
 
 def test_batched_recording_matches_per_link_accumulation():
@@ -220,8 +223,8 @@ def test_batched_recording_matches_per_link_accumulation():
     rng = np.random.default_rng(11)
     n_ue = 7
     s = store(n_ue=n_ue)
-    tx_count = np.zeros_like(s.tx_count)
-    rx_count = np.zeros_like(s.rx_count)
+    tx_count = np.zeros((n_ue * n_ue, s.n_bins), dtype=np.int64)
+    rx_count = np.zeros_like(tx_count)
     gap_sum, gap_count = np.zeros(s.n_bins), np.zeros(s.n_bins, dtype=np.int64)
     last = {}
     for now in range(0, 3000, 7):
@@ -239,6 +242,116 @@ def test_batched_recording_matches_per_link_accumulation():
                     gap_sum[b] += now - last[p]
                     gap_count[b] += 1
                 last[p] = now
-    assert np.array_equal(s.tx_count, tx_count) and np.array_equal(s.rx_count, rx_count)
+    got_tx, got_rx = oracles.dense_counts(s)
+    assert np.array_equal(got_tx, tx_count) and np.array_equal(got_rx, rx_count)
     assert s.gap_sum_ms.tolist() == gap_sum.tolist()
     assert s.gap_count.tolist() == gap_count.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=30),
+       st.integers(1, 16), st.integers(1, 8))
+def test_sparse_counts_match_a_counter(batches, buffer_keys, min_fold):
+    counts = SparseCounts(buffer_keys, min_fold)
+    want = collections.Counter()
+    for batch in batches:
+        counts.add(np.array(batch, dtype=np.int64))
+        want.update(batch)
+    keys, n = counts.compacted()
+    assert keys.tolist() == sorted(want)
+    assert n.tolist() == [want[k] for k in sorted(want)]
+
+
+class SmallBuffer(MetricsStore):
+    # a few links per merge, so short runs cross many, and a limit that
+    # grows with the compacted set until the buffer caps it
+    BUFFER_KEYS = 24
+    MIN_FOLD = 3
+
+
+@st.composite
+def ledger_calls(draw):
+    """(n_ue, max_range_m, calls, roi masks): per call a time step, the
+    senders, and each link's distance and decode flag.  Distances reach past
+    the range into the clamped last bin, and decode rates run from never to
+    always."""
+    n_ue = draw(st.integers(2, 6))
+    max_range = draw(st.sampled_from([50.0, 110.0, 260.0]))
+    p_decode = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    calls = []
+    for _ in range(draw(st.integers(0, 25))):
+        step = draw(st.integers(1, 300))
+        senders = draw(st.lists(st.integers(0, n_ue - 1), min_size=1, max_size=n_ue,
+                                unique=True))
+        links = []
+        for tx in senders:
+            for rx in range(n_ue):
+                if rx != tx:
+                    dist = draw(st.floats(0.0, 1.5 * max_range))
+                    links.append((tx * n_ue + rx, dist, draw(st.floats(0.0, 1.0)) < p_decode))
+        calls.append((step, links))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n_ue * n_ue,
+                                   max_size=n_ue * n_ue), max_size=2))
+    return n_ue, max_range, calls, masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledger_calls(), st.sampled_from([SmallBuffer, MetricsStore]))
+def test_sparse_ledger_matches_dense_oracle(case, cls):
+    """Every cell count and every metric equals the dense ledger's, bit for bit."""
+    n_ue, max_range, calls, masks = case
+    sparse = cls(n_ue, 25.0, max_range, 190)
+    dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190)
+    now = 0
+    for step, links in calls:
+        now += step
+        pairs = np.array([p for p, _, _ in links], dtype=np.int64)
+        dist = np.array([d for _, d, _ in links])
+        ok = np.array([o for _, _, o in links], dtype=bool)
+        for s in (sparse, dense):
+            s.record_arrays(now, pairs, dist, ok)
+    for m in masks:
+        mask = np.array(m).reshape(n_ue, n_ue)
+        sparse.update_roi(mask)
+        dense.update_roi(mask)
+
+    tx, rx = oracles.dense_counts(sparse)
+    assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
+    cells = sparse.cells()
+    assert (cells.tx > 0).all()
+    assert pdr(sparse) == oracles.pdr(dense)
+    assert slt(sparse, 3.0) == oracles.slt(dense, 3.0)
+    assert blind_nodes(sparse) == oracles.blind_nodes(dense)
+    got, want = ipg_stats(sparse), ipg_stats(dense)
+    assert got.bins == want.bins and got.p80_ms == want.p80_ms
+    assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
+    assert np.array_equal(got.ecdf_probs, want.ecdf_probs)
+
+
+def test_call_larger_than_the_buffer():
+    """One call of more links than the buffer holds, on top of a part-filled
+    buffer and a merged history, is counted exactly."""
+    n_ue = 8
+    sparse = SmallBuffer(n_ue, 25.0, 100.0)
+    dense = oracles.DenseMetricsStore(n_ue, 25.0, 100.0)
+    rng = np.random.default_rng(3)
+    for now, n_pairs in ((0, 4), (10, 5), (20, 3), (30, n_ue * (n_ue - 1)), (40, 2)):
+        pairs = rng.choice(np.delete(np.arange(n_ue * n_ue), np.arange(0, n_ue * n_ue, n_ue + 1)),
+                           size=n_pairs, replace=False)
+        dist = rng.uniform(0.0, 150.0, n_pairs)
+        ok = rng.random(n_pairs) < 0.5
+        for s in (sparse, dense):
+            s.record_arrays(now, pairs, dist, ok)
+    tx, rx = oracles.dense_counts(sparse)
+    assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
+    assert pdr(sparse) == oracles.pdr(dense)
+
+
+def test_empty_ledger():
+    s = store()
+    cells = s.cells()
+    assert all(a.size == 0 for a in cells)
+    assert pdr(s) == [] and slt(s, 1.0) == []
+    assert blind_nodes(s) == oracles.blind_nodes(oracles.DenseMetricsStore(4, 25.0, 500.0))
+    stats = ipg_stats(s)
+    assert stats.bins == [] and stats.ecdf_gaps_ms.size == 0 and stats.p80_ms is None
