@@ -2,11 +2,12 @@
 
 Each case exercises one path of the simulator (shadowing mode, fading, CR
 limit, ranking average, half-duplex exemption, rate control with speed
-perturbation, an oversaturated ring, per-receiver outcome logging).  The
-metric CSVs of the first case are pinned byte for byte as well.  When the digests were pinned, every
-case with an override was checked to differ from the same run without it,
-so a change to that path moves its digest.  A change that moves a digest on
-purpose must say why and re-pin.
+perturbation, an oversaturated ring, per-receiver outcome logging, and a
+straight road whose metrics come only from its middle-third region).  The
+output files of the first and last case are pinned byte for byte as well.
+When the digests were pinned, every case with an override was checked to
+differ from the same run without it, so a change to that path moves its
+digest.  A change that moves a digest on purpose must say why and re-pin.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from cv2xsim import cli, config, engine
 
 SHORT = {"run.duration_s": "1.5", "run.warmup_s": "0.5"}
 SHORT_OVERSAT = {"run.duration_s": "1.0", "run.warmup_s": "0.5"}
+SHORT_ROAD = {"run.duration_s": "1.2", "run.warmup_s": "0.5"}
 
 # (id, scenario, scheme, seed, overrides, event-log digest)
 CASES = [
@@ -44,14 +46,29 @@ CASES = [
      "42ec9dad68373e8e39ee540445327ca8de9319e6dab820b3b58378076dd01ec4"),
     ("rx-outcome-log", "mini-low", "baseline", 1, {**SHORT, "run.log_rx_outcomes": "true"},
      "388fe1925f1323e10ed5530a28288d2994203a594b8df880edf50872cda599ac"),
+    ("straight-road-middle-third", "freeway-high", "dcc-std", 1, SHORT_ROAD,
+     "851385b9cb37a13b0bb77a4954deb7da78d0af2d09b9223f4f6bf2b3ef0438e7"),
 ]
 
-# sha256 of the metric CSVs that `cli.write_outputs` writes for mini-low-baseline
-CSV_PINS = {
-    "pdr_vs_distance.csv": "bf4adb3853a2df295ed69525a6dfab9f5e010dce56d2327b81270791077b0466",
-    "slt_vs_distance.csv": "36c48c8a6c0f1281dfc80a58e2ed9048b6787e263a9a7a0b99602f9cc278b7a6",
-    "ipg.csv": "8bb4fc70f363dadd1c1c160f2c1553d749288f81048194c7cc9100801bc198c1",
-    "blind_nodes.csv": "10f4cdcb3d27c3da002f2fd8f3d7ac9e408138a25a34b05bba3473b755e89c5a",
+# sha256 of the files that `cli.write_outputs` writes, per case.  All but
+# manifest.json (it carries the version) for mini-low-baseline; the metric
+# CSVs for the straight road, whose metrics only its region's transmitters feed.
+FILE_PINS = {
+    "mini-low-baseline": {
+        "pdr_vs_distance.csv": "bf4adb3853a2df295ed69525a6dfab9f5e010dce56d2327b81270791077b0466",
+        "slt_vs_distance.csv": "36c48c8a6c0f1281dfc80a58e2ed9048b6787e263a9a7a0b99602f9cc278b7a6",
+        "ipg.csv": "8bb4fc70f363dadd1c1c160f2c1553d749288f81048194c7cc9100801bc198c1",
+        "blind_nodes.csv": "10f4cdcb3d27c3da002f2fd8f3d7ac9e408138a25a34b05bba3473b755e89c5a",
+        "txevents.csv": "8e2abb456f3d1886edde91e601f80132fcb1af8201185e983a38d1bcc3050ba1",
+        "timeseries.csv": "2df260e02d8a0c8745fe75e76dbeceb3ff5099375c049467e3f66194119b6d63",
+        "summary.json": "0b3ba69503a0987d2ce8c93c9cdd6393b37f2e6d369d8c30cbed4f7082fca152",
+    },
+    "straight-road-middle-third": {
+        "pdr_vs_distance.csv": "f0f9b01bf63cab671415417c52d8c106cc223ff3d9d1e87422a18bb9aade74c2",
+        "slt_vs_distance.csv": "34db6c788717489f4f4b747640bec43b54bacbf4de9c7325429b5b6c1464d234",
+        "ipg.csv": "6d5cc2e256fd8cb16bc5d932ef0964e9d0abe447688fe0ff701634c8743a9e72",
+        "blind_nodes.csv": "5e9ae640209b5f6aca479465cdd7b83eefcdbf6b40f3526be8f1969f9ef1fc3b",
+    },
 }
 
 
@@ -69,8 +86,12 @@ def test_event_log_digest(scenario, scheme, seed, overrides, digest):
 
 
 def test_metric_csvs(tmp_path):
-    resolved = config.resolve(None, SHORT, scenario="mini-low", scheme="baseline", seed=1)
-    result = engine.run(config.build_run_config(resolved))
-    cli.write_outputs(tmp_path, resolved, result)
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_PINS}
-    assert got == CSV_PINS
+    cases = {c[0]: c[1:5] for c in CASES}
+    for case, pins in FILE_PINS.items():
+        scenario, scheme, seed, overrides = cases[case]
+        resolved = config.resolve(None, overrides, scenario=scenario, scheme=scheme, seed=seed)
+        result = engine.run(config.build_run_config(resolved))
+        out = tmp_path / case
+        cli.write_outputs(out, resolved, result)
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pins}
+        assert got == pins, case
