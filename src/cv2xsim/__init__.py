@@ -5,7 +5,7 @@ metrics."""
 
 __version__ = "0.1.0"
 
-from .channel import ChannelModel, Outcome, Transmission
+from .channel import ChannelModel, Outcome
 from .core import Csr, Position, RngPool, RngStream, RoadGeometry, dbm_to_mw
 from .dcc import DccScheme, RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
@@ -16,6 +16,6 @@ __all__ = [
     "ChannelModel", "Csr", "DccScheme", "Grant", "Outcome", "PRESETS", "Position",
     "RangeControlConfig", "RateControlConfig", "RngPool", "RngStream", "RoadGeometry",
     "RunConfig", "RunResult", "SCHEMES", "ScenarioPreset",
-    "SensingStore", "SensingWindow", "Simulation", "SpsConfig", "Transmission",
+    "SensingStore", "SensingWindow", "Simulation", "SpsConfig",
     "dbm_to_mw", "run", "__version__",
 ]

@@ -4,11 +4,10 @@ the S-RSSI / PSSCH-RSRP measurements consumed by sensing and congestion control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .core import Csr, Position, RngStream, RoadGeometry, dbm_to_mw
+from .core import RngStream, RoadGeometry, dbm_to_mw
 
 
 @dataclass(frozen=True)
@@ -74,67 +73,33 @@ class Outcome:
     HALF_DUPLEX_BLOCKED = 3
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """One broadcast attempt: who, where on the grid, at what power, from where."""
-
-    ue: int
-    csr: Csr
-    power_dbm: float
-    position: Position
-    reservation_period_ms: int = 100
-
-
-class ReceiverSet:
-    """Receiver ids and coordinates as arrays, reusable across subframes."""
-
-    def __init__(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray):
-        self.ids = np.asarray(ids)
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self._index = {int(u): i for i, u in enumerate(self.ids)}
-
-    def __len__(self):
-        return len(self.ids)
-
-
 @dataclass
 class SubframeResolution:
     """Array-backed result of resolving one subframe.
 
-    Rows follow `transmissions` order, columns follow the receiver set.
+    Row t is the transmission of UE `tx_ue[t]` as passed to
+    `resolve_subframe`; column r is UE r, since every UE receives.
     """
 
-    subframe: int
-    n_subch: int
-    transmissions: list[Transmission]
-    receivers: ReceiverSet
-    rx_power_dbm: np.ndarray      # (k, R)
-    sinr_db: np.ndarray           # (k, R)
-    outcome: np.ndarray           # (k, R) int8 Outcome codes
-    distance_m: np.ndarray        # (k, R)
-    srssi_mw: np.ndarray          # (R, n_subch) total arrivals + noise
-    is_transmitting: np.ndarray   # (R,) bool
+    rx_power_dbm: np.ndarray      # (k, n_ue)
+    sinr_db: np.ndarray           # (k, n_ue)
+    outcome: np.ndarray           # (k, n_ue) int8 Outcome codes
+    distance_m: np.ndarray        # (k, n_ue)
+    srssi_mw: np.ndarray          # (n_ue, n_subch) total arrivals + noise
+    is_transmitting: np.ndarray   # (n_ue,) bool
     shadow_db: np.ndarray = field(repr=False, default=None)
 
-    def decoded_mask(self, t_index: int) -> np.ndarray:
-        return self.outcome[t_index] == Outcome.DECODED
 
-    def outcome_counts(self, t_index: int) -> tuple[int, int, int, int]:
-        """(decoded, collided, below_sensitivity, half_duplex) over real receivers."""
-        counts = np.bincount(self.outcome[t_index], minlength=4)
-        if self.transmissions[t_index].ue in self.receivers._index:
-            counts[Outcome.HALF_DUPLEX_BLOCKED] -= 1  # drop the self pair
-        return (int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
-
-
-def resolve_subframe(transmissions: Sequence[Transmission], receivers: ReceiverSet,
-                     model: ChannelModel, rng: RngStream, geometry: RoadGeometry,
-                     n_subch: int = 2, static_shadow: np.ndarray | None = None,
+def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.ndarray,
+                     x: np.ndarray, y: np.ndarray, model: ChannelModel, rng: RngStream,
+                     geometry: RoadGeometry, n_subch: int = 2,
+                     static_shadow: np.ndarray | None = None,
                      fading_rng: RngStream | None = None) -> SubframeResolution:
-    """Resolve every transmission of one subframe against every receiver.
+    """Resolve every transmission of one subframe against every UE.
 
-    For each (transmission, receiver) link the signal is the received power of
+    Transmission t is sent by UE `tx_ue[t]` on subchannel `tx_subch[t]` at
+    `tx_power_dbm[t]`; UE r stands at (`x[r]`, `y[r]`).  For each
+    (transmission, receiver) link the signal is the received power of
     that transmission; interference is the mW sum of all other same-subchannel
     received powers.  A link decodes iff the receiver is not itself
     transmitting, the signal is at or above sensitivity, and
@@ -147,13 +112,7 @@ def resolve_subframe(transmissions: Sequence[Transmission], receivers: ReceiverS
     when enabled, draws from its own stream so toggling it leaves the
     shadowing realization untouched.
     """
-    txs = list(transmissions)
-    subframes = {t.csr.subframe for t in txs}
-    if len(subframes) > 1:
-        raise ValueError(f"transmissions span multiple subframes: {sorted(subframes)}")
-    subframe = txs[0].csr.subframe if txs else -1
-
-    k, nrx = len(txs), len(receivers)
+    k, nrx = len(tx_ue), len(x)
     noise_mw = model.noise_mw
     srssi_mw = np.full((nrx, n_subch), noise_mw)
     rxp_dbm = np.zeros((k, nrx))
@@ -162,26 +121,23 @@ def resolve_subframe(transmissions: Sequence[Transmission], receivers: ReceiverS
     dists = np.zeros((k, nrx))
     shadows = np.zeros((k, nrx))
 
-    tx_ids = np.array([t.ue for t in txs], dtype=int)
-    is_tx = np.isin(receivers.ids, tx_ids)
+    is_tx = np.zeros(nrx, dtype=bool)
+    is_tx[tx_ue] = True
 
     for subch in range(n_subch):
-        rows = [i for i, t in enumerate(txs) if t.csr.subchannel == subch]
-        if not rows:
+        rows = np.flatnonzero(tx_subch == subch)
+        if not rows.size:
             continue
-        tx_x = np.array([txs[i].position.x for i in rows])
-        tx_y = np.array([txs[i].position.y(geometry) for i in rows])
-        tx_p = np.array([txs[i].power_dbm for i in rows])
-
-        dx = geometry.dx(tx_x[:, None], receivers.x[None, :])
-        dy = tx_y[:, None] - receivers.y[None, :]
+        ues = tx_ue[rows]
+        dx = geometry.dx(x[ues][:, None], x[None, :])
+        dy = y[ues][:, None] - y[None, :]
         d = np.hypot(dx, dy)
 
         if model.shadowing_sigma_db > 0.0:
             if model.shadowing_mode == "static":
                 if static_shadow is None:
                     raise ValueError("static shadowing mode needs a pair table")
-                sh = static_shadow[np.ix_(tx_ids[rows], receivers.ids)]
+                sh = static_shadow[ues]
             else:
                 sh = rng.normal(0.0, model.shadowing_sigma_db, size=d.shape)
         else:
@@ -194,14 +150,10 @@ def resolve_subframe(transmissions: Sequence[Transmission], receivers: ReceiverS
         else:
             fade = 0.0
 
-        p_dbm = tx_p[:, None] - pathloss(d, model) - sh - fade
+        p_dbm = tx_power_dbm[rows][:, None] - pathloss(d, model) - sh - fade
         p_mw = 10.0 ** (p_dbm / 10.0)
-
         # own signal does not reach own receiver chain
-        self_cols = np.array([receivers._index.get(txs[i].ue, -1) for i in rows])
-        for j, col in enumerate(self_cols):
-            if col >= 0:
-                p_mw[j, col] = 0.0
+        p_mw[np.arange(rows.size), ues] = 0.0
 
         total_mw = p_mw.sum(axis=0)
         interference_mw = total_mw[None, :] - p_mw
@@ -216,12 +168,10 @@ def resolve_subframe(transmissions: Sequence[Transmission], receivers: ReceiverS
                                  np.where(~sinr_ok, Outcome.COLLIDED, Outcome.DECODED)))
 
         srssi_mw[:, subch] += total_mw
-        idx = np.array(rows)
-        rxp_dbm[idx] = p_dbm
-        sinr_db[idx] = sinr_row_db
-        codes[idx] = code
-        dists[idx] = d
-        shadows[idx] = sh
+        rxp_dbm[rows] = p_dbm
+        sinr_db[rows] = sinr_row_db
+        codes[rows] = code
+        dists[rows] = d
+        shadows[rows] = sh
 
-    return SubframeResolution(subframe, n_subch, txs, receivers, rxp_dbm, sinr_db,
-                              codes, dists, srssi_mw, is_tx, shadows)
+    return SubframeResolution(rxp_dbm, sinr_db, codes, dists, srssi_mw, is_tx, shadows)

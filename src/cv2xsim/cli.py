@@ -112,10 +112,9 @@ def _read_bin_csv(path: Path, value_col: str) -> list[metrics.BinValue]:
     return rows
 
 
-def _sweep_worker(job) -> tuple[str, str, int, str]:
-    resolved, out_dir = job
-    execute_run(resolved, Path(out_dir))
-    return (resolved["run.scenario"], resolved["run.scheme"], resolved["run.seed"], out_dir)
+def _sweep_worker(job) -> None:
+    resolved, cfg, out_dir = job
+    write_outputs(Path(out_dir), resolved, engine.run(cfg))
 
 
 def _mean_gains(per_seed: list[list[metrics.GainBin]]) -> list[metrics.GainBin]:
@@ -141,21 +140,25 @@ def _cmd_sweep(args) -> int:
     overrides = _parse_sets(args.set)
     root = _out_root(args.out)
 
-    jobs = []
+    # every job's config is built, and so checked, before any job starts
+    jobs = {}
     for scenario in scenarios:
         for scheme in schemes:
             for seed in seeds:
+                tag = f"{scenario}/{scheme}/seed{seed}"
                 resolved = config.resolve(file_values, overrides, scenario=scenario,
                                           scheme=scheme, seed=seed)
-                out_dir = root / f"{scenario}__{scheme}__seed{seed}"
-                jobs.append((resolved, str(out_dir)))
+                try:
+                    cfg = config.build_run_config(resolved)
+                except config.ConfigError as e:
+                    raise config.ConfigError([f"{tag}: {err}" for err in e.errors]) from None
+                jobs[tag] = (resolved, cfg, str(root / f"{scenario}__{scheme}__seed{seed}"))
 
     failures = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(_sweep_worker, job): job for job in jobs}
+        futures = {pool.submit(_sweep_worker, job): tag for tag, job in jobs.items()}
         for fut in concurrent.futures.as_completed(futures):
-            resolved, out_dir = futures[fut]
-            tag = f"{resolved['run.scenario']}/{resolved['run.scheme']}/seed{resolved['run.seed']}"
+            tag = futures[fut]
             try:
                 fut.result()
                 print(f"done {tag}")

@@ -25,8 +25,8 @@ class ConfigError(Exception):
 
 _DEFAULT_SCENARIO, _DEFAULT_SCHEME = "freeway-high", "baseline"
 
-# A run whose estimated memory (RunConfig.memory_estimate_mib) exceeds this
-# is rejected before anything is allocated.
+# A run whose estimated memory (the sum of RunConfig.memory_estimate_mib) exceeds
+# this is rejected before anything is allocated, naming the key of its largest part.
 MEMORY_LIMIT_MIB = 4096
 
 # RunConfig fields set from a section other than [run]; every other field of
@@ -235,10 +235,12 @@ def build_run_config(resolved: dict[str, object]) -> RunConfig:
         cfg.validate()
     except ValueError as e:
         raise ConfigError([str(e)]) from None
-    need_mib = cfg.memory_estimate_mib()
+    terms = cfg.memory_estimate_mib()
+    need_mib = sum(terms.values())
     if need_mib > MEMORY_LIMIT_MIB:
-        raise ConfigError(f"scenario.vehicle_count = {preset.vehicle_count} needs an estimated "
-                          f"{need_mib:.0f} MiB, above the {MEMORY_LIMIT_MIB} MiB limit")
+        key = max(terms, key=terms.get)
+        raise ConfigError(f"{key} = {resolved[key]} needs an estimated {need_mib:.0f} MiB, "
+                          f"above the {MEMORY_LIMIT_MIB} MiB limit")
     return cfg
 
 

@@ -9,12 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 # Subframe indices are plain ints: 1 ms ticks since simulation start, never negative.
-SubframeIndex = int
-
 # Powers are plain floats with the unit in the variable name (_dbm / _mw).
 # dBm is the interface unit everywhere; mW appears only where powers are summed.
-PowerDbm = float
-PowerMw = float
 
 
 def dbm_to_mw(p_dbm):
@@ -59,9 +55,6 @@ class Position:
 
     x: float
     lane: int
-
-    def y(self, geometry: RoadGeometry) -> float:
-        return geometry.lane_y(self.lane)
 
 
 def _derive_key(seed: int, purpose: str, ue: int | None) -> np.ndarray:

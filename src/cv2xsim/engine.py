@@ -1,9 +1,13 @@
 """Deterministic per-subframe simulation loop.
 
 Each 1 ms subframe advances mobility (on its tick), updates every UE's
-congestion controller, releases packets, transmits on due grants, resolves
-the channel, and feeds outcomes into sensing windows and the metrics ledger.
-Everything is driven by named RNG streams, so one seed fixes the whole run.
+congestion controller, releases packets and walks the due grants.  The
+grants that transmit become arrays (UE, subchannel, power, period), which
+`resolve_subframe` turns into (transmission, UE) outcome arrays.  From
+those the subframe's rows go to the event log, its in-region links to the
+metrics ledger and its decodes to the sensing store, without a loop over
+transmissions or receivers.  Everything is driven by named RNG streams, so
+one seed fixes the whole run.
 """
 
 from __future__ import annotations
@@ -14,9 +18,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dcc, mac_sps, metrics, mobility
-from .channel import ChannelModel, Outcome, ReceiverSet, Transmission, resolve_subframe
-from .core import Csr, Position, RngPool
+from .channel import ChannelModel, Outcome, resolve_subframe
+from .core import RngPool
 from .mac_sps import Grant, ReservationBlock, SensingStore, SensingWindow, SpsConfig
+
+# One event-log row per transmission, fields in the order `EventLog.digest`
+# hashes them; the row index is the event id.
+TX_DTYPE = np.dtype([
+    ("subframe", np.int64), ("ue", np.int32), ("subchannel", np.int32),
+    ("power_dbm", np.float64), ("x_m", np.float64), ("lane", np.int32),
+    ("period_ms", np.int32), ("queue_delay_ms", np.int32), ("n_decoded", np.int32),
+    ("n_collided", np.int32), ("n_below_sensitivity", np.int32), ("n_half_duplex", np.int32)])
+# One row per (transmission, other UE) link, when `log_rx_outcomes` is on
+RX_DTYPE = np.dtype([("tx_event_id", np.int32), ("rx_ue", np.int32), ("outcome", np.int8),
+                     ("rx_power_dbm", np.float64)])
+# Rows formatted or hashed per step, so few Python objects are alive at once
+_LOG_CHUNK = 65536
 
 
 @dataclass
@@ -55,17 +72,23 @@ class RunConfig:
         if self.cbp_window_ms > self.sps.sensing_window_sf:
             raise ValueError("cbp_window_ms cannot exceed the sensing window span")
 
-    def memory_estimate_mib(self) -> float:
-        """Estimated peak size of the state that grows with the square of the
-        vehicle count, in MiB.
+    def memory_estimate_mib(self) -> dict[str, float]:
+        """Estimated peak size of the state that grows with the run's scale,
+        in MiB, split by the config key that drives each part.
 
-        Per ordered pair: `pair_dist` plus the three float64 arrays that
-        recompute it on each mobility tick, the ledger's `last_rx_ms`,
-        `roi_always` and the mask ANDed into it, and the static shadowing
-        draws when enabled.  Sensing: the (span, n, subchannels) S-RSSI ring
-        and the reservation ring's float32 RSRP cell per receiver and record,
-        at one record per vehicle per 100 ms (the shortest inter-transmit
-        time) and twice that for the ring's doubling.
+        `scenario.vehicle_count`: per ordered pair, `pair_dist` plus the
+        three float64 arrays that recompute it on each mobility tick, the
+        ledger's `last_rx_ms`, `roi_always` and the mask ANDed into it, and
+        the static shadowing draws when enabled.  Sensing: the (span, n,
+        subchannels) S-RSSI ring and the reservation ring's float32 RSRP cell
+        per receiver and record, at one record per vehicle per 100 ms (the
+        shortest inter-transmit time) and twice that for the ring's doubling.
+        The event log's tx rows, at that same rate over the whole run.
+
+        `run.log_rx_outcomes`: one rx row per tx row and other vehicle.
+
+        Both logs count twice: the per-subframe chunks and the array they are
+        joined into.
         """
         n = self.scenario.vehicle_count
         per_pair = 4 * 8 + 8 + 2 * 1
@@ -74,70 +97,82 @@ class RunConfig:
         span = self.sps.sensing_window_sf
         records = n * span // 100
         sensing = span * n * (8 * self.subchannels + 1) + 2 * records * n * 4
-        return (n * n * per_pair + sensing) / 2 ** 20
+        tx_rows = n * int(round(self.duration_s * 1000)) // 100
+        rx_rows = tx_rows * (n - 1) if self.log_rx_outcomes else 0
+        return {
+            "scenario.vehicle_count":
+                (n * n * per_pair + sensing + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20,
+            "run.log_rx_outcomes": 2 * rx_rows * RX_DTYPE.itemsize / 2 ** 20,
+        }
 
 
-@dataclass(frozen=True)
-class TxEvent:
-    event_id: int
-    subframe: int
-    ue: int
-    subchannel: int
-    power_dbm: float
-    x_m: float
-    lane: int
-    period_ms: int
-    queue_delay_ms: int
-    n_decoded: int
-    n_collided: int
-    n_below_sensitivity: int
-    n_half_duplex: int
+def _rows(dtype: np.dtype, n_rows: int, *columns) -> np.ndarray:
+    """Structured array of `dtype` whose fields, in order, are `columns`
+    (each an array of `n_rows` or a scalar)."""
+    out = np.empty(n_rows, dtype)
+    for name, col in zip(dtype.names, columns):
+        out[name] = col
+    return out
 
 
-@dataclass(frozen=True)
-class RxRecord:
-    tx_event_id: int
-    subframe: int
-    tx_ue: int
-    rx_ue: int
-    outcome: int
-    rx_power_dbm: float
-    sinr_db: float
-    distance_m: float
+def _joined(chunks: list[bytes], dtype: np.dtype) -> np.ndarray:
+    """The rows of the chunks as one read-only array; the list is left
+    holding just their joined bytes.  (Joining bytes is a memcpy, where
+    `np.concatenate` of many small structured arrays copies field by field.)"""
+    if len(chunks) != 1:
+        chunks[:] = [b"".join(chunks)]
+    return np.frombuffer(chunks[0], dtype)
 
 
 class EventLog:
     """Append-only transmission record with per-event outcome tallies.
 
-    Per-receiver records are kept only when the run asks for them; large runs
-    rely on the aggregate counts.
+    `tx_events` is a TX_DTYPE array with one row per transmission; its row
+    index is the event id.  `rx_records` is an RX_DTYPE array with one row
+    per (transmission, other UE) link, kept only when the run asks for it;
+    large runs rely on the aggregate counts.  The engine appends one chunk
+    per subframe, and reading either array joins its chunks.
     """
 
     def __init__(self):
-        self.tx_events: list[TxEvent] = []
-        self.rx_records: list[RxRecord] = []
+        self._tx: list[bytes] = []
+        self._rx: list[bytes] = []
+        self.n_tx = 0
+
+    def append(self, tx: np.ndarray, rx: np.ndarray | None = None) -> None:
+        """Add one subframe's TX_DTYPE rows and, when logged, its RX_DTYPE rows."""
+        self._tx.append(tx.tobytes())
+        self.n_tx += len(tx)
+        if rx is not None:
+            self._rx.append(rx.tobytes())
+
+    @property
+    def tx_events(self) -> np.ndarray:
+        return _joined(self._tx, TX_DTYPE)
+
+    @property
+    def rx_records(self) -> np.ndarray:
+        return _joined(self._rx, RX_DTYPE)
 
     def digest(self) -> str:
+        """sha256 over `repr` of each tx row's tuple, then each rx row's."""
         h = hashlib.sha256()
-        for e in self.tx_events:
-            h.update(repr((e.subframe, e.ue, e.subchannel, e.power_dbm, e.x_m, e.lane,
-                           e.period_ms, e.queue_delay_ms, e.n_decoded, e.n_collided,
-                           e.n_below_sensitivity, e.n_half_duplex)).encode())
-        for r in self.rx_records:
-            h.update(repr((r.tx_event_id, r.rx_ue, r.outcome, r.rx_power_dbm)).encode())
+        for rows in (self.tx_events, self.rx_records):
+            for i in range(0, len(rows), _LOG_CHUNK):
+                h.update("".join(map(repr, rows[i:i + _LOG_CHUNK].tolist())).encode())
         return h.hexdigest()
 
     def write_csv(self, path) -> None:
-        import csv as _csv
+        """One line per transmission; floats at 6 significant digits, as
+        `metrics.fmt` writes them."""
+        events = self.tx_events
         with open(path, "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["event_id", "subframe", "ue", "subchannel", "power_dbm", "x_m",
-                        "lane", "period_ms", "queue_delay_ms", "n_decoded", "n_collided",
-                        "n_below_sensitivity", "n_half_duplex"])
-            for e in self.tx_events:
-                w.writerow([e.event_id, e.subframe, e.ue, e.subchannel, metrics.fmt(e.power_dbm),
-                            metrics.fmt(e.x_m), e.lane, e.period_ms, e.queue_delay_ms,
-                            e.n_decoded, e.n_collided, e.n_below_sensitivity, e.n_half_duplex])
+            f.write("event_id," + ",".join(TX_DTYPE.names) + "\r\n")
+            for i in range(0, len(events), _LOG_CHUNK):
+                f.writelines(f"{i + j},{sf},{ue},{ch},{p:.6g},{x:.6g},{lane},{per},{qd},"
+                             f"{dec},{col},{below},{hd}\r\n"
+                             for j, (sf, ue, ch, p, x, lane, per, qd, dec, col, below, hd)
+                             in enumerate(events[i:i + _LOG_CHUNK].tolist()))
 
 
 @dataclass
@@ -150,10 +185,11 @@ class RunResult:
     observation_s: float
 
     def collided_by_second(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.event_log.tx_events:
-            out[e.subframe // 1000] = out.get(e.subframe // 1000, 0) + e.n_collided
-        return out
+        """Collided links per simulated second, for the seconds with a transmission."""
+        events = self.event_log.tx_events
+        second = events["subframe"] // 1000
+        collided = np.bincount(second, weights=events["n_collided"])
+        return {int(s): int(collided[s]) for s in np.flatnonzero(np.bincount(second))}
 
 
 class Simulation:
@@ -226,7 +262,6 @@ class Simulation:
     def _refresh_positions(self) -> None:
         self.x = np.array([v.position.x for v in self.vehicles])
         self.speed = np.array([v.speed_mps for v in self.vehicles])
-        self.receivers = ReceiverSet(np.arange(self.n_ue), self.x, self.y)
         dx = self.geometry.dx(self.x[:, None], self.x[None, :])
         dy = self.y[:, None] - self.y[None, :]
         self.pair_dist = np.hypot(dx, dy)
@@ -240,6 +275,49 @@ class Simulation:
         self.grants[ue] = Grant(csr.subframe, csr.subchannel, period, slrrc)
         self.next_tx[ue] = csr.subframe
 
+    def _resolve(self, n: int, tx_ue: np.ndarray, tx_subch: np.ndarray, tx_period: np.ndarray,
+                 shadow_rng, fading_rng) -> None:
+        """Resolve subframe n's transmissions and hand the outcome arrays to
+        the event log, the metrics ledger and the sensing store."""
+        cfg, n_ue = self.cfg, self.n_ue
+        tx_power = self.power_dbm[tx_ue]
+        res = resolve_subframe(tx_ue, tx_subch, tx_power, self.x, self.y, cfg.channel,
+                               shadow_rng, self.geometry, cfg.subchannels, self.static_shadow,
+                               fading_rng=fading_rng)
+        k = len(tx_ue)
+        rows = np.arange(k)
+        counts = np.bincount((4 * rows[:, None] + res.outcome).ravel(),
+                             minlength=4 * k).reshape(k, 4)
+        counts[:, Outcome.HALF_DUPLEX_BLOCKED] -= 1   # the self pair
+        others = np.ones((k, n_ue), dtype=bool)
+        others[rows, tx_ue] = False
+
+        first_id = self.log.n_tx
+        tx_x = self.x[tx_ue]
+        tx = _rows(TX_DTYPE, k, n, tx_ue, tx_subch, tx_power, tx_x, self.lane[tx_ue],
+                   tx_period, n - self.gen_time[tx_ue], *counts.T)
+        rx = None
+        if cfg.log_rx_outcomes:
+            t, r = np.nonzero(others)
+            rx = _rows(RX_DTYPE, len(t), first_id + t, r, res.outcome[others],
+                       res.rx_power_dbm[others])
+        self.log.append(tx, rx)
+
+        region_lo, region_hi = self._region
+        in_region = (region_lo <= tx_x) & (tx_x <= region_hi)
+        if n >= self.warmup_sf and in_region.any():
+            links = others & in_region[:, None]
+            t, r = np.nonzero(links)
+            self.metrics.record_arrays(n, tx_ue[t] * n_ue + r, res.distance_m[links],
+                                       res.outcome[links] == Outcome.DECODED)
+
+        sensed = self._all_sensed.copy()
+        sensed[tx_ue] = False
+        reservations = ReservationBlock(
+            tx_subch, tx_period,
+            np.where(res.outcome == Outcome.DECODED, res.rx_power_dbm, -np.inf).astype(np.float32))
+        self.store.record_subframe(n, res.srssi_mw, sensed, reservations)
+
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue
         scheme, rate_cfg, range_cfg = self.scheme, self.scheme.rate, self.scheme.range
@@ -248,7 +326,6 @@ class Simulation:
         perturb_rng = self.rngs.stream("perturb")
         shadow_rng = self.rngs.stream("shadow")
         fading_rng = self.rngs.stream("fading")
-        region_lo, region_hi = self._region
 
         for n in range(self.total_sf):
             # mobility tick: move vehicles, refresh geometry caches
@@ -305,10 +382,10 @@ class Simulation:
 
             # grant occurrences: transmit when a packet waits, otherwise let the
             # reservation slot pass unused (counter only counts transmissions)
-            due = np.nonzero(self.next_tx == n)[0]
-            txs: list[Transmission] = []
-            tx_meta: list[tuple[int, int]] = []
-            for ue in due:
+            tx_ue: list[int] = []
+            tx_subch: list[int] = []
+            tx_period: list[int] = []
+            for ue in np.nonzero(self.next_tx == n)[0]:
                 ue = int(ue)
                 grant = self.grants[ue]
                 skip = not self.pending[ue]
@@ -323,12 +400,9 @@ class Simulation:
                     grant.next_subframe = self.next_tx[ue]
                     continue
                 period = max(1, int(round(self.itt_ms[ue])))
-                txs.append(Transmission(ue, Csr(n, grant.subchannel), float(self.power_dbm[ue]),
-                                        Position(float(self.x[ue]), int(self.lane[ue])), period))
-                tx_meta.append((ue, period))
-
-            for ue, period in tx_meta:
-                grant = self.grants[ue]
+                tx_ue.append(ue)
+                tx_subch.append(grant.subchannel)
+                tx_period.append(period)
                 self.pending[ue] = False
                 self.last_tx[ue] = n
                 self.bcast_x[ue] = x_true[ue] if x_true is not None else self.x[ue]
@@ -347,46 +421,9 @@ class Simulation:
                     self.next_tx[ue] = n + period
 
             # channel resolution, logging, metrics, sensing
-            if txs:
-                res = resolve_subframe(txs, self.receivers, cfg.channel, shadow_rng,
-                                       self.geometry, cfg.subchannels, self.static_shadow,
-                                       fading_rng=fading_rng)
-                post_warmup = n >= self.warmup_sf
-                m_pairs: list[np.ndarray] = []
-                m_dist: list[np.ndarray] = []
-                m_decoded: list[np.ndarray] = []
-                for t, tx in enumerate(txs):
-                    counts = res.outcome_counts(t)
-                    eid = len(self.log.tx_events)
-                    self.log.tx_events.append(TxEvent(
-                        eid, n, tx.ue, tx.csr.subchannel, tx.power_dbm, tx.position.x,
-                        tx.position.lane, tx.reservation_period_ms,
-                        int(n - self.gen_time[tx.ue]), *counts))
-                    if cfg.log_rx_outcomes:
-                        keep = self.receivers.ids != tx.ue
-                        for r in np.nonzero(keep)[0]:
-                            self.log.rx_records.append(RxRecord(
-                                eid, n, tx.ue, int(r), int(res.outcome[t, r]),
-                                float(res.rx_power_dbm[t, r]), float(res.sinr_db[t, r]),
-                                float(res.distance_m[t, r])))
-                    heard = res.decoded_mask(t)
-                    if post_warmup and region_lo <= tx.position.x <= region_hi:
-                        keep = self.receivers.ids != tx.ue
-                        m_pairs.append(tx.ue * n_ue + self.receivers.ids[keep])
-                        m_dist.append(res.distance_m[t, keep])
-                        m_decoded.append(heard[keep])
-                if m_pairs:
-                    self.metrics.record_arrays(n, np.concatenate(m_pairs),
-                                               np.concatenate(m_dist),
-                                               np.concatenate(m_decoded))
-                sensed = self._all_sensed.copy()
-                sensed[[tx.ue for tx in txs]] = False
-                reservations = ReservationBlock(
-                    np.array([tx.csr.subchannel for tx in txs]),
-                    np.array([tx.reservation_period_ms for tx in txs]),
-                    np.where(res.outcome == Outcome.DECODED, res.rx_power_dbm,
-                             -np.inf).astype(np.float32))
-                self.store.record_subframe(n, res.srssi_mw, sensed, reservations)
+            if tx_ue:
+                self._resolve(n, np.array(tx_ue), np.array(tx_subch), np.array(tx_period),
+                              shadow_rng, fading_rng)
             else:
                 self.store.record_subframe(n, self._noise_matrix, self._all_sensed, None)
 

@@ -146,6 +146,25 @@ class TestCliCommands:
         assert "scenario.vehicle_count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rx_log_counted_in_memory_estimate(self, capsys):
+        # about 288 M rx rows over the default 20 s: the rx log term dominates
+        rx_log = ["validate", "--scenario", "urban-medium"]
+        assert main([*rx_log, "--set", "run.log_rx_outcomes=true"]) == 2
+        err = capsys.readouterr().err
+        assert "run.log_rx_outcomes" in err and "MiB" in err
+        assert main(rx_log) == 0
+
+    def test_sweep_rejects_oversized_job_before_starting(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        rc = main(["sweep", "--scenarios", "mini-low,urban-medium", "--schemes", "baseline",
+                   "--seeds", "1", "--out", str(root), "--workers", "1",
+                   "--set", "run.log_rx_outcomes=true"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "urban-medium/baseline/seed1" in err and "run.log_rx_outcomes" in err
+        assert "mini-low/" not in err
+        assert not root.exists()    # not even the mini-low job ran
+
     def test_urban_preset_runs(self, tmp_path, capsys):
         out = tmp_path / "urban"
         rc = main(["run", "--scenario", "urban-medium", "--scheme", "baseline", "--seed", "1",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cv2xsim import metrics
+from cv2xsim import config, metrics
 from cv2xsim.channel import ChannelModel, Outcome
 from cv2xsim.core import Position
 from cv2xsim.dcc import DccScheme, RangeControlConfig, RateControlConfig, scheme_by_name
@@ -41,11 +41,11 @@ class TestSingleUe:
         res = run(cfg, vehicles)
         events = res.event_log.tx_events
         # pinned seed gives a first grant inside the first 100 ms
-        assert events[0].subframe <= 99
+        assert events["subframe"][0] <= 99
         assert len(events) == 10
-        gaps = np.diff([e.subframe for e in events])
+        gaps = np.diff(events["subframe"])
         assert np.all(gaps == 100)
-        assert all(e.n_decoded == 0 for e in events)    # nobody else to receive
+        assert np.all(events["n_decoded"] == 0)    # nobody else to receive
 
 
 class TestTwoUes:
@@ -59,7 +59,7 @@ class TestTwoUes:
     def test_clean_pair_delivery(self):
         res = self.build()
         # check the pinned seed never put both grants in the same subframe
-        by_subframe = collections.Counter(e.subframe for e in res.event_log.tx_events)
+        by_subframe = collections.Counter(res.event_log.tx_events["subframe"].tolist())
         assert all(v == 1 for v in by_subframe.values())
         rows = metrics.pdr(res.metrics)
         assert rows, "expected post-warmup traffic"
@@ -69,22 +69,26 @@ class TestTwoUes:
         mean_gap = float(np.mean(stats.ecdf_gaps_ms))
         assert mean_gap == pytest.approx(100.0, abs=2.0)
 
+    @staticmethod
+    def rx_links(res):
+        """(outcome, whether the receiver also sent in that subframe) per rx row."""
+        events, rx = res.event_log.tx_events, res.event_log.rx_records
+        sent = set(zip(events["subframe"].tolist(), events["ue"].tolist()))
+        subframes = events["subframe"][rx["tx_event_id"]].tolist()
+        return [(o, (sf, r) in sent) for sf, r, o in
+                zip(subframes, rx["rx_ue"].tolist(), rx["outcome"].tolist())]
+
     def test_half_duplex_detectable_in_log(self):
-        res = self.build()
-        for rec in res.event_log.rx_records:
-            tx_subframes = {e.subframe for e in res.event_log.tx_events
-                            if e.ue == rec.rx_ue}
-            if rec.subframe in tx_subframes:
-                assert rec.outcome == Outcome.HALF_DUPLEX_BLOCKED
+        links = self.rx_links(self.build())
+        assert links
+        for outcome, also_sent in links:
+            if also_sent:
+                assert outcome == Outcome.HALF_DUPLEX_BLOCKED
 
     def test_transmitter_never_decodes_same_subframe(self):
-        res = self.build()
-        tx_at = collections.defaultdict(set)
-        for e in res.event_log.tx_events:
-            tx_at[e.subframe].add(e.ue)
-        for rec in res.event_log.rx_records:
-            if rec.rx_ue in tx_at.get(rec.subframe, ()):
-                assert rec.outcome != Outcome.DECODED
+        for outcome, also_sent in self.rx_links(self.build()):
+            if also_sent:
+                assert outcome != Outcome.DECODED
 
 
 class TestDeterminism:
@@ -108,16 +112,15 @@ class TestEngineInvariants:
         preset = ScenarioPreset("busy", 30, 30.0, road_length_km=0.4, lanes=4,
                                 wraparound=True, region="full")
         res = run(make_cfg(preset, duration=3.0, warmup=1.0, seed=8))
-        seen = set()
-        for e in res.event_log.tx_events:
-            assert (e.subframe, e.ue) not in seen
-            seen.add((e.subframe, e.ue))
+        events = res.event_log.tx_events
+        pairs = list(zip(events["subframe"].tolist(), events["ue"].tolist()))
+        assert len(set(pairs)) == len(pairs)
 
     def test_subframe_stamps_non_decreasing(self):
         preset = ScenarioPreset("busy", 20, 30.0, road_length_km=0.4, lanes=4,
                                 wraparound=True, region="full")
         res = run(make_cfg(preset, duration=2.0, warmup=1.0, seed=8))
-        stamps = [e.subframe for e in res.event_log.tx_events]
+        stamps = res.event_log.tx_events["subframe"].tolist()
         assert stamps == sorted(stamps)
 
     def test_metrics_only_from_region_transmitters(self):
@@ -154,7 +157,7 @@ class TestEngineInvariants:
         preset = ScenarioPreset("pairq", 2, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=5.0, warmup=1.0, seed=2, channel=quiet_channel())
         res = run(cfg, stationary(preset, [(400.0, 0), (450.0, 0)]))
-        delays = [e.queue_delay_ms for e in res.event_log.tx_events]
+        delays = res.event_log.tx_events["queue_delay_ms"].tolist()
         assert all(0 <= d <= 100 for d in delays)
         assert delays.count(0) / len(delays) > 0.8
 
@@ -163,7 +166,7 @@ class TestEngineInvariants:
         preset = ScenarioPreset("pigeon", 210, 15.0, road_length_km=0.25, lanes=12,
                                 wraparound=True, region="full")
         res = run(make_cfg(preset, duration=3.0, warmup=1.0, seed=1))
-        assert sum(e.n_collided for e in res.event_log.tx_events) > 0
+        assert res.event_log.tx_events["n_collided"].sum() > 0
 
 
 class TestPteTrigger:
@@ -189,12 +192,13 @@ class TestPteTrigger:
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
         res = run(cfg, vehicles)
-        per_ue = collections.Counter(e.ue for e in res.event_log.tx_events)
+        per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         # the 600 ms cadence alone would give roughly ten broadcasts per UE
         assert max(per_ue.values()) > 15
         gaps = collections.defaultdict(list)
-        for e in res.event_log.tx_events:
-            gaps[e.ue].append(e.subframe)
+        for ue, sf in zip(res.event_log.tx_events["ue"].tolist(),
+                          res.event_log.tx_events["subframe"].tolist()):
+            gaps[ue].append(sf)
         assert any(np.min(np.diff(g)) < 300 for g in gaps.values() if len(g) > 1)
 
     def test_constant_speed_never_triggers(self):
@@ -202,7 +206,7 @@ class TestPteTrigger:
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
         res = run(cfg, vehicles)
-        per_ue = collections.Counter(e.ue for e in res.event_log.tx_events)
+        per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 11
 
     def test_disabled_trigger_ignores_tracking_error(self):
@@ -212,7 +216,7 @@ class TestPteTrigger:
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
         res = run(cfg, vehicles)
-        per_ue = collections.Counter(e.ue for e in res.event_log.tx_events)
+        per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 11
 
     def test_no_perturbation_means_no_extra_traffic(self):
@@ -223,7 +227,7 @@ class TestPteTrigger:
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
         res = run(cfg)
-        per_ue = collections.Counter(e.ue for e in res.event_log.tx_events)
+        per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 61
 
 
@@ -238,6 +242,23 @@ class TestCrLimit:
                               cr_calibration=((0.0, 1000.0), (1.0, 1000.0)))
         capped = run(capped_cfg, stationary(preset, [(100.0, 0), (150.0, 0), (200.0, 0)]))
         assert len(capped.event_log.tx_events) < len(free.event_log.tx_events)
+
+
+def test_outcome_counts_match_rx_rows():
+    # each tx row's four counts tally its rx rows, one per other UE
+    resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5",
+                                     "run.log_rx_outcomes": "true"},
+                              scenario="mini-oversat", scheme="baseline", seed=1)
+    res = run(config.build_run_config(resolved))
+    events, rx = res.event_log.tx_events, res.event_log.rx_records
+    k = len(events)
+    tally = np.bincount(rx["tx_event_id"].astype(np.int64) * 4 + rx["outcome"],
+                        minlength=4 * k).reshape(k, 4)
+    counts = np.stack([events[f] for f in ("n_decoded", "n_collided", "n_below_sensitivity",
+                                           "n_half_duplex")], axis=1)
+    assert np.array_equal(counts, tally)
+    assert np.all(counts.sum(axis=1) == res.n_ue - 1)
+    assert tally[:, Outcome.HALF_DUPLEX_BLOCKED].any()
 
 
 def test_config_validation():
