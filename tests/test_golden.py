@@ -2,8 +2,9 @@
 
 Each case exercises one path of the simulator (shadowing mode, fading, CR
 limit, ranking average, half-duplex exemption, rate control with speed
-perturbation, an oversaturated ring, per-receiver outcome logging, and a
-straight road whose metrics come only from its middle-third region).  The
+perturbation, an oversaturated ring, per-receiver outcome logging, a
+straight road whose metrics come only from its middle-third region, and a
+straight road whose perturbed vehicles respawn at its ends).  The
 output files of the first and last case are pinned byte for byte as well.
 When the digests were pinned, every case with an override was checked to
 differ from the same run without it, so a change to that path moves its
@@ -48,6 +49,10 @@ CASES = [
      "388fe1925f1323e10ed5530a28288d2994203a594b8df880edf50872cda599ac"),
     ("straight-road-middle-third", "freeway-high", "dcc-std", 1, SHORT_ROAD,
      "851385b9cb37a13b0bb77a4954deb7da78d0af2d09b9223f4f6bf2b3ef0438e7"),
+    # speed perturbation together with respawns (4 in this run)
+    ("straight-road-speed-sigma", "freeway-high", "dcc-7", 1,
+     {**SHORT_ROAD, "scenario.speed_sigma": "1.0"},
+     "b3e86c817ea0e03ef0807e92d0e4795633eca74f600cbcef67df4a28d8391e45"),
 ]
 
 # sha256 of the files that `cli.write_outputs` writes, per case.  All but
