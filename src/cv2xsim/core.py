@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,13 +17,6 @@ def dbm_to_mw(p_dbm):
     return 10.0 ** (np.asarray(p_dbm) / 10.0) if isinstance(p_dbm, np.ndarray) else 10.0 ** (p_dbm / 10.0)
 
 
-class Csr(NamedTuple):
-    """Candidate single-subframe resource: one subframe x one subchannel."""
-
-    subframe: int
-    subchannel: int
-
-
 @dataclass(frozen=True)
 class RoadGeometry:
     """Straight multi-lane road; wraparound turns it into a ring for desk-scale runs."""
@@ -34,27 +26,19 @@ class RoadGeometry:
     lane_width_m: float = 4.0
     wraparound: bool = False
 
-    def lane_y(self, lane) -> float:
-        return (np.asarray(lane) + 0.5) * self.lane_width_m if isinstance(lane, np.ndarray) \
-            else (lane + 0.5) * self.lane_width_m
+    def lane_y(self, lane):
+        """Lateral position of the centre of `lane` (scalar or array)."""
+        return (lane + 0.5) * self.lane_width_m
 
     def dx(self, x1, x2):
         """Longitudinal separation; wraps around the ring when enabled."""
-        d = np.abs(x1 - x2) if isinstance(x1, np.ndarray) or isinstance(x2, np.ndarray) else abs(x1 - x2)
+        d = np.abs(x1 - x2)
         if self.wraparound:
-            d = np.minimum(d, self.length_m - d) if isinstance(d, np.ndarray) else min(d, self.length_m - d)
+            d = np.minimum(d, self.length_m - d)
         return d
 
     def wrap_x(self, x):
         return x % self.length_m if self.wraparound else x
-
-
-@dataclass(frozen=True)
-class Position:
-    """Location on the road: x meters along it, integer lane index."""
-
-    x: float
-    lane: int
 
 
 def _derive_key(seed: int, purpose: str, ue: int | None) -> np.ndarray:

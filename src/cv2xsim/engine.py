@@ -1,8 +1,12 @@
 """Deterministic per-subframe simulation loop.
 
 Each 1 ms subframe advances mobility (on its tick), updates every UE's
-congestion controller, releases packets and walks the due grants.  The
-grants that transmit become arrays (UE, subchannel, power, period), which
+congestion controller, releases packets and walks the due grants.  Every
+piece of per-UE state is an array indexed by UE id: the fleet's positions
+and speeds, the controllers' outputs, and each UE's grant as its next
+occurrence (`next_tx`, -1 before the first selection), subchannel, period
+and reselection counter.  The grants that transmit become arrays (UE,
+subchannel, power, period), which
 `resolve_subframe` turns into (transmission, UE) outcome arrays.  From
 those the subframe's rows go to the event log, its in-region links to the
 metrics ledger and its decodes to the sensing store, without a loop over
@@ -20,7 +24,7 @@ import numpy as np
 from . import dcc, mac_sps, metrics, mobility
 from .channel import ChannelModel, Outcome, resolve_subframe
 from .core import RngPool
-from .mac_sps import Grant, ReservationBlock, SensingStore, SensingWindow, SpsConfig
+from .mac_sps import ReservationBlock, SensingStore, SensingWindow, SpsConfig
 
 # One event-log row per transmission, fields in the order `EventLog.digest`
 # hashes them; the row index is the event id.
@@ -195,15 +199,17 @@ class RunResult:
 class Simulation:
     """One seeded run over a scenario with a congestion-control scheme."""
 
-    def __init__(self, cfg: RunConfig, vehicles: list[mobility.VehicleKinematics] | None = None):
+    def __init__(self, cfg: RunConfig, fleet: mobility.Fleet | None = None):
         cfg.validate()
         self.cfg = cfg
         self.preset = cfg.scenario
         self.geometry = self.preset.geometry
         self.rngs = RngPool(cfg.seed)
-        self.vehicles = vehicles if vehicles is not None \
+        self.fleet = fleet if fleet is not None \
             else mobility.generate_scenario(self.preset, self.rngs.stream("mobility"))
-        self.n_ue = len(self.vehicles)
+        # views of the fleet's arrays, which mobility.step updates in place
+        self.x, self.speed, self.lane = self.fleet.x, self.fleet.speed_mps, self.fleet.lane
+        self.n_ue = len(self.x)
         self.scheme = cfg.scheme
 
         sps = cfg.sps
@@ -214,7 +220,6 @@ class Simulation:
         self.sps = sps
 
         n = self.n_ue
-        self.lane = np.array([v.position.lane for v in self.vehicles], dtype=int)
         self.y = self.geometry.lane_y(self.lane)
         self._refresh_positions()
 
@@ -227,9 +232,11 @@ class Simulation:
         self.pending = np.zeros(n, dtype=bool)
         self.gen_time = np.zeros(n, dtype=np.int64)
         self.next_tx = np.full(n, -1, dtype=np.int64)
-        self.grants: list[Grant | None] = [None] * n
+        self.grant_subch = np.zeros(n, dtype=np.int64)
+        self.grant_period = np.zeros(n, dtype=np.int64)
+        self.slrrc = np.zeros(n, dtype=np.int64)
         self.bcast_x = self.x.copy()
-        self.bcast_v = np.array([v.speed_mps for v in self.vehicles])
+        self.bcast_v = self.speed.copy()
         self.bcast_t = np.zeros(n, dtype=np.int64)
 
         self.store = SensingStore(n, cfg.subchannels, sps.sensing_window_sf,
@@ -260,20 +267,19 @@ class Simulation:
         self._region = (lo, hi)
 
     def _refresh_positions(self) -> None:
-        self.x = np.array([v.position.x for v in self.vehicles])
-        self.speed = np.array([v.speed_mps for v in self.vehicles])
         dx = self.geometry.dx(self.x[:, None], self.x[None, :])
         dy = self.y[:, None] - self.y[None, :]
         self.pair_dist = np.hypot(dx, dy)
 
     def _select_grant(self, ue: int, n: int) -> None:
         period = max(1, int(round(self.itt_ms[ue])))
-        csr = mac_sps.select_resource(self.windows[ue], n, self.sps,
-                                      self.rngs.stream("sps", ue),
-                                      n_subch=self.cfg.subchannels, own_period_sf=period)
+        subframe, subch = mac_sps.select_resource(self.windows[ue], n, self.sps,
+                                                  self.rngs.stream("sps", ue),
+                                                  n_subch=self.cfg.subchannels,
+                                                  own_period_sf=period)
         slrrc = self.rngs.stream("sps", ue).randint(self.sps.slrrc_min, self.sps.slrrc_max)
-        self.grants[ue] = Grant(csr.subframe, csr.subchannel, period, slrrc)
-        self.next_tx[ue] = csr.subframe
+        self.next_tx[ue], self.grant_subch[ue] = subframe, subch
+        self.grant_period[ue], self.slrrc[ue] = period, slrrc
 
     def _resolve(self, n: int, tx_ue: np.ndarray, tx_subch: np.ndarray, tx_period: np.ndarray,
                  shadow_rng, fading_rng) -> None:
@@ -330,12 +336,13 @@ class Simulation:
         for n in range(self.total_sf):
             # mobility tick: move vehicles, refresh geometry caches
             if n > 0 and n % cfg.mobility_tick_ms == 0:
-                respawned = mobility.step(self.vehicles, cfg.mobility_tick_ms / 1000.0,
+                respawned = mobility.step(self.fleet, cfg.mobility_tick_ms / 1000.0,
                                           self.preset, perturb_rng)
                 self._refresh_positions()
-                for i in respawned:
-                    # a respawned vehicle re-enters as a fresh participant
-                    self.bcast_x[i], self.bcast_v[i], self.bcast_t[i] = self.x[i], self.speed[i], n
+                # a respawned vehicle re-enters as a fresh participant
+                self.bcast_x[respawned] = self.x[respawned]
+                self.bcast_v[respawned] = self.speed[respawned]
+                self.bcast_t[respawned] = n
                 if n >= self.warmup_sf:
                     self.metrics.update_roi(self.pair_dist <= cfg.roi_radius_m)
 
@@ -373,7 +380,7 @@ class Simulation:
                     ue = int(ue)
                     self.pending[ue] = True
                     self.gen_time[ue] = n
-                    if self.grants[ue] is None:
+                    if self.next_tx[ue] < 0:
                         self._select_grant(ue, n)
                     elif pte_fire[ue] and not ready[ue] \
                             and self.next_tx[ue] - n > rate_cfg.pte_wait_limit_ms:
@@ -387,21 +394,19 @@ class Simulation:
             tx_period: list[int] = []
             for ue in np.nonzero(self.next_tx == n)[0]:
                 ue = int(ue)
-                grant = self.grants[ue]
                 skip = not self.pending[ue]
                 if not skip and self._cr_table is not None:
                     # occupancy above its congestion limit: let this occurrence pass
-                    cr = mac_sps.compute_cr(n, self._own_tx_history[ue], grant.period_sf,
-                                            cfg.subchannels)
+                    cr = mac_sps.compute_cr(n, self._own_tx_history[ue],
+                                            int(self.grant_period[ue]), cfg.subchannels)
                     skip = cr > mac_sps.cr_limit(min(self.cbp_pct[ue] / 100.0, 1.0),
                                                  cfg.cbp_limit, self._cr_table)
                 if skip:
-                    self.next_tx[ue] = n + max(1, grant.period_sf)
-                    grant.next_subframe = self.next_tx[ue]
+                    self.next_tx[ue] = n + self.grant_period[ue]
                     continue
                 period = max(1, int(round(self.itt_ms[ue])))
                 tx_ue.append(ue)
-                tx_subch.append(grant.subchannel)
+                tx_subch.append(int(self.grant_subch[ue]))
                 tx_period.append(period)
                 self.pending[ue] = False
                 self.last_tx[ue] = n
@@ -410,14 +415,13 @@ class Simulation:
                 if self._cr_table is not None:
                     self._own_tx_history[ue].append(n)
                     self._own_tx_history[ue] = [t for t in self._own_tx_history[ue] if t > n - 1000]
-                decision = mac_sps.on_transmission(grant, self.rngs.stream("sps", ue), self.sps)
-                if decision is None:
+                slrrc = mac_sps.on_transmission(int(self.slrrc[ue]), self.rngs.stream("sps", ue),
+                                                self.sps)
+                if slrrc is None:
+                    # the new grant's period comes from the same itt_ms as `period`
                     self._select_grant(ue, n)
-                    self.grants[ue] = replace(self.grants[ue], period_sf=period)
                 else:
-                    decision.period_sf = period
-                    decision.next_subframe = n + period
-                    self.grants[ue] = decision
+                    self.slrrc[ue], self.grant_period[ue] = slrrc, period
                     self.next_tx[ue] = n + period
 
             # channel resolution, logging, metrics, sensing
@@ -436,6 +440,6 @@ class Simulation:
         return RunResult(cfg, self.log, self.metrics, self.timeseries, n_ue, observation_s)
 
 
-def run(cfg: RunConfig, vehicles=None) -> RunResult:
+def run(cfg: RunConfig, fleet: mobility.Fleet | None = None) -> RunResult:
     """Build and execute one simulation."""
-    return Simulation(cfg, vehicles).run()
+    return Simulation(cfg, fleet).run()

@@ -2,19 +2,22 @@
 
 Maintains the trailing 1000 ms sensing window, performs resource
 (re)selection from it, manages the reselection counter lifecycle, and
-computes the channel-occupancy ratio and its congestion limit.
+computes the channel-occupancy ratio and its congestion limit.  A grant is
+not an object here: the engine keeps each UE's next occurrence, subchannel,
+period and counter in arrays, `select_resource` returns a (subframe,
+subchannel) pair and `on_transmission` the next counter value.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Csr, RngStream
+from .core import RngStream
 
 
 @dataclass(frozen=True)
@@ -42,16 +45,6 @@ class SpsConfig:
             raise ValueError("keep_fraction must be in (0, 1]")
         if self.rank_average not in ("mw", "db"):
             raise ValueError(f"unknown rank_average {self.rank_average!r}")
-
-
-@dataclass
-class Grant:
-    """A semi-persistent reservation: next occurrence, period, remaining uses."""
-
-    next_subframe: int
-    subchannel: int
-    period_sf: int
-    slrrc: int
 
 
 class ReservationBlock(NamedTuple):
@@ -209,7 +202,7 @@ class SensingWindow(NamedTuple):
 
 @dataclass
 class SelectionResult:
-    candidates: list[Csr]      # surviving, lowest-ranked resources (the keep set)
+    candidates: np.ndarray     # (m, 2) int64 [subframe, subchannel] rows of the keep set
     escalations: int           # number of 3 dB threshold raises that were needed
     threshold_dbm: float       # working exemption threshold actually used
     pool_size: int             # size of the initial candidate set
@@ -310,7 +303,7 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     ranked = ranked[order]
     cut = ranked[min(need, len(ranked)) - 1]
     kept = order[:np.searchsorted(ranked, cut, side="right")]
-    candidates = list(map(Csr._make, zip(ts[t_idx[kept]].tolist(), c_idx[kept].tolist())))
+    candidates = np.column_stack((ts[t_idx[kept]], c_idx[kept]))
     return SelectionResult(candidates, escalations, threshold, pool_size)
 
 
@@ -343,27 +336,29 @@ def _log10(values: np.ndarray) -> np.ndarray:
 
 
 def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: RngStream, *,
-                    n_subch: int | None = None, own_period_sf: int = 100) -> Csr:
-    """Pick uniformly at random from the selection pipeline's candidate set."""
+                    n_subch: int | None = None, own_period_sf: int = 100) -> tuple[int, int]:
+    """Pick uniformly at random from the selection pipeline's candidate set;
+    returns (subframe, subchannel)."""
     result = select_candidates(window, n, cfg, n_subch=n_subch, own_period_sf=own_period_sf)
-    return rng.choice(result.candidates)
+    subframe, subchannel = rng.choice(result.candidates).tolist()
+    return subframe, subchannel
 
 
-def on_transmission(grant: Grant, rng: RngStream, cfg: SpsConfig) -> Grant | None:
-    """Advance the reselection counter after a transmission.
+def on_transmission(slrrc: int, rng: RngStream, cfg: SpsConfig) -> int | None:
+    """Advance a grant's reselection counter after a transmission.
 
-    Returns the updated grant, or None when the reservation must change
+    Returns the new counter, or None when the reservation must change
     (counter expired and the change probability fired).  A kept grant whose
     counter expired gets a fresh counter drawn uniformly from the range.
     """
-    if grant.slrrc < 1:
+    if slrrc < 1:
         raise ValueError("on_transmission called with an expired counter")
-    slrrc = grant.slrrc - 1
+    slrrc -= 1
     if slrrc > 0:
-        return replace(grant, slrrc=slrrc)
+        return slrrc
     if rng.random() < cfg.p_resel:
         return None
-    return replace(grant, slrrc=rng.randint(cfg.slrrc_min, cfg.slrrc_max))
+    return rng.randint(cfg.slrrc_min, cfg.slrrc_max)
 
 
 def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> float:

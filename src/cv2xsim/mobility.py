@@ -2,7 +2,8 @@
 
 Paper-scale presets model a 3.6 km, 12-lane highway at five traffic
 densities; the mini-* presets are desk-scale rings sized so the full test
-suite runs in minutes.
+suite runs in minutes.  A `Fleet` holds every vehicle's position, lane and
+speed as arrays indexed by UE id, and `step` moves them all at once.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import Position, RngStream, RoadGeometry
+import numpy as np
+
+from .core import RngStream, RoadGeometry
 
 
 @dataclass(frozen=True)
@@ -54,64 +57,67 @@ class ScenarioPreset:
 
 
 @dataclass
-class VehicleKinematics:
-    position: Position
-    speed_mps: float        # signed by travel direction
-    nominal_mps: float      # constant cruise speed the perturbation reverts to
-    respawned: bool = False # set for one step when the vehicle re-entered the road
+class Fleet:
+    """Every vehicle's kinematic state, one array entry per vehicle (= UE id)."""
+
+    x: np.ndarray             # metres along the road, float64
+    lane: np.ndarray          # lane index, int
+    speed_mps: np.ndarray     # signed by travel direction, float64
+    nominal_mps: np.ndarray   # cruise speed the perturbation reverts to, float64
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.lane = np.asarray(self.lane, dtype=np.int64)
+        self.speed_mps = np.asarray(self.speed_mps, dtype=np.float64)
+        self.nominal_mps = np.asarray(self.nominal_mps, dtype=np.float64)
+        if not len(self.x) == len(self.lane) == len(self.speed_mps) == len(self.nominal_mps):
+            raise ValueError("fleet arrays must have one entry per vehicle")
 
 
-def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> list[VehicleKinematics]:
+def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> Fleet:
     """Place vehicles uniformly at random per lane at the preset density.
 
-    Half the lanes run in each direction; every vehicle starts at the preset
-    cruise speed with its lane's direction sign.
+    Vehicles are numbered lane by lane.  Half the lanes run in each
+    direction; every vehicle starts at the preset cruise speed with its
+    lane's direction sign.
     """
     count, lanes = preset.vehicle_count, preset.lanes
     length_m = preset.road_length_km * 1000.0
-    speed = preset.speed_kmh / 3.6
     per_lane = [count // lanes + (1 if i < count % lanes else 0) for i in range(lanes)]
-    vehicles = []
-    for lane, k in enumerate(per_lane):
-        direction = 1.0 if lane < lanes // 2 else -1.0
-        for x in rng.uniform_array(0.0, length_m, size=k):
-            vehicles.append(VehicleKinematics(Position(float(x), lane),
-                                              direction * speed, direction * speed))
-    return vehicles
+    x = np.concatenate([rng.uniform_array(0.0, length_m, size=k) for k in per_lane])
+    lane = np.repeat(np.arange(lanes), per_lane)
+    speed = np.where(lane < lanes // 2, 1.0, -1.0) * (preset.speed_kmh / 3.6)
+    return Fleet(x, lane, speed, speed.copy())
 
 
-def step(vehicles: list[VehicleKinematics], dt_s: float, preset: ScenarioPreset,
-         rng: RngStream | None = None) -> list[int]:
-    """Advance all vehicles by dt_s in place; returns indices that respawned.
+def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset,
+         rng: RngStream | None = None) -> np.ndarray:
+    """Advance every vehicle by dt_s in place; returns the indices that respawned.
 
     Vehicles leaving a non-wraparound road re-enter at the opposite end of
     their own lane, which keeps per-lane population (and so density) exact.
     With `speed_sigma` set, speeds follow a mean-reverting walk clamped to
     [0, 1.2x] the nominal magnitude, giving the tracking-error trigger
-    something to react to.
+    something to react to.  One normal draw per vehicle, in vehicle order.
     """
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")
     length_m = preset.road_length_km * 1000.0
-    respawned = []
-    perturb = preset.speed_sigma > 0.0 and rng is not None
-    for i, v in enumerate(vehicles):
-        if perturb:
-            dv = preset.speed_reversion * (v.nominal_mps - v.speed_mps) * dt_s \
-                + preset.speed_sigma * math.sqrt(dt_s) * rng.normal()
-            speed = v.speed_mps + dv
-            cap = 1.2 * abs(v.nominal_mps)
-            sign = 1.0 if v.nominal_mps >= 0 else -1.0
-            v.speed_mps = sign * min(max(sign * speed, 0.0), cap)
-        x = v.position.x + v.speed_mps * dt_s
-        v.respawned = False
-        if preset.wraparound:
-            x %= length_m
-        elif x >= length_m or x < 0.0:
-            x %= length_m
-            v.respawned = True
-            respawned.append(i)
-        v.position = Position(x, v.position.lane)
+    if preset.speed_sigma > 0.0 and rng is not None:
+        nominal, speed = fleet.nominal_mps, fleet.speed_mps
+        dv = preset.speed_reversion * (nominal - speed) * dt_s \
+            + preset.speed_sigma * math.sqrt(dt_s) * rng.normal(size=len(speed))
+        speed = speed + dv
+        cap = 1.2 * np.abs(nominal)
+        sign = np.where(nominal >= 0, 1.0, -1.0)
+        fleet.speed_mps[:] = sign * np.minimum(np.maximum(sign * speed, 0.0), cap)
+    x = fleet.x
+    x += fleet.speed_mps * dt_s
+    if preset.wraparound:
+        x %= length_m
+        return np.zeros(0, dtype=np.int64)
+    respawned = np.flatnonzero((x >= length_m) | (x < 0.0))
+    x[respawned] %= length_m
     return respawned
 
 

@@ -18,19 +18,25 @@ transmission.
 the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
 tables written cell by cell and swept column by column.  `dense_counts`
 lays the sparse ledger's cells out in the same tables.
+
+`Vehicle`, `generate_scenario` and `step` are the vehicle-by-vehicle form
+of `cv2xsim.mobility`: one object per vehicle, moved in a Python loop with
+one scalar normal draw per vehicle.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from cv2xsim.core import Csr
+from cv2xsim.core import RngStream
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.metrics import BinValue, BlindReport, MetricsStore
 from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
+from cv2xsim.mobility import ScenarioPreset
 
 
 class Record(NamedTuple):
@@ -73,12 +79,13 @@ def _projected_candidates(j: int, period: int, lo: int, hi: int):
 
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
                       n_subch: int | None = None, own_period_sf: int = 100) -> SelectionResult:
-    """Resource-by-resource form of `cv2xsim.mac_sps.select_candidates`."""
+    """Resource-by-resource form of `cv2xsim.mac_sps.select_candidates`; its
+    candidates are a list of (subframe, subchannel) tuples."""
     store = window.store
     ue = window.ue_index
     n_subch = store.n_subch if n_subch is None else n_subch
     lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
-    pool = [Csr(t, c) for t in range(lo, hi + 1) for c in range(n_subch)]
+    pool = [(t, c) for t in range(lo, hi + 1) for c in range(n_subch)]
     need = math.ceil(cfg.keep_fraction * len(pool))
     oldest = store.oldest_valid()
 
@@ -93,23 +100,23 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
             if classes.get(key, -math.inf) < rsrp:
                 classes[key] = rsrp
 
-    unsensed_exempt: set[Csr] = set()
+    unsensed_exempt: set[tuple[int, int]] = set()
     if cfg.unsensed_exempt:
         for j in valid_subframes(store, max(oldest, n - store.span), n - 1):
             if not store.sensed[j % store.span, ue]:
                 for t in _projected_candidates(j, own_period_sf, lo, hi):
                     for c in range(n_subch):
-                        unsensed_exempt.add(Csr(t, c))
+                        unsensed_exempt.add((t, c))
 
     threshold = cfg.th_sps_dbm
     escalations = 0
     while True:
-        rsrp_exempt: set[Csr] = set()
+        rsrp_exempt: set[tuple[int, int]] = set()
         for (residue, c, period), rsrp in classes.items():
             if rsrp > threshold:
                 first = lo + (residue - lo) % period
                 for t in range(first, hi + 1, period):
-                    rsrp_exempt.add(Csr(t, c))
+                    rsrp_exempt.add((t, c))
         survivors = [csr for csr in pool if csr not in rsrp_exempt and csr not in unsensed_exempt]
         if len(survivors) >= need:
             break
@@ -121,26 +128,25 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
         threshold += 3.0
         escalations += 1
 
-    ranked = sorted(((_rank_metric(window, csr, cfg, oldest, n - 1),
-                      csr.subframe, csr.subchannel, csr)
-                     for csr in survivors), key=lambda e: e[:3])
+    ranked = sorted(((_rank_metric(window, t, c, cfg, oldest, n - 1), t, c, (t, c))
+                     for t, c in survivors), key=lambda e: e[:3])
     cut = ranked[min(need, len(ranked)) - 1][0]
     kept = [e[3] for e in ranked if e[0] <= cut]
     return SelectionResult(kept, escalations, threshold, len(pool))
 
 
-def _rank_metric(window: SensingWindow, csr: Csr, cfg: SpsConfig, oldest: int,
-                 latest: int) -> float:
+def _rank_metric(window: SensingWindow, subframe: int, subchannel: int, cfg: SpsConfig,
+                 oldest: int, latest: int) -> float:
     """Average S-RSSI over the candidate's past projections, newest first.
     Only subframes strictly before the selection instant count."""
     store, ue = window.store, window.ue_index
     values = []
-    j = csr.subframe - cfg.rank_period_sf
+    j = subframe - cfg.rank_period_sf
     while j >= oldest:
         if j <= latest:
             row = j % store.span
             if store.row_subframe[row] == j and store.sensed[row, ue]:
-                v = float(store.srssi_mw[row, ue, csr.subchannel])
+                v = float(store.srssi_mw[row, ue, subchannel])
                 values.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
         j -= cfg.rank_period_sf
     if not values:
@@ -299,3 +305,51 @@ def dense_counts(store: MetricsStore) -> tuple[np.ndarray, np.ndarray]:
     tx[cells.pair, cells.bin] = cells.tx
     rx[cells.pair, cells.bin] = cells.rx
     return tx, rx
+
+
+@dataclass
+class Vehicle:
+    x: float
+    lane: int
+    speed_mps: float        # signed by travel direction
+    nominal_mps: float      # constant cruise speed the perturbation reverts to
+
+
+def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> list[Vehicle]:
+    """Vehicle-by-vehicle form of `cv2xsim.mobility.generate_scenario`."""
+    count, lanes = preset.vehicle_count, preset.lanes
+    length_m = preset.road_length_km * 1000.0
+    speed = preset.speed_kmh / 3.6
+    per_lane = [count // lanes + (1 if i < count % lanes else 0) for i in range(lanes)]
+    vehicles = []
+    for lane, k in enumerate(per_lane):
+        direction = 1.0 if lane < lanes // 2 else -1.0
+        for x in rng.uniform_array(0.0, length_m, size=k):
+            vehicles.append(Vehicle(float(x), lane, direction * speed, direction * speed))
+    return vehicles
+
+
+def step(vehicles: list[Vehicle], dt_s: float, preset: ScenarioPreset,
+         rng: RngStream | None = None) -> list[int]:
+    """Vehicle-by-vehicle form of `cv2xsim.mobility.step`."""
+    if dt_s <= 0:
+        raise ValueError("dt_s must be positive")
+    length_m = preset.road_length_km * 1000.0
+    respawned = []
+    perturb = preset.speed_sigma > 0.0 and rng is not None
+    for i, v in enumerate(vehicles):
+        if perturb:
+            dv = preset.speed_reversion * (v.nominal_mps - v.speed_mps) * dt_s \
+                + preset.speed_sigma * math.sqrt(dt_s) * rng.normal()
+            speed = v.speed_mps + dv
+            cap = 1.2 * abs(v.nominal_mps)
+            sign = 1.0 if v.nominal_mps >= 0 else -1.0
+            v.speed_mps = sign * min(max(sign * speed, 0.0), cap)
+        x = v.x + v.speed_mps * dt_s
+        if preset.wraparound:
+            x %= length_m
+        elif x >= length_m or x < 0.0:
+            x %= length_m
+            respawned.append(i)
+        v.x = x
+    return respawned

@@ -111,6 +111,19 @@ class TestResolveSubframe:
         assert [o for o, _, _ in links_to(res, txs, 2).values()] == [Outcome.DECODED] * 2
         assert res.is_transmitting.tolist() == [True, True, False]
 
+    def test_srssi_excludes_own_signal(self):
+        # UEs 2 and 1 share subchannel 0; each one's S-RSSI is the noise
+        # plus the other's arrival, never its own (UE ids differ from the
+        # transmission rows so a mix-up between them shows)
+        m = clean_model()
+        txs = [(2, 0, 23.0), (1, 0, 20.0)]
+        res = resolve(txs, [(0.0, 0), (50.0, 0), (120.0, 1)], m, RngStream(1, "shadow"))
+        arrival_mw = 10.0 ** (res.rx_power_dbm / 10.0)
+        assert res.srssi_mw[2, 0] == pytest.approx(m.noise_mw + arrival_mw[1, 2], rel=1e-12)
+        assert res.srssi_mw[1, 0] == pytest.approx(m.noise_mw + arrival_mw[0, 1], rel=1e-12)
+        assert res.srssi_mw[0, 0] == pytest.approx(m.noise_mw + arrival_mw[:, 0].sum(), rel=1e-12)
+        assert res.srssi_mw[:, 1].tolist() == [m.noise_mw] * 3
+
     def test_equidistant_equal_power_collision(self):
         # signal == interference gives SINR below 1 before noise
         m = clean_model(sinr_threshold_db=2.5)

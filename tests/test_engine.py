@@ -6,10 +6,9 @@ import pytest
 import oracles
 from cv2xsim import config, metrics
 from cv2xsim.channel import ChannelModel, Outcome
-from cv2xsim.core import Position
 from cv2xsim.dcc import DccScheme, RangeControlConfig, RateControlConfig, scheme_by_name
 from cv2xsim.engine import RunConfig, Simulation, run
-from cv2xsim.mobility import ScenarioPreset, generate_scenario
+from cv2xsim.mobility import Fleet, ScenarioPreset
 
 
 def quiet_channel():
@@ -22,23 +21,18 @@ def make_cfg(preset, scheme="baseline", seed=1, duration=2.0, warmup=1.0, **kw):
                      warmup_s=warmup, seed=seed, **kw)
 
 
-def stationary(preset, positions):
-    vehicles = generate_scenario(preset, __import__("cv2xsim").core.RngStream(1, "mobility"))
-    out = []
-    for (x, lane), v in zip(positions, vehicles):
-        v.position = Position(x, lane)
-        v.speed_mps = 0.0
-        v.nominal_mps = 0.0
-        out.append(v)
-    return out[:len(positions)]
+def stationary(positions):
+    """A fleet parked at (x, lane) positions."""
+    xs, lanes = zip(*positions)
+    return Fleet(xs, lanes, [0.0] * len(xs), [0.0] * len(xs))
 
 
 class TestSingleUe:
     def test_ten_transmissions_per_second(self):
         preset = ScenarioPreset("solo", 1, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=1.0, warmup=0.5, seed=3, channel=quiet_channel())
-        vehicles = stationary(preset, [(500.0, 0)])
-        res = run(cfg, vehicles)
+        fleet = stationary([(500.0, 0)])
+        res = run(cfg, fleet)
         events = res.event_log.tx_events
         # pinned seed gives a first grant inside the first 100 ms
         assert events["subframe"][0] <= 99
@@ -52,9 +46,9 @@ class TestTwoUes:
     def build(self, seed=2, duration=20.0):
         preset = ScenarioPreset("pair", 2, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=duration, warmup=10.0, seed=seed,
-                       channel=quiet_channel(), log_rx_outcomes=True)
-        vehicles = stationary(preset, [(400.0, 0), (450.0, 0)])
-        return run(cfg, vehicles)
+                       channel=quiet_channel())
+        fleet = stationary([(400.0, 0), (450.0, 0)])
+        return run(cfg, fleet)
 
     def test_clean_pair_delivery(self):
         res = self.build()
@@ -69,26 +63,32 @@ class TestTwoUes:
         mean_gap = float(np.mean(stats.ecdf_gaps_ms))
         assert mean_gap == pytest.approx(100.0, abs=2.0)
 
-    @staticmethod
-    def rx_links(res):
+
+class TestHalfDuplexLog:
+    """A UE that sends in a subframe hears nobody in it.  A busy ring, so
+    that UEs share subframes (a two-UE run never does, see TestTwoUes)."""
+
+    @pytest.fixture(scope="class")
+    def links(self):
         """(outcome, whether the receiver also sent in that subframe) per rx row."""
+        preset = ScenarioPreset("busy", 30, 30.0, road_length_km=0.4, lanes=4,
+                                wraparound=True, region="full")
+        res = run(make_cfg(preset, duration=1.0, warmup=0.5, seed=8, log_rx_outcomes=True))
         events, rx = res.event_log.tx_events, res.event_log.rx_records
         sent = set(zip(events["subframe"].tolist(), events["ue"].tolist()))
         subframes = events["subframe"][rx["tx_event_id"]].tolist()
         return [(o, (sf, r) in sent) for sf, r, o in
                 zip(subframes, rx["rx_ue"].tolist(), rx["outcome"].tolist())]
 
-    def test_half_duplex_detectable_in_log(self):
-        links = self.rx_links(self.build())
-        assert links
+    def test_half_duplex_detectable_in_log(self, links):
+        assert any(also_sent for _, also_sent in links)
         for outcome, also_sent in links:
             if also_sent:
                 assert outcome == Outcome.HALF_DUPLEX_BLOCKED
 
-    def test_transmitter_never_decodes_same_subframe(self):
-        for outcome, also_sent in self.rx_links(self.build()):
-            if also_sent:
-                assert outcome != Outcome.DECODED
+    def test_transmitter_never_decodes_same_subframe(self, links):
+        busy = [outcome for outcome, also_sent in links if also_sent]
+        assert busy and Outcome.DECODED not in busy
 
 
 class TestDeterminism:
@@ -128,8 +128,8 @@ class TestEngineInvariants:
         preset = ScenarioPreset("edges", 4, 0.0, road_length_km=3.0, lanes=2,
                                 region="middle-third")
         cfg = make_cfg(preset, duration=3.0, warmup=1.0, seed=4, channel=quiet_channel())
-        vehicles = stationary(preset, [(100.0, 0), (150.0, 0), (1500.0, 0), (1550.0, 0)])
-        res = run(cfg, vehicles)
+        fleet = stationary([(100.0, 0), (150.0, 0), (1500.0, 0), (1550.0, 0)])
+        res = run(cfg, fleet)
         attempts = oracles.dense_counts(res.metrics)[0].sum(axis=1).reshape(4, 4)
         assert attempts[0].sum() == 0 and attempts[1].sum() == 0    # outside the region
         assert attempts[2].sum() > 0 and attempts[3].sum() > 0
@@ -139,7 +139,7 @@ class TestEngineInvariants:
         preset = ScenarioPreset("bounds", 5, 0.0, lanes=2, region="middle-third")
         cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=4, channel=quiet_channel())
         xs = [1800.0, 500.0, 1200.0, 2400.0, 2400.1]
-        res = run(cfg, stationary(preset, [(x, 0) for x in xs]))
+        res = run(cfg, stationary([(x, 0) for x in xs]))
         attempts = oracles.dense_counts(res.metrics)[0].sum(axis=1).reshape(5, 5).sum(axis=1)
         assert (attempts > 0).tolist() == [True, False, True, True, False]
 
@@ -147,7 +147,7 @@ class TestEngineInvariants:
         preset = ScenarioPreset("ring-ends", 2, 0.0, road_length_km=1.2, lanes=2,
                                 wraparound=True, region="full")
         cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=4, channel=quiet_channel())
-        res = run(cfg, stationary(preset, [(0.0, 0), (1199.0, 0)]))
+        res = run(cfg, stationary([(0.0, 0), (1199.0, 0)]))
         attempts = oracles.dense_counts(res.metrics)[0].sum(axis=1).reshape(2, 2)
         assert attempts[0, 1] > 0 and attempts[1, 0] > 0
 
@@ -156,7 +156,7 @@ class TestEngineInvariants:
         # one re-aligning transmission right after each reselection
         preset = ScenarioPreset("pairq", 2, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=5.0, warmup=1.0, seed=2, channel=quiet_channel())
-        res = run(cfg, stationary(preset, [(400.0, 0), (450.0, 0)]))
+        res = run(cfg, stationary([(400.0, 0), (450.0, 0)]))
         delays = res.event_log.tx_events["queue_delay_ms"].tolist()
         assert all(0 <= d <= 100 for d in delays)
         assert delays.count(0) / len(delays) > 0.8
@@ -179,19 +179,14 @@ class TestPteTrigger:
                                 speed_sigma=speed_sigma, speed_reversion=0.2)
         rate = RateControlConfig(density_coefficient=0.01)
         scheme = DccScheme(name="dcc-pte", rate=rate, range=RangeControlConfig())
-        vehicles = generate_scenario(preset, __import__("cv2xsim").core.RngStream(1, "m"))
         v = preset.speed_kmh / 3.6
-        for i, veh in enumerate(vehicles):
-            veh.position = Position(500.0 + 20.0 * i, 0)
-            veh.speed_mps = v
-            veh.nominal_mps = v
-        return preset, scheme, vehicles
+        return preset, scheme, Fleet([500.0, 520.0], [0, 0], [v, v], [v, v])
 
     def test_speed_perturbation_forces_extra_broadcasts(self):
-        preset, scheme, vehicles = self.wobbly_pair(speed_sigma=6.0)
+        preset, scheme, fleet = self.wobbly_pair(speed_sigma=6.0)
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
-        res = run(cfg, vehicles)
+        res = run(cfg, fleet)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         # the 600 ms cadence alone would give roughly ten broadcasts per UE
         assert max(per_ue.values()) > 15
@@ -202,20 +197,20 @@ class TestPteTrigger:
         assert any(np.min(np.diff(g)) < 300 for g in gaps.values() if len(g) > 1)
 
     def test_constant_speed_never_triggers(self):
-        preset, scheme, vehicles = self.wobbly_pair(speed_sigma=0.0)
+        preset, scheme, fleet = self.wobbly_pair(speed_sigma=0.0)
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
-        res = run(cfg, vehicles)
+        res = run(cfg, fleet)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 11
 
     def test_disabled_trigger_ignores_tracking_error(self):
-        preset, scheme, vehicles = self.wobbly_pair(speed_sigma=6.0)
+        preset, scheme, fleet = self.wobbly_pair(speed_sigma=6.0)
         scheme = DccScheme(name="dcc-no-pte", range=scheme.range,
                            rate=RateControlConfig(density_coefficient=0.01, pte_enabled=False))
         cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
                        channel=quiet_channel())
-        res = run(cfg, vehicles)
+        res = run(cfg, fleet)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 11
 
@@ -235,12 +230,12 @@ class TestCrLimit:
     def test_occupancy_cap_skips_transmissions(self):
         preset = ScenarioPreset("capped", 3, 0.0, road_length_km=1.0, lanes=2, region="full")
         base = make_cfg(preset, duration=4.0, warmup=1.0, seed=3, channel=quiet_channel())
-        free = run(base, stationary(preset, [(100.0, 0), (150.0, 0), (200.0, 0)]))
+        free = run(base, stationary([(100.0, 0), (150.0, 0), (200.0, 0)]))
         capped_cfg = make_cfg(preset, duration=4.0, warmup=1.0, seed=3,
                               channel=quiet_channel(), cr_limit_enabled=True,
                               cbp_limit=0.0001,
                               cr_calibration=((0.0, 1000.0), (1.0, 1000.0)))
-        capped = run(capped_cfg, stationary(preset, [(100.0, 0), (150.0, 0), (200.0, 0)]))
+        capped = run(capped_cfg, stationary([(100.0, 0), (150.0, 0), (200.0, 0)]))
         assert len(capped.event_log.tx_events) < len(free.event_log.tx_events)
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from sensing import NOISE_MW, build_window, recorded_count
 
-from cv2xsim.core import Csr, RngStream
-from cv2xsim.mac_sps import (CbpDensityTable, Grant, ReservationBlock, SensingStore,
+from cv2xsim.core import RngStream
+from cv2xsim.mac_sps import (CbpDensityTable, ReservationBlock, SensingStore,
                              SensingWindow, SpsConfig, _rank_metric, compute_cr, cr_limit,
                              on_transmission, select_candidates, select_resource)
 
@@ -68,32 +68,30 @@ class TestOnTransmission:
     CFG = SpsConfig()
 
     def test_plain_decrement(self):
-        g = Grant(100, 0, 100, 5)
-        out = on_transmission(g, RngStream(1, "sps", 0), self.CFG)
-        assert out is not None and out.slrrc == 4
+        assert on_transmission(5, RngStream(1, "sps", 0), self.CFG) == 4
 
     def test_forced_change(self):
         cfg = SpsConfig(p_resel=1.0)
         for seed in range(20):
-            assert on_transmission(Grant(0, 0, 100, 1), RngStream(seed, "sps"), cfg) is None
+            assert on_transmission(1, RngStream(seed, "sps"), cfg) is None
 
     def test_expiry_draws_fresh_counter(self):
         cfg = SpsConfig(p_resel=0.0)
         for seed in range(20):
-            out = on_transmission(Grant(0, 0, 100, 1), RngStream(seed, "sps"), cfg)
-            assert out is not None and cfg.slrrc_min <= out.slrrc <= cfg.slrrc_max
+            out = on_transmission(1, RngStream(seed, "sps"), cfg)
+            assert out is not None and cfg.slrrc_min <= out <= cfg.slrrc_max
 
     def test_change_probability_monte_carlo(self):
         cfg = SpsConfig(p_resel=0.2)
         rng = RngStream(9, "sps")
         trials = 100_000
-        changed = sum(on_transmission(Grant(0, 0, 100, 1), rng, cfg) is None
+        changed = sum(on_transmission(1, rng, cfg) is None
                       for _ in range(trials))
         assert changed / trials == pytest.approx(0.2, abs=0.01)
 
     def test_expired_counter_rejected(self):
         with pytest.raises(ValueError):
-            on_transmission(Grant(0, 0, 100, 0), RngStream(1, "sps"), self.CFG)
+            on_transmission(0, RngStream(1, "sps"), self.CFG)
 
     def test_expected_transmissions_per_reservation(self):
         # mean grant lifetime = E[slrrc] / p_resel
@@ -102,11 +100,11 @@ class TestOnTransmission:
         total = 0
         lifetimes = 10_000
         for _ in range(lifetimes):
-            g = Grant(0, 0, 100, rng.randint(cfg.slrrc_min, cfg.slrrc_max))
+            slrrc = rng.randint(cfg.slrrc_min, cfg.slrrc_max)
             while True:
                 total += 1
-                g = on_transmission(g, rng, cfg)
-                if g is None:
+                slrrc = on_transmission(slrrc, rng, cfg)
+                if slrrc is None:
                     break
         expected = 10.0 / 0.2
         assert total / lifetimes == pytest.approx(expected, rel=0.05)
@@ -273,10 +271,10 @@ class TestSelection:
         rnd = random.Random(5)
         for _ in range(50):
             w, n, cfg, n_subch, own = random_instance(rnd)
-            csr = select_resource(w, n, cfg, RngStream(rnd.randrange(999), "sps"),
-                                  n_subch=n_subch, own_period_sf=own)
-            assert n + cfg.t1_sf <= csr.subframe <= n + cfg.t2_sf
-            assert 0 <= csr.subchannel < n_subch
+            subframe, subch = select_resource(w, n, cfg, RngStream(rnd.randrange(999), "sps"),
+                                              n_subch=n_subch, own_period_sf=own)
+            assert n + cfg.t1_sf <= subframe <= n + cfg.t2_sf
+            assert 0 <= subch < n_subch
 
     def test_saturated_reservations_escalate(self):
         # period-1 reservations above threshold on both subchannels cover
@@ -323,7 +321,7 @@ class TestSelection:
         w = build_window(records, span=30)
         cfg = toy_cfg(rank_period_sf=5, unsensed_exempt=False)
         result = select_candidates(w, 10, cfg, n_subch=2, own_period_sf=5)
-        assert (14, 0) not in {(c.subframe, c.subchannel) for c in result.candidates}
+        assert [14, 0] not in result.candidates.tolist()
 
     def test_unsensed_subframe_exempts_projection(self):
         records = []
@@ -333,7 +331,7 @@ class TestSelection:
         w = build_window(records, span=30)
         cfg = toy_cfg(unsensed_exempt=True)
         result = select_candidates(w, 10, cfg, n_subch=2, own_period_sf=5)
-        picked = {(c.subframe, c.subchannel) for c in result.candidates}
+        picked = set(map(tuple, result.candidates.tolist()))
         # 14 and 19 project onto the unsensed subframe 4 with period 5
         assert not ({(14, 0), (14, 1), (19, 0), (19, 1)} & picked)
         relaxed = select_candidates(w, 10, toy_cfg(unsensed_exempt=False),
@@ -353,13 +351,13 @@ class TestSelection:
         for _ in range(200):
             w, n, cfg, n_subch, own = random_instance(rnd)
             result = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own)
-            got = {(c.subframe, c.subchannel) for c in result.candidates}
+            got = set(map(tuple, result.candidates.tolist()))
             want = oracle_candidates(w, n, cfg, n_subch, own)
             assert got == want
             escalated += result.escalations > 0
             choice = select_resource(w, n, cfg, RngStream(7, "sps"),
                                      n_subch=n_subch, own_period_sf=own)
-            assert (choice.subframe, choice.subchannel) in want
+            assert choice in want
         assert escalated > 0
 
 
@@ -451,18 +449,19 @@ def test_selection_matches_reference(history):
     w = SensingWindow(store, ue)
     got = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own_period)
     want = oracles.select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own_period)
-    assert got.candidates == want.candidates
-    assert all(type(t) is int and type(c) is int for t, c in got.candidates)
+    assert got.candidates.dtype == np.int64 and got.candidates.shape == (len(want.candidates), 2)
+    assert list(map(tuple, got.candidates.tolist())) == want.candidates
     assert (got.escalations, got.threshold_dbm, got.pool_size) == \
         (want.escalations, want.threshold_dbm, want.pool_size)
     pick = select_resource(w, n, cfg, RngStream(7, "sps"), n_subch=n_subch,
                            own_period_sf=own_period)
     assert pick == RngStream(7, "sps").choice(want.candidates)
+    assert all(type(v) is int for v in pick)
     # every pool cell's ranking average, bit for bit
     ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)
     oldest = store.oldest_valid()
     metric = _rank_metric(store, ue, ts, store.n_subch, cfg, oldest, n - 1)
-    assert metric.tolist() == [[oracles._rank_metric(w, Csr(int(t), c), cfg, oldest, n - 1)
+    assert metric.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
                                 for c in range(store.n_subch)] for t in ts]
 
 

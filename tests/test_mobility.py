@@ -1,9 +1,12 @@
-import collections
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cv2xsim.core import RngStream
-from cv2xsim.mobility import PRESETS, ScenarioPreset, generate_scenario, preset_by_name, step
+from cv2xsim.mobility import (PRESETS, Fleet, ScenarioPreset, generate_scenario,
+                              preset_by_name, step)
 
 
 class TestPresets:
@@ -48,90 +51,134 @@ class TestPresets:
 class TestGenerateScenario:
     def test_count_and_lane_split(self):
         p = preset_by_name("freeway-high")
-        vehicles = generate_scenario(p, RngStream(1, "mobility"))
-        assert len(vehicles) == 300
-        per_lane = collections.Counter(v.position.lane for v in vehicles)
-        assert all(per_lane[lane] == 25 for lane in range(12))
-        for v in vehicles:
-            assert 0.0 <= v.position.x <= 3600.0
-            expected = p.speed_kmh / 3.6
-            assert abs(v.speed_mps) == pytest.approx(expected)
-            assert (v.speed_mps > 0) == (v.position.lane < 6)
+        fleet = generate_scenario(p, RngStream(1, "mobility"))
+        assert len(fleet.x) == 300
+        assert np.bincount(fleet.lane).tolist() == [25] * 12
+        assert np.all((0.0 <= fleet.x) & (fleet.x <= 3600.0))
+        assert np.allclose(np.abs(fleet.speed_mps), p.speed_kmh / 3.6)
+        assert np.array_equal(fleet.speed_mps > 0, fleet.lane < 6)
+        assert np.array_equal(fleet.nominal_mps, fleet.speed_mps)
 
     def test_reproducible_placement(self):
         p = preset_by_name("mini-low")
         a = generate_scenario(p, RngStream(4, "mobility"))
         b = generate_scenario(p, RngStream(4, "mobility"))
-        assert [v.position.x for v in a] == [v.position.x for v in b]
+        assert a.x.tolist() == b.x.tolist()
+
+    @pytest.mark.parametrize("p", [
+        preset_by_name("freeway-high"), preset_by_name("mini-low"), preset_by_name("mini-oversat"),
+        ScenarioPreset("sparse", 5, 70.0, road_length_km=1.0, lanes=12)],   # empty lanes
+        ids=lambda p: p.name)
+    def test_matches_reference(self, p):
+        fleet = generate_scenario(p, RngStream(5, "mobility"))
+        want = oracles.generate_scenario(p, RngStream(5, "mobility"))
+        assert fleet.x.tolist() == [v.x for v in want]
+        assert fleet.lane.tolist() == [v.lane for v in want]
+        assert fleet.speed_mps.tolist() == [v.speed_mps for v in want]
+        assert fleet.nominal_mps.tolist() == [v.nominal_mps for v in want]
+
 
 
 class TestStep:
     def test_displacement_unit_conversion(self):
         p = ScenarioPreset("one", 2, 140.0, road_length_km=10.0, lanes=2)
-        vehicles = generate_scenario(p, RngStream(1, "mobility"))
-        x0 = [v.position.x for v in vehicles]
-        step(vehicles, 0.1, p)
+        fleet = generate_scenario(p, RngStream(1, "mobility"))
+        x0 = fleet.x.copy()
+        step(fleet, 0.1, p)
         # 140 km/h over 0.1 s, signed by lane direction
-        assert vehicles[0].position.x - x0[0] == pytest.approx(3.889, abs=1e-3)
-        assert vehicles[1].position.x - x0[1] == pytest.approx(-3.889, abs=1e-3)
+        assert fleet.x[0] - x0[0] == pytest.approx(3.889, abs=1e-3)
+        assert fleet.x[1] - x0[1] == pytest.approx(-3.889, abs=1e-3)
 
     def test_zero_speed_stays_put(self):
         p = preset_by_name("mini-low")
-        vehicles = generate_scenario(p, RngStream(1, "mobility"))
-        for v in vehicles:
-            v.speed_mps = 0.0
-        xs = [v.position.x for v in vehicles]
-        step(vehicles, 1.0, p)
-        assert [v.position.x for v in vehicles] == xs
+        fleet = generate_scenario(p, RngStream(1, "mobility"))
+        fleet.speed_mps[:] = 0.0
+        xs = fleet.x.tolist()
+        step(fleet, 1.0, p)
+        assert fleet.x.tolist() == xs
 
     def test_population_and_lane_conserved_with_respawn(self):
         p = ScenarioPreset("short", 60, 140.0, road_length_km=0.5, lanes=6)
-        vehicles = generate_scenario(p, RngStream(2, "mobility"))
-        lanes_before = collections.Counter(v.position.lane for v in vehicles)
+        fleet = generate_scenario(p, RngStream(2, "mobility"))
+        lanes_before = fleet.lane.tolist()
+        respawns = 0
         for _ in range(200):
-            step(vehicles, 0.1, p)
-        assert len(vehicles) == 60
-        assert collections.Counter(v.position.lane for v in vehicles) == lanes_before
-        assert all(0.0 <= v.position.x <= 500.0 for v in vehicles)
+            respawns += len(step(fleet, 0.1, p))
+        assert len(fleet.x) == 60 and respawns > 0
+        assert fleet.lane.tolist() == lanes_before
+        assert np.all((0.0 <= fleet.x) & (fleet.x <= 500.0))
 
-    def test_respawn_flag_set_once(self):
-        p = ScenarioPreset("tiny", 1, 140.0, road_length_km=0.1, lanes=1)
-        vehicles = generate_scenario(p, RngStream(3, "mobility"))
-        seen = False
-        for _ in range(50):
-            respawned = step(vehicles, 0.1, p)
-            if respawned:
-                seen = True
-                assert vehicles[0].respawned
-        assert seen
+    def test_respawned_indices(self):
+        # only the vehicles that left the road come back, each at the
+        # opposite end of its own lane
+        p = ScenarioPreset("ends", 4, 0.0, road_length_km=0.1, lanes=1)
+        fleet = Fleet([99.0, 50.0, 1.0, 99.5], [0] * 4, [20.0, 20.0, -20.0, 0.0],
+                      [20.0, 20.0, -20.0, 0.0])
+        respawned = step(fleet, 0.1, p)
+        assert respawned.tolist() == [0, 2]
+        assert fleet.x.tolist() == pytest.approx([1.0, 52.0, 99.0, 99.5])
+        assert step(fleet, 0.1, p).tolist() == []
 
     def test_linear_trajectory_without_perturbation(self):
         p = ScenarioPreset("line", 5, 70.0, road_length_km=100.0, lanes=1)
-        vehicles = generate_scenario(p, RngStream(7, "mobility"))
-        x0 = [v.position.x for v in vehicles]
-        v0 = [v.speed_mps for v in vehicles]
+        fleet = generate_scenario(p, RngStream(7, "mobility"))
+        x0, v0 = fleet.x.copy(), fleet.speed_mps.copy()
         for k in range(100):
-            step(vehicles, 0.1, p)
-        for i, v in enumerate(vehicles):
-            assert v.position.x == pytest.approx(x0[i] + v0[i] * 10.0, abs=1e-6)
+            step(fleet, 0.1, p)
+        assert fleet.x == pytest.approx(x0 + v0 * 10.0, abs=1e-6)
 
     def test_perturbation_respects_speed_cap(self):
         p = ScenarioPreset("wobble", 20, 70.0, road_length_km=5.0, lanes=2,
                            speed_sigma=5.0, speed_reversion=0.5)
-        vehicles = generate_scenario(p, RngStream(8, "mobility"))
+        fleet = generate_scenario(p, RngStream(8, "mobility"))
         rng = RngStream(8, "perturb")
         moved = False
         for _ in range(300):
-            step(vehicles, 0.1, p, rng)
-            for v in vehicles:
-                assert 0.0 <= abs(v.speed_mps) <= 1.2 * abs(v.nominal_mps) + 1e-9
-                moved = moved or v.speed_mps != v.nominal_mps
+            step(fleet, 0.1, p, rng)
+            assert np.all(np.abs(fleet.speed_mps) <= 1.2 * np.abs(fleet.nominal_mps) + 1e-9)
+            assert np.all(np.sign(fleet.speed_mps) * np.sign(fleet.nominal_mps) >= 0)
+            moved = moved or bool(np.any(fleet.speed_mps != fleet.nominal_mps))
         assert moved
 
     def test_bad_dt(self):
         p = preset_by_name("mini-low")
         with pytest.raises(ValueError):
-            step([], 0.0, p)
+            step(Fleet([], [], [], []), 0.0, p)
+
+    def test_mismatched_fleet_arrays_rejected(self):
+        with pytest.raises(ValueError, match="one entry per vehicle"):
+            Fleet([1.0, 2.0], [0], [0.0, 0.0], [0.0, 0.0])
+
+
+ROAD_M = 200.0
+# positions on and next to both road ends, plus anywhere on the road
+positions = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-9, 0.5, ROAD_M - 0.5, ROAD_M - 1e-9,
+                     float(np.nextafter(ROAD_M, 0.0))]),
+    st.floats(0.0, ROAD_M, exclude_max=True))
+speeds = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-60.0, 60.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(positions, st.integers(0, 3), speeds, speeds), min_size=1,
+                max_size=40),
+       st.booleans(), st.sampled_from([0.0, 0.3, 4.0]), st.floats(0.0, 2.0),
+       st.booleans(), st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_step_matches_reference(vehicles, wraparound, sigma, reversion, with_rng, dt_s,
+                                steps, seed):
+    p = ScenarioPreset("prop", len(vehicles), 0.0, road_length_km=ROAD_M / 1000.0, lanes=4,
+                       wraparound=wraparound, speed_sigma=sigma, speed_reversion=reversion)
+    fleet = Fleet(*map(list, zip(*vehicles)))
+    want = [oracles.Vehicle(*v) for v in vehicles]
+    rng, want_rng = (RngStream(seed, "perturb"), RngStream(seed, "perturb")) if with_rng \
+        else (None, None)
+    for _ in range(steps):
+        respawned = step(fleet, dt_s, p, rng)
+        assert respawned.tolist() == oracles.step(want, dt_s, p, want_rng)
+        # bit for bit, including the sign of zero
+        assert fleet.x.tobytes() == np.array([v.x for v in want]).tobytes()
+        assert fleet.speed_mps.tobytes() == np.array([v.speed_mps for v in want]).tobytes()
 
 
 class TestMeasurementRegion:
