@@ -24,7 +24,7 @@ import numpy as np
 from . import dcc, mac_sps, metrics, mobility
 from .channel import ChannelModel, Outcome, resolve_subframe
 from .core import RngPool
-from .mac_sps import ReservationBlock, SensingStore, SensingWindow, SpsConfig
+from .mac_sps import SensingStore, SensingWindow, SpsConfig
 
 # One event-log row per transmission, fields in the order `EventLog.digest`
 # hashes them; the row index is the event id.
@@ -84,10 +84,10 @@ class RunConfig:
         three float64 arrays that recompute it on each mobility tick, the
         ledger's `last_rx_ms`, `roi_always` and the mask ANDed into it, and
         the static shadowing draws when enabled.  Sensing: the (span, n,
-        subchannels) S-RSSI ring and the reservation ring's float32 RSRP cell
-        per receiver and record, at one record per vehicle per 100 ms (the
-        shortest inter-transmit time) and twice that for the ring's doubling.
-        The event log's tx rows, at that same rate over the whole run.
+        subchannels) rings of S-RSSI (float64), reservation RSRP (float32)
+        and period (int32), and the (span, n) sensed mask.  The event log's
+        tx rows, at one per vehicle per 100 ms (the shortest inter-transmit
+        time) over the whole run.
 
         `run.log_rx_outcomes`: one rx row per tx row and other vehicle.
 
@@ -99,8 +99,7 @@ class RunConfig:
         if self.channel.shadowing_mode == "static" and self.channel.shadowing_sigma_db > 0:
             per_pair += 8
         span = self.sps.sensing_window_sf
-        records = n * span // 100
-        sensing = span * n * (8 * self.subchannels + 1) + 2 * records * n * 4
+        sensing = span * n * (8 * self.subchannels + 1 + 8 * self.subchannels)
         tx_rows = n * int(round(self.duration_s * 1000)) // 100
         rx_rows = tx_rows * (n - 1) if self.log_rx_outcomes else 0
         return {
@@ -239,9 +238,7 @@ class Simulation:
         self.bcast_v = self.speed.copy()
         self.bcast_t = np.zeros(n, dtype=np.int64)
 
-        self.store = SensingStore(n, cfg.subchannels, sps.sensing_window_sf,
-                                  cfg.channel.noise_mw, keep_rsrp_above_dbm=sps.th_sps_dbm)
-        self.windows = [SensingWindow(self.store, i) for i in range(n)]
+        self.store = SensingStore(n, cfg.subchannels, sps.sensing_window_sf, cfg.channel.noise_mw)
         self._noise_matrix = np.full((n, cfg.subchannels), cfg.channel.noise_mw)
         self._all_sensed = np.ones(n, dtype=bool)
 
@@ -273,9 +270,8 @@ class Simulation:
 
     def _select_grant(self, ue: int, n: int) -> None:
         period = max(1, int(round(self.itt_ms[ue])))
-        subframe, subch = mac_sps.select_resource(self.windows[ue], n, self.sps,
+        subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, self.sps,
                                                   self.rngs.stream("sps", ue),
-                                                  n_subch=self.cfg.subchannels,
                                                   own_period_sf=period)
         slrrc = self.rngs.stream("sps", ue).randint(self.sps.slrrc_min, self.sps.slrrc_max)
         self.next_tx[ue], self.grant_subch[ue] = subframe, subch
@@ -319,10 +315,9 @@ class Simulation:
 
         sensed = self._all_sensed.copy()
         sensed[tx_ue] = False
-        reservations = ReservationBlock(
-            tx_subch, tx_period,
-            np.where(res.outcome == Outcome.DECODED, res.rx_power_dbm, -np.inf).astype(np.float32))
-        self.store.record_subframe(n, res.srssi_mw, sensed, reservations)
+        t, r = np.nonzero(res.outcome == Outcome.DECODED)
+        self.store.record_subframe(n, res.srssi_mw, sensed,
+                                   (r, tx_subch[t], tx_period[t], res.rx_power_dbm[t, r]))
 
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue

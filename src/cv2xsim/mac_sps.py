@@ -11,7 +11,6 @@ subchannel) pair and `on_transmission` the next counter value.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,135 +46,50 @@ class SpsConfig:
             raise ValueError(f"unknown rank_average {self.rank_average!r}")
 
 
-class ReservationBlock(NamedTuple):
-    """The decoded transmissions of one subframe, as columns.
-
-    Row k of `rsrp_dbm` is transmission k as seen by every receiver: its
-    PSSCH-RSRP where that receiver decoded it, -inf where it did not.
-    """
-
-    subchannel: np.ndarray   # (k,) int
-    period_sf: np.ndarray    # (k,) int, announced reservation period
-    rsrp_dbm: np.ndarray     # (k, n_ue) float32
-
-
-class ReservationColumns:
-    """Decoded reservations of the sensing window, one column per record.
-
-    A ring of `capacity` slots holding `subframe`, `subchannel` and `period`
-    (int64) per record and a (n_ue, capacity) float32 RSRP block whose cells
-    are -inf for receivers that did not decode the record.  Live records
-    occupy `head`, `head + 1`, ... (mod capacity) in arrival order; the ring
-    doubles when an append would overflow it.  Slots never written carry
-    subframe -1 and evicted slots keep their old subframe, so a reader that
-    restricts subframes to the sensing window needs no other liveness test.
-    """
-
-    def __init__(self, n_ue: int, capacity: int = 64):
-        self.subframe = np.full(capacity, -1, dtype=np.int64)
-        self.subchannel = np.zeros(capacity, dtype=np.int64)
-        self.period = np.ones(capacity, dtype=np.int64)
-        self.rsrp_dbm = np.full((n_ue, capacity), -np.inf, dtype=np.float32)
-        self.head = 0
-        self.size = 0
-        self._arrivals: deque[list[int]] = deque()   # [subframe, count] per append
-
-    def __len__(self) -> int:
-        return self.size
-
-    def append(self, subframe: int, subchannel: np.ndarray, period: np.ndarray,
-               rsrp_dbm: np.ndarray) -> None:
-        """Add k records decoded at `subframe`; `rsrp_dbm` is (n_ue, k)."""
-        k = len(subchannel)
-        if k == 0:
-            return
-        if self.size + k > len(self.subframe):
-            self._grow(max(2 * len(self.subframe), self.size + k))
-        cap = len(self.subframe)
-        end = (self.head + self.size) % cap
-        if end + k <= cap:
-            pieces = ((slice(end, end + k), slice(0, k)),)
-        else:
-            split = cap - end
-            pieces = ((slice(end, cap), slice(0, split)), (slice(0, k - split), slice(split, k)))
-        for dst, src in pieces:
-            self.subframe[dst] = subframe
-            self.subchannel[dst] = subchannel[src]
-            self.period[dst] = period[src]
-            self.rsrp_dbm[:, dst] = rsrp_dbm[:, src]
-        self.size += k
-        self._arrivals.append([subframe, k])
-
-    def evict_through(self, horizon: int) -> None:
-        """Drop every record decoded at or before subframe `horizon`."""
-        while self._arrivals and self._arrivals[0][0] <= horizon:
-            _, k = self._arrivals.popleft()
-            self.head = (self.head + k) % len(self.subframe)
-            self.size -= k
-
-    def _grow(self, capacity: int) -> None:
-        first = min(self.size, len(self.subframe) - self.head)
-        grown = ReservationColumns(self.rsrp_dbm.shape[0], capacity)
-        for dst, src in ((slice(0, first), slice(self.head, self.head + first)),
-                         (slice(first, self.size), slice(0, self.size - first))):
-            grown.subframe[dst] = self.subframe[src]
-            grown.subchannel[dst] = self.subchannel[src]
-            grown.period[dst] = self.period[src]
-            grown.rsrp_dbm[:, dst] = self.rsrp_dbm[:, src]
-        self.subframe, self.subchannel, self.period, self.rsrp_dbm = \
-            grown.subframe, grown.subchannel, grown.period, grown.rsrp_dbm
-        self.head = 0
-
-
 class SensingStore:
     """Rolling per-subframe, per-subchannel channel memory shared by all UEs.
 
-    Rows live in a ring of `span` subframes; a row is valid only while its
-    stamped subframe is the one currently mapped to that slot.  Decoded
-    reservations live in `reservations`, a `ReservationColumns` ring with one
-    float32 RSRP cell per (receiver, record), so a UE's view of every
-    reservation is one contiguous row.  A record is kept only when some
-    receiver decoded it above `keep_rsrp_above_dbm` (the engine passes the
-    SPS exemption threshold, which the working threshold never goes below),
-    and is evicted once it falls out of the span.
+    Every array is a ring of `span` subframe rows; a row is valid only while
+    its stamped subframe (`row_subframe`) is the one currently mapped to that
+    slot.  Each row holds, per (UE, subchannel), the S-RSSI, and in
+    `reservations` the PSSCH-RSRP in dBm of the transmission that UE decoded
+    there (float32, -inf where it decoded none) with its announced period in
+    `period_sf`.  One cell is enough because a receiver decodes at most one
+    transmission per subchannel and subframe while the SINR threshold is at
+    least 0 dB (`ChannelModel` enforces it).  Recording a subframe overwrites
+    its row, which evicts the subframe one span older.
     """
 
-    def __init__(self, n_ue: int, n_subch: int, span: int = 1000,
-                 noise_mw: float = 1e-10, keep_rsrp_above_dbm: float = -math.inf):
+    def __init__(self, n_ue: int, n_subch: int, span: int = 1000, noise_mw: float = 1e-10):
         self.n_ue = n_ue
         self.n_subch = n_subch
         self.span = span
         self.noise_mw = noise_mw
-        self.keep_rsrp_above_dbm = keep_rsrp_above_dbm
         self.srssi_mw = np.full((span, n_ue, n_subch), noise_mw)
         self.sensed = np.zeros((span, n_ue), dtype=bool)
+        self.reservations = np.full((span, n_ue, n_subch), -np.inf, dtype=np.float32)
+        self.period_sf = np.zeros((span, n_ue, n_subch), dtype=np.int32)
         self.row_subframe = np.full(span, -1, dtype=np.int64)
         self.newest = -1
-        self.reservations = ReservationColumns(n_ue)
 
     def record_subframe(self, n: int, srssi_mw: np.ndarray, sensed_mask: np.ndarray,
-                        reservations: ReservationBlock | None) -> None:
+                        decodes: tuple[np.ndarray, ...] | None) -> None:
+        """Store subframe n's measurements in its ring row, clearing the
+        decodes the row held.  `decodes` is (receiver, subchannel, period,
+        PSSCH-RSRP dBm) arrays, one entry per decoded link and at most one
+        per (receiver, subchannel); None when nothing was sent."""
         if n < self.newest:
             raise ValueError(f"out-of-order sensing record: {n} < newest {self.newest}")
         row = n % self.span
         self.row_subframe[row] = n
         self.srssi_mw[row] = srssi_mw
         self.sensed[row] = sensed_mask
+        self.reservations[row] = -np.inf
+        if decodes is not None:
+            rx, subch, period, rsrp_dbm = decodes
+            self.reservations[row, rx, subch] = rsrp_dbm
+            self.period_sf[row, rx, subch] = period
         self.newest = n
-        if reservations is not None:
-            self._keep(n, reservations)
-        self.reservations.evict_through(n - self.span)
-
-    def _keep(self, n: int, block: ReservationBlock) -> None:
-        # compared in float64, as selection does: a float32 compare would
-        # round a threshold that float32 cannot hold
-        rsrp = block.rsrp_dbm
-        keep = rsrp.max(axis=1, initial=-np.inf).astype(np.float64) > self.keep_rsrp_above_dbm
-        if keep.all():
-            self.reservations.append(n, block.subchannel, block.period_sf, rsrp.T)
-        elif keep.any():
-            self.reservations.append(n, np.asarray(block.subchannel)[keep],
-                                     np.asarray(block.period_sf)[keep], rsrp[keep].T)
 
     def oldest_valid(self) -> int:
         return max(0, self.newest - self.span + 1)
@@ -209,7 +123,7 @@ class SelectionResult:
 
 
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
-                      n_subch: int | None = None, own_period_sf: int = 100) -> SelectionResult:
+                      own_period_sf: int = 100) -> SelectionResult:
     """Run the selection pipeline and return the final candidate set.
 
     1. Pool every resource in the selection window [n+T1, n+T2].
@@ -233,8 +147,9 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     rules resource by resource (tests/oracles.py keeps that reference):
 
     - Each cell's `cover` is the strongest RSRP, in float64, among this UE's
-      live reservations on that subchannel with a past occurrence congruent
-      to the cell's subframe.  Only reservations above th_sps_dbm can ever
+      reservation cells on that subchannel in the recorded subframes of the
+      sensing window whose occurrences, stepped by the cell's period, reach
+      the cell's subframe.  Only reservations above th_sps_dbm can ever
       exempt, because the working threshold only rises, so each threshold
       level is the single comparison `cover > threshold`.
     - A half-duplex subframe j exempts subframe t iff t = j (mod own period):
@@ -247,24 +162,20 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     """
     store = window.store
     ue = window.ue_index
-    n_subch = store.n_subch if n_subch is None else n_subch
-    if n_subch > store.n_subch:
-        raise ValueError(f"n_subch {n_subch} exceeds the store's {store.n_subch} subchannels")
     lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
     ts = np.arange(lo, hi + 1)
-    pool_size = len(ts) * n_subch
+    pool_size = len(ts) * store.n_subch
     need = math.ceil(cfg.keep_fraction * pool_size)
     oldest = store.oldest_valid()
 
     # strongest covering reservation per cell; the cast to float64 keeps the
     # threshold comparisons exact for thresholds a float32 cannot hold
-    res = store.reservations
-    rsrp = res.rsrp_dbm[ue].astype(np.float64)
-    live = np.flatnonzero((rsrp > cfg.th_sps_dbm) & (res.subframe >= oldest) & (res.subframe < n))
-    period, subch, rsrp = res.period[live], res.subchannel[live], rsrp[live]
+    rsrp = store.reservations[:, ue].astype(np.float64)
+    rows, subch = np.nonzero((rsrp > cfg.th_sps_dbm) & store.recorded(oldest, n - 1)[:, None])
+    period, rsrp = store.period_sf[rows, ue, subch], rsrp[rows, subch]
     if np.any(period < 1):
         raise ValueError("reservation periods must be at least one subframe")
-    t = lo + (res.subframe[live] - lo) % period
+    t = lo + (store.row_subframe[rows] - lo) % period
     cover = np.full((len(ts), store.n_subch), -np.inf)
     while t.size:
         inside = t <= hi
@@ -285,7 +196,7 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     escalations = 0
     while True:
         exempt = cover > threshold
-        survivors = ~(exempt[:, :n_subch] | half_duplex[:, None])
+        survivors = ~(exempt | half_duplex[:, None])
         if np.count_nonzero(survivors) >= need:
             break
         if not exempt.any():
@@ -296,7 +207,7 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
         threshold += 3.0
         escalations += 1
 
-    metric = _rank_metric(store, ue, ts, n_subch, cfg, oldest, n - 1)
+    metric = _rank_metric(store, ue, ts, cfg, oldest, n - 1)
     t_idx, c_idx = np.nonzero(survivors)
     ranked = metric[t_idx, c_idx]
     order = np.argsort(ranked, kind="stable")
@@ -307,8 +218,8 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     return SelectionResult(candidates, escalations, threshold, pool_size)
 
 
-def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, n_subch: int,
-                 cfg: SpsConfig, oldest: int, latest: int) -> np.ndarray:
+def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, cfg: SpsConfig,
+                 oldest: int, latest: int) -> np.ndarray:
     """(len(ts), n_subch) average S-RSSI over each resource's past projections,
     newest first.  Only subframes strictly before the selection instant count."""
     stamp = store.row_subframe
@@ -317,10 +228,10 @@ def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, n_subch: int,
     js = ts[None, :] - lags[:, None]                  # (lag, subframe), newest first
     rows = js % store.span
     ok = (stamp[rows] == js) & usable[rows]
-    values = np.where(ok[..., None], store.srssi_mw[:, ue, :n_subch][rows], 0.0)
+    values = np.where(ok[..., None], store.srssi_mw[:, ue][rows], 0.0)
     if cfg.rank_average == "db":
         values[ok] = 10.0 * _log10(values[ok])
-    total = np.zeros((len(ts), n_subch))
+    total = np.zeros((len(ts), store.n_subch))
     for v in values:        # one lag at a time: the order a sequential sum adds them
         total += v          # (adding 0.0 for a skipped projection changes nothing)
     count = ok.sum(axis=0)[:, None]
@@ -336,10 +247,10 @@ def _log10(values: np.ndarray) -> np.ndarray:
 
 
 def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: RngStream, *,
-                    n_subch: int | None = None, own_period_sf: int = 100) -> tuple[int, int]:
+                    own_period_sf: int = 100) -> tuple[int, int]:
     """Pick uniformly at random from the selection pipeline's candidate set;
     returns (subframe, subchannel)."""
-    result = select_candidates(window, n, cfg, n_subch=n_subch, own_period_sf=own_period_sf)
+    result = select_candidates(window, n, cfg, own_period_sf=own_period_sf)
     subframe, subchannel = rng.choice(result.candidates).tolist()
     return subframe, subchannel
 

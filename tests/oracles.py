@@ -11,8 +11,8 @@ or reserved over the occupancy window.
 `cv2xsim.mac_sps.select_candidates`: sets of exempt resources, a Python sort
 over (average, subframe, subchannel) and a sequential sum per candidate.
 They read the same `SensingStore`, through `reservation_records`, which
-turns its reservation columns back into one record per decoded
-transmission.
+walks its reservation cells subframe by subframe, checking each row's stamp,
+and lists one record per decode.
 
 `DenseMetricsStore`, `pdr`, `slt` and `blind_nodes` are the dense form of
 the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
@@ -40,22 +40,27 @@ from cv2xsim.mobility import ScenarioPreset
 
 
 class Record(NamedTuple):
-    """One decoded transmission as seen by every receiver."""
+    """One transmission decoded by one receiver."""
 
     subframe: int
+    receiver: int
     subchannel: int
     period_sf: int
-    heard: np.ndarray      # (n_ue,) bool, True where this UE decoded it
-    rsrp_dbm: np.ndarray   # (n_ue,) float32
+    rsrp_dbm: float        # a float32 value
 
 
 def reservation_records(store: SensingStore) -> list[Record]:
-    """The store's live reservations, oldest first."""
-    res = store.reservations
-    slots = (res.head + np.arange(len(res))) % len(res.subframe)
-    return [Record(int(res.subframe[s]), int(res.subchannel[s]), int(res.period[s]),
-                   res.rsrp_dbm[:, s] > -np.inf, res.rsrp_dbm[:, s])
-            for s in slots]
+    """The decodes of the store's recorded subframes, ordered by (subframe,
+    receiver, subchannel)."""
+    records = []
+    for j in valid_subframes(store, store.oldest_valid(), store.newest):
+        row = j % store.span
+        for r in range(store.n_ue):
+            for c in range(store.n_subch):
+                rsrp = store.reservations[row, r, c]
+                if rsrp > -np.inf:
+                    records.append(Record(j, r, c, int(store.period_sf[row, r, c]), float(rsrp)))
+    return records
 
 
 def valid_subframes(store: SensingStore, lo: int, hi: int) -> list[int]:
@@ -78,12 +83,12 @@ def _projected_candidates(j: int, period: int, lo: int, hi: int):
 
 
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
-                      n_subch: int | None = None, own_period_sf: int = 100) -> SelectionResult:
+                      own_period_sf: int = 100) -> SelectionResult:
     """Resource-by-resource form of `cv2xsim.mac_sps.select_candidates`; its
     candidates are a list of (subframe, subchannel) tuples."""
     store = window.store
     ue = window.ue_index
-    n_subch = store.n_subch if n_subch is None else n_subch
+    n_subch = store.n_subch
     lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
     pool = [(t, c) for t in range(lo, hi + 1) for c in range(n_subch)]
     need = math.ceil(cfg.keep_fraction * len(pool))
@@ -94,11 +99,10 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     # threshold level.
     classes: dict[tuple[int, int, int], float] = {}
     for rec in reservation_records(store):
-        if oldest <= rec.subframe < n and rec.heard[ue]:
+        if oldest <= rec.subframe < n and rec.receiver == ue:
             key = (rec.subframe % rec.period_sf, rec.subchannel, rec.period_sf)
-            rsrp = float(rec.rsrp_dbm[ue])
-            if classes.get(key, -math.inf) < rsrp:
-                classes[key] = rsrp
+            if classes.get(key, -math.inf) < rec.rsrp_dbm:
+                classes[key] = rec.rsrp_dbm
 
     unsensed_exempt: set[tuple[int, int]] = set()
     if cfg.unsensed_exempt:

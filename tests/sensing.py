@@ -1,27 +1,25 @@
 """Sensing stores for tests, written through `SensingStore.record_subframe`,
 the one path by which the engine fills them."""
 
-import math
-
 import numpy as np
 
-from cv2xsim.mac_sps import ReservationBlock, SensingStore, SensingWindow
+from cv2xsim.mac_sps import SensingStore, SensingWindow
 
 NOISE_MW = 1e-10  # -100 dBm
 
 
-def build_window(records, span=30, n_subch=2, keep_rsrp_above_dbm=-math.inf):
+def build_window(records, span=30, n_subch=2):
     """A one-UE window from (subframe, S-RSSI dBm per subchannel, sensed,
     reservations) records, each reservation (subchannel, source, period,
-    PSSCH-RSRP dBm)."""
-    store = SensingStore(1, n_subch, span, NOISE_MW, keep_rsrp_above_dbm)
+    PSSCH-RSRP dBm) and at most one per subchannel."""
+    store = SensingStore(1, n_subch, span, NOISE_MW)
     for n, srssi_dbm, sensed, reservations in records:
         row = np.array([[10 ** (v / 10.0) for v in srssi_dbm]])
-        block = ReservationBlock(np.array([subch for subch, _, _, _ in reservations], dtype=int),
-                                 np.array([period for _, _, period, _ in reservations], dtype=int),
-                                 np.array([[rsrp] for _, _, _, rsrp in reservations],
-                                          dtype=np.float32).reshape(-1, 1))
-        store.record_subframe(n, row, np.array([sensed]), block)
+        decodes = (np.zeros(len(reservations), dtype=int),
+                   np.array([subch for subch, _, _, _ in reservations], dtype=int),
+                   np.array([period for _, _, period, _ in reservations], dtype=int),
+                   np.array([rsrp for _, _, _, rsrp in reservations]))
+        store.record_subframe(n, row, np.array([sensed]), decodes)
     return SensingWindow(store, 0)
 
 

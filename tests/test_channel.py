@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv2xsim.channel import ChannelModel, Outcome, pathloss, resolve_subframe
 from cv2xsim.core import RngStream, RoadGeometry
@@ -182,6 +184,42 @@ class TestResolveSubframe:
         b = resolve(txs, ues, faded, RngStream(2, "shadow"), fading_rng=RngStream(2, "fading"))
         assert np.allclose(a.shadow_db, b.shadow_db)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_at_most_one_decode_per_receiver_and_subchannel(self, data):
+        # p_A >= th * (p_B + N) and p_B >= th * (p_A + N) cannot both hold for
+        # th >= 1 and N > 0, which the sensing store's one reservation cell per
+        # (subframe, receiver, subchannel) relies on
+        n_ue = data.draw(st.integers(2, 10))
+        n_subch = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):     # co-located: every pathloss clamps to d0
+            x, lanes = np.zeros(n_ue), np.zeros(n_ue, dtype=int)
+        else:
+            x = np.array(data.draw(st.lists(st.floats(0.0, 400.0), min_size=n_ue,
+                                            max_size=n_ue)))
+            lanes = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_ue,
+                                                max_size=n_ue)))
+        k = data.draw(st.integers(2, n_ue))
+        tx_ue = np.array(data.draw(st.permutations(range(n_ue)))[:k])
+        tx_subch = np.array(data.draw(st.lists(st.integers(0, n_subch - 1), min_size=k,
+                                               max_size=k)))
+        power = np.array(data.draw(st.lists(st.sampled_from([10.0, 17.0, 23.0])
+                                            | st.floats(-10.0, 30.0), min_size=k, max_size=k)))
+        sigma = data.draw(st.sampled_from([0.0, 3.0, 8.0]))
+        model = ChannelModel(sinr_threshold_db=data.draw(st.just(0.0) | st.floats(0.0, 10.0)),
+                             shadowing_sigma_db=sigma,
+                             shadowing_mode=data.draw(st.sampled_from(["iid", "static"])),
+                             fading=data.draw(st.sampled_from(["none", "nakagami"])),
+                             sensitivity_dbm=data.draw(st.sampled_from([-98.0, -92.0])))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        table = RngStream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
+        res = resolve_subframe(tx_ue, tx_subch, power, x, GEO.lane_y(lanes), model,
+                               RngStream(seed, "shadow"), GEO, n_subch, table,
+                               fading_rng=RngStream(seed, "fading"))
+        decoded = res.outcome == Outcome.DECODED
+        for c in range(n_subch):
+            assert decoded[tx_subch == c].sum(axis=0).max(initial=0) <= 1
+
 
 def test_model_validation():
     with pytest.raises(ValueError):
@@ -192,3 +230,6 @@ def test_model_validation():
         ChannelModel(sensitivity_dbm=-120.0, noise_floor_dbm=-98.0)
     with pytest.raises(ValueError):
         ChannelModel(fading="rician")
+    with pytest.raises(ValueError, match="one decode per"):
+        ChannelModel(sinr_threshold_db=-0.5)
+    assert ChannelModel(sinr_threshold_db=0.0).sinr_threshold_db == 0.0

@@ -123,6 +123,12 @@ class TestCliCommands:
                    "--set", "run.warmup_s=99"])
         assert rc == 2
 
+    def test_negative_sinr_threshold_exit_code(self, capsys):
+        rc = main(["validate", "--scenario", "mini-low",
+                   "--set", "channel.sinr_threshold_db=-1"])
+        assert rc == 2
+        assert "[channel] sinr_threshold_db" in capsys.readouterr().err
+
     def test_removed_key_exit_code(self, capsys):
         rc = main(["validate", "--scenario", "mini-low", "--set", "run.mcs_index=5"])
         assert rc == 2

@@ -263,3 +263,19 @@ def test_config_validation():
     cfg = make_cfg(preset, duration=2.0, warmup=1.0, subchannels=0)
     with pytest.raises(ValueError):
         Simulation(cfg)
+
+
+@pytest.mark.parametrize("shadowing", ["iid", "static"])
+@pytest.mark.parametrize("scenario", ["mini-low", "urban-medium"])
+def test_memory_estimate_covers_scale_state(scenario, shadowing):
+    # the arrays sized by the vehicle count, as a constructed Simulation holds them
+    cfg = config.build_run_config(config.resolve(
+        overrides={"channel.shadowing_mode": shadowing}, scenario=scenario))
+    sim = Simulation(cfg)
+    store, ledger = sim.store, sim.metrics
+    held = [sim.pair_dist, store.srssi_mw, store.sensed, store.reservations, store.period_sf,
+            store.row_subframe, ledger.last_rx_ms, ledger.roi_always]
+    if shadowing == "static":
+        held.append(sim.static_shadow)
+    assert cfg.memory_estimate_mib()["scenario.vehicle_count"] * 2 ** 20 >= \
+        sum(a.nbytes for a in held)

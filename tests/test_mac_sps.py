@@ -10,9 +10,9 @@ import oracles
 from sensing import NOISE_MW, build_window, recorded_count
 
 from cv2xsim.core import RngStream
-from cv2xsim.mac_sps import (CbpDensityTable, ReservationBlock, SensingStore,
-                             SensingWindow, SpsConfig, _rank_metric, compute_cr, cr_limit,
-                             on_transmission, select_candidates, select_resource)
+from cv2xsim.mac_sps import (CbpDensityTable, SensingStore, SensingWindow, SpsConfig,
+                             _rank_metric, compute_cr, cr_limit, on_transmission,
+                             select_candidates, select_resource)
 
 
 # ---------------------------------------------------------------------------
@@ -46,19 +46,27 @@ class TestSensingWindow:
     def test_reservation_eviction(self):
         rows = [(0, (-70.0, -100.0), True, [(0, 42, 5, -72.0)])]
         rows += [(n, (-90.0, -100.0), True, []) for n in range(1, 11)]
-        assert len(build_window(rows[:1], span=10).store.reservations) == 1
-        assert len(build_window(rows, span=10).store.reservations) == 0
+        assert len(oracles.reservation_records(build_window(rows[:1], span=10).store)) == 1
+        store = build_window(rows, span=10).store
+        assert oracles.reservation_records(store) == []
+        assert not np.isfinite(store.reservations).any()    # overwritten by subframe 10
 
     def test_keep_threshold_compares_in_float64(self):
         # float32(-85.3000031) lies above -85.3000031: a reservation heard at
-        # exactly that RSRP exceeds the threshold, so it must be kept
+        # exactly that RSRP exceeds the threshold, so it must exempt the
+        # resources it projects onto (subframes 5 and 10 on subchannel 0)
         th = -85.3000031
         assert float(np.float32(th)) > th
-        rows = [(0, (-70.0, -100.0), True, [(0, 42, 100, float(np.float32(th)))])]
-        kept = build_window(rows, span=10, keep_rsrp_above_dbm=th).store
-        assert len(kept.reservations) == 1
-        below = [(0, (-70.0, -100.0), True, [(0, 42, 100, -85.4)])]
-        assert len(build_window(below, span=10, keep_rsrp_above_dbm=th).store.reservations) == 0
+        cfg = toy_cfg(th_sps_dbm=th, keep_fraction=0.5, unsensed_exempt=False)
+        projected = {(5, 0), (10, 0)}
+        for rsrp, exempt in ((float(np.float32(th)), True), (-85.4, False)):
+            # every S-RSSI at the noise floor: all survivors tie and are kept
+            w = build_window([(0, (-100.0, -100.0), True, [(0, 42, 5, rsrp)])], span=10)
+            result = select_candidates(w, 1, cfg)
+            assert result.escalations == 0
+            picked = set(map(tuple, result.candidates.tolist()))
+            assert len(picked) == result.pool_size - 2 * exempt
+            assert not (projected & picked) if exempt else projected <= picked
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +189,9 @@ def oracle_candidates(window, n, cfg, n_subch, own_period_sf):
     need = math.ceil(cfg.keep_fraction * len(pool))
     oldest = max(0, store.newest - store.span + 1)
 
-    heard = [(rec.subframe, rec.subchannel, rec.period_sf, float(rec.rsrp_dbm[ue]))
+    heard = [(rec.subframe, rec.subchannel, rec.period_sf, rec.rsrp_dbm)
              for rec in oracles.reservation_records(store)
-             if oldest <= rec.subframe < n and rec.heard[ue]]
+             if oldest <= rec.subframe < n and rec.receiver == ue]
     unsensed = [j for j in range(oldest, n)
                 if store.row_subframe[j % store.span] == j and not store.sensed[j % store.span, ue]]
 
@@ -243,14 +251,16 @@ def random_instance(rnd):
             continue    # gap: subframe never observed
         sensed = rnd.random() > 0.15
         srssi = (rnd.uniform(-99.0, -60.0), rnd.uniform(-99.0, -60.0))
-        reservations = []
+        strongest = {}      # the UE decodes at most one transmission per subchannel
         if sensed:
             k = rnd.choice([0, 0, 0, 1, 1, 2]) if not saturate else rnd.choice([1, 2])
             for _ in range(k):
                 period = rnd.choice([1, 2] if saturate else [2, 3, 5, 7, 10])
                 rsrp = rnd.uniform(-70.0, -55.0) if saturate else rnd.uniform(-110.0, -60.0)
-                reservations.append((rnd.randrange(n_subch), rnd.randrange(50), period, rsrp))
-        records.append((n, srssi, sensed, reservations))
+                subch, source = rnd.randrange(n_subch), rnd.randrange(50)
+                if subch not in strongest or rsrp > strongest[subch][3]:
+                    strongest[subch] = (subch, source, period, rsrp)
+        records.append((n, srssi, sensed, list(strongest.values())))
     return build_window(records, span, n_subch), newest + 1, cfg, n_subch, own_period
 
 
@@ -258,13 +268,13 @@ class TestSelection:
     def test_empty_window_offers_whole_pool(self):
         w = SensingWindow(SensingStore(1, 2, 1000, NOISE_MW), 0)
         cfg = SpsConfig()
-        result = select_candidates(w, 0, cfg, n_subch=2)
+        result = select_candidates(w, 0, cfg)
         assert result.pool_size == 200
         assert len(result.candidates) == 200
         assert result.escalations == 0
         # uniform choice over the whole pool: many distinct picks across draws
         rng = RngStream(3, "sps")
-        picks = {select_resource(w, 0, cfg, rng, n_subch=2) for _ in range(600)}
+        picks = {select_resource(w, 0, cfg, rng) for _ in range(600)}
         assert len(picks) > 150
 
     def test_selected_resource_inside_window(self):
@@ -272,7 +282,7 @@ class TestSelection:
         for _ in range(50):
             w, n, cfg, n_subch, own = random_instance(rnd)
             subframe, subch = select_resource(w, n, cfg, RngStream(rnd.randrange(999), "sps"),
-                                              n_subch=n_subch, own_period_sf=own)
+                                              own_period_sf=own)
             assert n + cfg.t1_sf <= subframe <= n + cfg.t2_sf
             assert 0 <= subch < n_subch
 
@@ -283,7 +293,7 @@ class TestSelection:
                     [(0, 7, 1, -60.0), (1, 8, 1, -60.0)] if n == 5 else [])
                    for n in range(10)]
         w = build_window(records, span=30)
-        result = select_candidates(w, 10, toy_cfg(), n_subch=2, own_period_sf=5)
+        result = select_candidates(w, 10, toy_cfg(), own_period_sf=5)
         assert result.escalations >= 1
         assert result.threshold_dbm == pytest.approx(-85.0 + 3.0 * result.escalations)
 
@@ -292,7 +302,7 @@ class TestSelection:
         seen = 0
         for _ in range(200):
             w, n, cfg, n_subch, own = random_instance(rnd)
-            result = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own)
+            result = select_candidates(w, n, cfg, own_period_sf=own)
             assert result.threshold_dbm == pytest.approx(cfg.th_sps_dbm + 3.0 * result.escalations)
             seen += result.escalations > 0
         assert seen > 0
@@ -303,7 +313,7 @@ class TestSelection:
         rnd = random.Random(23)
         for _ in range(100):
             w, n, cfg, n_subch, own = random_instance(rnd)
-            result = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own)
+            result = select_candidates(w, n, cfg, own_period_sf=own)
             need = math.ceil(cfg.keep_fraction * result.pool_size)
             assert len(result.candidates) >= min(need, result.pool_size)
 
@@ -320,7 +330,7 @@ class TestSelection:
             records.append((n, srssi, True, reservations))
         w = build_window(records, span=30)
         cfg = toy_cfg(rank_period_sf=5, unsensed_exempt=False)
-        result = select_candidates(w, 10, cfg, n_subch=2, own_period_sf=5)
+        result = select_candidates(w, 10, cfg, own_period_sf=5)
         assert [14, 0] not in result.candidates.tolist()
 
     def test_unsensed_subframe_exempts_projection(self):
@@ -330,33 +340,29 @@ class TestSelection:
             records.append((n, (-65.0, -65.0), sensed, []))
         w = build_window(records, span=30)
         cfg = toy_cfg(unsensed_exempt=True)
-        result = select_candidates(w, 10, cfg, n_subch=2, own_period_sf=5)
+        result = select_candidates(w, 10, cfg, own_period_sf=5)
         picked = set(map(tuple, result.candidates.tolist()))
         # 14 and 19 project onto the unsensed subframe 4 with period 5
         assert not ({(14, 0), (14, 1), (19, 0), (19, 1)} & picked)
-        relaxed = select_candidates(w, 10, toy_cfg(unsensed_exempt=False),
-                                    n_subch=2, own_period_sf=5)
+        relaxed = select_candidates(w, 10, toy_cfg(unsensed_exempt=False), own_period_sf=5)
         assert len(relaxed.candidates) >= len(result.candidates)
 
     def test_malformed_inputs_fail_loudly(self):
         w = build_window([(0, (-70.0, -70.0), True, [(0, 7, 0, -60.0)])], span=30)
         with pytest.raises(ValueError, match="period"):
-            select_candidates(w, 1, toy_cfg(), n_subch=2)
-        with pytest.raises(ValueError, match="n_subch"):
-            select_candidates(w, 1, toy_cfg(), n_subch=3)
+            select_candidates(w, 1, toy_cfg())
 
     def test_oracle_equivalence_quick(self):
         rnd = random.Random(99)
         escalated = 0
         for _ in range(200):
             w, n, cfg, n_subch, own = random_instance(rnd)
-            result = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own)
+            result = select_candidates(w, n, cfg, own_period_sf=own)
             got = set(map(tuple, result.candidates.tolist()))
             want = oracle_candidates(w, n, cfg, n_subch, own)
             assert got == want
             escalated += result.escalations > 0
-            choice = select_resource(w, n, cfg, RngStream(7, "sps"),
-                                     n_subch=n_subch, own_period_sf=own)
+            choice = select_resource(w, n, cfg, RngStream(7, "sps"), own_period_sf=own)
             assert choice in want
         assert escalated > 0
 
@@ -382,11 +388,15 @@ TH_CHOICES = [-85.0, -85.3, -85.3000031, -90.7, -79.9]
 def sensing_histories(draw):
     """A store filled through record_subframe with a known list of decodes.
 
-    Histories run past the span (eviction, ring reuse, column growth), skip
-    subframes (gaps), leave UEs unsensed (half-duplex), draw periods up to
-    several selection windows long, put RSRP values on and next to the
-    float32 rounding of the threshold, and in saturated histories reserve
-    almost everything above it so the threshold must escalate.
+    Histories run past the span (eviction, ring reuse), skip subframes
+    (gaps), leave subframes without transmissions (their rows must lose the
+    decodes of one span earlier), leave UEs unsensed (half-duplex), draw
+    periods up to several selection windows long, put RSRP values on and
+    next to the float32 rounding of the threshold, and in saturated histories
+    reserve almost everything above it so the threshold must escalate.  Each
+    UE decodes at most one of the transmissions on a subchannel, as the
+    channel does at SINR thresholds of 0 dB and above, so receivers of
+    different transmissions on one subchannel hold different periods.
     """
     rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     th = draw(st.sampled_from(TH_CHOICES))
@@ -398,11 +408,10 @@ def sensing_histories(draw):
                   unsensed_exempt=draw(st.booleans()))
     n_ue, n_subch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     span = draw(st.integers(12, 40))
-    keep = draw(st.sampled_from([-math.inf, th]))
     near = [float(v) for v in (np.float32(th), np.nextafter(np.float32(th), np.float32(-np.inf)),
                                np.nextafter(np.float32(th), np.float32(np.inf)))]
-    store = SensingStore(n_ue, n_subch, span, NOISE_MW, keep_rsrp_above_dbm=keep)
-    decodes = []      # (subframe, subchannel, period, rsrp per UE with -inf = not decoded)
+    store = SensingStore(n_ue, n_subch, span, NOISE_MW)
+    decodes = []      # (subframe, receiver, subchannel, period, rsrp) in that order
     last = rnd.randint(span // 2, 3 * span)
     levels = [-99.0, -90.0, -80.0, -70.0]
     for n in range(last + 1):
@@ -412,22 +421,23 @@ def sensing_histories(draw):
                            for _ in range(n_subch)] for _ in range(n_ue)])
         sensed = np.array([rnd.random() > 0.15 for _ in range(n_ue)])
         k = rnd.choice([1, 2, 3] if saturated else [0, 0, 0, 1, 2])
-        subch = np.array([rnd.randrange(n_subch) for _ in range(k)], dtype=int)
-        period = np.array([rnd.choice([1, 2] if saturated else [2, 3, 5, 7, 20, 50])
-                           for _ in range(k)], dtype=int)
-        rsrp = np.full((k, n_ue), -np.inf, dtype=np.float32)
-        for i in range(k):
-            for u in range(n_ue):
+        subch = [rnd.randrange(n_subch) for _ in range(k)]
+        period = [rnd.choice([1, 2] if saturated else [2, 3, 5, 7, 20, 50]) for _ in range(k)]
+        heard = []
+        for u in range(n_ue):
+            for c in sorted(set(subch)):
                 if rnd.random() < 0.7:
-                    rsrp[i, u] = rnd.choice(near + [rnd.uniform(-70.0, -55.0) if saturated
-                                                    else rnd.uniform(-110.0, -60.0)])
-        store.record_subframe(n, srssi, sensed, ReservationBlock(subch, period, rsrp))
-        decodes += [(n, int(subch[i]), int(period[i]), rsrp[i]) for i in range(k)
-                    if float(rsrp[i].max()) > keep]
+                    i = rnd.choice([i for i in range(k) if subch[i] == c])
+                    rsrp = rnd.choice(near + [rnd.uniform(-70.0, -55.0) if saturated
+                                              else rnd.uniform(-110.0, -60.0)])
+                    heard.append((n, u, c, period[i], float(np.float32(rsrp))))
+        # (receiver, subchannel, period, rsrp) columns, or None when nothing was decoded
+        store.record_subframe(n, srssi, sensed, [np.array(col) for col in zip(*heard)][1:] or None)
+        decodes += heard
     n = last + 1 + draw(st.integers(0, 2))
     ue = draw(st.integers(0, n_ue - 1))
     own_period = draw(st.integers(1, 3 * span))
-    return store, decodes, n, ue, cfg, own_period, draw(st.integers(1, n_subch))
+    return store, decodes, n, ue, cfg, own_period
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,32 +445,28 @@ def sensing_histories(draw):
 def test_store_keeps_exactly_the_live_decodes(history):
     store, decodes, *_ = history
     horizon = store.newest - store.span
-    want = [(j, c, p, r.tolist()) for j, c, p, r in decodes if j > horizon]
-    got = [(r.subframe, r.subchannel, r.period_sf, r.rsrp_dbm.tolist())
-           for r in oracles.reservation_records(store)]
-    assert got == want
-    assert len(store.reservations) == len(want)
+    assert oracles.reservation_records(store) == [d for d in decodes if d[0] > horizon]
+    assert store.reservations.shape == store.period_sf.shape == store.srssi_mw.shape
 
 
 @settings(max_examples=300, deadline=None)
 @given(sensing_histories())
 def test_selection_matches_reference(history):
-    store, _, n, ue, cfg, own_period, n_subch = history
+    store, _, n, ue, cfg, own_period = history
     w = SensingWindow(store, ue)
-    got = select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own_period)
-    want = oracles.select_candidates(w, n, cfg, n_subch=n_subch, own_period_sf=own_period)
+    got = select_candidates(w, n, cfg, own_period_sf=own_period)
+    want = oracles.select_candidates(w, n, cfg, own_period_sf=own_period)
     assert got.candidates.dtype == np.int64 and got.candidates.shape == (len(want.candidates), 2)
     assert list(map(tuple, got.candidates.tolist())) == want.candidates
     assert (got.escalations, got.threshold_dbm, got.pool_size) == \
         (want.escalations, want.threshold_dbm, want.pool_size)
-    pick = select_resource(w, n, cfg, RngStream(7, "sps"), n_subch=n_subch,
-                           own_period_sf=own_period)
+    pick = select_resource(w, n, cfg, RngStream(7, "sps"), own_period_sf=own_period)
     assert pick == RngStream(7, "sps").choice(want.candidates)
     assert all(type(v) is int for v in pick)
     # every pool cell's ranking average, bit for bit
     ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)
     oldest = store.oldest_valid()
-    metric = _rank_metric(store, ue, ts, store.n_subch, cfg, oldest, n - 1)
+    metric = _rank_metric(store, ue, ts, cfg, oldest, n - 1)
     assert metric.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
                                 for c in range(store.n_subch)] for t in ts]
 
