@@ -56,8 +56,9 @@ CASES = [
 ]
 
 # sha256 of the files that `cli.write_outputs` writes, per case.  All but
-# manifest.json (it carries the version) for mini-low-baseline; the metric
-# CSVs for the straight road, whose metrics only its region's transmitters feed.
+# manifest.json (it carries the version) for mini-low-baseline; the CSVs for
+# the straight road, whose metrics only its region's transmitters feed and
+# whose range control writes powers other than 23 dBm into txevents.csv.
 FILE_PINS = {
     "mini-low-baseline": {
         "pdr_vs_distance.csv": "bf4adb3853a2df295ed69525a6dfab9f5e010dce56d2327b81270791077b0466",
@@ -73,6 +74,8 @@ FILE_PINS = {
         "slt_vs_distance.csv": "34db6c788717489f4f4b747640bec43b54bacbf4de9c7325429b5b6c1464d234",
         "ipg.csv": "6d5cc2e256fd8cb16bc5d932ef0964e9d0abe447688fe0ff701634c8743a9e72",
         "blind_nodes.csv": "5e9ae640209b5f6aca479465cdd7b83eefcdbf6b40f3526be8f1969f9ef1fc3b",
+        "txevents.csv": "16b5fcd6cc3cd22d1cc0f43e460893c4c5df4ec2bf96143a00dd6f2eb4dd767f",
+        "timeseries.csv": "0c4ed1892c1c73014ced30196b956fbf040c0d27c5f357992e185502be27a550",
     },
 }
 
