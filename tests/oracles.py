@@ -22,10 +22,15 @@ lays the sparse ledger's cells out in the same tables.
 `Vehicle`, `generate_scenario` and `step` are the vehicle-by-vehicle form
 of `cv2xsim.mobility`: one object per vehicle, moved in a Python loop with
 one scalar normal draw per vehicle.
+
+`write_ipg_csv` and `write_txevents_csv` are the row-by-row form of
+`cv2xsim.metrics.write_ipg_csv` and `cv2xsim.engine.EventLog.write_csv`:
+one f-string per ECDF sample and per transmission.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +39,8 @@ import numpy as np
 
 from cv2xsim.core import RngStream
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
-from cv2xsim.metrics import BinValue, BlindReport, MetricsStore
+from cv2xsim.engine import TX_DTYPE, EventLog
+from cv2xsim.metrics import BinValue, BlindReport, IpgStats, MetricsStore, fmt
 from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
 from cv2xsim.mobility import ScenarioPreset
 
@@ -309,6 +315,43 @@ def dense_counts(store: MetricsStore) -> tuple[np.ndarray, np.ndarray]:
     tx[cells.pair, cells.bin] = cells.tx
     rx[cells.pair, cells.bin] = cells.rx
     return tx, rx
+
+
+_ECDF_CHUNK = 1 << 12
+
+
+def write_ipg_csv(path, stats: IpgStats) -> None:
+    """Single file with three row kinds: per-bin means, the pooled ECDF, and
+    the 80th percentile."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["kind", "bin_lo_m", "bin_hi_m", "gap_ms", "value"])
+        for r in stats.bins:
+            w.writerow(["bin_mean", fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
+        # the rows csv.writer would emit (gaps are whole ms, so fmt gives
+        # str(int)), formatted a chunk at a time to keep few strings alive
+        gaps, probs = stats.ecdf_gaps_ms, stats.ecdf_probs
+        for i in range(0, gaps.size, _ECDF_CHUNK):
+            f.writelines(f"ecdf,,,{g},{p:.6g}\r\n" for g, p in
+                         zip(gaps[i:i + _ECDF_CHUNK].tolist(), probs[i:i + _ECDF_CHUNK].tolist()))
+        if stats.p80_ms is not None:
+            w.writerow(["p80", "", "", fmt(stats.p80_ms), ""])
+
+
+_LOG_CHUNK = 65536
+
+
+def write_txevents_csv(log: EventLog, path) -> None:
+    """One line per transmission; floats at 6 significant digits, as
+    `metrics.fmt` writes them."""
+    events = log.tx_events
+    with open(path, "w", newline="") as f:
+        f.write("event_id," + ",".join(TX_DTYPE.names) + "\r\n")
+        for i in range(0, len(events), _LOG_CHUNK):
+            f.writelines(f"{i + j},{sf},{ue},{ch},{p:.6g},{x:.6g},{lane},{per},{qd},"
+                         f"{dec},{col},{below},{hd}\r\n"
+                         for j, (sf, ue, ch, p, x, lane, per, qd, dec, col, below, hd)
+                         in enumerate(events[i:i + _LOG_CHUNK].tolist()))
 
 
 @dataclass
