@@ -49,8 +49,8 @@ def write_outputs(out_dir: Path, resolved: dict[str, object],
     slt_rows = metrics.slt(store, result.observation_s)
     ipg = metrics.ipg_stats(store)
     blind = metrics.blind_nodes(store)
-    metrics.write_pdr_csv(out_dir / "pdr_vs_distance.csv", pdr_rows)
-    metrics.write_slt_csv(out_dir / "slt_vs_distance.csv", slt_rows)
+    metrics.write_bin_csv(out_dir / "pdr_vs_distance.csv", pdr_rows, "pdr")
+    metrics.write_bin_csv(out_dir / "slt_vs_distance.csv", slt_rows, "slt_bytes_per_s")
     metrics.write_ipg_csv(out_dir / "ipg.csv", ipg)
     metrics.write_blind_csv(out_dir / "blind_nodes.csv", blind)
     metrics.write_timeseries_csv(out_dir / "timeseries.csv", result.timeseries)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -36,8 +37,12 @@ TX_DTYPE = np.dtype([
 # One row per (transmission, other UE) link, when `log_rx_outcomes` is on
 RX_DTYPE = np.dtype([("tx_event_id", np.int32), ("rx_ue", np.int32), ("outcome", np.int8),
                      ("rx_power_dbm", np.float64)])
-# Rows formatted or hashed per step, so few Python objects are alive at once
-_LOG_CHUNK = 65536
+# Rows hashed or formatted per step, so few Python objects are alive at once
+_LOG_CHUNK = 1 << 10
+# A txevents.csv line: the event id, then each field, floats at 6
+# significant digits as `metrics.fmt` writes them
+_CSV_ROW = ",".join(["%d"] + ["%.6g" if TX_DTYPE[name].kind == "f" else "%d"
+                              for name in TX_DTYPE.names]) + "\r\n"
 
 
 @dataclass
@@ -167,15 +172,15 @@ class EventLog:
 
     def write_csv(self, path) -> None:
         """One line per transmission; floats at 6 significant digits, as
-        `metrics.fmt` writes them."""
+        `metrics.fmt` writes them.  Each chunk of rows is one `%` operation
+        over its values, flattened row by row."""
         events = self.tx_events
         with open(path, "w", newline="") as f:
             f.write("event_id," + ",".join(TX_DTYPE.names) + "\r\n")
             for i in range(0, len(events), _LOG_CHUNK):
-                f.writelines(f"{i + j},{sf},{ue},{ch},{p:.6g},{x:.6g},{lane},{per},{qd},"
-                             f"{dec},{col},{below},{hd}\r\n"
-                             for j, (sf, ue, ch, p, x, lane, per, qd, dec, col, below, hd)
-                             in enumerate(events[i:i + _LOG_CHUNK].tolist()))
+                rows = events[i:i + _LOG_CHUNK]
+                columns = [range(i, i + len(rows))] + [rows[n].tolist() for n in TX_DTYPE.names]
+                f.write((_CSV_ROW * len(rows)) % tuple(chain.from_iterable(zip(*columns))))
 
 
 @dataclass

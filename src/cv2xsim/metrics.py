@@ -106,6 +106,7 @@ class MetricsStore:
         self.payload_bytes = payload_bytes
         self.roi_radius_m = roi_radius_m
         self._links = SparseCounts(self.BUFFER_KEYS, self.MIN_FOLD)
+        self._cells: LedgerCells | None = None
         self.gap_sum_ms = np.zeros(self.n_bins)
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
         self._gap_chunks: list[np.ndarray] = []
@@ -120,6 +121,7 @@ class MetricsStore:
         decoded.  Pair ids are flattened tx*n_ue+rx, and every pair may
         appear at most once per call."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
+        self._cells = None
         self._links.add(2 * (bins * (self.n_ue * self.n_ue) + pair_ids) + decoded)
         if decoded.any():
             dp, db = pair_ids[decoded], bins[decoded]
@@ -136,14 +138,28 @@ class MetricsStore:
             self.last_rx_ms[dp] = now_ms
 
     def cells(self) -> LedgerCells:
-        """Attempt and decode counts of every cell that saw an attempt."""
-        keys, counts = self._links.compacted()
-        cell = keys >> 1
-        starts = np.flatnonzero(np.diff(cell, prepend=-1))
-        tx = np.add.reduceat(counts, starts)
-        rx = np.add.reduceat(counts * (keys & 1), starts)
-        b, pair = np.divmod(cell[starts], self.n_ue * self.n_ue)
-        return LedgerCells(pair, b, tx, rx)
+        """Attempt and decode counts of every cell that saw an attempt, built
+        once and kept until the next `record_arrays`."""
+        if self._cells is None:
+            keys, counts = self._links.compacted()
+            # a cell's keys 2*cell and 2*cell+1 are adjacent when both occur,
+            # so a key opens a cell unless it is the decoded twin of the one
+            # before it; of the key-sized temporaries only `cell` is int64
+            cell = keys >> 1
+            opens = np.empty(keys.size, dtype=bool)
+            opens[:1] = True
+            np.not_equal(cell[1:], cell[:-1], out=opens[1:])
+            del cell
+            starts = np.flatnonzero(opens)
+            # each cell's last key, which is its decoded one if it has one
+            last = np.flatnonzero(np.append(opens[1:], keys.size > 0))
+            tx = np.add.reduceat(counts, starts)
+            rx = counts[last] * (keys[last] & 1)
+            b, pair = np.divmod(keys[starts] >> 1, self.n_ue * self.n_ue)
+            self._cells = LedgerCells(pair, b, tx, rx)
+            for a in self._cells:
+                a.flags.writeable = False   # every caller shares these arrays
+        return self._cells
 
     def update_roi(self, within_roi: np.ndarray) -> None:
         """AND the (n_ue, n_ue) in-range mask into the whole-window ROI mask."""
@@ -208,7 +224,9 @@ def ipg_stats(store: MetricsStore) -> IpgStats:
     gaps = store.gap_samples()
     gaps.sort()     # a fresh array: sorting in place saves a copy
     if gaps.size:
-        probs = np.arange(1, gaps.size + 1) / gaps.size
+        # k/N, divided in place: no integer temporary the size of the ECDF
+        probs = np.arange(1.0, gaps.size + 1.0)
+        probs /= gaps.size
         p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1])
     else:
         probs = np.zeros(0)
@@ -273,23 +291,16 @@ def gains(scheme_pdr: list[BinValue], scheme_slt: list[BinValue],
 # ---------------------------------------------------------------------------
 # CSV emission (6 significant digits; one file per metric)
 
-def write_pdr_csv(path, rows: list[BinValue]) -> None:
+def write_bin_csv(path, rows: list[BinValue], value_col: str) -> None:
+    """One row per distance bin, its value under the header `value_col`."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["bin_lo_m", "bin_hi_m", "pdr", "n_pairs"])
+        w.writerow(["bin_lo_m", "bin_hi_m", value_col, "n_pairs"])
         for r in rows:
             w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
 
 
-def write_slt_csv(path, rows: list[BinValue]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_lo_m", "bin_hi_m", "slt_bytes_per_s", "n_pairs"])
-        for r in rows:
-            w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
-
-
-_ECDF_CHUNK = 1 << 12
+_ECDF_CHUNK = 1 << 10
 
 
 def write_ipg_csv(path, stats: IpgStats) -> None:
@@ -301,11 +312,18 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
         for r in stats.bins:
             w.writerow(["bin_mean", fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
         # the rows csv.writer would emit (gaps are whole ms, so fmt gives
-        # str(int)), formatted a chunk at a time to keep few strings alive
+        # str(int)).  The gaps are sorted, so each run of equal gaps, found
+        # by a binary search, shares one row template, filled a chunk of
+        # probabilities at a time ('%.6g' formats as `fmt` does)
         gaps, probs = stats.ecdf_gaps_ms, stats.ecdf_probs
-        for i in range(0, gaps.size, _ECDF_CHUNK):
-            f.writelines(f"ecdf,,,{g},{p:.6g}\r\n" for g, p in
-                         zip(gaps[i:i + _ECDF_CHUNK].tolist(), probs[i:i + _ECDF_CHUNK].tolist()))
+        lo = 0
+        while lo < gaps.size:
+            hi = int(gaps.searchsorted(gaps[lo], side="right"))
+            row = f"ecdf,,,{gaps[lo]},%.6g\r\n"
+            for i in range(lo, hi, _ECDF_CHUNK):
+                p = probs[i:min(i + _ECDF_CHUNK, hi)].tolist()
+                f.write((row * len(p)) % tuple(p))
+            lo = hi
         if stats.p80_ms is not None:
             w.writerow(["p80", "", "", fmt(stats.p80_ms), ""])
 

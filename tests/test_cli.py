@@ -3,7 +3,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from cv2xsim import config
+from cv2xsim import config, metrics
 from cv2xsim.channel import ChannelModel
 from cv2xsim.cli import main
 from cv2xsim.dcc import SCHEMES, RangeControlConfig, RateControlConfig
@@ -188,12 +188,17 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "urban-ultrahigh" in out and "dcc-7" in out
 
-    def test_run_writes_artifacts_and_manifest(self, tmp_path, capsys):
+    def test_run_writes_artifacts_and_manifest(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        compacted = metrics.SparseCounts.compacted
+        monkeypatch.setattr(metrics.SparseCounts, "compacted",
+                            lambda self: builds.append(1) or compacted(self))
         out = tmp_path / "run1"
         rc = main(["run", "--scenario", "mini-low", "--scheme", "baseline",
                    "--seed", "7", "--out", str(out),
                    "--set", "run.duration_s=2", "--set", "run.warmup_s=1"])
         assert rc == 0
+        assert len(builds) == 1     # the ledger cells are built once for all outputs
         for name in ("manifest.json", "pdr_vs_distance.csv", "ipg.csv",
                      "slt_vs_distance.csv", "blind_nodes.csv", "timeseries.csv",
                      "txevents.csv", "summary.json"):

@@ -303,13 +303,16 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
     sparse = cls(n_ue, 25.0, max_range, 190)
     dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190)
     now = 0
-    for step, links in calls:
+    for i, (step, links) in enumerate(calls):
         now += step
         pairs = np.array([p for p, _, _ in links], dtype=np.int64)
         dist = np.array([d for _, d, _ in links])
         ok = np.array([o for _, _, o in links], dtype=bool)
         for s in (sparse, dense):
             s.record_arrays(now, pairs, dist, ok)
+        if i == len(calls) // 2:
+            # cells built halfway must not hide the links recorded after
+            assert pdr(sparse) == oracles.pdr(dense)
     for m in masks:
         mask = np.array(m).reshape(n_ue, n_ue)
         sparse.update_roi(mask)
@@ -326,6 +329,22 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
     assert got.bins == want.bins and got.p80_ms == want.p80_ms
     assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
     assert np.array_equal(got.ecdf_probs, want.ecdf_probs)
+
+
+def test_cells_built_once_until_the_next_record(monkeypatch):
+    """pdr, slt and blind_nodes share one build of the cells; recording a
+    link drops it, and the next build counts that link."""
+    builds = []
+    compacted = SparseCounts.compacted
+    monkeypatch.setattr(SparseCounts, "compacted", lambda self: builds.append(1) or compacted(self))
+    s = random_ledger(4)
+    pdr(s), slt(s, 2.0), blind_nodes(s)
+    assert len(builds) == 1
+    attempts = int(s.cells().tx.sum())
+    record(s, 5000, 0, 1, 30.0, True)
+    assert int(s.cells().tx.sum()) == attempts + 1
+    pdr(s), slt(s, 2.0), blind_nodes(s)
+    assert len(builds) == 2
 
 
 def test_call_larger_than_the_buffer():

@@ -12,19 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cv2xsim import metrics
+from cv2xsim import engine, metrics
 from cv2xsim.engine import TX_DTYPE, EventLog
 from cv2xsim.metrics import BinValue, IpgStats
 
 
-def written(write, *args) -> tuple[bytes, bytes]:
-    """The bytes of `write(*args, path)`-style calls: (new writer, oracle)."""
-    new, oracle = write
+def file_bytes(write) -> bytes:
+    """The bytes `write(path)` puts in a fresh file."""
     with tempfile.TemporaryDirectory() as d:
-        a, b = Path(d) / "new.csv", Path(d) / "oracle.csv"
-        new(a, *args)
-        oracle(b, *args)
-        return a.read_bytes(), b.read_bytes()
+        path = Path(d) / "out.csv"
+        write(path)
+        return path.read_bytes()
 
 
 def ecdf(gaps, probs, bins=()) -> IpgStats:
@@ -35,12 +33,14 @@ def ecdf(gaps, probs, bins=()) -> IpgStats:
 
 
 def ipg_bytes(stats: IpgStats) -> tuple[bytes, bytes]:
-    return written((lambda p, s: metrics.write_ipg_csv(p, s), oracles.write_ipg_csv), stats)
+    """ipg.csv from the writer and from its oracle."""
+    return (file_bytes(lambda p: metrics.write_ipg_csv(p, stats)),
+            file_bytes(lambda p: oracles.write_ipg_csv(p, stats)))
 
 
 def txevents_bytes(log: EventLog) -> tuple[bytes, bytes]:
-    return written((lambda p, lg: lg.write_csv(p),
-                    lambda p, lg: oracles.write_txevents_csv(lg, p)), log)
+    """txevents.csv from the writer and from its oracle."""
+    return file_bytes(log.write_csv), file_bytes(lambda p: oracles.write_txevents_csv(log, p))
 
 
 @st.composite
@@ -62,7 +62,7 @@ def ipg_cases(draw):
             draw(st.lists(st.tuples(st.integers(0, 40),
                                     st.floats(0.0, 1e7, allow_nan=False),
                                     st.integers(1, 10 ** 6)), max_size=4))]
-    return ecdf(gaps, probs, bins), draw(st.sampled_from([1, 2, 3, 5, 4096]))
+    return ecdf(gaps, probs, bins), draw(st.sampled_from([1, 2, 3, 5, 1024]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,8 +83,9 @@ def test_ipg_csv_tiny_ecdf(gaps):
 
 
 def test_ipg_csv_run_across_the_chunk_and_tiny_probabilities():
-    """A run of 5,000 equal gaps crosses the 4,096-row chunk, and with
-    12,000 samples the first probabilities are below 1e-4."""
+    """A run of 5,000 equal gaps crosses chunks of the writer's own size,
+    and with 12,000 samples the first probabilities are below 1e-4."""
+    assert metrics._ECDF_CHUNK < 5000
     gaps = [100] * 5000 + [101] * 6999 + [250]
     stats = ecdf(gaps, np.arange(1, len(gaps) + 1) / len(gaps))
     new, oracle = ipg_bytes(stats)
@@ -132,7 +133,9 @@ def test_txevents_csv_without_transmissions():
 
 
 def test_txevents_csv_across_chunks():
-    """More rows than two 4,096-row chunks, so event ids carry across."""
+    """Rows over several chunks, appended in pieces that do not align
+    with them, so event ids carry across."""
+    assert 3000 % engine._LOG_CHUNK != 0
     rng = np.random.default_rng(5)
     log = EventLog()
     for n in (3000, 4000, 1200):
