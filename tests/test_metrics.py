@@ -329,6 +329,8 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
     assert got.bins == want.bins and got.p80_ms == want.p80_ms
     assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
     assert np.array_equal(got.ecdf_probs, want.ecdf_probs)
+    n = got.ecdf_gaps_ms.size
+    assert np.array_equal(got.ecdf_probs, np.arange(1, n + 1) / max(n, 1))
 
 
 def test_cells_built_once_until_the_next_record(monkeypatch):
@@ -338,13 +340,13 @@ def test_cells_built_once_until_the_next_record(monkeypatch):
     compacted = SparseCounts.compacted
     monkeypatch.setattr(SparseCounts, "compacted", lambda self: builds.append(1) or compacted(self))
     s = random_ledger(4)
-    pdr(s), slt(s, 2.0), blind_nodes(s)
+    before = pdr(s), slt(s, 2.0), blind_nodes(s)
     assert len(builds) == 1
     attempts = int(s.cells().tx.sum())
     record(s, 5000, 0, 1, 30.0, True)
     assert int(s.cells().tx.sum()) == attempts + 1
-    pdr(s), slt(s, 2.0), blind_nodes(s)
-    assert len(builds) == 2
+    after = pdr(s), slt(s, 2.0), blind_nodes(s)
+    assert len(builds) == 2 and after[1] != before[1]
 
 
 def test_call_larger_than_the_buffer():
