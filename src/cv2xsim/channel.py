@@ -3,7 +3,7 @@ the S-RSSI / PSSCH-RSRP measurements consumed by sensing and congestion control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class ChannelModel:
         return float(dbm_to_mw(self.noise_floor_dbm))
 
 
-def pathloss(d_m, model: ChannelModel):
-    """Pathloss in dB at distance d_m (scalar or array), clamped below d0."""
+def pathloss(d_m: np.ndarray, model: ChannelModel) -> np.ndarray:
+    """Pathloss in dB at each distance of d_m, clamped below d0."""
     d = np.maximum(np.asarray(d_m, dtype=float), model.d0_m)
     pl = model.pl0_db + 10.0 * model.exponent * np.log10(d / model.d0_m)
     if model.breakpoint_m is not None:
@@ -64,7 +64,7 @@ def pathloss(d_m, model: ChannelModel):
         pl_bp = model.pl0_db + 10.0 * model.exponent * np.log10(bp / model.d0_m)
         beyond = pl_bp + 10.0 * model.exponent_beyond * np.log10(d / bp)
         pl = np.where(d > bp, beyond, pl)
-    return float(pl) if np.isscalar(d_m) or np.ndim(d_m) == 0 else pl
+    return pl
 
 
 class Outcome:
@@ -86,19 +86,16 @@ class SubframeResolution:
     """
 
     rx_power_dbm: np.ndarray      # (k, n_ue)
-    sinr_db: np.ndarray           # (k, n_ue)
     outcome: np.ndarray           # (k, n_ue) int8 Outcome codes
     distance_m: np.ndarray        # (k, n_ue)
     srssi_mw: np.ndarray          # (n_ue, n_subch) total arrivals + noise
     is_transmitting: np.ndarray   # (n_ue,) bool
-    shadow_db: np.ndarray = field(repr=False, default=None)
 
 
 def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.ndarray,
                      x: np.ndarray, y: np.ndarray, model: ChannelModel, rng: RngStream,
-                     geometry: RoadGeometry, n_subch: int = 2,
-                     static_shadow: np.ndarray | None = None,
-                     fading_rng: RngStream | None = None) -> SubframeResolution:
+                     geometry: RoadGeometry, n_subch: int, static_shadow: np.ndarray | None,
+                     fading_rng: RngStream) -> SubframeResolution:
     """Resolve every transmission of one subframe against every UE.
 
     Transmission t is sent by UE `tx_ue[t]` on subchannel `tx_subch[t]` at
@@ -112,18 +109,16 @@ def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.n
     per-subchannel S-RSSI (total arrivals + noise, own signal excluded).
 
     Shadowing is drawn here per (tx, rx) from `rng` in iid mode; in static
-    mode it is looked up from `static_shadow[tx_ue, rx_ue]`.  Fast fading,
-    when enabled, draws from its own stream so toggling it leaves the
-    shadowing realization untouched.
+    mode it is looked up from `static_shadow[tx_ue, rx_ue]` (None when the
+    mode is off).  Fast fading, when enabled, draws from `fading_rng`, so
+    toggling it leaves the shadowing realization untouched.
     """
     k, nrx = len(tx_ue), len(x)
     noise_mw = model.noise_mw
     srssi_mw = np.full((nrx, n_subch), noise_mw)
     rxp_dbm = np.zeros((k, nrx))
-    sinr_db = np.full((k, nrx), np.nan)
     codes = np.zeros((k, nrx), dtype=np.int8)
     dists = np.zeros((k, nrx))
-    shadows = np.zeros((k, nrx))
 
     is_tx = np.zeros(nrx, dtype=bool)
     is_tx[tx_ue] = True
@@ -133,9 +128,7 @@ def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.n
         if not rows.size:
             continue
         ues = tx_ue[rows]
-        dx = geometry.dx(x[ues][:, None], x[None, :])
-        dy = y[ues][:, None] - y[None, :]
-        d = np.hypot(dx, dy)
+        d = geometry.distance(x[ues][:, None], y[ues][:, None], x[None, :], y[None, :])
 
         if model.shadowing_sigma_db > 0.0:
             if model.shadowing_mode == "static":
@@ -145,11 +138,10 @@ def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.n
             else:
                 sh = rng.normal(0.0, model.shadowing_sigma_db, size=d.shape)
         else:
-            sh = np.zeros_like(d)
+            sh = 0.0
 
         if model.fading == "nakagami":
-            frng = fading_rng if fading_rng is not None else rng
-            gain = frng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=d.shape)
+            gain = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=d.shape)
             fade = -10.0 * np.log10(np.maximum(gain, 1e-12))
         else:
             fade = 0.0
@@ -173,9 +165,7 @@ def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.n
 
         srssi_mw[:, subch] += total_mw
         rxp_dbm[rows] = p_dbm
-        sinr_db[rows] = sinr_row_db
         codes[rows] = code
         dists[rows] = d
-        shadows[rows] = sh
 
-    return SubframeResolution(rxp_dbm, sinr_db, codes, dists, srssi_mw, is_tx, shadows)
+    return SubframeResolution(rxp_dbm, codes, dists, srssi_mw, is_tx)

@@ -168,12 +168,10 @@ def resolve(file_values: dict[str, object] | None = None,
         or _DEFAULT_SCENARIO
     try:
         _apply(resolved, _scheme_layer(str(scheme_name)), errors)
-        resolved["run.scheme"] = str(scheme_name)
     except KeyError as e:
         errors.append(str(e.args[0]))
     try:
         _apply(resolved, _scenario_layer(str(scenario_name)), errors)
-        resolved["run.scenario"] = str(scenario_name)
     except KeyError as e:
         errors.append(str(e.args[0]))
 
@@ -218,8 +216,6 @@ def build_run_config(resolved: dict[str, object]) -> RunConfig:
         errors.append(f"[scenario] {e}")
     run = {f.name: type(f.default)(resolved[key]) for key, f in _run_fields().items()
            if key != "cr.calibration"}
-    if run["warmup_s"] >= run["duration_s"]:
-        errors.append("run.warmup_s must be below run.duration_s")
     try:
         run["cr_calibration"] = parse_calibration(resolved["cr.calibration"])
     except ValueError as e:

@@ -37,6 +37,11 @@ class RoadGeometry:
             d = np.minimum(d, self.length_m - d)
         return d
 
+    def distance(self, x1, y1, x2, y2):
+        """Euclidean distance between (x1, y1) and (x2, y2), elementwise; the
+        longitudinal part wraps as `dx` does."""
+        return np.hypot(self.dx(x1, x2), y1 - y2)
+
     def wrap_x(self, x):
         return x % self.length_m if self.wraparound else x
 

@@ -46,10 +46,12 @@ class RangeControlConfig:
             raise ValueError("eta must be in (0, 1]")
 
 
-def neighbor_counts(pair_dist: np.ndarray, radius_m: float) -> np.ndarray:
-    """Vehicles within radius_m of each vehicle (boundary inclusive), itself
-    excluded, from the (n, n) matrix of pair distances."""
-    return (np.sum(pair_dist <= radius_m, axis=1) - 1).astype(float)
+def neighbor_counts(x: np.ndarray, y: np.ndarray, geometry: RoadGeometry,
+                    radius_m: float) -> np.ndarray:
+    """Vehicles within radius_m of each vehicle at (x, y) (boundary
+    inclusive), itself excluded.  Builds the (n, n) distances for the call."""
+    within = geometry.distance(x[:, None], y[:, None], x[None, :], y[None, :]) <= radius_m
+    return (np.sum(within, axis=1) - 1).astype(float)
 
 
 def smooth_density(n_new: float, n_prev_smoothed: float) -> float:
@@ -63,42 +65,36 @@ def busy_percentage(busy: np.ndarray, slots: np.ndarray, previous_pct: np.ndarra
     return np.where(slots > 0, 100.0 * busy / np.maximum(slots, 1), previous_pct)
 
 
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
-
 def compute_itt(n_sta_smoothed, cfg: RateControlConfig):
     """Inter-transmit time in ms from the smoothed neighbor count.
 
     Flat at 100 ms up to the density coefficient, then linear, then capped at
     itt_max_ms once the count reaches (itt_max / 100 ms) times the coefficient.
-    Takes a scalar or an array of counts (one per UE) and returns the same.
+    Takes an array of counts (one per UE) and returns one ITT per count.
     """
     n = np.asarray(n_sta_smoothed, dtype=float)
     if np.any(n < 0):
         raise ValueError("neighbor count cannot be negative")
     b = cfg.density_coefficient
-    return _scalar_or_array(np.where(
-        n <= b, 100.0,
-        np.where(n < (cfg.itt_max_ms / 100.0) * b, (n / b) * 100.0, cfg.itt_max_ms)))
+    return np.where(n <= b, 100.0,
+                    np.where(n < (cfg.itt_max_ms / 100.0) * b, (n / b) * 100.0, cfg.itt_max_ms))
 
 
 def power_target(cbp_pct, cfg: RangeControlConfig):
     """Piecewise-linear busy-percentage-to-power map: full power below u_min,
-    minimum power at and above u_max, linear in between.  Scalar or array."""
+    minimum power at and above u_max, linear in between, per UE."""
     c = np.asarray(cbp_pct, dtype=float)
     frac = (cfg.u_max_pct - c) / (cfg.u_max_pct - cfg.u_min_pct)
-    return _scalar_or_array(np.where(
-        c < cfg.u_min_pct, cfg.p_max_dbm,
-        np.where(c >= cfg.u_max_pct, cfg.p_min_dbm,
-                 cfg.p_min_dbm + frac * (cfg.p_max_dbm - cfg.p_min_dbm))))
+    return np.where(c < cfg.u_min_pct, cfg.p_max_dbm,
+                    np.where(c >= cfg.u_max_pct, cfg.p_min_dbm,
+                             cfg.p_min_dbm + frac * (cfg.p_max_dbm - cfg.p_min_dbm)))
 
 
 def update_power(p_k_dbm, cbp_pct, cfg: RangeControlConfig):
     """One smoothed step of the power feedback loop:
-    p_{k+1} = p_k + eta * (target(cbp) - p_k).  Scalar or array."""
+    p_{k+1} = p_k + eta * (target(cbp) - p_k), per UE."""
     p = np.asarray(p_k_dbm, dtype=float)
-    return _scalar_or_array(p + cfg.eta * (power_target(cbp_pct, cfg) - p))
+    return p + cfg.eta * (power_target(cbp_pct, cfg) - p)
 
 
 def tracking_error(x_m: np.ndarray, last_x_m: np.ndarray, last_speed_mps: np.ndarray,
@@ -137,8 +133,8 @@ class DccScheme:
     enabled: bool = True
     rate: RateControlConfig = field(default_factory=RateControlConfig)
     range: RangeControlConfig = field(default_factory=RangeControlConfig)
-    slrrc_min: int | None = None    # optional MAC overrides
-    slrrc_max: int | None = None
+    slrrc_min: int | None = None    # optional MAC overrides, which the config
+    slrrc_max: int | None = None    # layers into the sps.* keys
     p_resel: float | None = None
 
 

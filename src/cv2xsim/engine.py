@@ -17,7 +17,7 @@ one seed fixes the whole run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -71,7 +71,7 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.warmup_s >= self.duration_s:
-            raise ValueError("warmup_s must be below duration_s")
+            raise ValueError("run.warmup_s must be below run.duration_s")
         if self.subchannels < 1:
             raise ValueError("subchannels must be at least 1")
         if self.payload_bytes < 1:
@@ -85,14 +85,19 @@ class RunConfig:
         """Estimated peak size of the state that grows with the run's scale,
         in MiB, split by the config key that drives each part.
 
-        `scenario.vehicle_count`: per ordered pair, `pair_dist` plus the
-        three float64 arrays that recompute it on each mobility tick, the
-        ledger's `last_rx_ms`, `roi_always` and the mask ANDed into it, and
-        the static shadowing draws when enabled.  Sensing: the (span, n,
-        subchannels) rings of S-RSSI (float64), reservation RSRP (float32)
-        and period (int32), and the (span, n) sensed mask.  The event log's
-        tx rows, at one per vehicle per 100 ms (the shortest inter-transmit
-        time) over the whole run.
+        `scenario.vehicle_count`: per ordered pair, 40 bytes: the ledger's
+        `last_rx_ms` (int64); the ledger's `roi_pairs` (int64 keys) in the
+        worst case, where every pair stays in range; and the one-shot
+        distance build of `dcc.neighbor_counts` and the first ROI tick,
+        whose peak holds three float64 arrays (the longitudinal and lateral
+        separations and their `hypot`).  A later ROI tick holds about 80
+        bytes per kept pair for a moment, which this covers while at most a
+        third of the pairs stay in range (5 % on urban-medium's road at
+        100 m).  Plus 8 bytes for the static shadowing draws when enabled.
+        Sensing: the (span, n, subchannels) rings of S-RSSI (float64),
+        reservation RSRP (float32) and period (int32), and the (span, n)
+        sensed mask.  The event log's tx rows, at one per vehicle per 100 ms
+        (the shortest inter-transmit time) over the whole run.
 
         `run.log_rx_outcomes`: one rx row per tx row and other vehicle.
 
@@ -100,7 +105,7 @@ class RunConfig:
         joined into.
         """
         n = self.scenario.vehicle_count
-        per_pair = 4 * 8 + 8 + 2 * 1
+        per_pair = 8 + 8 + 3 * 8
         if self.channel.shadowing_mode == "static" and self.channel.shadowing_sigma_db > 0:
             per_pair += 8
         span = self.sps.sensing_window_sf
@@ -216,20 +221,11 @@ class Simulation:
         self.n_ue = len(self.x)
         self.scheme = cfg.scheme
 
-        sps = cfg.sps
-        if self.scheme.slrrc_min is not None:
-            sps = replace(sps, slrrc_min=self.scheme.slrrc_min, slrrc_max=self.scheme.slrrc_max)
-        if self.scheme.p_resel is not None:
-            sps = replace(sps, p_resel=self.scheme.p_resel)
-        self.sps = sps
-
         n = self.n_ue
         self.y = self.geometry.lane_y(self.lane)
-        self._refresh_positions()
 
-        rate, rng_cfg = self.scheme.rate, self.scheme.range
         self.itt_ms = np.full(n, 100.0)
-        self.power_dbm = np.full(n, rng_cfg.p_max_dbm)
+        self.power_dbm = np.full(n, self.scheme.range.p_max_dbm)
         self.n_sta_s = np.zeros(n)
         self.cbp_pct = np.zeros(n)
         self.last_tx = np.full(n, -(10 ** 9), dtype=np.int64)
@@ -243,7 +239,8 @@ class Simulation:
         self.bcast_v = self.speed.copy()
         self.bcast_t = np.zeros(n, dtype=np.int64)
 
-        self.store = SensingStore(n, cfg.subchannels, sps.sensing_window_sf, cfg.channel.noise_mw)
+        self.store = SensingStore(n, cfg.subchannels, cfg.sps.sensing_window_sf,
+                                  cfg.channel.noise_mw)
         self._noise_matrix = np.full((n, cfg.subchannels), cfg.channel.noise_mw)
         self._all_sensed = np.ones(n, dtype=bool)
 
@@ -268,17 +265,13 @@ class Simulation:
         lo, hi = self.preset.region_bounds_m
         self._region = (lo, hi)
 
-    def _refresh_positions(self) -> None:
-        dx = self.geometry.dx(self.x[:, None], self.x[None, :])
-        dy = self.y[:, None] - self.y[None, :]
-        self.pair_dist = np.hypot(dx, dy)
-
     def _select_grant(self, ue: int, n: int) -> None:
         period = max(1, int(round(self.itt_ms[ue])))
-        subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, self.sps,
+        sps = self.cfg.sps
+        subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, sps,
                                                   self.rngs.stream("sps", ue),
                                                   own_period_sf=period)
-        slrrc = self.rngs.stream("sps", ue).randint(self.sps.slrrc_min, self.sps.slrrc_max)
+        slrrc = self.rngs.stream("sps", ue).randint(sps.slrrc_min, sps.slrrc_max)
         self.next_tx[ue], self.grant_subch[ue] = subframe, subch
         self.grant_period[ue], self.slrrc[ue] = period, slrrc
 
@@ -290,7 +283,7 @@ class Simulation:
         tx_power = self.power_dbm[tx_ue]
         res = resolve_subframe(tx_ue, tx_subch, tx_power, self.x, self.y, cfg.channel,
                                shadow_rng, self.geometry, cfg.subchannels, self.static_shadow,
-                               fading_rng=fading_rng)
+                               fading_rng)
         k = len(tx_ue)
         rows = np.arange(k)
         counts = np.bincount((4 * rows[:, None] + res.outcome).ravel(),
@@ -334,21 +327,21 @@ class Simulation:
         fading_rng = self.rngs.stream("fading")
 
         for n in range(self.total_sf):
-            # mobility tick: move vehicles, refresh geometry caches
+            # mobility tick: move vehicles, then narrow the region of interest
             if n > 0 and n % cfg.mobility_tick_ms == 0:
                 respawned = mobility.step(self.fleet, cfg.mobility_tick_ms / 1000.0,
                                           self.preset, perturb_rng)
-                self._refresh_positions()
                 # a respawned vehicle re-enters as a fresh participant
                 self.bcast_x[respawned] = self.x[respawned]
                 self.bcast_v[respawned] = self.speed[respawned]
                 self.bcast_t[respawned] = n
                 if n >= self.warmup_sf:
-                    self.metrics.update_roi(self.pair_dist <= cfg.roi_radius_m)
+                    self.metrics.update_roi(self.x, self.y, self.geometry)
 
             # density sample -> smoothed neighbor count -> rate control
             if n % cfg.density_period_ms == 0:
-                counts = dcc.neighbor_counts(self.pair_dist, rate_cfg.neighbor_radius_m)
+                counts = dcc.neighbor_counts(self.x, self.y, self.geometry,
+                                             rate_cfg.neighbor_radius_m)
                 self.n_sta_s = dcc.smooth_density(counts, self.n_sta_s)
                 if scheme.enabled:
                     self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
@@ -416,7 +409,7 @@ class Simulation:
                     self._own_tx_history[ue].append(n)
                     self._own_tx_history[ue] = [t for t in self._own_tx_history[ue] if t > n - 1000]
                 slrrc = mac_sps.on_transmission(int(self.slrrc[ue]), self.rngs.stream("sps", ue),
-                                                self.sps)
+                                                cfg.sps)
                 if slrrc is None:
                     # the new grant's period comes from the same itt_ms as `period`
                     self._select_grant(ue, n)

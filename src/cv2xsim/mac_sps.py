@@ -60,7 +60,7 @@ class SensingStore:
     its row, which evicts the subframe one span older.
     """
 
-    def __init__(self, n_ue: int, n_subch: int, span: int = 1000, noise_mw: float = 1e-10):
+    def __init__(self, n_ue: int, n_subch: int, span: int, noise_mw: float):
         self.n_ue = n_ue
         self.n_subch = n_subch
         self.span = span
@@ -123,7 +123,7 @@ class SelectionResult:
 
 
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
-                      own_period_sf: int = 100) -> SelectionResult:
+                      own_period_sf: int) -> SelectionResult:
     """Run the selection pipeline and return the final candidate set.
 
     1. Pool every resource in the selection window [n+T1, n+T2].
@@ -247,7 +247,7 @@ def _log10(values: np.ndarray) -> np.ndarray:
 
 
 def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: RngStream, *,
-                    own_period_sf: int = 100) -> tuple[int, int]:
+                    own_period_sf: int) -> tuple[int, int]:
     """Pick uniformly at random from the selection pipeline's candidate set;
     returns (subframe, subchannel)."""
     result = select_candidates(window, n, cfg, own_period_sf=own_period_sf)

@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import RoadGeometry
+
 
 def fmt(v) -> str:
     """CSV number formatting: floats at 6 significant digits."""
@@ -87,17 +89,18 @@ class MetricsStore:
     are distances at transmission time.  Each link is counted under the key
     2*cell + decoded of its (pair, bin) cell, cell = bin*n_ue**2 + pair, so
     only cells that saw an attempt take memory, and the sorted keys list the
-    cells bin by bin with pairs ascending.  Gap statistics pool all pairs; the
-    region-of-interest mask is ANDed down over time so blind-node detection
-    only reports pairs that stayed in range for the whole observation
-    window.
+    cells bin by bin with pairs ascending.  Gap statistics pool all pairs.
+    `roi_pairs` holds the sorted keys of the pairs (tx != rx) that were within
+    `roi_radius_m` on every mobility tick of the observation window, so
+    blind-node detection only reports pairs that stayed in range; it is None
+    until the first tick.
     """
 
     BUFFER_KEYS = 1 << 18    # most links held between merges
     MIN_FOLD = 1 << 13       # fewest links held between merges
 
-    def __init__(self, n_ue: int, bin_width_m: float = 25.0, max_range_m: float = 1000.0,
-                 payload_bytes: int = 190, roi_radius_m: float = 100.0):
+    def __init__(self, n_ue: int, bin_width_m: float, max_range_m: float,
+                 payload_bytes: int, roi_radius_m: float):
         if bin_width_m <= 0 or max_range_m <= 0:
             raise ValueError("bin_width_m and max_range_m must be positive")
         self.n_ue = n_ue
@@ -111,7 +114,7 @@ class MetricsStore:
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
         self._gap_chunks: list[np.ndarray] = []
         self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int64)
-        self.roi_always = ~np.eye(n_ue, dtype=bool)
+        self.roi_pairs: np.ndarray | None = None
         self.observation_s = 0.0
 
     def record_arrays(self, now_ms: int, pair_ids: np.ndarray, dist_m: np.ndarray,
@@ -161,14 +164,27 @@ class MetricsStore:
                 a.flags.writeable = False   # every caller shares these arrays
         return self._cells
 
-    def update_roi(self, within_roi: np.ndarray) -> None:
-        """AND the (n_ue, n_ue) in-range mask into the whole-window ROI mask."""
-        self.roi_always &= within_roi
+    def update_roi(self, x: np.ndarray, y: np.ndarray, geometry: RoadGeometry) -> None:
+        """Keep the pairs still within `roi_radius_m` at this tick's
+        positions.  The first tick measures every pair; a later one only the
+        pairs kept so far."""
+        if self.roi_pairs is None:
+            within = geometry.distance(x[:, None], y[:, None], x[None, :], y[None, :]) \
+                <= self.roi_radius_m
+            within.flat[::self.n_ue + 1] = False
+            self.roi_pairs = np.flatnonzero(within)
+        else:
+            tx, rx = np.divmod(self.roi_pairs, self.n_ue)
+            kept = geometry.distance(x[tx], y[tx], x[rx], y[rx]) <= self.roi_radius_m
+            self.roi_pairs = self.roi_pairs[kept]
 
     def gap_samples(self) -> np.ndarray:
-        if not self._gap_chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(self._gap_chunks)
+        """Every gap sample in one array, which replaces the chunks, so the
+        samples are held once; their order carries nothing."""
+        if len(self._gap_chunks) != 1:
+            self._gap_chunks[:] = [np.concatenate(self._gap_chunks) if self._gap_chunks
+                                   else np.zeros(0, dtype=np.int64)]
+        return self._gap_chunks[0]
 
     def bin_edges(self, b: int) -> tuple[float, float]:
         return (b * self.bin_width_m, (b + 1) * self.bin_width_m)
@@ -205,8 +221,7 @@ def pdr(store: MetricsStore) -> list[BinValue]:
 @dataclass(frozen=True)
 class IpgStats:
     bins: list[BinValue]            # mean gap (ms) per distance bin at reception time
-    ecdf_gaps_ms: np.ndarray        # sorted pooled gap samples
-    ecdf_probs: np.ndarray
+    ecdf_gaps_ms: np.ndarray        # sorted pooled gap samples; the k-th has probability k/N
     p80_ms: float | None
 
 
@@ -222,16 +237,9 @@ def ipg_stats(store: MetricsStore) -> IpgStats:
         bins.append(BinValue(lo, hi, float(store.gap_sum_ms[b] / store.gap_count[b]),
                              int(store.gap_count[b])))
     gaps = store.gap_samples()
-    gaps.sort()     # a fresh array: sorting in place saves a copy
-    if gaps.size:
-        # k/N, divided in place: no integer temporary the size of the ECDF
-        probs = np.arange(1.0, gaps.size + 1.0)
-        probs /= gaps.size
-        p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1])
-    else:
-        probs = np.zeros(0)
-        p80 = None
-    return IpgStats(bins, gaps, probs, p80)
+    gaps.sort()     # in place: the store's one copy of the samples
+    p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1]) if gaps.size else None
+    return IpgStats(bins, gaps, p80)
 
 
 def slt(store: MetricsStore, observation_s: float) -> list[BinValue]:
@@ -256,7 +264,10 @@ def blind_nodes(store: MetricsStore) -> BlindReport:
     silent = np.zeros(store.n_ue * store.n_ue, dtype=bool)
     silent[cells.pair] = True
     silent[cells.pair[cells.rx > 0]] = False
-    tx, rx = np.divmod(np.flatnonzero(silent & store.roi_always.reshape(-1)), store.n_ue)
+    keys = store.roi_pairs
+    # without a mobility tick in the window every silent pair counts
+    keys = np.flatnonzero(silent) if keys is None else keys[silent[keys]]
+    tx, rx = np.divmod(keys, store.n_ue)
     return BlindReport(len(set(rx.tolist())), list(zip(tx.tolist(), rx.tolist())))
 
 
@@ -314,14 +325,14 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
         # the rows csv.writer would emit (gaps are whole ms, so fmt gives
         # str(int)).  The gaps are sorted, so each run of equal gaps, found
         # by a binary search, shares one row template, filled a chunk of
-        # probabilities at a time ('%.6g' formats as `fmt` does)
-        gaps, probs = stats.ecdf_gaps_ms, stats.ecdf_probs
+        # probabilities k/N at a time ('%.6g' formats as `fmt` does)
+        gaps = stats.ecdf_gaps_ms
         lo = 0
         while lo < gaps.size:
             hi = int(gaps.searchsorted(gaps[lo], side="right"))
             row = f"ecdf,,,{gaps[lo]},%.6g\r\n"
             for i in range(lo, hi, _ECDF_CHUNK):
-                p = probs[i:min(i + _ECDF_CHUNK, hi)].tolist()
+                p = (np.arange(i + 1.0, min(i + _ECDF_CHUNK, hi) + 1.0) / gaps.size).tolist()
                 f.write((row * len(p)) % tuple(p))
             lo = hi
         if stats.p80_ms is not None:

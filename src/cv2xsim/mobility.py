@@ -90,20 +90,20 @@ def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> Fleet:
     return Fleet(x, lane, speed, speed.copy())
 
 
-def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset,
-         rng: RngStream | None = None) -> np.ndarray:
+def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset, rng: RngStream) -> np.ndarray:
     """Advance every vehicle by dt_s in place; returns the indices that respawned.
 
     Vehicles leaving a non-wraparound road re-enter at the opposite end of
     their own lane, which keeps per-lane population (and so density) exact.
     With `speed_sigma` set, speeds follow a mean-reverting walk clamped to
     [0, 1.2x] the nominal magnitude, giving the tracking-error trigger
-    something to react to.  One normal draw per vehicle, in vehicle order.
+    something to react to, with one normal draw from `rng` per vehicle, in
+    vehicle order; without it `rng` is not drawn from.
     """
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")
     length_m = preset.road_length_km * 1000.0
-    if preset.speed_sigma > 0.0 and rng is not None:
+    if preset.speed_sigma > 0.0:
         nominal, speed = fleet.nominal_mps, fleet.speed_mps
         dv = preset.speed_reversion * (nominal - speed) * dt_s \
             + preset.speed_sigma * math.sqrt(dt_s) * rng.normal(size=len(speed))

@@ -16,8 +16,13 @@ and lists one record per decode.
 
 `DenseMetricsStore`, `pdr`, `slt` and `blind_nodes` are the dense form of
 the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
-tables written cell by cell and swept column by column.  `dense_counts`
-lays the sparse ledger's cells out in the same tables.
+tables written cell by cell and swept column by column, and an (n_ue, n_ue)
+region-of-interest mask that each tick's in-range mask is ANDed into.
+`dense_counts` lays the sparse ledger's cells out in the same tables.
+
+`pair_distances` is the (n, n) matrix of every pair's distance, computed at
+once: the reference for the distances that `cv2xsim.dcc.neighbor_counts`
+and `MetricsStore.update_roi` compute where they read them.
 
 `Vehicle`, `generate_scenario` and `step` are the vehicle-by-vehicle form
 of `cv2xsim.mobility`: one object per vehicle, moved in a Python loop with
@@ -25,7 +30,8 @@ one scalar normal draw per vehicle.
 
 `write_ipg_csv` and `write_txevents_csv` are the row-by-row form of
 `cv2xsim.metrics.write_ipg_csv` and `cv2xsim.engine.EventLog.write_csv`:
-one f-string per ECDF sample and per transmission.
+one f-string per ECDF sample, with its probability k/N, and per
+transmission.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cv2xsim.core import RngStream
+from cv2xsim.core import RngStream, RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
 from cv2xsim.metrics import BinValue, BlindReport, IpgStats, MetricsStore, fmt
@@ -89,7 +95,7 @@ def _projected_candidates(j: int, period: int, lo: int, hi: int):
 
 
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
-                      own_period_sf: int = 100) -> SelectionResult:
+                      own_period_sf: int) -> SelectionResult:
     """Resource-by-resource form of `cv2xsim.mac_sps.select_candidates`; its
     candidates are a list of (subframe, subchannel) tuples."""
     store = window.store
@@ -218,11 +224,18 @@ def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> floa
     return occupancy_ratio(n, np.ones_like(used), used, (tau1, tau2))
 
 
+def pair_distances(x: np.ndarray, y: np.ndarray, geometry: RoadGeometry) -> np.ndarray:
+    """(n, n) distances between the vehicles at (x, y), entry [i, j] from i to j."""
+    dx = geometry.dx(x[:, None], x[None, :])
+    dy = y[:, None] - y[None, :]
+    return np.hypot(dx, dy)
+
+
 class DenseMetricsStore:
     """Reception ledger with a dense (n_ue**2, n_bins) table per count."""
 
-    def __init__(self, n_ue: int, bin_width_m: float = 25.0, max_range_m: float = 1000.0,
-                 payload_bytes: int = 190, roi_radius_m: float = 100.0):
+    def __init__(self, n_ue: int, bin_width_m: float, max_range_m: float,
+                 payload_bytes: int, roi_radius_m: float):
         if bin_width_m <= 0 or max_range_m <= 0:
             raise ValueError("bin_width_m and max_range_m must be positive")
         self.n_ue = n_ue
@@ -329,11 +342,12 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
         for r in stats.bins:
             w.writerow(["bin_mean", fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
         # the rows csv.writer would emit (gaps are whole ms, so fmt gives
-        # str(int)), formatted a chunk at a time to keep few strings alive
-        gaps, probs = stats.ecdf_gaps_ms, stats.ecdf_probs
+        # str(int)), formatted a chunk at a time to keep few strings alive;
+        # the k-th sorted gap has probability k/N
+        gaps = stats.ecdf_gaps_ms
         for i in range(0, gaps.size, _ECDF_CHUNK):
-            f.writelines(f"ecdf,,,{g},{p:.6g}\r\n" for g, p in
-                         zip(gaps[i:i + _ECDF_CHUNK].tolist(), probs[i:i + _ECDF_CHUNK].tolist()))
+            f.writelines(f"ecdf,,,{g},{(i + j + 1) / gaps.size:.6g}\r\n"
+                         for j, g in enumerate(gaps[i:i + _ECDF_CHUNK].tolist()))
         if stats.p80_ms is not None:
             w.writerow(["p80", "", "", fmt(stats.p80_ms), ""])
 
@@ -377,13 +391,13 @@ def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> list[Vehicle]:
 
 
 def step(vehicles: list[Vehicle], dt_s: float, preset: ScenarioPreset,
-         rng: RngStream | None = None) -> list[int]:
+         rng: RngStream) -> list[int]:
     """Vehicle-by-vehicle form of `cv2xsim.mobility.step`."""
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")
     length_m = preset.road_length_km * 1000.0
     respawned = []
-    perturb = preset.speed_sigma > 0.0 and rng is not None
+    perturb = preset.speed_sigma > 0.0
     for i, v in enumerate(vehicles):
         if perturb:
             dv = preset.speed_reversion * (v.nominal_mps - v.speed_mps) * dt_s \

@@ -19,20 +19,44 @@ def single_slope(**kw):
     return clean_model(breakpoint_m=None, **kw)
 
 
-def resolve(txs, ues, model, rng, **kw):
-    """`resolve_subframe` for (ue, subchannel, power_dbm) transmissions among
-    UEs placed at (x, lane), UE i at `ues[i]`."""
+def resolve(txs, ues, model, rng, static_shadow=None, fading_rng=None):
+    """`resolve_subframe` over two subchannels for (ue, subchannel, power_dbm)
+    transmissions among UEs placed at (x, lane), UE i at `ues[i]`.  Fading,
+    when the model has it, draws from `fading_rng` or a fresh stream."""
     tx = np.array(txs, dtype=float).reshape(-1, 3)
     pos = np.array(ues, dtype=float)
+    fading_rng = RngStream(1, "fading") if fading_rng is None else fading_rng
     return resolve_subframe(tx[:, 0].astype(int), tx[:, 1].astype(int), tx[:, 2], pos[:, 0],
-                            GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, **kw)
+                            GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, 2,
+                            static_shadow, fading_rng)
 
 
-def links_to(res, txs, rx_ue):
+def sinr_db(res, txs, model):
+    """(k, n_ue) SINR of each link in dB, from the received powers: the
+    signal over the other same-subchannel arrivals plus noise.  A UE's own
+    transmission does not reach its receiver."""
+    ue = np.array([u for u, _, _ in txs], dtype=int)
+    subch = np.array([c for _, c, _ in txs], dtype=int)
+    p_mw = 10.0 ** (res.rx_power_dbm / 10.0)
+    p_mw[np.arange(len(txs)), ue] = 0.0
+    same = (subch[:, None] == subch[None, :]).astype(float)
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(p_mw / (same @ p_mw - p_mw + model.noise_mw))
+
+
+def shadow_db(res, txs, model):
+    """(k, n_ue) shadowing of each link in dB, from the received powers of a
+    model without fading: what the link budget lost beyond the pathloss."""
+    power = np.array([p for _, _, p in txs])
+    return power[:, None] - pathloss(res.distance_m, model) - res.rx_power_dbm
+
+
+def links_to(res, txs, rx_ue, model):
     """{transmitter: (outcome, rx_power_dbm, sinr_db)} for every other UE's
     transmission toward receiver rx_ue."""
+    sinr = sinr_db(res, txs, model)
     return {ue: (int(res.outcome[t, rx_ue]), float(res.rx_power_dbm[t, rx_ue]),
-                 float(res.sinr_db[t, rx_ue]))
+                 float(sinr[t, rx_ue]))
             for t, (ue, _, _) in enumerate(txs) if ue != rx_ue}
 
 
@@ -78,7 +102,7 @@ class TestReceivedPower:
         res = resolve([(0, 0, 23.0)], ues, static, RngStream(1, "shadow"),
                       static_shadow=np.full((2, 2), 3.0))
         assert res.rx_power_dbm[0, 1] == pytest.approx(-80.0)
-        assert res.shadow_db[0, 1] == 3.0
+        assert shadow_db(res, [(0, 0, 23.0)], static)[0, 1] == pytest.approx(3.0)
 
     def test_shadowing_distribution_zero_mean(self):
         sigma = 3.0
@@ -99,18 +123,19 @@ class TestResolveSubframe:
         m = clean_model()
         txs = [(0, 0, 23.0)]
         res = resolve(txs, [(0.0, 0), (50.0, 0)], m, RngStream(1, "shadow"))
-        [(outcome, rx_power_dbm, sinr_db)] = links_to(res, txs, 1).values()
+        [(outcome, rx_power_dbm, sinr)] = links_to(res, txs, 1, m).values()
         assert outcome == Outcome.DECODED
         # SINR equals SNR exactly when nobody else transmits
         snr_db = rx_power_dbm - m.noise_floor_dbm
-        assert sinr_db == pytest.approx(snr_db, abs=1e-9)
+        assert sinr == pytest.approx(snr_db, abs=1e-9)
 
     def test_half_duplex_blocks_own_subframe(self):
         m = clean_model()
         txs = [(0, 0, 23.0), (1, 1, 23.0)]
         res = resolve(txs, [(0.0, 0), (50.0, 0), (100.0, 0)], m, RngStream(1, "shadow"))
-        assert [o for o, _, _ in links_to(res, txs, 1).values()] == [Outcome.HALF_DUPLEX_BLOCKED]
-        assert [o for o, _, _ in links_to(res, txs, 2).values()] == [Outcome.DECODED] * 2
+        assert [o for o, _, _ in links_to(res, txs, 1, m).values()] == \
+            [Outcome.HALF_DUPLEX_BLOCKED]
+        assert [o for o, _, _ in links_to(res, txs, 2, m).values()] == [Outcome.DECODED] * 2
         assert res.is_transmitting.tolist() == [True, True, False]
 
     def test_srssi_excludes_own_signal(self):
@@ -131,24 +156,24 @@ class TestResolveSubframe:
         m = clean_model(sinr_threshold_db=2.5)
         txs = [(0, 0, 23.0), (1, 0, 23.0)]
         res = resolve(txs, [(0.0, 0), (200.0, 0), (100.0, 0)], m, RngStream(1, "shadow"))
-        out = {ue: o for ue, (o, _, _) in links_to(res, txs, 2).items()}
+        out = {ue: o for ue, (o, _, _) in links_to(res, txs, 2, m).items()}
         assert out == {0: Outcome.COLLIDED, 1: Outcome.COLLIDED}
 
     def test_below_sensitivity(self):
         m = clean_model(sensitivity_dbm=-92.0)
         txs = [(0, 0, 23.0)]
         res = resolve(txs, [(0.0, 0), (5000.0, 0)], m, RngStream(1, "shadow"))
-        assert links_to(res, txs, 1)[0][0] == Outcome.BELOW_SENSITIVITY
+        assert links_to(res, txs, 1, m)[0][0] == Outcome.BELOW_SENSITIVITY
 
     def test_interferer_never_rescues_a_link(self):
         m = clean_model()
         ues = [(0.0, 0), (500.0, 0), (400.0, 0), (300.0, 0)]
-        base = resolve([(0, 0, 23.0), (1, 0, 23.0)], ues, m, RngStream(1, "shadow"))
-        more = resolve([(0, 0, 23.0), (1, 0, 23.0), (2, 0, 23.0)], ues, m,
-                       RngStream(1, "shadow"))
+        two, three = [(0, 0, 23.0), (1, 0, 23.0)], [(0, 0, 23.0), (1, 0, 23.0), (2, 0, 23.0)]
+        base = resolve(two, ues, m, RngStream(1, "shadow"))
+        more = resolve(three, ues, m, RngStream(1, "shadow"))
         if base.outcome[0, 3] == Outcome.COLLIDED:
             assert more.outcome[0, 3] in (Outcome.COLLIDED, Outcome.BELOW_SENSITIVITY)
-        assert more.sinr_db[0, 3] <= base.sinr_db[0, 3] + 1e-9
+        assert sinr_db(more, three, m)[0, 3] <= sinr_db(base, two, m)[0, 3] + 1e-9
 
     def test_srssi_superset_property(self):
         m = clean_model()
@@ -180,9 +205,11 @@ class TestResolveSubframe:
         faded = ChannelModel(shadowing_sigma_db=3.0, fading="nakagami", nakagami_m=3.0)
         ues = [(0.0, 0), (50.0, 0), (100.0, 0), (200.0, 0)]
         txs = [(0, 0, 23.0), (1, 1, 23.0)]
-        a = resolve(txs, ues, base, RngStream(2, "shadow"), fading_rng=RngStream(2, "fading"))
-        b = resolve(txs, ues, faded, RngStream(2, "shadow"), fading_rng=RngStream(2, "fading"))
-        assert np.allclose(a.shadow_db, b.shadow_db)
+        shadow_a, shadow_b = RngStream(2, "shadow"), RngStream(2, "shadow")
+        resolve(txs, ues, base, shadow_a, fading_rng=RngStream(2, "fading"))
+        resolve(txs, ues, faded, shadow_b, fading_rng=RngStream(2, "fading"))
+        # both runs took the same shadowing draws, and the fading none of them
+        assert shadow_a.normal() == shadow_b.normal()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -215,7 +242,7 @@ class TestResolveSubframe:
         table = RngStream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
         res = resolve_subframe(tx_ue, tx_subch, power, x, GEO.lane_y(lanes), model,
                                RngStream(seed, "shadow"), GEO, n_subch, table,
-                               fading_rng=RngStream(seed, "fading"))
+                               RngStream(seed, "fading"))
         decoded = res.outcome == Outcome.DECODED
         for c in range(n_subch):
             assert decoded[tx_subch == c].sum(axis=0).max(initial=0) <= 1

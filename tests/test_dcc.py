@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from roads import road_ticks
 from sensing import build_window
 
 from cv2xsim.core import RngStream, RoadGeometry, dbm_to_mw
@@ -62,41 +63,65 @@ class TestMeasureCbp:
             assert 0.0 <= self.cbp(store, 30, -80.0, 30) <= 100.0
 
 
+def positions(xs, lanes, geometry=GEO):
+    """(x, y) arrays of vehicles at xs on lanes."""
+    return np.asarray(xs, dtype=float), geometry.lane_y(np.asarray(lanes))
+
+
 def pair_distances(xs, lanes, geometry=GEO):
-    """The (n, n) distance matrix the engine keeps, for vehicles at xs on lanes."""
-    x, y = np.asarray(xs, dtype=float), geometry.lane_y(np.asarray(lanes))
-    return np.hypot(geometry.dx(x[:, None], x[None, :]), y[:, None] - y[None, :])
+    """The reference (n, n) distance matrix of vehicles at xs on lanes."""
+    return oracles.pair_distances(*positions(xs, lanes, geometry), geometry)
+
+
+def counts(xs, lanes, radius_m, geometry=GEO):
+    return neighbor_counts(*positions(xs, lanes, geometry), geometry, radius_m).tolist()
 
 
 class TestCountNeighbors:
-    """`neighbor_counts` over the pair-distance matrix the engine keeps."""
+    """`neighbor_counts` over vehicle positions, against the reference
+    pair-distance matrix."""
 
     def test_alone(self):
-        assert neighbor_counts(pair_distances([0.0], [0]), 100.0).tolist() == [0.0]
+        assert counts([0.0], [0], 100.0) == [0.0]
 
     def test_boundary_inclusive(self):
-        d = pair_distances([0.0, 50.0, 99.0, 101.0], [0, 0, 0, 0])
-        assert neighbor_counts(d, 100.0)[0] == 2
-        assert neighbor_counts(pair_distances([0.0, 100.0], [0, 0]), 100.0).tolist() == [1, 1]
+        assert counts([0.0, 50.0, 99.0, 101.0], [0, 0, 0, 0], 100.0)[0] == 2
+        assert counts([0.0, 100.0], [0, 0], 100.0) == [1, 1]
 
     def test_lane_offset_counts(self):
         # one lane (4 m) across: 99 m along is 99.08 m away, 99.95 m along 100.03 m
-        d = pair_distances([0.0, 99.0, 99.95], [0, 1, 1])
-        assert neighbor_counts(d, 100.0).tolist() == [1.0, 2.0, 1.0]
-        assert neighbor_counts(d, 99.0).tolist() == [0.0, 1.0, 1.0]
+        xs, lanes = [0.0, 99.0, 99.95], [0, 1, 1]
+        assert pair_distances(xs, lanes)[0, 1:] == pytest.approx([99.08, 100.03], abs=0.005)
+        assert counts(xs, lanes, 100.0) == [1.0, 2.0, 1.0]
+        assert counts(xs, lanes, 99.0) == [0.0, 1.0, 1.0]
+
+    def test_ring_wraps(self):
+        ring = RoadGeometry(length_m=1000.0, lanes=1, wraparound=True)
+        assert counts([5.0, 905.0, 500.0], [0, 0, 0], 100.0, ring) == [1.0, 1.0, 0.0]
+        assert counts([5.0, 905.0, 500.0], [0, 0, 0], 100.0) == [0.0, 0.0, 0.0]
 
     def test_uniform_density_monte_carlo(self):
         # density rho on a line -> mean count ~ 200 * rho within a 100 m radius
         rho = 0.5
         rng = RngStream(8, "mc")
-        length = 4000.0
+        length = 1000.0
         total = 0
         trials = 200
         for _ in range(trials):
-            xs = rng.uniform_array(0.0, length, size=int(rho * length))
-            host_row = np.abs(np.concatenate([[length / 2.0], xs]) - length / 2.0)
-            total += neighbor_counts(host_row[None, :], 100.0)[0]
+            xs = np.concatenate([[length / 2.0],
+                                 rng.uniform_array(0.0, length, size=int(rho * length))])
+            total += counts(xs, np.zeros(xs.size, dtype=int), 100.0)[0]
         assert total / trials == pytest.approx(200.0 * rho, rel=0.05)
+
+    @settings(max_examples=200, deadline=None)
+    @given(road_ticks())
+    def test_matches_reference_distances(self, case):
+        geometry, start, ticks, radius = case
+        for x, y in [start, *ticks]:
+            d = oracles.pair_distances(x, y, geometry)
+            want = [sum(1 for j in range(len(x)) if j != i and d[i, j] <= radius)
+                    for i in range(len(x))]
+            assert neighbor_counts(x, y, geometry, radius).tolist() == want
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):

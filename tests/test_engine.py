@@ -1,10 +1,11 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from cv2xsim import config, metrics
+from cv2xsim import config, dcc, metrics
 from cv2xsim.channel import ChannelModel, Outcome
 from cv2xsim.dcc import DccScheme, RangeControlConfig, RateControlConfig, scheme_by_name
 from cv2xsim.engine import RunConfig, Simulation, run
@@ -268,14 +269,21 @@ def test_config_validation():
 @pytest.mark.parametrize("shadowing", ["iid", "static"])
 @pytest.mark.parametrize("scenario", ["mini-low", "urban-medium"])
 def test_memory_estimate_covers_scale_state(scenario, shadowing):
-    # the arrays sized by the vehicle count, as a constructed Simulation holds them
+    # the arrays sized by the vehicle count, as a Simulation holds them after
+    # its first ROI tick, plus the traced peak of the one-shot distance builds
     cfg = config.build_run_config(config.resolve(
         overrides={"channel.shadowing_mode": shadowing}, scenario=scenario))
     sim = Simulation(cfg)
     store, ledger = sim.store, sim.metrics
-    held = [sim.pair_dist, store.srssi_mw, store.sensed, store.reservations, store.period_sf,
-            store.row_subframe, ledger.last_rx_ms, ledger.roi_always]
+    tracemalloc.start()
+    ledger.update_roi(sim.x, sim.y, sim.geometry)
+    dcc.neighbor_counts(sim.x, sim.y, sim.geometry, cfg.scheme.rate.neighbor_radius_m)
+    build_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    held = [store.srssi_mw, store.sensed, store.reservations, store.period_sf,
+            store.row_subframe, ledger.last_rx_ms, ledger.roi_pairs]
     if shadowing == "static":
         held.append(sim.static_shadow)
+    assert build_peak >= 3 * 8 * sim.n_ue ** 2
     assert cfg.memory_estimate_mib()["scenario.vehicle_count"] * 2 ** 20 >= \
-        sum(a.nbytes for a in held)
+        sum(a.nbytes for a in held) + build_peak

@@ -62,7 +62,7 @@ class TestSensingWindow:
         for rsrp, exempt in ((float(np.float32(th)), True), (-85.4, False)):
             # every S-RSSI at the noise floor: all survivors tie and are kept
             w = build_window([(0, (-100.0, -100.0), True, [(0, 42, 5, rsrp)])], span=10)
-            result = select_candidates(w, 1, cfg)
+            result = select_candidates(w, 1, cfg, own_period_sf=100)
             assert result.escalations == 0
             picked = set(map(tuple, result.candidates.tolist()))
             assert len(picked) == result.pool_size - 2 * exempt
@@ -268,13 +268,13 @@ class TestSelection:
     def test_empty_window_offers_whole_pool(self):
         w = SensingWindow(SensingStore(1, 2, 1000, NOISE_MW), 0)
         cfg = SpsConfig()
-        result = select_candidates(w, 0, cfg)
+        result = select_candidates(w, 0, cfg, own_period_sf=100)
         assert result.pool_size == 200
         assert len(result.candidates) == 200
         assert result.escalations == 0
         # uniform choice over the whole pool: many distinct picks across draws
         rng = RngStream(3, "sps")
-        picks = {select_resource(w, 0, cfg, rng) for _ in range(600)}
+        picks = {select_resource(w, 0, cfg, rng, own_period_sf=100) for _ in range(600)}
         assert len(picks) > 150
 
     def test_selected_resource_inside_window(self):
@@ -350,7 +350,7 @@ class TestSelection:
     def test_malformed_inputs_fail_loudly(self):
         w = build_window([(0, (-70.0, -70.0), True, [(0, 7, 0, -60.0)])], span=30)
         with pytest.raises(ValueError, match="period"):
-            select_candidates(w, 1, toy_cfg())
+            select_candidates(w, 1, toy_cfg(), own_period_sf=100)
 
     def test_oracle_equivalence_quick(self):
         rnd = random.Random(99)

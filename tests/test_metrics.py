@@ -6,12 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cv2xsim.core import RoadGeometry
 from cv2xsim.metrics import (BinValue, MetricsStore, SparseCounts, blind_nodes, gains,
                              ipg_stats, pdr, slt)
+from roads import road_ticks
+
+ROI_M = 100.0
 
 
 def store(n_ue=4, bin_width=25.0, max_range=500.0, payload=190):
-    return MetricsStore(n_ue, bin_width, max_range, payload)
+    return MetricsStore(n_ue, bin_width, max_range, payload, ROI_M)
+
+
+def update_roi(sparse, dense, x, y, geometry):
+    """One mobility tick: the ledger measures the positions itself, the
+    dense oracle takes the in-range mask of the reference distances."""
+    sparse.update_roi(x, y, geometry)
+    dense.update_roi(oracles.pair_distances(x, y, geometry) <= dense.roi_radius_m)
 
 
 def record(s, now, tx, rx, dist, ok):
@@ -98,11 +109,10 @@ class TestIpg:
             record(s, t, 0, 1, 30.0, True)
             t += g
         stats = ipg_stats(s)
-        assert np.all(np.diff(stats.ecdf_probs) >= 0)
-        assert stats.ecdf_probs[0] > 0 and stats.ecdf_probs[-1] == 1.0
-        # smallest gap with cumulative probability >= 0.8
-        idx = np.searchsorted(stats.ecdf_probs, 0.8)
-        assert stats.p80_ms == stats.ecdf_gaps_ms[idx]
+        assert np.all(np.diff(stats.ecdf_gaps_ms) >= 0)
+        # smallest gap with cumulative probability k/N >= 0.8
+        probs = np.arange(1, len(gaps) + 1) / len(gaps)
+        assert stats.p80_ms == stats.ecdf_gaps_ms[np.searchsorted(probs, 0.8)]
 
     def test_single_reception_contributes_no_gap(self):
         s = store()
@@ -176,10 +186,21 @@ class TestBlindNodes:
         s = store()
         for t in range(10):
             record(s, 100 * t, 0, 1, 30.0, False)
-        mask = np.ones((4, 4), dtype=bool)
-        mask[0, 1] = False      # receiver left the region of interest at some point
-        s.update_roi(mask)
-        assert blind_nodes(s).pairs == []
+        road, y = RoadGeometry(1000.0, lanes=1), np.full(4, 2.0)
+        s.update_roi(np.array([0.0, 30.0, 500.0, 800.0]), y, road)
+        assert s.roi_pairs.tolist() == [0 * 4 + 1, 1 * 4 + 0]
+        assert blind_nodes(s).pairs == [(0, 1)]
+        # the receiver leaves the region of interest: it does not come back
+        for x1 in (130.0, 30.0):
+            s.update_roi(np.array([0.0, x1, 500.0, 800.0]), y, road)
+            assert s.roi_pairs.tolist() == [] and blind_nodes(s).pairs == []
+
+    def test_without_a_tick_every_silent_pair_counts(self):
+        s = store()
+        record(s, 0, 0, 3, 490.0, False)
+        record(s, 0, 2, 1, 30.0, True)
+        assert s.roi_pairs is None
+        assert blind_nodes(s).pairs == [(0, 3)]
 
 
 class TestGains:
@@ -213,7 +234,7 @@ def test_metrics_are_pure_functions_of_the_ledger():
 
 def test_store_guards():
     with pytest.raises(ValueError):
-        MetricsStore(4, bin_width_m=0.0)
+        MetricsStore(4, 0.0, 500.0, 190, ROI_M)
     with pytest.raises(ValueError):
         slt(store(), 0.0)
 
@@ -271,10 +292,10 @@ class SmallBuffer(MetricsStore):
 
 @st.composite
 def ledger_calls(draw):
-    """(n_ue, max_range_m, calls, roi masks): per call a time step, the
+    """(n_ue, max_range_m, calls, roi ticks): per call a time step, the
     senders, and each link's distance and decode flag.  Distances reach past
     the range into the clamped last bin, and decode rates run from never to
-    always."""
+    always.  Each tick places the UEs along one lane of a 300 m road."""
     n_ue = draw(st.integers(2, 6))
     max_range = draw(st.sampled_from([50.0, 110.0, 260.0]))
     p_decode = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
@@ -290,18 +311,18 @@ def ledger_calls(draw):
                     dist = draw(st.floats(0.0, 1.5 * max_range))
                     links.append((tx * n_ue + rx, dist, draw(st.floats(0.0, 1.0)) < p_decode))
         calls.append((step, links))
-    masks = draw(st.lists(st.lists(st.booleans(), min_size=n_ue * n_ue,
-                                   max_size=n_ue * n_ue), max_size=2))
-    return n_ue, max_range, calls, masks
+    ticks = draw(st.lists(st.lists(st.integers(0, 300), min_size=n_ue, max_size=n_ue),
+                          max_size=2))
+    return n_ue, max_range, calls, ticks
 
 
 @settings(max_examples=150, deadline=None)
 @given(ledger_calls(), st.sampled_from([SmallBuffer, MetricsStore]))
 def test_sparse_ledger_matches_dense_oracle(case, cls):
     """Every cell count and every metric equals the dense ledger's, bit for bit."""
-    n_ue, max_range, calls, masks = case
-    sparse = cls(n_ue, 25.0, max_range, 190)
-    dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190)
+    n_ue, max_range, calls, ticks = case
+    sparse = cls(n_ue, 25.0, max_range, 190, ROI_M)
+    dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
     now = 0
     for i, (step, links) in enumerate(calls):
         now += step
@@ -313,10 +334,9 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
         if i == len(calls) // 2:
             # cells built halfway must not hide the links recorded after
             assert pdr(sparse) == oracles.pdr(dense)
-    for m in masks:
-        mask = np.array(m).reshape(n_ue, n_ue)
-        sparse.update_roi(mask)
-        dense.update_roi(mask)
+    for x in ticks:
+        update_roi(sparse, dense, np.array(x, dtype=float), np.full(n_ue, 2.0),
+                   RoadGeometry(300.0, lanes=1))
 
     tx, rx = oracles.dense_counts(sparse)
     assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
@@ -328,9 +348,28 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
     got, want = ipg_stats(sparse), ipg_stats(dense)
     assert got.bins == want.bins and got.p80_ms == want.p80_ms
     assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
-    assert np.array_equal(got.ecdf_probs, want.ecdf_probs)
-    n = got.ecdf_gaps_ms.size
-    assert np.array_equal(got.ecdf_probs, np.arange(1, n + 1) / max(n, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(road_ticks(), st.sampled_from([0.0, 0.5]), st.integers(0, 2 ** 32 - 1))
+def test_roi_and_blind_nodes_match_dense_oracle(case, p_decode, seed):
+    """The kept ROI keys are the dense mask's pairs after every tick, on ring
+    and straight roads, with pairs exactly at the radius and respawns; and
+    blind_nodes equals the dense ledger's, with or without a tick."""
+    geometry, start, ticks, radius = case
+    n_ue = len(start[0])
+    sparse = MetricsStore(n_ue, 25.0, 1000.0, 190, radius)
+    dense = oracles.DenseMetricsStore(n_ue, 25.0, 1000.0, 190, radius)
+    rng = np.random.default_rng(seed)
+    for tx in range(n_ue):      # each UE broadcasts once
+        pairs = tx * n_ue + np.delete(np.arange(n_ue), tx)
+        dist, ok = rng.uniform(0.0, 900.0, pairs.size), rng.random(pairs.size) < p_decode
+        for s in (sparse, dense):
+            s.record_arrays(10 * tx, pairs, dist, ok)
+    for x, y in ticks:
+        update_roi(sparse, dense, x, y, geometry)
+        assert sparse.roi_pairs.tolist() == np.flatnonzero(dense.roi_always).tolist()
+    assert blind_nodes(sparse) == oracles.blind_nodes(dense)
 
 
 def test_cells_built_once_until_the_next_record(monkeypatch):
@@ -353,8 +392,8 @@ def test_call_larger_than_the_buffer():
     """One call of more links than the buffer holds, on top of a part-filled
     buffer and a merged history, is counted exactly."""
     n_ue = 8
-    sparse = SmallBuffer(n_ue, 25.0, 100.0)
-    dense = oracles.DenseMetricsStore(n_ue, 25.0, 100.0)
+    sparse = SmallBuffer(n_ue, 25.0, 100.0, 190, ROI_M)
+    dense = oracles.DenseMetricsStore(n_ue, 25.0, 100.0, 190, ROI_M)
     rng = np.random.default_rng(3)
     for now, n_pairs in ((0, 4), (10, 5), (20, 3), (30, n_ue * (n_ue - 1)), (40, 2)):
         pairs = rng.choice(np.delete(np.arange(n_ue * n_ue), np.arange(0, n_ue * n_ue, n_ue + 1)),
@@ -373,6 +412,7 @@ def test_empty_ledger():
     cells = s.cells()
     assert all(a.size == 0 for a in cells)
     assert pdr(s) == [] and slt(s, 1.0) == []
-    assert blind_nodes(s) == oracles.blind_nodes(oracles.DenseMetricsStore(4, 25.0, 500.0))
+    assert blind_nodes(s) == oracles.blind_nodes(oracles.DenseMetricsStore(4, 25.0, 500.0, 190,
+                                                                           ROI_M))
     stats = ipg_stats(s)
     assert stats.bins == [] and stats.ecdf_gaps_ms.size == 0 and stats.p80_ms is None

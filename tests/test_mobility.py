@@ -79,12 +79,16 @@ class TestGenerateScenario:
 
 
 
+# a perturbation stream for presets without speed noise, which never draw from it
+STILL = RngStream(0, "perturb")
+
+
 class TestStep:
     def test_displacement_unit_conversion(self):
         p = ScenarioPreset("one", 2, 140.0, road_length_km=10.0, lanes=2)
         fleet = generate_scenario(p, RngStream(1, "mobility"))
         x0 = fleet.x.copy()
-        step(fleet, 0.1, p)
+        step(fleet, 0.1, p, STILL)
         # 140 km/h over 0.1 s, signed by lane direction
         assert fleet.x[0] - x0[0] == pytest.approx(3.889, abs=1e-3)
         assert fleet.x[1] - x0[1] == pytest.approx(-3.889, abs=1e-3)
@@ -94,7 +98,7 @@ class TestStep:
         fleet = generate_scenario(p, RngStream(1, "mobility"))
         fleet.speed_mps[:] = 0.0
         xs = fleet.x.tolist()
-        step(fleet, 1.0, p)
+        step(fleet, 1.0, p, STILL)
         assert fleet.x.tolist() == xs
 
     def test_population_and_lane_conserved_with_respawn(self):
@@ -103,7 +107,7 @@ class TestStep:
         lanes_before = fleet.lane.tolist()
         respawns = 0
         for _ in range(200):
-            respawns += len(step(fleet, 0.1, p))
+            respawns += len(step(fleet, 0.1, p, STILL))
         assert len(fleet.x) == 60 and respawns > 0
         assert fleet.lane.tolist() == lanes_before
         assert np.all((0.0 <= fleet.x) & (fleet.x <= 500.0))
@@ -114,17 +118,17 @@ class TestStep:
         p = ScenarioPreset("ends", 4, 0.0, road_length_km=0.1, lanes=1)
         fleet = Fleet([99.0, 50.0, 1.0, 99.5], [0] * 4, [20.0, 20.0, -20.0, 0.0],
                       [20.0, 20.0, -20.0, 0.0])
-        respawned = step(fleet, 0.1, p)
+        respawned = step(fleet, 0.1, p, STILL)
         assert respawned.tolist() == [0, 2]
         assert fleet.x.tolist() == pytest.approx([1.0, 52.0, 99.0, 99.5])
-        assert step(fleet, 0.1, p).tolist() == []
+        assert step(fleet, 0.1, p, STILL).tolist() == []
 
     def test_linear_trajectory_without_perturbation(self):
         p = ScenarioPreset("line", 5, 70.0, road_length_km=100.0, lanes=1)
         fleet = generate_scenario(p, RngStream(7, "mobility"))
         x0, v0 = fleet.x.copy(), fleet.speed_mps.copy()
         for k in range(100):
-            step(fleet, 0.1, p)
+            step(fleet, 0.1, p, STILL)
         assert fleet.x == pytest.approx(x0 + v0 * 10.0, abs=1e-6)
 
     def test_perturbation_respects_speed_cap(self):
@@ -143,7 +147,7 @@ class TestStep:
     def test_bad_dt(self):
         p = preset_by_name("mini-low")
         with pytest.raises(ValueError):
-            step(Fleet([], [], [], []), 0.0, p)
+            step(Fleet([], [], [], []), 0.0, p, STILL)
 
     def test_mismatched_fleet_arrays_rejected(self):
         with pytest.raises(ValueError, match="one entry per vehicle"):
@@ -163,16 +167,13 @@ speeds = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-60.0, 60.0))
 @given(st.lists(st.tuples(positions, st.integers(0, 3), speeds, speeds), min_size=1,
                 max_size=40),
        st.booleans(), st.sampled_from([0.0, 0.3, 4.0]), st.floats(0.0, 2.0),
-       st.booleans(), st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 6),
-       st.integers(0, 2 ** 32 - 1))
-def test_step_matches_reference(vehicles, wraparound, sigma, reversion, with_rng, dt_s,
-                                steps, seed):
+       st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_step_matches_reference(vehicles, wraparound, sigma, reversion, dt_s, steps, seed):
     p = ScenarioPreset("prop", len(vehicles), 0.0, road_length_km=ROAD_M / 1000.0, lanes=4,
                        wraparound=wraparound, speed_sigma=sigma, speed_reversion=reversion)
     fleet = Fleet(*map(list, zip(*vehicles)))
     want = [oracles.Vehicle(*v) for v in vehicles]
-    rng, want_rng = (RngStream(seed, "perturb"), RngStream(seed, "perturb")) if with_rng \
-        else (None, None)
+    rng, want_rng = RngStream(seed, "perturb"), RngStream(seed, "perturb")
     for _ in range(steps):
         respawned = step(fleet, dt_s, p, rng)
         assert respawned.tolist() == oracles.step(want, dt_s, p, want_rng)
