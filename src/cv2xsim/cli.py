@@ -211,7 +211,7 @@ def _cmd_presets(_args) -> int:
         if not s.enabled:
             print(f"  {s.name:8s} rate/range control off (100 ms, max power)")
             continue
-        extra = f"  slrrc [{s.slrrc_min},{s.slrrc_max}]" if s.slrrc_min is not None else ""
+        extra = "".join(f"  {key}={value}" for key, value in s.adjustments.items())
         print(f"  {s.name:8s} B={s.rate.density_coefficient:<4.0f} "
               f"P [{s.range.p_min_dbm:g},{s.range.p_max_dbm:g}] dBm  "
               f"U [{s.range.u_min_pct:g},{s.range.u_max_pct:g}] %{extra}")

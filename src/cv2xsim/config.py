@@ -7,6 +7,7 @@ import configparser
 import difflib
 import json
 from dataclasses import Field, asdict, fields
+from typing import get_args, get_type_hints
 
 from . import dcc, mobility
 from .channel import ChannelModel
@@ -65,7 +66,20 @@ def default_config() -> dict[str, object]:
     return out
 
 
+# A value is converted to the type of its key's default, never to that of a
+# value layered before it
+_DEFAULTS = default_config()
+# Keys whose field is declared `... | None` (only the nested configs declare
+# one); they also take none, null or an empty value, for None
+_OPTIONAL_KEYS = frozenset(
+    f"{section}.{name}" for section, cls in _NESTED.items()
+    for name, hint in get_type_hints(cls).items() if type(None) in get_args(hint))
+
+
 def _convert(key: str, raw, default):
+    """`raw` as the type of the key's `default`; a string is parsed."""
+    if raw is None and key not in _OPTIONAL_KEYS:
+        raise ConfigError(f"{key}: expected a value, got None")
     if not isinstance(raw, str):
         if isinstance(default, bool):
             return bool(raw)
@@ -73,11 +87,9 @@ def _convert(key: str, raw, default):
             return float(raw)
         return raw
     text = raw.strip()
-    if default is None or isinstance(default, float):
-        if text.lower() in ("none", "null", ""):
-            if default is None:
-                return None
-            raise ConfigError(f"{key}: expected a number, got {raw!r}")
+    if key in _OPTIONAL_KEYS and text.lower() in ("none", "null", ""):
+        return None
+    if isinstance(default, float):
         try:
             return float(text)
         except ValueError:
@@ -108,24 +120,16 @@ def _apply(resolved: dict, updates: dict[str, object], errors: list) -> None:
     for key, raw in updates.items():
         try:
             _reject_unknown(key, resolved)
-            resolved[key] = _convert(key, raw, resolved[key])
+            resolved[key] = _convert(key, raw, _DEFAULTS[key])
         except ConfigError as e:
             errors.extend(e.errors)
 
 
 def _scheme_layer(name: str) -> dict[str, object]:
     scheme = dcc.scheme_by_name(name)
-    layer: dict[str, object] = {}
-    for key, value in asdict(scheme.rate).items():
-        layer[f"rate.{key}"] = value
-    for key, value in asdict(scheme.range).items():
-        layer[f"range.{key}"] = value
-    if scheme.slrrc_min is not None:
-        layer["sps.slrrc_min"] = scheme.slrrc_min
-        layer["sps.slrrc_max"] = scheme.slrrc_max
-    if scheme.p_resel is not None:
-        layer["sps.p_resel"] = scheme.p_resel
-    return layer
+    return {**{f"rate.{k}": v for k, v in asdict(scheme.rate).items()},
+            **{f"range.{k}": v for k, v in asdict(scheme.range).items()},
+            **scheme.adjustments}
 
 
 def _scenario_layer(name: str) -> dict[str, object]:
@@ -158,7 +162,7 @@ def resolve(file_values: dict[str, object] | None = None,
     key is validated against the schema with a nearest-name suggestion.
     """
     errors: list[str] = []
-    resolved = default_config()
+    resolved = dict(_DEFAULTS)
     file_values = dict(file_values or {})
     overrides = dict(overrides or {})
 

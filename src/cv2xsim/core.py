@@ -69,9 +69,6 @@ class RngStream:
     def random(self) -> float:
         return float(self._gen.random())
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return float(self._gen.uniform(lo, hi))
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer on [lo, hi], both ends inclusive."""
         return int(self._gen.integers(lo, hi + 1))
@@ -79,13 +76,11 @@ class RngStream:
     def choice(self, seq):
         return seq[int(self._gen.integers(0, len(seq)))]
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0, size=None):
-        out = self._gen.normal(mu, sigma, size=size)
-        return float(out) if size is None else out
+    def normal(self, mu: float = 0.0, sigma: float = 1.0, *, size) -> np.ndarray:
+        return self._gen.normal(mu, sigma, size=size)
 
-    def gamma(self, shape: float, scale: float, size=None):
-        out = self._gen.gamma(shape, scale, size=size)
-        return float(out) if size is None else out
+    def gamma(self, shape: float, scale: float, *, size) -> np.ndarray:
+        return self._gen.gamma(shape, scale, size=size)
 
     def uniform_array(self, lo: float, hi: float, size) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=size)

@@ -133,9 +133,7 @@ class DccScheme:
     enabled: bool = True
     rate: RateControlConfig = field(default_factory=RateControlConfig)
     range: RangeControlConfig = field(default_factory=RangeControlConfig)
-    slrrc_min: int | None = None    # optional MAC overrides, which the config
-    slrrc_max: int | None = None    # layers into the sps.* keys
-    p_resel: float | None = None
+    adjustments: dict = field(default_factory=dict)  # config overrides this scheme needs
 
 
 def _scheme(name, p_max, p_min, u_max, u_min, b, **kw):
@@ -157,7 +155,7 @@ SCHEMES: dict[str, DccScheme] = {
     "dcc-5": _scheme("dcc-5", p_max=23.0, p_min=5.0, u_max=50.0, u_min=30.0, b=45.0),
     "dcc-6": _scheme("dcc-6", p_max=23.0, p_min=5.0, u_max=50.0, u_min=30.0, b=55.0),
     "dcc-7": _scheme("dcc-7", p_max=23.0, p_min=0.0, u_max=50.0, u_min=30.0, b=45.0,
-                     slrrc_min=1, slrrc_max=5, p_resel=0.2),
+                     adjustments={"sps.slrrc_min": 1, "sps.slrrc_max": 5, "sps.p_resel": 0.2}),
 }
 
 

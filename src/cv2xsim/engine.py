@@ -1,12 +1,16 @@
 """Deterministic per-subframe simulation loop.
 
 Each 1 ms subframe advances mobility (on its tick), updates every UE's
-congestion controller, releases packets and walks the due grants.  Every
+congestion controller, releases packets and serves the due grants.  Every
 piece of per-UE state is an array indexed by UE id: the fleet's positions
 and speeds, the controllers' outputs, and each UE's grant as its next
 occurrence (`next_tx`, -1 before the first selection), subchannel, period
-and reselection counter.  The grants that transmit become arrays (UE,
-subchannel, power, period), which
+and reselection counter.  Release and grant service are mask operations
+over those arrays; only the draws from each UE's own RNG stream (resource
+selection and the counter after a transmission) loop over the UEs concerned.
+A UE's own transmissions are recorded once, as the subframes the sensing
+store marks it unsensed, and its channel-occupancy ratio counts them there.
+The grants that transmit become arrays (UE, subchannel, power, period), which
 `resolve_subframe` turns into (transmission, UE) outcome arrays.  From
 those the subframe's rows go to the event log, its in-region links to the
 metrics ledger and its decodes to the sensing store, without a loop over
@@ -80,6 +84,16 @@ class RunConfig:
             raise ValueError("cadences must be positive")
         if self.cbp_window_ms > self.sps.sensing_window_sf:
             raise ValueError("cbp_window_ms cannot exceed the sensing window span")
+        if not 0.0 <= self.cbp_limit <= 1.0:
+            raise ValueError("cr.cbp_limit must be in [0, 1]")
+        if len(self.cr_calibration) < 2:
+            raise ValueError("cr.calibration needs at least two cbp:density points")
+        if np.any(np.diff(sorted(cbp for cbp, _ in self.cr_calibration)) <= 0):
+            raise ValueError("cr.calibration busy fractions must be strictly increasing")
+        if self.cr_limit_enabled and self.sps.sensing_window_sf < mac_sps.CR_PAST_SF:
+            # the CR counts each UE's own transmissions in the sensing store
+            raise ValueError(f"sps.sensing_window_sf must be at least {mac_sps.CR_PAST_SF} "
+                             "with cr.enabled")
 
     def memory_estimate_mib(self) -> dict[str, float]:
         """Estimated peak size of the state that grows with the run's scale,
@@ -256,8 +270,8 @@ class Simulation:
                                             cfg.payload_bytes, cfg.roi_radius_m)
         self.log = EventLog()
         self.timeseries: list[tuple] = []
-        self._own_tx_history: list[list[int]] = [[] for _ in range(n)]
-        self._cr_table = mac_sps.CbpDensityTable(list(cfg.cr_calibration)) \
+        # the CR calibration as (busy fractions, densities), sorted by fraction
+        self._cr_points = tuple(np.array(c) for c in zip(*sorted(cfg.cr_calibration))) \
             if cfg.cr_limit_enabled else None
 
         self.warmup_sf = int(round(cfg.warmup_s * 1000))
@@ -357,70 +371,60 @@ class Simulation:
             # Kinematic state is continuous even though propagation samples
             # positions on the mobility tick: constant-speed motion must give
             # exactly zero tracking error.
+            x_true, pte = self.x, None
             if pte_on:
                 frac_s = (n % cfg.mobility_tick_ms) / 1000.0
                 x_true = self.geometry.wrap_x(self.x + self.speed * frac_s)
                 pte = dcc.tracking_error(x_true, self.bcast_x, self.bcast_v,
                                          n - self.bcast_t, self.geometry)
-            else:
-                x_true = None
-                pte = None
             ready, pte_fire = dcc.release_triggers(self.pending, n - self.last_tx, self.itt_ms,
                                                    pte, rate_cfg.pte_threshold_m)
             gen = ready | pte_fire
-            if gen.any():
-                for ue in np.nonzero(gen)[0]:
-                    ue = int(ue)
-                    self.pending[ue] = True
-                    self.gen_time[ue] = n
-                    if self.next_tx[ue] < 0:
-                        self._select_grant(ue, n)
-                    elif pte_fire[ue] and not ready[ue] \
-                            and self.next_tx[ue] - n > rate_cfg.pte_wait_limit_ms:
-                        # grant lands too late for a tracking update: reselect now
-                        self._select_grant(ue, n)
-
-            # grant occurrences: transmit when a packet waits, otherwise let the
-            # reservation slot pass unused (counter only counts transmissions)
-            tx_ue: list[int] = []
-            tx_subch: list[int] = []
-            tx_period: list[int] = []
-            for ue in np.nonzero(self.next_tx == n)[0]:
-                ue = int(ue)
-                skip = not self.pending[ue]
-                if not skip and self._cr_table is not None:
-                    # occupancy above its congestion limit: let this occurrence pass
-                    cr = mac_sps.compute_cr(n, self._own_tx_history[ue],
-                                            int(self.grant_period[ue]), cfg.subchannels)
-                    skip = cr > mac_sps.cr_limit(min(self.cbp_pct[ue] / 100.0, 1.0),
-                                                 cfg.cbp_limit, self._cr_table)
-                if skip:
-                    self.next_tx[ue] = n + self.grant_period[ue]
-                    continue
-                period = max(1, int(round(self.itt_ms[ue])))
-                tx_ue.append(ue)
-                tx_subch.append(int(self.grant_subch[ue]))
-                tx_period.append(period)
-                self.pending[ue] = False
-                self.last_tx[ue] = n
-                self.bcast_x[ue] = x_true[ue] if x_true is not None else self.x[ue]
-                self.bcast_v[ue], self.bcast_t[ue] = self.speed[ue], n
-                if self._cr_table is not None:
-                    self._own_tx_history[ue].append(n)
-                    self._own_tx_history[ue] = [t for t in self._own_tx_history[ue] if t > n - 1000]
-                slrrc = mac_sps.on_transmission(int(self.slrrc[ue]), self.rngs.stream("sps", ue),
-                                                cfg.sps)
-                if slrrc is None:
-                    # the new grant's period comes from the same itt_ms as `period`
+            # np.count_nonzero for .any() and .all(): half the cost on arrays this small
+            if np.count_nonzero(gen):
+                self.pending |= gen
+                self.gen_time[gen] = n
+                select = gen & (self.next_tx < 0)
+                if pte_on:
+                    # the grant lands too late for a tracking update: reselect now
+                    select |= pte_fire & ~ready & (self.next_tx > n + rate_cfg.pte_wait_limit_ms)
+                for ue in select.nonzero()[0].tolist():
                     self._select_grant(ue, n)
-                else:
-                    self.slrrc[ue], self.grant_period[ue] = slrrc, period
-                    self.next_tx[ue] = n + period
+
+            # grant occurrences: transmit when a packet waits and the occupancy
+            # is within its congestion limit, otherwise let the reservation slot
+            # pass unused (the counter only counts transmissions)
+            tx_ue = due = (self.next_tx == n).nonzero()[0]
+            if due.size:
+                send = self.pending[due]
+                if self._cr_points is not None:
+                    ues = due[send]
+                    cr = mac_sps.compute_cr(self.store.own_tx_counts(n, ues),
+                                            self.grant_period[ues], cfg.subchannels)
+                    cbp = np.minimum(self.cbp_pct[ues] / 100.0, 1.0)
+                    send[send] = cr <= mac_sps.cr_limit(cbp, cfg.cbp_limit, self._cr_points)
+                if np.count_nonzero(send) < due.size:
+                    skipped, tx_ue = due[~send], due[send]
+                    self.next_tx[skipped] = n + self.grant_period[skipped]
 
             # channel resolution, logging, metrics, sensing
-            if tx_ue:
-                self._resolve(n, np.array(tx_ue), np.array(tx_subch), np.array(tx_period),
-                              shadow_rng, fading_rng)
+            if tx_ue.size:
+                tx_subch = self.grant_subch[tx_ue]
+                tx_period = np.maximum(1, np.rint(self.itt_ms[tx_ue])).astype(np.int64)
+                self.pending[tx_ue] = False
+                self.last_tx[tx_ue] = n
+                self.bcast_x[tx_ue] = x_true[tx_ue]
+                self.bcast_v[tx_ue], self.bcast_t[tx_ue] = self.speed[tx_ue], n
+                for ue, period in zip(tx_ue.tolist(), tx_period.tolist()):
+                    slrrc = mac_sps.on_transmission(int(self.slrrc[ue]),
+                                                    self.rngs.stream("sps", ue), cfg.sps)
+                    if slrrc is None:
+                        # the new grant's period comes from the same itt_ms as `period`
+                        self._select_grant(ue, n)
+                    else:
+                        self.slrrc[ue], self.grant_period[ue] = slrrc, period
+                        self.next_tx[ue] = n + period
+                self._resolve(n, tx_ue, tx_subch, tx_period, shadow_rng, fading_rng)
             else:
                 self.store.record_subframe(n, self._noise_matrix, self._all_sensed, None)
 

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import RngStream
+
+# The occupancy window of `compute_cr` reaches this far into the past of n
+# and into its future
+CR_PAST_SF, CR_FUTURE_SF = 750, 250
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,10 @@ class SensingStore:
     there (float32, -inf where it decoded none) with its announced period in
     `period_sf`.  One cell is enough because a receiver decodes at most one
     transmission per subchannel and subframe while the SINR threshold is at
-    least 0 dB (`ChannelModel` enforces it).  Recording a subframe overwrites
-    its row, which evicts the subframe one span older.
+    least 0 dB (`ChannelModel` enforces it).  `sensed` is False exactly where
+    the UE was transmitting (half duplex), which makes it the one record of
+    each UE's own transmissions.  Recording a subframe overwrites its row,
+    which evicts the subframe one span older.
     """
 
     def __init__(self, n_ue: int, n_subch: int, span: int, noise_mw: float):
@@ -105,6 +111,13 @@ class SensingStore:
         busy = (np.sum(self.srssi_mw[rows] > threshold_mw, axis=2) * sensed).sum(axis=0)
         slots = sensed.sum(axis=0, dtype=np.int64) * self.n_subch
         return busy, slots
+
+    def own_tx_counts(self, n: int, ues: np.ndarray) -> np.ndarray:
+        """Per UE in `ues`, its own transmissions in [n-750, n-1]: the recorded
+        subframes it did not sense, because it was transmitting.  The span
+        must cover the 750 subframes."""
+        rows = self.recorded(n - CR_PAST_SF, n - 1)
+        return np.count_nonzero(~self.sensed[:, ues][rows], axis=0)
 
 
 class SensingWindow(NamedTuple):
@@ -272,46 +285,31 @@ def on_transmission(slrrc: int, rng: RngStream, cfg: SpsConfig) -> int | None:
     return rng.randint(cfg.slrrc_min, cfg.slrrc_max)
 
 
-def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> float:
-    """Channel-occupancy ratio of one UE at subframe n over the window
-    [n-750, n+250) (ETSI TS 103 574): its own transmissions in the window
-    (`past_tx`, all before n) plus its grant's occurrences n, n+period_sf, ...
-    before n+250, over the window's 1000 * n_subch subchannel slots."""
-    if period_sf < 1 or n_subch < 1:
+def compute_cr(past, period_sf, n_subch: int) -> np.ndarray:
+    """Channel-occupancy ratio per UE over the window [n-750, n+250) (ETSI TS
+    103 574): its own transmissions in [n-750, n-1] (`past`, as
+    `SensingStore.own_tx_counts` counts them) plus its grant's occurrences n,
+    n+period_sf, ... before n+250, over the window's 1000 * n_subch subchannel
+    slots."""
+    period_sf = np.asarray(period_sf)
+    if np.any(period_sf < 1) or n_subch < 1:
         raise ValueError("period_sf and n_subch must be at least 1")
-    past = sum(1 for t in past_tx if n - 750 <= t < n + 250)
-    future = -(-250 // period_sf)
-    return (past + future) / (1000.0 * n_subch)
+    future = -(-CR_FUTURE_SF // period_sf)
+    return (np.asarray(past) + future) / (1000.0 * n_subch)
 
 
-def cr_limit(cbp: float, cbp_limit: float, f_inv: Callable[[float], float]) -> float:
-    """Occupancy cap from busy-fraction feedback: cbp_limit / f_inv(cbp) when
-    the measured busy fraction exceeds the limit, otherwise 1 (no cap)."""
-    if not 0.0 <= cbp <= 1.0 or not 0.0 <= cbp_limit <= 1.0:
-        raise ValueError("cbp and cbp_limit must be in [0, 1]")
-    if cbp <= cbp_limit:
-        return 1.0
-    density = f_inv(cbp)
-    if density == 0:
+def cr_limit(cbp, cbp_limit: float, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Occupancy cap per UE from busy-fraction feedback: cbp_limit / density
+    where the measured busy fraction exceeds the limit, otherwise 1 (no cap).
+    The density is interpolated piecewise-linearly in the calibration
+    `points`, (busy fractions, vehicle counts) with the fractions sorted."""
+    cbp = np.asarray(cbp, dtype=float)
+    if np.any((cbp < 0.0) | (cbp > 1.0)):
+        raise ValueError("cbp must be in [0, 1]")
+    cap = np.ones(cbp.shape)
+    over = cbp > cbp_limit
+    density = np.interp(cbp[over], *points)
+    if np.any(density == 0):
         raise ValueError("calibration maps this busy fraction to zero density")
-    return cbp_limit / density
-
-
-class CbpDensityTable:
-    """Piecewise-linear calibration between busy fraction and neighbor count.
-
-    Built from (cbp, density) points; calling the table inverts the mapping
-    (busy fraction in [0, 1] to an interpolated vehicle count).
-    """
-
-    def __init__(self, points: list[tuple[float, float]]):
-        if len(points) < 2:
-            raise ValueError("need at least two calibration points")
-        pts = sorted(points)
-        self.cbp = np.array([p[0] for p in pts])
-        self.density = np.array([p[1] for p in pts])
-        if np.any(np.diff(self.cbp) <= 0):
-            raise ValueError("calibration busy fractions must be strictly increasing")
-
-    def __call__(self, cbp: float) -> float:
-        return float(np.interp(cbp, self.cbp, self.density))
+    cap[over] = cbp_limit / density
+    return cap

@@ -3,9 +3,10 @@
 `compute_itt`, `power_target` and `update_power` are the one-UE, branch by
 branch form of the congestion-control rules in `cv2xsim.dcc`.
 
-`compute_cr` is the table form of `cv2xsim.mac_sps.compute_cr`: (1000,
-n_subch) indicator tables of the resource pool and of the slots the UE used
-or reserved over the occupancy window.
+`compute_cr` is the table form of `cv2xsim.mac_sps.compute_cr` over the
+counts of `SensingStore.own_tx_counts`: (1000, n_subch) indicator tables of
+the resource pool and of the slots the UE used, listed by time, or reserved
+over the occupancy window.
 
 `select_candidates` and `_rank_metric` are the resource-by-resource form of
 `cv2xsim.mac_sps.select_candidates`: sets of exempt resources, a Python sort
@@ -401,7 +402,7 @@ def step(vehicles: list[Vehicle], dt_s: float, preset: ScenarioPreset,
     for i, v in enumerate(vehicles):
         if perturb:
             dv = preset.speed_reversion * (v.nominal_mps - v.speed_mps) * dt_s \
-                + preset.speed_sigma * math.sqrt(dt_s) * rng.normal()
+                + preset.speed_sigma * math.sqrt(dt_s) * rng.normal(size=1)[0]
             speed = v.speed_mps + dv
             cap = 1.2 * abs(v.nominal_mps)
             sign = 1.0 if v.nominal_mps >= 0 else -1.0

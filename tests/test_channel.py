@@ -209,7 +209,7 @@ class TestResolveSubframe:
         resolve(txs, ues, base, shadow_a, fading_rng=RngStream(2, "fading"))
         resolve(txs, ues, faded, shadow_b, fading_rng=RngStream(2, "fading"))
         # both runs took the same shadowing draws, and the fading none of them
-        assert shadow_a.normal() == shadow_b.normal()
+        assert shadow_a.normal(size=4).tolist() == shadow_b.normal(size=4).tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -105,6 +105,49 @@ def test_ini_round_trip(tmp_path):
     assert cfg.seed == 9 and cfg.channel.shadowing_sigma_db == 0.0
 
 
+def test_optional_key_takes_none_from_every_source(tmp_path):
+    # channel.breakpoint_m is declared `float | None`; None is a single slope
+    by_set = config.resolve(overrides={"channel.breakpoint_m": "none"}, scenario="mini-low")
+    ini = tmp_path / "run.ini"
+    ini.write_text("[channel]\nbreakpoint_m = none\n")
+    by_ini = config.resolve(config.read_config_file(str(ini)), scenario="mini-low")
+    manifest = tmp_path / "manifest.json"
+    config.write_manifest(manifest, by_set, "0.1.0")
+    by_manifest = config.resolve(config.read_config_file(str(manifest)))
+    for resolved in (by_set, by_ini, by_manifest):
+        assert resolved["channel.breakpoint_m"] is None
+        assert config.build_run_config(resolved).channel.breakpoint_m is None
+    # a number over a None layer is still a number
+    again = config.resolve(config.read_config_file(str(manifest)),
+                           overrides={"channel.breakpoint_m": "120"})
+    assert again["channel.breakpoint_m"] == 120.0
+    with pytest.raises(config.ConfigError, match="channel.exponent: expected a number"):
+        config.resolve(overrides={"channel.exponent": "none"})
+    # a key not declared optional takes no null from a manifest either
+    for key in ("run.seed", "run.log_rx_outcomes"):
+        config.write_manifest(manifest, {**by_set, key: None}, "0.1.0")
+        with pytest.raises(config.ConfigError, match=f"{key}: expected a value"):
+            config.resolve(config.read_config_file(str(manifest)))
+
+
+@pytest.mark.parametrize("sets,key", [
+    (["cr.enabled=true", "cr.cbp_limit=2"], "cr.cbp_limit"),
+    (["cr.calibration=0:0"], "cr.calibration"),
+    (["cr.calibration=0.5:10,0.5:20"], "cr.calibration"),
+    (["cr.enabled=true", "sps.sensing_window_sf=500"], "sps.sensing_window_sf"),
+])
+def test_validate_rejects_bad_cr_config(sets, key, capsys):
+    args = ["validate", "--scenario", "mini-low"]
+    for pair in sets:
+        args += ["--set", pair]
+    assert main(args) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_sensing_window_below_cr_window_is_fine_without_cr(capsys):
+    assert main(["validate", "--scenario", "mini-low", "--set", "sps.sensing_window_sf=500"]) == 0
+
+
 class TestCliCommands:
     def test_validate_ok(self, capsys):
         rc = main(["validate", "--scenario", "mini-low", "--scheme", "dcc-std"])
@@ -187,6 +230,7 @@ class TestCliCommands:
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "urban-ultrahigh" in out and "dcc-7" in out
+        assert "sps.slrrc_min=1  sps.slrrc_max=5  sps.p_resel=0.2" in out
 
     def test_run_writes_artifacts_and_manifest(self, tmp_path, capsys, monkeypatch):
         builds = []

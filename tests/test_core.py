@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cv2xsim.core import RngPool, RngStream, RoadGeometry, dbm_to_mw
@@ -55,8 +56,8 @@ def test_rng_bounds():
     s = RngStream(1, "t")
     draws = [s.randint(5, 15) for _ in range(2000)]
     assert min(draws) == 5 and max(draws) == 15
-    u = [s.uniform(2.0, 3.0) for _ in range(100)]
-    assert all(2.0 <= x < 3.0 for x in u)
+    u = s.uniform_array(2.0, 3.0, size=100)
+    assert np.all((2.0 <= u) & (u < 3.0))
 
 
 def test_rng_pool_caches_streams():

@@ -317,7 +317,7 @@ class TestSchemes:
             assert s.range.u_min_pct == u_min, name
             assert s.rate.density_coefficient == b, name
         s7 = scheme_by_name("dcc-7")
-        assert (s7.slrrc_min, s7.slrrc_max, s7.p_resel) == (1, 5, 0.2)
+        assert s7.adjustments == {"sps.slrrc_min": 1, "sps.slrrc_max": 5, "sps.p_resel": 0.2}
 
     def test_baseline_disables_control(self):
         base = scheme_by_name("baseline")

@@ -10,7 +10,7 @@ import oracles
 from sensing import NOISE_MW, build_window, recorded_count
 
 from cv2xsim.core import RngStream
-from cv2xsim.mac_sps import (CbpDensityTable, SensingStore, SensingWindow, SpsConfig,
+from cv2xsim.mac_sps import (SensingStore, SensingWindow, SpsConfig,
                              _rank_metric, compute_cr, cr_limit, on_transmission,
                              select_candidates, select_resource)
 
@@ -121,54 +121,80 @@ class TestOnTransmission:
 # ---------------------------------------------------------------------------
 # channel-occupancy ratio and its limit
 
+def own_tx_store(n, times, span=1000, n_subch=1):
+    """A store that recorded subframes 0..n-1 as the engine does: each UE
+    unsensed exactly where it transmitted, at the subframes in times[ue]."""
+    store = SensingStore(len(times), n_subch, span, NOISE_MW)
+    noise = np.full((len(times), n_subch), NOISE_MW)
+    for j in range(n):
+        store.record_subframe(j, noise, np.array([j not in t for t in times]), None)
+    return store
+
+
+CALIBRATION = (np.array([0.0, 1.0]), np.array([0.0, 200.0]))
+
+
 class TestComputeCr:
     def test_zero_usage(self):
         # no past transmission: the grant's occurrences in [n, n+250) alone
-        assert compute_cr(1000, [], 1000, 2) == pytest.approx(1 / 2000)
-        assert compute_cr(1000, [], 1, 2) == pytest.approx(250 / 2000)
+        assert compute_cr([0, 0], [1000, 1], 2).tolist() == [1 / 2000, 250 / 2000]
 
     def test_direct_count(self):
-        # the window is [n-750, n+250): n-750 counts, n-751 does not
-        past = [249, 250, 251, 900, 999]
-        assert compute_cr(1000, past, 1000, 2) == pytest.approx((4 + 1) / 2000)
+        # the past part of the window is [n-750, n-1]: n-750 counts, n-751 does not
+        store = own_tx_store(1000, [{249, 250, 251, 900, 999}, set()])
+        assert store.own_tx_counts(1000, np.array([0, 1])).tolist() == [4, 0]
+        assert compute_cr(store.own_tx_counts(1000, np.array([0])), [1000], 2) \
+            == pytest.approx((4 + 1) / 2000)
 
     def test_periodic_steady_state(self):
         # one subchannel every 100 subframes -> 10 slots per window
-        past = list(range(0, 1000, 100))
-        assert compute_cr(1000, past, 100, 2) == pytest.approx(0.005)
+        store = own_tx_store(1000, [set(range(0, 1000, 100))])
+        assert compute_cr(store.own_tx_counts(1000, np.array([0])), [100], 2) \
+            == pytest.approx(0.005)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            compute_cr(1000, [], 0, 2)
+            compute_cr([0], [0], 2)
         with pytest.raises(ValueError):
-            compute_cr(1000, [], 100, 0)
+            compute_cr([0], [100], 0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 5000), st.lists(st.integers(1, 1000), max_size=40, unique=True),
-           st.integers(1, 300), st.integers(1, 4))
-    def test_randomized_against_direct_count(self, n, ages, period, n_subch):
-        past = sorted(n - a for a in ages if n - a >= 0)
-        got = compute_cr(n, past, period, n_subch)
-        assert got == oracles.compute_cr(n, past, period, n_subch)
-        assert 0.0 <= got <= 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(750, 1000), st.data())
+    def test_randomized_against_direct_count(self, span, data):
+        # n before the window is full, or near the first and second ring wrap
+        n = data.draw(st.one_of(st.integers(0, 749), st.integers(span - 2, span + 2),
+                                st.integers(2 * span - 2, 2 * span + 2)))
+        ages = st.one_of(st.integers(749, 752), st.integers(1, 1000))
+        times = [sorted({n - a for a in data.draw(st.lists(ages, max_size=30)) if a <= n})
+                 for _ in range(3)]
+        ues = np.array(data.draw(st.permutations(range(3))))
+        periods = data.draw(st.lists(st.integers(1, 300), min_size=3, max_size=3))
+        n_subch = data.draw(st.integers(1, 4))
+        store = own_tx_store(n, [set(t) for t in times], span)
+        got = compute_cr(store.own_tx_counts(n, ues), periods, n_subch)
+        assert got.tolist() == [oracles.compute_cr(n, times[ue], period, n_subch)
+                                for ue, period in zip(ues.tolist(), periods)]
+        assert np.all((0.0 <= got) & (got <= 1.0))
 
 
 class TestCrLimit:
     def test_inactive_below_limit(self):
-        assert cr_limit(0.5, 0.6, lambda c: 100.0) == 1.0
+        assert cr_limit([0.0, 0.5, 0.6], 0.6, CALIBRATION).tolist() == [1.0, 1.0, 1.0]
 
     def test_direct_substitution(self):
-        assert cr_limit(0.8, 0.6, lambda c: 120.0) == pytest.approx(0.005)
+        flat = (np.array([0.0, 1.0]), np.array([120.0, 120.0]))
+        assert cr_limit([0.8], 0.6, flat)[0] == pytest.approx(0.005)
 
     def test_with_calibration_table(self):
-        table = CbpDensityTable([(0.0, 0.0), (1.0, 200.0)])
-        assert cr_limit(0.8, 0.6, table) == pytest.approx(0.00375)
+        # 0.8 maps to 160 vehicles; the UE below the limit stays uncapped
+        assert cr_limit([0.8, 0.5], 0.6, CALIBRATION).tolist() == \
+            pytest.approx([0.00375, 1.0])
 
     def test_zero_density_rejected(self):
         with pytest.raises(ValueError):
-            cr_limit(0.8, 0.6, lambda c: 0.0)
+            cr_limit([0.8], 0.6, (np.array([0.0, 1.0]), np.array([0.0, 0.0])))
         with pytest.raises(ValueError):
-            cr_limit(1.5, 0.6, lambda c: 100.0)
+            cr_limit([1.5], 0.6, CALIBRATION)
 
 
 # ---------------------------------------------------------------------------
