@@ -79,93 +79,108 @@ class Outcome:
 
 @dataclass
 class SubframeResolution:
-    """Array-backed result of resolving one subframe.
+    """Array-backed result of resolving a batch of consecutive subframes.
 
-    Row t is the transmission of UE `tx_ue[t]` as passed to
-    `resolve_subframe`; column r is UE r, since every UE receives.
+    Row t is the transmission of UE `tx_ue[t]` in subframe `tx_sf[t]` of the
+    batch, as passed to `resolve_subframe`; column r is UE r, since every UE
+    receives.  The per-subframe arrays have one entry per subframe of the
+    batch, those without a transmission included.
     """
 
     rx_power_dbm: np.ndarray      # (k, n_ue)
     outcome: np.ndarray           # (k, n_ue) int8 Outcome codes
     distance_m: np.ndarray        # (k, n_ue)
-    srssi_mw: np.ndarray          # (n_ue, n_subch) total arrivals + noise
-    is_transmitting: np.ndarray   # (n_ue,) bool
+    srssi_mw: np.ndarray          # (n_sf, n_ue, n_subch) total arrivals + noise
+    is_transmitting: np.ndarray   # (n_sf, n_ue) bool, one True per transmission
 
 
-def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.ndarray,
-                     x: np.ndarray, y: np.ndarray, model: ChannelModel, rng: RngStream,
-                     geometry: RoadGeometry, n_subch: int, static_shadow: np.ndarray | None,
-                     fading_rng: RngStream) -> SubframeResolution:
-    """Resolve every transmission of one subframe against every UE.
+def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
+                     tx_power_dbm: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     model: ChannelModel, rng: RngStream, geometry: RoadGeometry, n_subch: int,
+                     static_shadow: np.ndarray | None, fading_rng: RngStream,
+                     n_sf: int) -> SubframeResolution:
+    """Resolve every transmission of a batch of `n_sf` subframes against
+    every UE, each subframe on its own.
 
-    Transmission t is sent by UE `tx_ue[t]` on subchannel `tx_subch[t]` at
-    `tx_power_dbm[t]`; UE r stands at (`x[r]`, `y[r]`).  For each
-    (transmission, receiver) link the signal is the received power of
-    that transmission; interference is the mW sum of all other same-subchannel
-    received powers.  A link decodes iff the receiver is not itself
-    transmitting, the signal is at or above sensitivity, and
-    signal / (interference + noise) clears the SINR threshold; the first
-    failing condition names the outcome.  Every receiver also obtains a
-    per-subchannel S-RSSI (total arrivals + noise, own signal excluded).
+    Transmission t is sent in subframe `tx_sf[t]` (0 <= tx_sf[t] < n_sf, rows
+    ordered by subframe) by UE `tx_ue[t]` on subchannel `tx_subch[t]` at
+    `tx_power_dbm[t]`; UE r stands at (`x[r]`, `y[r]`) throughout the batch.
+    For each (transmission, receiver) link the signal is the received power
+    of that transmission; interference is the mW sum of all other received
+    powers on the same subframe and subchannel.  A link decodes iff the
+    receiver is not itself transmitting in that subframe, the signal is at or
+    above sensitivity, and signal / (interference + noise) clears the SINR
+    threshold; the first failing condition names the outcome.  Every
+    receiver also obtains a per-subframe, per-subchannel S-RSSI (total
+    arrivals + noise, own signal excluded).
 
     Shadowing is drawn here per (tx, rx) from `rng` in iid mode; in static
     mode it is looked up from `static_shadow[tx_ue, rx_ue]` (None when the
     mode is off).  Fast fading, when enabled, draws from `fading_rng`, so
-    toggling it leaves the shadowing realization untouched.
+    toggling it leaves the shadowing realization untouched.  Each stream is
+    drawn once per batch, its rows taken in (subframe, subchannel, row)
+    order: on Philox one draw of the joined size equals the draws of the
+    (subframe, subchannel) groups in turn, which is what resolving the
+    subframes one at a time takes.  Each group's total is likewise summed row
+    by row in row order, as `sum(axis=0)` adds the rows of one group.
     """
     k, nrx = len(tx_ue), len(x)
-    noise_mw = model.noise_mw
-    srssi_mw = np.full((nrx, n_subch), noise_mw)
-    rxp_dbm = np.zeros((k, nrx))
-    codes = np.zeros((k, nrx), dtype=np.int8)
-    dists = np.zeros((k, nrx))
+    is_tx = np.zeros((n_sf, nrx), dtype=bool)
+    is_tx[tx_sf, tx_ue] = True
 
-    is_tx = np.zeros(nrx, dtype=bool)
-    is_tx[tx_ue] = True
+    # the (subframe, subchannel) groups: `order` lists the rows group by
+    # group, each group's rows in row order; `first` is where each group
+    # starts in it
+    group = tx_sf * n_subch + tx_subch
+    order = np.argsort(group, kind="stable")
+    first = np.flatnonzero(np.diff(group[order], prepend=-1))
+    size = np.diff(first, append=k)
 
-    for subch in range(n_subch):
-        rows = np.flatnonzero(tx_subch == subch)
-        if not rows.size:
-            continue
-        ues = tx_ue[rows]
-        d = geometry.distance(x[ues][:, None], y[ues][:, None], x[None, :], y[None, :])
+    d = geometry.distance(x[tx_ue][:, None], y[tx_ue][:, None], x[None, :], y[None, :])
 
-        if model.shadowing_sigma_db > 0.0:
-            if model.shadowing_mode == "static":
-                if static_shadow is None:
-                    raise ValueError("static shadowing mode needs a pair table")
-                sh = static_shadow[ues]
-            else:
-                sh = rng.normal(0.0, model.shadowing_sigma_db, size=d.shape)
+    if model.shadowing_sigma_db > 0.0:
+        if model.shadowing_mode == "static":
+            if static_shadow is None:
+                raise ValueError("static shadowing mode needs a pair table")
+            sh = static_shadow[tx_ue]
         else:
-            sh = 0.0
+            sh = np.empty((k, nrx))
+            sh[order] = rng.normal(0.0, model.shadowing_sigma_db, size=(k, nrx))
+    else:
+        sh = 0.0
 
-        if model.fading == "nakagami":
-            gain = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=d.shape)
-            fade = -10.0 * np.log10(np.maximum(gain, 1e-12))
-        else:
-            fade = 0.0
+    if model.fading == "nakagami":
+        gain = np.empty((k, nrx))
+        gain[order] = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=(k, nrx))
+        fade = -10.0 * np.log10(np.maximum(gain, 1e-12))
+    else:
+        fade = 0.0
 
-        p_dbm = tx_power_dbm[rows][:, None] - pathloss(d, model) - sh - fade
-        p_mw = 10.0 ** (p_dbm / 10.0)
-        # own signal does not reach own receiver chain
-        p_mw[np.arange(rows.size), ues] = 0.0
+    p_dbm = tx_power_dbm[:, None] - pathloss(d, model) - sh - fade
+    p_mw = 10.0 ** (p_dbm / 10.0)
+    # own signal does not reach own receiver chain
+    p_mw[np.arange(k), tx_ue] = 0.0
 
-        total_mw = p_mw.sum(axis=0)
-        interference_mw = total_mw[None, :] - p_mw
-        with np.errstate(divide="ignore"):
-            sinr = p_mw / (interference_mw + noise_mw)
-            sinr_row_db = 10.0 * np.log10(np.maximum(sinr, 1e-300))
+    # each group's total over its rows, added one position at a time
+    total_mw = np.zeros((first.size, nrx))
+    for j in range(size.max(initial=0)):
+        g = np.flatnonzero(size > j)
+        total_mw[g] += p_mw[order[first[g] + j]]
+    row_group = np.empty(k, dtype=np.int64)
+    row_group[order] = np.repeat(np.arange(first.size), size)
+    interference_mw = total_mw[row_group] - p_mw
+    with np.errstate(divide="ignore"):
+        sinr = p_mw / (interference_mw + model.noise_mw)
+        sinr_row_db = 10.0 * np.log10(np.maximum(sinr, 1e-300))
 
-        decodable = (p_dbm >= model.sensitivity_dbm)
-        sinr_ok = sinr_row_db >= model.sinr_threshold_db
-        code = np.where(is_tx[None, :], Outcome.HALF_DUPLEX_BLOCKED,
-                        np.where(~decodable, Outcome.BELOW_SENSITIVITY,
-                                 np.where(~sinr_ok, Outcome.COLLIDED, Outcome.DECODED)))
+    decodable = (p_dbm >= model.sensitivity_dbm)
+    sinr_ok = sinr_row_db >= model.sinr_threshold_db
+    code = np.where(is_tx[tx_sf], Outcome.HALF_DUPLEX_BLOCKED,
+                    np.where(~decodable, Outcome.BELOW_SENSITIVITY,
+                             np.where(~sinr_ok, Outcome.COLLIDED, Outcome.DECODED)))
 
-        srssi_mw[:, subch] += total_mw
-        rxp_dbm[rows] = p_dbm
-        codes[rows] = code
-        dists[rows] = d
+    srssi_mw = np.full((n_sf, nrx, n_subch), model.noise_mw)
+    group_sf, group_subch = np.divmod(group[order[first]], n_subch)
+    srssi_mw[group_sf, :, group_subch] += total_mw
 
-    return SubframeResolution(rxp_dbm, codes, dists, srssi_mw, is_tx)
+    return SubframeResolution(p_dbm, code.astype(np.int8), d, srssi_mw, is_tx)

@@ -10,12 +10,24 @@ over those arrays; only the draws from each UE's own RNG stream (resource
 selection and the counter after a transmission) loop over the UEs concerned.
 A UE's own transmissions are recorded once, as the subframes the sensing
 store marks it unsensed, and its channel-occupancy ratio counts them there.
-The grants that transmit become arrays (UE, subchannel, power, period), which
-`resolve_subframe` turns into (transmission, UE) outcome arrays.  From
-those the subframe's rows go to the event log, its in-region links to the
-metrics ledger and its decodes to the sensing store, without a loop over
-transmissions or receivers.  Everything is driven by named RNG streams, so
-one seed fixes the whole run.
+
+The channel is resolved a batch of subframes at a time.  Grant service
+queues each transmitting subframe's arrays (UE, subchannel, power, period,
+queue delay); nothing reads a subframe's outcomes until the sensing store is
+next read or the vehicles move.  So the engine flushes the queue just before
+each of those: a resource selection, a CBP measurement, a CR check, a
+mobility tick, and the end of the run.  It also flushes before the queued
+(transmission, UE) links would pass `_BATCH_LINKS`, and before a batch would
+span more subframes than the sensing ring holds.  A flush resolves every
+subframe since the last one, those without a transmission included, in one
+`resolve_subframe` call, which turns them into (transmission, UE) outcome
+arrays.  From those the batch's rows go to the event log as one chunk, its
+in-region links after the warm-up to the metrics ledger and its
+measurements and decodes to the sensing store, without a loop over
+subframes, transmissions or receivers.  The shadowing and fading streams
+are drawn in the order resolving one subframe at a time draws them, so the
+batches leave every output as it would be.  Everything is driven by named
+RNG streams, so one seed fixes the whole run.
 """
 
 from __future__ import annotations
@@ -43,6 +55,16 @@ RX_DTYPE = np.dtype([("tx_event_id", np.int32), ("rx_ue", np.int32), ("outcome",
                      ("rx_power_dbm", np.float64)])
 # Rows hashed or formatted per step, so few Python objects are alive at once
 _LOG_CHUNK = 1 << 10
+# Most (transmission, UE) links resolved in one batch; a subframe with more
+# is resolved on its own
+_BATCH_LINKS = 1 << 15
+# Bytes per link that a flush holds at its peak: the (k, n_ue) arrays of
+# `resolve_subframe` and of the hand-off to the log and the ledger (traced at
+# the cap: 77 to 95 on mini-low, freeway-low and urban-medium, 124 on
+# mini-low with the rx log)
+_FLUSH_BYTES_PER_LINK = 128
+# A flush with nothing queued resolves no transmission
+_NO_TX = (np.zeros(0, dtype=np.int64),) * 5
 # A txevents.csv line: the event id, then each field, floats at 6
 # significant digits as `metrics.fmt` writes them
 _CSV_ROW = ",".join(["%d"] + ["%.6g" if TX_DTYPE[name].kind == "f" else "%d"
@@ -76,6 +98,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.warmup_s >= self.duration_s:
             raise ValueError("run.warmup_s must be below run.duration_s")
+        if self.duration_s * 1000 >= 2 ** 31:
+            raise ValueError("run.duration_s must stay below 2**31 ms (the ledger's int32 times)")
         if self.subchannels < 1:
             raise ValueError("subchannels must be at least 1")
         if self.payload_bytes < 1:
@@ -99,8 +123,8 @@ class RunConfig:
         """Estimated peak size of the state that grows with the run's scale,
         in MiB, split by the config key that drives each part.
 
-        `scenario.vehicle_count`: per ordered pair, 40 bytes: the ledger's
-        `last_rx_ms` (int64); the ledger's `roi_pairs` (int64 keys) in the
+        `scenario.vehicle_count`: per ordered pair, 36 bytes: the ledger's
+        `last_rx_ms` (int32); the ledger's `roi_pairs` (int64 keys) in the
         worst case, where every pair stays in range; and the one-shot
         distance build of `dcc.neighbor_counts` and the first ROI tick,
         whose peak holds three float64 arrays (the longitudinal and lateral
@@ -111,7 +135,12 @@ class RunConfig:
         Sensing: the (span, n, subchannels) rings of S-RSSI (float64),
         reservation RSRP (float32) and period (int32), and the (span, n)
         sensed mask.  The event log's tx rows, at one per vehicle per 100 ms
-        (the shortest inter-transmit time) over the whole run.
+        (the shortest inter-transmit time) over the whole run.  A flush's
+        transient: `_FLUSH_BYTES_PER_LINK` for each of up to `_BATCH_LINKS`
+        links, and the S-RSSI and the transmitter and sensed masks of each
+        subframe of the batch, which ends at the next mobility tick and spans
+        at most the sensing window.  A subframe with more links than the cap
+        is resolved alone, and its transient exceeds this term.
 
         `run.log_rx_outcomes`: one rx row per tx row and other vehicle.
 
@@ -119,16 +148,18 @@ class RunConfig:
         joined into.
         """
         n = self.scenario.vehicle_count
-        per_pair = 8 + 8 + 3 * 8
+        per_pair = 4 + 8 + 3 * 8
         if self.channel.shadowing_mode == "static" and self.channel.shadowing_sigma_db > 0:
             per_pair += 8
         span = self.sps.sensing_window_sf
         sensing = span * n * (8 * self.subchannels + 1 + 8 * self.subchannels)
         tx_rows = n * int(round(self.duration_s * 1000)) // 100
         rx_rows = tx_rows * (n - 1) if self.log_rx_outcomes else 0
+        flush = _BATCH_LINKS * _FLUSH_BYTES_PER_LINK \
+            + min(span, self.mobility_tick_ms) * n * (8 * self.subchannels + 2)
         return {
-            "scenario.vehicle_count":
-                (n * n * per_pair + sensing + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20,
+            "scenario.vehicle_count": (n * n * per_pair + sensing + flush
+                                       + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20,
             "run.log_rx_outcomes": 2 * rx_rows * RX_DTYPE.itemsize / 2 ** 20,
         }
 
@@ -255,8 +286,12 @@ class Simulation:
 
         self.store = SensingStore(n, cfg.subchannels, cfg.sps.sensing_window_sf,
                                   cfg.channel.noise_mw)
-        self._noise_matrix = np.full((n, cfg.subchannels), cfg.channel.noise_mw)
-        self._all_sensed = np.ones(n, dtype=bool)
+        # per transmitting subframe since the last flush: (subframe, UE,
+        # subchannel, power, period, queue delay); subframes before
+        # `_resolved_to` are resolved and recorded
+        self._queued: list[tuple] = []
+        self._queued_links = 0
+        self._resolved_to = 0
 
         if cfg.channel.shadowing_mode == "static" and cfg.channel.shadowing_sigma_db > 0:
             self.static_shadow = self.rngs.stream("shadow-static").normal(
@@ -280,6 +315,7 @@ class Simulation:
         self._region = (lo, hi)
 
     def _select_grant(self, ue: int, n: int) -> None:
+        self._flush(n)
         period = max(1, int(round(self.itt_ms[ue])))
         sps = self.cfg.sps
         subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, sps,
@@ -289,15 +325,33 @@ class Simulation:
         self.next_tx[ue], self.grant_subch[ue] = subframe, subch
         self.grant_period[ue], self.slrrc[ue] = period, slrrc
 
-    def _resolve(self, n: int, tx_ue: np.ndarray, tx_subch: np.ndarray, tx_period: np.ndarray,
-                 shadow_rng, fading_rng) -> None:
-        """Resolve subframe n's transmissions and hand the outcome arrays to
-        the event log, the metrics ledger and the sensing store."""
+    def _queue(self, n: int, tx_ue: np.ndarray, tx_subch: np.ndarray,
+               tx_period: np.ndarray) -> None:
+        """Queue subframe n's transmissions for the next flush, first
+        flushing the queue if their links would take it past `_BATCH_LINKS`."""
+        links = len(tx_ue) * self.n_ue
+        if self._queued_links + links > _BATCH_LINKS:
+            self._flush(n)
+        self._queued.append((n, tx_ue, tx_subch, self.power_dbm[tx_ue], tx_period,
+                             n - self.gen_time[tx_ue]))
+        self._queued_links += links
+
+    def _flush(self, end: int) -> None:
+        """Resolve the subframes from the last flush up to `end` (excluded)
+        with their queued transmissions, and hand the outcome arrays to the
+        event log, the metrics ledger and the sensing store."""
+        start = self._resolved_to
+        if end <= start:
+            return
         cfg, n_ue = self.cfg, self.n_ue
-        tx_power = self.power_dbm[tx_ue]
-        res = resolve_subframe(tx_ue, tx_subch, tx_power, self.x, self.y, cfg.channel,
-                               shadow_rng, self.geometry, cfg.subchannels, self.static_shadow,
-                               fading_rng)
+        subframes, *columns = zip(*(self._queued or [(start, *_NO_TX)]))
+        self._queued, self._queued_links, self._resolved_to = [], 0, end
+        subframe = np.repeat(subframes, [len(ue) for ue in columns[0]])
+        tx_ue, tx_subch, tx_power, tx_period, delay = map(np.concatenate, columns)
+        tx_sf = subframe - start
+        res = resolve_subframe(tx_sf, tx_ue, tx_subch, tx_power, self.x, self.y, cfg.channel,
+                               self.rngs.stream("shadow"), self.geometry, cfg.subchannels,
+                               self.static_shadow, self.rngs.stream("fading"), end - start)
         k = len(tx_ue)
         rows = np.arange(k)
         counts = np.bincount((4 * rows[:, None] + res.outcome).ravel(),
@@ -308,8 +362,8 @@ class Simulation:
 
         first_id = self.log.n_tx
         tx_x = self.x[tx_ue]
-        tx = _rows(TX_DTYPE, k, n, tx_ue, tx_subch, tx_power, tx_x, self.lane[tx_ue],
-                   tx_period, n - self.gen_time[tx_ue], *counts.T)
+        tx = _rows(TX_DTYPE, k, subframe, tx_ue, tx_subch, tx_power, tx_x, self.lane[tx_ue],
+                   tx_period, delay, *counts.T)
         rx = None
         if cfg.log_rx_outcomes:
             t, r = np.nonzero(others)
@@ -318,18 +372,16 @@ class Simulation:
         self.log.append(tx, rx)
 
         region_lo, region_hi = self._region
-        in_region = (region_lo <= tx_x) & (tx_x <= region_hi)
-        if n >= self.warmup_sf and in_region.any():
-            links = others & in_region[:, None]
+        recorded = (region_lo <= tx_x) & (tx_x <= region_hi) & (subframe >= self.warmup_sf)
+        if recorded.any():
+            links = others & recorded[:, None]
             t, r = np.nonzero(links)
-            self.metrics.record_arrays(n, tx_ue[t] * n_ue + r, res.distance_m[links],
+            self.metrics.record_arrays(subframe[t], tx_ue[t] * n_ue + r, res.distance_m[links],
                                        res.outcome[links] == Outcome.DECODED)
 
-        sensed = self._all_sensed.copy()
-        sensed[tx_ue] = False
         t, r = np.nonzero(res.outcome == Outcome.DECODED)
-        self.store.record_subframe(n, res.srssi_mw, sensed,
-                                   (r, tx_subch[t], tx_period[t], res.rx_power_dbm[t, r]))
+        self.store.record_subframe(start, res.srssi_mw, ~res.is_transmitting,
+                                   (tx_sf[t], r, tx_subch[t], tx_period[t], res.rx_power_dbm[t, r]))
 
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue
@@ -337,12 +389,16 @@ class Simulation:
         cbp_thresh_mw = 10.0 ** (cfg.cbp_rssi_threshold_dbm / 10.0)
         pte_on = scheme.enabled and rate_cfg.pte_enabled
         perturb_rng = self.rngs.stream("perturb")
-        shadow_rng = self.rngs.stream("shadow")
-        fading_rng = self.rngs.stream("fading")
+        span_sf = self.store.span
 
         for n in range(self.total_sf):
+            # a batch never spans more subframes than the sensing ring holds
+            if n - self._resolved_to >= span_sf:
+                self._flush(n)
+
             # mobility tick: move vehicles, then narrow the region of interest
             if n > 0 and n % cfg.mobility_tick_ms == 0:
+                self._flush(n)
                 respawned = mobility.step(self.fleet, cfg.mobility_tick_ms / 1000.0,
                                           self.preset, perturb_rng)
                 # a respawned vehicle re-enters as a fresh participant
@@ -362,6 +418,7 @@ class Simulation:
 
             # busy measurement -> range control
             if n % cfg.power_period_ms == 0 and n > 0:
+                self._flush(n)
                 busy, slots = self.store.cbp_counts(n, cfg.cbp_window_ms, cbp_thresh_mw)
                 self.cbp_pct = dcc.busy_percentage(busy, slots, self.cbp_pct)
                 if scheme.enabled:
@@ -398,6 +455,7 @@ class Simulation:
             if due.size:
                 send = self.pending[due]
                 if self._cr_points is not None:
+                    self._flush(n)
                     ues = due[send]
                     cr = mac_sps.compute_cr(self.store.own_tx_counts(n, ues),
                                             self.grant_period[ues], cfg.subchannels)
@@ -407,7 +465,7 @@ class Simulation:
                     skipped, tx_ue = due[~send], due[send]
                     self.next_tx[skipped] = n + self.grant_period[skipped]
 
-            # channel resolution, logging, metrics, sensing
+            # queued for channel resolution, logging, metrics and sensing
             if tx_ue.size:
                 tx_subch = self.grant_subch[tx_ue]
                 tx_period = np.maximum(1, np.rint(self.itt_ms[tx_ue])).astype(np.int64)
@@ -424,14 +482,13 @@ class Simulation:
                     else:
                         self.slrrc[ue], self.grant_period[ue] = slrrc, period
                         self.next_tx[ue] = n + period
-                self._resolve(n, tx_ue, tx_subch, tx_period, shadow_rng, fading_rng)
-            else:
-                self.store.record_subframe(n, self._noise_matrix, self._all_sensed, None)
+                self._queue(n, tx_ue, tx_subch, tx_period)
 
             if n % cfg.timeseries_period_ms == 0:
                 self.timeseries.append((n / 1000.0, float(self.cbp_pct.mean()),
                                         float(self.power_dbm.mean()), float(self.itt_ms.mean())))
 
+        self._flush(self.total_sf)
         observation_s = cfg.duration_s - cfg.warmup_s
         self.metrics.observation_s = observation_s
         return RunResult(cfg, self.log, self.metrics, self.timeseries, n_ue, observation_s)

@@ -62,8 +62,9 @@ class SensingStore:
     transmission per subchannel and subframe while the SINR threshold is at
     least 0 dB (`ChannelModel` enforces it).  `sensed` is False exactly where
     the UE was transmitting (half duplex), which makes it the one record of
-    each UE's own transmissions.  Recording a subframe overwrites its row,
-    which evicts the subframe one span older.
+    each UE's own transmissions.  Subframes are recorded a run of consecutive
+    ones at a time; recording a subframe overwrites its row, which evicts the
+    subframe one span older.
     """
 
     def __init__(self, n_ue: int, n_subch: int, span: int, noise_mw: float):
@@ -80,22 +81,28 @@ class SensingStore:
 
     def record_subframe(self, n: int, srssi_mw: np.ndarray, sensed_mask: np.ndarray,
                         decodes: tuple[np.ndarray, ...] | None) -> None:
-        """Store subframe n's measurements in its ring row, clearing the
-        decodes the row held.  `decodes` is (receiver, subchannel, period,
+        """Store the measurements of subframes n, n+1, ..., n+m-1 in their
+        ring rows, clearing the decodes those rows held: `srssi_mw` is
+        (m, n_ue, n_subch) and `sensed_mask` (m, n_ue), with 1 <= m <= span.
+        `decodes` is (subframe offset, receiver, subchannel, period,
         PSSCH-RSRP dBm) arrays, one entry per decoded link and at most one
-        per (receiver, subchannel); None when nothing was sent."""
+        per (subframe, receiver, subchannel); None when nothing was decoded."""
+        m = len(srssi_mw)
         if n < self.newest:
             raise ValueError(f"out-of-order sensing record: {n} < newest {self.newest}")
-        row = n % self.span
-        self.row_subframe[row] = n
-        self.srssi_mw[row] = srssi_mw
-        self.sensed[row] = sensed_mask
-        self.reservations[row] = -np.inf
+        if not 1 <= m <= self.span:
+            raise ValueError(f"a record covers 1 to {self.span} subframes, not {m}")
+        subframes = np.arange(n, n + m)
+        rows = subframes % self.span
+        self.row_subframe[rows] = subframes
+        self.srssi_mw[rows] = srssi_mw
+        self.sensed[rows] = sensed_mask
+        self.reservations[rows] = -np.inf
         if decodes is not None:
-            rx, subch, period, rsrp_dbm = decodes
-            self.reservations[row, rx, subch] = rsrp_dbm
-            self.period_sf[row, rx, subch] = period
-        self.newest = n
+            offset, rx, subch, period, rsrp_dbm = decodes
+            self.reservations[rows[offset], rx, subch] = rsrp_dbm
+            self.period_sf[rows[offset], rx, subch] = period
+        self.newest = n + m - 1
 
     def oldest_valid(self) -> int:
         return max(0, self.newest - self.span + 1)

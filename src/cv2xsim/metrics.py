@@ -68,8 +68,25 @@ class SparseCounts:
         hit[hit] = self._keys[pos[hit]] == new[hit]
         self._counts[pos[hit]] += counts[hit]
         miss = ~hit
-        self._keys = np.insert(self._keys, pos[miss], new[miss])
-        self._counts = np.insert(self._counts, pos[miss], counts[miss])
+        if not miss.any():
+            return
+        # the merged layout: the i-th missing key lands at its insertion
+        # point plus the i missing keys before it, the old keys in between.
+        # One array at a time, so the old keys go before the counts are copied
+        dest = pos[miss] + np.arange(np.count_nonzero(miss))
+        old = np.ones(self._keys.size + dest.size, dtype=bool)
+        old[dest] = False
+        self._keys = _interleave(self._keys, new[miss], old, dest)
+        self._counts = _interleave(self._counts, counts[miss], old, dest)
+
+
+def _interleave(old_values: np.ndarray, new_values: np.ndarray, old: np.ndarray,
+                dest: np.ndarray) -> np.ndarray:
+    """The array holding `old_values` where `old` is True and `new_values`
+    at `dest`, the indices where it is False."""
+    out = np.empty(old.size, dtype=old_values.dtype)
+    out[old], out[dest] = old_values, new_values
+    return out
 
 
 class LedgerCells(NamedTuple):
@@ -113,32 +130,43 @@ class MetricsStore:
         self.gap_sum_ms = np.zeros(self.n_bins)
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
         self._gap_chunks: list[np.ndarray] = []
-        self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int64)
+        self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int32)   # ms stay below 2**31
         self.roi_pairs: np.ndarray | None = None
         self.observation_s = 0.0
 
-    def record_arrays(self, now_ms: int, pair_ids: np.ndarray, dist_m: np.ndarray,
+    def record_arrays(self, times_ms: np.ndarray, pair_ids: np.ndarray, dist_m: np.ndarray,
                       decoded: np.ndarray) -> None:
-        """Account the links of one subframe: an attempt toward each pair's
-        current distance bin, a reception (and possibly a gap sample) where it
-        decoded.  Pair ids are flattened tx*n_ue+rx, and every pair may
-        appear at most once per call."""
+        """Account links: an attempt toward each pair's current distance bin,
+        a reception (and possibly a gap sample) where it decoded.  Link i was
+        sent at `times_ms[i]`, the times non-decreasing; pair ids are
+        flattened tx*n_ue+rx, and a pair appears at most once per time."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
         self._cells = None
         self._links.add(2 * (bins * (self.n_ue * self.n_ue) + pair_ids) + decoded)
         if decoded.any():
-            dp, db = pair_ids[decoded], bins[decoded]
-            prev = self.last_rx_ms[dp]
+            # the decodes pair by pair, each pair's in time order: a decode's
+            # previous one is the decode before it in its pair's run, or the
+            # ledger's last for the run's first
+            dp = pair_ids[decoded]
+            order = np.argsort(dp, kind="stable")
+            dp, db, dt = dp[order], bins[decoded][order], times_ms[decoded][order]
+            opens = np.empty(dp.size, dtype=bool)
+            opens[0] = True
+            np.not_equal(dp[1:], dp[:-1], out=opens[1:])
+            prev = np.empty(dp.size, dtype=np.int64)
+            prev[1:] = dt[:-1]
+            prev[opens] = self.last_rx_ms[dp[opens]]
             has_prev = prev >= 0
             if has_prev.any():
-                gaps = (now_ms - prev[has_prev]).astype(np.int64)
+                gaps = dt[has_prev] - prev[has_prev]
                 # gaps are whole milliseconds, so the float sums stay exact
                 # whatever the order of addition
                 self.gap_sum_ms += np.bincount(db[has_prev], weights=gaps,
                                                minlength=self.n_bins)
                 self.gap_count += np.bincount(db[has_prev], minlength=self.n_bins)
                 self._gap_chunks.append(gaps)
-            self.last_rx_ms[dp] = now_ms
+            closes = np.append(opens[1:], True)
+            self.last_rx_ms[dp[closes]] = dt[closes]
 
     def cells(self) -> LedgerCells:
         """Attempt and decode counts of every cell that saw an attempt, built

@@ -21,6 +21,10 @@ tables written cell by cell and swept column by column, and an (n_ue, n_ue)
 region-of-interest mask that each tick's in-range mask is ANDed into.
 `dense_counts` lays the sparse ledger's cells out in the same tables.
 
+`resolve_subframe` is the subframe-by-subframe form of
+`cv2xsim.channel.resolve_subframe`: one call per subframe, with a draw and
+a `sum(axis=0)` per subchannel.
+
 `pair_distances` is the (n, n) matrix of every pair's distance, computed at
 once: the reference for the distances that `cv2xsim.dcc.neighbor_counts`
 and `MetricsStore.update_roi` compute where they read them.
@@ -44,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cv2xsim.channel import ChannelModel, Outcome, SubframeResolution, pathloss
 from cv2xsim.core import RngStream, RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
@@ -223,6 +228,71 @@ def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> floa
         if tau1 <= t < tau2:
             used[t - tau1, 0] = 1
     return occupancy_ratio(n, np.ones_like(used), used, (tau1, tau2))
+
+
+def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.ndarray,
+                     x: np.ndarray, y: np.ndarray, model: ChannelModel, rng: RngStream,
+                     geometry: RoadGeometry, n_subch: int, static_shadow: np.ndarray | None,
+                     fading_rng: RngStream) -> SubframeResolution:
+    """Per-subframe form of `cv2xsim.channel.resolve_subframe`: the result
+    of one subframe, as a batch of one, with a draw of each stream and a
+    `sum(axis=0)` per subchannel."""
+    k, nrx = len(tx_ue), len(x)
+    noise_mw = model.noise_mw
+    srssi_mw = np.full((nrx, n_subch), noise_mw)
+    rxp_dbm = np.zeros((k, nrx))
+    codes = np.zeros((k, nrx), dtype=np.int8)
+    dists = np.zeros((k, nrx))
+
+    is_tx = np.zeros(nrx, dtype=bool)
+    is_tx[tx_ue] = True
+
+    for subch in range(n_subch):
+        rows = np.flatnonzero(tx_subch == subch)
+        if not rows.size:
+            continue
+        ues = tx_ue[rows]
+        d = geometry.distance(x[ues][:, None], y[ues][:, None], x[None, :], y[None, :])
+
+        if model.shadowing_sigma_db > 0.0:
+            if model.shadowing_mode == "static":
+                if static_shadow is None:
+                    raise ValueError("static shadowing mode needs a pair table")
+                sh = static_shadow[ues]
+            else:
+                sh = rng.normal(0.0, model.shadowing_sigma_db, size=d.shape)
+        else:
+            sh = 0.0
+
+        if model.fading == "nakagami":
+            gain = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=d.shape)
+            fade = -10.0 * np.log10(np.maximum(gain, 1e-12))
+        else:
+            fade = 0.0
+
+        p_dbm = tx_power_dbm[rows][:, None] - pathloss(d, model) - sh - fade
+        p_mw = 10.0 ** (p_dbm / 10.0)
+        # own signal does not reach own receiver chain
+        p_mw[np.arange(rows.size), ues] = 0.0
+
+        total_mw = p_mw.sum(axis=0)
+        interference_mw = total_mw[None, :] - p_mw
+        with np.errstate(divide="ignore"):
+            sinr = p_mw / (interference_mw + noise_mw)
+            sinr_row_db = 10.0 * np.log10(np.maximum(sinr, 1e-300))
+
+        decodable = (p_dbm >= model.sensitivity_dbm)
+        sinr_ok = sinr_row_db >= model.sinr_threshold_db
+        code = np.where(is_tx[None, :], Outcome.HALF_DUPLEX_BLOCKED,
+                        np.where(~decodable, Outcome.BELOW_SENSITIVITY,
+                                 np.where(~sinr_ok, Outcome.COLLIDED, Outcome.DECODED)))
+
+        srssi_mw[:, subch] += total_mw
+        rxp_dbm[rows] = p_dbm
+        codes[rows] = code
+        dists[rows] = d
+
+    return SubframeResolution(rxp_dbm, codes, dists, srssi_mw[None], is_tx[None])
 
 
 def pair_distances(x: np.ndarray, y: np.ndarray, geometry: RoadGeometry) -> np.ndarray:

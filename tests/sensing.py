@@ -11,15 +11,16 @@ NOISE_MW = 1e-10  # -100 dBm
 def build_window(records, span=30, n_subch=2):
     """A one-UE window from (subframe, S-RSSI dBm per subchannel, sensed,
     reservations) records, each reservation (subchannel, source, period,
-    PSSCH-RSRP dBm) and at most one per subchannel."""
+    PSSCH-RSRP dBm) and at most one per subchannel; each record is a batch of
+    one subframe."""
     store = SensingStore(1, n_subch, span, NOISE_MW)
     for n, srssi_dbm, sensed, reservations in records:
-        row = np.array([[10 ** (v / 10.0) for v in srssi_dbm]])
-        decodes = (np.zeros(len(reservations), dtype=int),
+        row = np.array([[[10 ** (v / 10.0) for v in srssi_dbm]]])
+        decodes = (np.zeros(len(reservations), dtype=int), np.zeros(len(reservations), dtype=int),
                    np.array([subch for subch, _, _, _ in reservations], dtype=int),
                    np.array([period for _, _, period, _ in reservations], dtype=int),
                    np.array([rsrp for _, _, _, rsrp in reservations]))
-        store.record_subframe(n, row, np.array([sensed]), decodes)
+        store.record_subframe(n, row, np.array([[sensed]]), decodes)
     return SensingWindow(store, 0)
 
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cv2xsim.channel import ChannelModel, Outcome, pathloss, resolve_subframe
 from cv2xsim.core import RngStream, RoadGeometry
 
@@ -21,14 +24,19 @@ def single_slope(**kw):
 
 def resolve(txs, ues, model, rng, static_shadow=None, fading_rng=None):
     """`resolve_subframe` over two subchannels for (ue, subchannel, power_dbm)
-    transmissions among UEs placed at (x, lane), UE i at `ues[i]`.  Fading,
-    when the model has it, draws from `fading_rng` or a fresh stream."""
+    transmissions among UEs placed at (x, lane), UE i at `ues[i]`, as a batch
+    of one subframe whose `srssi_mw` and `is_transmitting` are that
+    subframe's.  Fading, when the model has it, draws from `fading_rng` or a
+    fresh stream."""
     tx = np.array(txs, dtype=float).reshape(-1, 3)
     pos = np.array(ues, dtype=float)
     fading_rng = RngStream(1, "fading") if fading_rng is None else fading_rng
-    return resolve_subframe(tx[:, 0].astype(int), tx[:, 1].astype(int), tx[:, 2], pos[:, 0],
-                            GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, 2,
-                            static_shadow, fading_rng)
+    res = resolve_subframe(np.zeros(len(tx), dtype=int), tx[:, 0].astype(int),
+                           tx[:, 1].astype(int), tx[:, 2], pos[:, 0],
+                           GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, 2,
+                           static_shadow, fading_rng, 1)
+    return dataclasses.replace(res, srssi_mw=res.srssi_mw[0],
+                               is_transmitting=res.is_transmitting[0])
 
 
 def sinr_db(res, txs, model):
@@ -240,12 +248,60 @@ class TestResolveSubframe:
                              sensitivity_dbm=data.draw(st.sampled_from([-98.0, -92.0])))
         seed = data.draw(st.integers(0, 2 ** 16))
         table = RngStream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
-        res = resolve_subframe(tx_ue, tx_subch, power, x, GEO.lane_y(lanes), model,
-                               RngStream(seed, "shadow"), GEO, n_subch, table,
-                               RngStream(seed, "fading"))
+        res = resolve_subframe(np.zeros(k, dtype=int), tx_ue, tx_subch, power, x,
+                               GEO.lane_y(lanes), model, RngStream(seed, "shadow"), GEO, n_subch,
+                               table, RngStream(seed, "fading"), 1)
         decoded = res.outcome == Outcome.DECODED
         for c in range(n_subch):
             assert decoded[tx_subch == c].sum(axis=0).max(initial=0) <= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batch_matches_subframe_by_subframe(data):
+    """One call over a batch of subframes gives, bit for bit, the arrays of
+    resolving each subframe on its own, and leaves the shadowing and fading
+    streams where those calls leave them.  Subframes and subchannels may be
+    empty, a UE may send in several subframes, and rows within a subframe
+    come in any UE order."""
+    n_ue = data.draw(st.integers(1, 8))
+    n_subch = data.draw(st.integers(1, 3))
+    n_sf = data.draw(st.integers(1, 6))
+    x = np.array(data.draw(st.lists(st.floats(0.0, 400.0), min_size=n_ue, max_size=n_ue)))
+    y = GEO.lane_y(np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_ue,
+                                               max_size=n_ue))))
+    subframes = []          # per subframe: (UE, subchannel, power) arrays
+    for _ in range(n_sf):
+        ues = data.draw(st.permutations(range(n_ue)))[:data.draw(st.integers(0, n_ue))]
+        subch = data.draw(st.lists(st.integers(0, n_subch - 1), min_size=len(ues),
+                                   max_size=len(ues)))
+        power = data.draw(st.lists(st.sampled_from([10.0, 23.0]) | st.floats(-10.0, 30.0),
+                                   min_size=len(ues), max_size=len(ues)))
+        subframes.append((np.array(ues, dtype=int), np.array(subch, dtype=int),
+                          np.array(power)))
+    sigma = data.draw(st.sampled_from([0.0, 3.0]))
+    model = ChannelModel(shadowing_sigma_db=sigma,
+                         shadowing_mode=data.draw(st.sampled_from(["iid", "static"])),
+                         fading=data.draw(st.sampled_from(["none", "nakagami"])),
+                         sinr_threshold_db=data.draw(st.sampled_from([0.0, 2.5])))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    table = RngStream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
+
+    streams = [(RngStream(seed, "shadow"), RngStream(seed, "fading")) for _ in range(2)]
+    tx_sf = np.repeat(np.arange(n_sf), [len(ues) for ues, _, _ in subframes])
+    tx_ue, tx_subch, power = (np.concatenate(col) for col in zip(*subframes))
+    batch = resolve_subframe(tx_sf, tx_ue, tx_subch, power, x, y, model, streams[0][0], GEO,
+                             n_subch, table, streams[0][1], n_sf)
+    each = [oracles.resolve_subframe(ues, subch, p, x, y, model, streams[1][0], GEO, n_subch,
+                                     table, streams[1][1]) for ues, subch, p in subframes]
+
+    for name in ("rx_power_dbm", "outcome", "distance_m", "srssi_mw", "is_transmitting"):
+        want = np.concatenate([getattr(res, name) for res in each])
+        got = getattr(batch, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    (shadow_a, fading_a), (shadow_b, fading_b) = streams
+    assert shadow_a.random() == shadow_b.random()
+    assert fading_a.random() == fading_b.random()
 
 
 def test_model_validation():

@@ -144,6 +144,12 @@ def test_validate_rejects_bad_cr_config(sets, key, capsys):
     assert key in capsys.readouterr().err
 
 
+def test_validate_rejects_a_run_past_the_ledger_times(capsys):
+    # the ledger keeps each pair's last decode in int32 milliseconds
+    assert main(["validate", "--scenario", "mini-low", "--set", "run.duration_s=2200000"]) == 2
+    assert "run.duration_s" in capsys.readouterr().err
+
+
 def test_sensing_window_below_cr_window_is_fine_without_cr(capsys):
     assert main(["validate", "--scenario", "mini-low", "--set", "sps.sensing_window_sf=500"]) == 0
 

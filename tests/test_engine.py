@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from cv2xsim import config, dcc, metrics
+from cv2xsim import config, dcc, engine, mac_sps, metrics, mobility
 from cv2xsim.channel import ChannelModel, Outcome
 from cv2xsim.dcc import DccScheme, RangeControlConfig, RateControlConfig, scheme_by_name
 from cv2xsim.engine import RunConfig, Simulation, run
+from cv2xsim.mac_sps import SensingStore
 from cv2xsim.mobility import Fleet, ScenarioPreset
 
 
@@ -257,6 +258,55 @@ def test_outcome_counts_match_rx_rows():
     assert tally[:, Outcome.HALF_DUPLEX_BLOCKED].any()
 
 
+def test_every_read_finds_the_store_recorded_up_to_it(monkeypatch):
+    # the queued subframes are resolved before each selection, CBP
+    # measurement (at 70 ms, so most fall between mobility ticks) and CR
+    # check reads the store, and before each mobility tick moves the vehicles
+    resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5",
+                                     "run.power_period_ms": "70", "cr.enabled": "true"},
+                              scenario="mini-oversat", scheme="dcc-7", seed=1)
+    sim = Simulation(config.build_run_config(resolved))
+    reads = collections.Counter()
+
+    def checked(name, fn):
+        def read(*args, **kwargs):
+            n = args[1]
+            assert sim.store.newest == n - 1 and not sim._queued, (name, n)
+            reads[name] += 1
+            return fn(*args, **kwargs)
+        return read
+
+    def checked_step(*args):
+        assert not sim._queued and sim.store.newest % sim.cfg.mobility_tick_ms == \
+            sim.cfg.mobility_tick_ms - 1
+        reads["mobility"] += 1
+        return step(*args)
+
+    step = mobility.step
+    monkeypatch.setattr(mobility, "step", checked_step)
+    monkeypatch.setattr(mac_sps, "select_candidates",
+                        checked("select", mac_sps.select_candidates))
+    for name in ("cbp_counts", "own_tx_counts"):
+        monkeypatch.setattr(SensingStore, name, checked(name, getattr(SensingStore, name)))
+    sim.run()
+    assert min(reads[name] for name in ("select", "cbp_counts", "own_tx_counts", "mobility")) > 0
+    assert sim.store.newest == sim.total_sf - 1
+
+
+def test_sensing_window_shorter_than_the_mobility_tick(monkeypatch):
+    # a 30-subframe ring under the 100 ms tick: batches end where the ring
+    # would wrap onto them, and resolving each subframe alone changes nothing
+    resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5",
+                                     "sps.sensing_window_sf": "30", "run.cbp_window_ms": "30"},
+                              scenario="mini-low", scheme="baseline", seed=1)
+    sim = Simulation(config.build_run_config(resolved))
+    res = sim.run()
+    assert sim.store.newest == sim.total_sf - 1
+    assert sorted(sim.store.row_subframe.tolist()) == list(range(sim.total_sf - 30, sim.total_sf))
+    monkeypatch.setattr(engine, "_BATCH_LINKS", 1)
+    assert run(config.build_run_config(resolved)).event_log.digest() == res.event_log.digest()
+
+
 def test_config_validation():
     preset = ScenarioPreset("v", 2, 10.0, road_length_km=1.0, lanes=2)
     with pytest.raises(ValueError):
@@ -270,9 +320,11 @@ def test_config_validation():
 @pytest.mark.parametrize("scenario", ["mini-low", "urban-medium"])
 def test_memory_estimate_covers_scale_state(scenario, shadowing):
     # the arrays sized by the vehicle count, as a Simulation holds them after
-    # its first ROI tick, plus the traced peak of the one-shot distance builds
+    # its first ROI tick, plus the traced peaks of the one-shot distance builds
+    # and of one flush of a batch at the link cap, every link after the warm-up
     cfg = config.build_run_config(config.resolve(
-        overrides={"channel.shadowing_mode": shadowing}, scenario=scenario))
+        overrides={"channel.shadowing_mode": shadowing, "run.warmup_s": "0"},
+        scenario=scenario))
     sim = Simulation(cfg)
     store, ledger = sim.store, sim.metrics
     tracemalloc.start()
@@ -280,10 +332,24 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
     dcc.neighbor_counts(sim.x, sim.y, sim.geometry, cfg.scheme.rate.neighbor_radius_m)
     build_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+
+    k = min(sim.n_ue, max(1, engine._BATCH_LINKS // sim.n_ue // 4))
+    n = 0
+    while (n + 1) * k * sim.n_ue <= engine._BATCH_LINKS:
+        tx_ue = np.sort(np.random.default_rng(n).choice(sim.n_ue, k, replace=False))
+        sim._queue(n, tx_ue, sim.grant_subch[tx_ue], np.full(k, 100))
+        n += 1
+    assert sim._queued_links > engine._BATCH_LINKS - k * sim.n_ue
+    tracemalloc.start()
+    sim._flush(n)
+    flush_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(sim.log.tx_events) == n * k
+
     held = [store.srssi_mw, store.sensed, store.reservations, store.period_sf,
             store.row_subframe, ledger.last_rx_ms, ledger.roi_pairs]
     if shadowing == "static":
         held.append(sim.static_shadow)
     assert build_peak >= 3 * 8 * sim.n_ue ** 2
     assert cfg.memory_estimate_mib()["scenario.vehicle_count"] * 2 ** 20 >= \
-        sum(a.nbytes for a in held) + build_peak
+        sum(a.nbytes for a in held) + build_peak + flush_peak

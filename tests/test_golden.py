@@ -8,7 +8,9 @@ straight road whose perturbed vehicles respawn at its ends).  The
 output files of the first and last case are pinned byte for byte as well.
 When the digests were pinned, every case with an override was checked to
 differ from the same run without it, so a change to that path moves its
-digest.  A change that moves a digest on purpose must say why and re-pin.
+digest.  Two cases are also run with every transmitting subframe resolved in
+a batch of its own, which must not move them.  A change that moves a digest
+on purpose must say why and re-pin.
 """
 
 import hashlib
@@ -91,6 +93,30 @@ def test_event_log_digest(scenario, scheme, seed, overrides, digest):
     resolved = config.resolve(None, overrides, scenario=scenario, scheme=scheme, seed=seed)
     result = engine.run(config.build_run_config(resolved))
     assert result.event_log.digest() == digest
+
+
+@pytest.mark.parametrize("case", ["nakagami-fading", "straight-road-middle-third"])
+def test_one_subframe_per_batch(case, monkeypatch, tmp_path):
+    """With a batch cap of one link, every transmitting subframe is resolved
+    in a batch of its own, and the run keeps its pinned digests."""
+    scenario, scheme, seed, overrides, digest = {c[0]: c[1:] for c in CASES}[case]
+    monkeypatch.setattr(engine, "_BATCH_LINKS", 1)
+    resolve = engine.resolve_subframe
+    spans = []
+
+    def one_subframe(tx_sf, *args):
+        spans.append(len(set(tx_sf.tolist())))
+        return resolve(tx_sf, *args)
+
+    monkeypatch.setattr(engine, "resolve_subframe", one_subframe)
+    resolved = config.resolve(None, overrides, scenario=scenario, scheme=scheme, seed=seed)
+    result = engine.run(config.build_run_config(resolved))
+    assert max(spans) == 1
+    assert result.event_log.digest() == digest
+    if case in FILE_PINS:
+        cli.write_outputs(tmp_path, resolved, result)
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in FILE_PINS[case]} == FILE_PINS[case]
 
 
 def test_metric_csvs(tmp_path):

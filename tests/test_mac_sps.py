@@ -36,7 +36,7 @@ class TestSensingWindow:
     def test_out_of_order_rejected(self):
         store = build_window([(5, (-80.0, -100.0), True, [])], span=10).store
         with pytest.raises(ValueError):
-            store.record_subframe(4, np.full((1, 2), NOISE_MW), np.array([True]), None)
+            store.record_subframe(4, np.full((1, 1, 2), NOISE_MW), np.array([[True]]), None)
 
     def test_own_transmission_marks_unsensed(self):
         store = build_window([(3, (-100.0, -100.0), False, [])], span=10).store
@@ -122,12 +122,13 @@ class TestOnTransmission:
 # channel-occupancy ratio and its limit
 
 def own_tx_store(n, times, span=1000, n_subch=1):
-    """A store that recorded subframes 0..n-1 as the engine does: each UE
-    unsensed exactly where it transmitted, at the subframes in times[ue]."""
+    """A store that recorded subframes 0..n-1 as the engine does, in batches
+    of up to a span: each UE unsensed exactly where it transmitted, at the
+    subframes in times[ue]."""
     store = SensingStore(len(times), n_subch, span, NOISE_MW)
-    noise = np.full((len(times), n_subch), NOISE_MW)
-    for j in range(n):
-        store.record_subframe(j, noise, np.array([j not in t for t in times]), None)
+    for lo in range(0, n, span):
+        sensed = np.array([[j not in t for t in times] for j in range(lo, min(lo + span, n))])
+        store.record_subframe(lo, np.full(sensed.shape + (n_subch,), NOISE_MW), sensed, None)
     return store
 
 
@@ -457,8 +458,11 @@ def sensing_histories(draw):
                     rsrp = rnd.choice(near + [rnd.uniform(-70.0, -55.0) if saturated
                                               else rnd.uniform(-110.0, -60.0)])
                     heard.append((n, u, c, period[i], float(np.float32(rsrp))))
-        # (receiver, subchannel, period, rsrp) columns, or None when nothing was decoded
-        store.record_subframe(n, srssi, sensed, [np.array(col) for col in zip(*heard)][1:] or None)
+        # (subframe offset, receiver, subchannel, period, rsrp) columns, or None
+        # when nothing was decoded
+        columns = [np.array(col) for col in zip(*heard)]
+        store.record_subframe(n, srssi[None], sensed[None],
+                              (columns[0] - n, *columns[1:]) if heard else None)
         decodes += heard
     n = last + 1 + draw(st.integers(0, 2))
     ue = draw(st.integers(0, n_ue - 1))
@@ -473,6 +477,39 @@ def test_store_keeps_exactly_the_live_decodes(history):
     horizon = store.newest - store.span
     assert oracles.reservation_records(store) == [d for d in decodes if d[0] > horizon]
     assert store.reservations.shape == store.period_sf.shape == store.srssi_mw.shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 12), st.data())
+def test_batched_record_matches_per_subframe_writes(n_ue, n_subch, span, data):
+    """Consecutive subframes recorded a batch at a time, batches of 1 to
+    `span` subframes that cross the ring's wrap and overwrite earlier
+    decodes, leave every array as recording them one at a time does."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    first = data.draw(st.integers(0, 2 * span))
+    count = data.draw(st.integers(1, 4 * span))
+    srssi = NOISE_MW * rng.uniform(1.0, 1e4, size=(count, n_ue, n_subch))
+    sensed = rng.random((count, n_ue)) < 0.8
+    offset, rx, subch = np.nonzero(rng.random((count, n_ue, n_subch)) < 0.3)
+    period = rng.integers(1, 50, size=offset.size)
+    rsrp = rng.uniform(-110.0, -60.0, size=offset.size).astype(np.float32)
+    batched, single = (SensingStore(n_ue, n_subch, span, NOISE_MW) for _ in range(2))
+    lo = 0
+    while lo < count:
+        hi = min(count, lo + data.draw(st.integers(1, span)))
+        at = (lo <= offset) & (offset < hi)
+        batched.record_subframe(first + lo, srssi[lo:hi], sensed[lo:hi],
+                                (offset[at] - lo, rx[at], subch[at], period[at], rsrp[at]))
+        lo = hi
+    for j in range(count):
+        at = offset == j
+        single.record_subframe(first + j, srssi[j:j + 1], sensed[j:j + 1],
+                               (offset[at] - j, rx[at], subch[at], period[at], rsrp[at]))
+    for name in ("srssi_mw", "sensed", "reservations", "period_sf", "row_subframe", "newest"):
+        assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+    with pytest.raises(ValueError, match="1 to"):
+        batched.record_subframe(first + count, np.zeros((span + 1, n_ue, n_subch)),
+                                np.ones((span + 1, n_ue), dtype=bool), None)
 
 
 @settings(max_examples=300, deadline=None)

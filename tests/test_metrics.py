@@ -26,7 +26,7 @@ def update_roi(sparse, dense, x, y, geometry):
 
 
 def record(s, now, tx, rx, dist, ok):
-    s.record_arrays(now, np.array([tx * s.n_ue + rx]), np.array([float(dist)]),
+    s.record_arrays(np.array([now]), np.array([tx * s.n_ue + rx]), np.array([float(dist)]),
                     np.array([bool(ok)]))
 
 
@@ -37,8 +37,8 @@ def random_ledger(seed, n_ue=5, sends=100):
     for t in range(sends):
         tx = int(rng.integers(0, n_ue))
         rx = np.array([r for r in range(n_ue) if r != tx])
-        s.record_arrays(10 * t, tx * n_ue + rx, rng.uniform(1.0, 400.0, rx.size),
-                        rng.random(rx.size) < 0.6)
+        s.record_arrays(np.full(rx.size, 10 * t), tx * n_ue + rx,
+                        rng.uniform(1.0, 400.0, rx.size), rng.random(rx.size) < 0.6)
     return s
 
 
@@ -153,7 +153,7 @@ class TestSlt:
             d = rng.uniform(5.0, 400.0, size=rx.size)
             ok = rng.random(rx.size) < 0.5
             decoded_total += int(ok.sum())
-            s.record_arrays(10 * t, tx * 6 + rx, d, ok)
+            s.record_arrays(np.full(rx.size, 10 * t), tx * 6 + rx, d, ok)
         assert int(s.cells().rx.sum()) == decoded_total
 
 
@@ -253,7 +253,7 @@ def test_batched_recording_matches_per_link_accumulation():
         pairs = np.concatenate([tx * n_ue + np.delete(np.arange(n_ue), tx) for tx in senders])
         dist = rng.uniform(1.0, 600.0, pairs.size)
         ok = rng.random(pairs.size) < 0.6
-        s.record_arrays(now, pairs, dist, ok)
+        s.record_arrays(np.full(pairs.size, now), pairs, dist, ok)
         for p, d, o in zip(pairs.tolist(), dist.tolist(), ok.tolist()):
             b = min(int(d / s.bin_width_m), s.n_bins - 1)
             tx_count[p, b] += 1
@@ -329,8 +329,8 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
         pairs = np.array([p for p, _, _ in links], dtype=np.int64)
         dist = np.array([d for _, d, _ in links])
         ok = np.array([o for _, _, o in links], dtype=bool)
-        for s in (sparse, dense):
-            s.record_arrays(now, pairs, dist, ok)
+        sparse.record_arrays(np.full(pairs.size, now), pairs, dist, ok)
+        dense.record_arrays(now, pairs, dist, ok)
         if i == len(calls) // 2:
             # cells built halfway must not hide the links recorded after
             assert pdr(sparse) == oracles.pdr(dense)
@@ -350,6 +350,44 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
     assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
 
 
+@settings(max_examples=150, deadline=None)
+@given(ledger_calls(), st.sampled_from([SmallBuffer, MetricsStore]), st.data())
+def test_batched_recording_matches_per_subframe_calls(case, cls, data):
+    """Links of several subframes recorded in one call, with the warm-up
+    cut inside a batch as the engine cuts it, equal the dense ledger fed one
+    subframe at a time from the warm-up on: counts, gaps of pairs decoded in
+    several subframes of a batch, and each pair's last decode."""
+    n_ue, max_range, calls, _ = case
+    times = np.cumsum([step for step, _ in calls], dtype=np.int64)
+    warmup = data.draw(st.integers(0, int(times[-1]) + 1)) if calls else 0
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(calls) - 1)))) if len(calls) > 1 else []
+    sparse = cls(n_ue, 25.0, max_range, 190, ROI_M)
+    dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
+    columns = []        # per subframe: (time, pair, distance, decoded) per link
+    for now, (_, links) in zip(times.tolist(), calls):
+        pairs = np.array([p for p, _, _ in links], dtype=np.int64)
+        dist = np.array([d for _, d, _ in links])
+        ok = np.array([o for _, _, o in links], dtype=bool)
+        if now >= warmup:
+            dense.record_arrays(now, pairs, dist, ok)
+        columns.append((np.full(pairs.size, now), pairs, dist, ok))
+    for lo, hi in zip([0] + cuts, cuts + [len(calls)]):
+        if lo == hi:        # no calls at all
+            continue
+        t, pairs, dist, ok = (np.concatenate(col) for col in zip(*columns[lo:hi]))
+        kept = t >= warmup
+        if kept.any():
+            sparse.record_arrays(t[kept], pairs[kept], dist[kept], ok[kept])
+
+    tx, rx = oracles.dense_counts(sparse)
+    assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
+    assert sparse.last_rx_ms.tolist() == dense.last_rx_ms.tolist()
+    got, want = ipg_stats(sparse), ipg_stats(dense)
+    assert got.bins == want.bins and got.p80_ms == want.p80_ms
+    assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
+    assert pdr(sparse) == oracles.pdr(dense) and slt(sparse, 3.0) == oracles.slt(dense, 3.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(road_ticks(), st.sampled_from([0.0, 0.5]), st.integers(0, 2 ** 32 - 1))
 def test_roi_and_blind_nodes_match_dense_oracle(case, p_decode, seed):
@@ -364,8 +402,8 @@ def test_roi_and_blind_nodes_match_dense_oracle(case, p_decode, seed):
     for tx in range(n_ue):      # each UE broadcasts once
         pairs = tx * n_ue + np.delete(np.arange(n_ue), tx)
         dist, ok = rng.uniform(0.0, 900.0, pairs.size), rng.random(pairs.size) < p_decode
-        for s in (sparse, dense):
-            s.record_arrays(10 * tx, pairs, dist, ok)
+        sparse.record_arrays(np.full(pairs.size, 10 * tx), pairs, dist, ok)
+        dense.record_arrays(10 * tx, pairs, dist, ok)
     for x, y in ticks:
         update_roi(sparse, dense, x, y, geometry)
         assert sparse.roi_pairs.tolist() == np.flatnonzero(dense.roi_always).tolist()
@@ -400,8 +438,8 @@ def test_call_larger_than_the_buffer():
                            size=n_pairs, replace=False)
         dist = rng.uniform(0.0, 150.0, n_pairs)
         ok = rng.random(n_pairs) < 0.5
-        for s in (sparse, dense):
-            s.record_arrays(now, pairs, dist, ok)
+        sparse.record_arrays(np.full(n_pairs, now), pairs, dist, ok)
+        dense.record_arrays(now, pairs, dist, ok)
     tx, rx = oracles.dense_counts(sparse)
     assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
     assert pdr(sparse) == oracles.pdr(dense)
