@@ -157,7 +157,7 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
         fade = 0.0
 
     p_dbm = tx_power_dbm[:, None] - pathloss(d, model) - sh - fade
-    p_mw = 10.0 ** (p_dbm / 10.0)
+    p_mw = dbm_to_mw(p_dbm)
     # own signal does not reach own receiver chain
     p_mw[np.arange(k), tx_ue] = 0.0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 def dbm_to_mw(p_dbm):
     """10^(p/10). Accepts scalars or numpy arrays."""
-    return 10.0 ** (np.asarray(p_dbm) / 10.0) if isinstance(p_dbm, np.ndarray) else 10.0 ** (p_dbm / 10.0)
+    return 10.0 ** (p_dbm / 10.0)
 
 
 @dataclass(frozen=True)

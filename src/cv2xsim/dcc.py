@@ -10,6 +10,9 @@ import numpy as np
 
 from .core import RoadGeometry
 
+# The inter-transmit time without rate control, and its floor with it
+BASE_ITT_MS = 100.0
+
 
 @dataclass(frozen=True)
 class RateControlConfig:
@@ -23,8 +26,8 @@ class RateControlConfig:
     def __post_init__(self):
         if self.density_coefficient <= 0:
             raise ValueError("density_coefficient must be positive")
-        if self.itt_max_ms < 100.0:
-            raise ValueError("itt_max_ms must be at least 100 ms")
+        if self.itt_max_ms < BASE_ITT_MS:
+            raise ValueError(f"itt_max_ms must be at least {BASE_ITT_MS:g} ms")
         if self.neighbor_radius_m <= 0:
             raise ValueError("neighbor_radius_m must be positive")
 
@@ -68,16 +71,18 @@ def busy_percentage(busy: np.ndarray, slots: np.ndarray, previous_pct: np.ndarra
 def compute_itt(n_sta_smoothed, cfg: RateControlConfig):
     """Inter-transmit time in ms from the smoothed neighbor count.
 
-    Flat at 100 ms up to the density coefficient, then linear, then capped at
-    itt_max_ms once the count reaches (itt_max / 100 ms) times the coefficient.
+    Flat at BASE_ITT_MS up to the density coefficient, then linear, then
+    capped at itt_max_ms once the count reaches (itt_max / BASE_ITT_MS) times
+    the coefficient.
     Takes an array of counts (one per UE) and returns one ITT per count.
     """
     n = np.asarray(n_sta_smoothed, dtype=float)
     if np.any(n < 0):
         raise ValueError("neighbor count cannot be negative")
     b = cfg.density_coefficient
-    return np.where(n <= b, 100.0,
-                    np.where(n < (cfg.itt_max_ms / 100.0) * b, (n / b) * 100.0, cfg.itt_max_ms))
+    return np.where(n <= b, BASE_ITT_MS,
+                    np.where(n < (cfg.itt_max_ms / BASE_ITT_MS) * b, (n / b) * BASE_ITT_MS,
+                             cfg.itt_max_ms))
 
 
 def power_target(cbp_pct, cfg: RangeControlConfig):
@@ -114,14 +119,12 @@ def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, itt_ms: np.nda
 
     Only UEs with no packet pending release.  The rate timer fires once
     elapsed_ms since the last transmission reaches itt_ms; the tracking
-    trigger fires where the tracking error exceeds the threshold, and never
-    when there is no tracking error (pte_m None).
+    trigger fires where the tracking error exceeds the threshold.  With no
+    tracking error (pte_m None) there is no tracking mask: it is None.
     """
     idle = ~pending
     timer = idle & (elapsed_ms >= itt_ms)
-    if pte_m is None:
-        return timer, np.zeros_like(timer)
-    return timer, idle & (pte_m > pte_threshold_m)
+    return timer, None if pte_m is None else idle & (pte_m > pte_threshold_m)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dcc, mac_sps, metrics, mobility
 from .channel import ChannelModel, Outcome, resolve_subframe
-from .core import RngPool
+from .core import RngPool, dbm_to_mw
 from .mac_sps import SensingStore, SensingWindow, SpsConfig
 
 # One event-log row per transmission, fields in the order `EventLog.digest`
@@ -50,9 +50,6 @@ TX_DTYPE = np.dtype([
     ("power_dbm", np.float64), ("x_m", np.float64), ("lane", np.int32),
     ("period_ms", np.int32), ("queue_delay_ms", np.int32), ("n_decoded", np.int32),
     ("n_collided", np.int32), ("n_below_sensitivity", np.int32), ("n_half_duplex", np.int32)])
-# One row per (transmission, other UE) link, when `log_rx_outcomes` is on
-RX_DTYPE = np.dtype([("tx_event_id", np.int32), ("rx_ue", np.int32), ("outcome", np.int8),
-                     ("rx_power_dbm", np.float64)])
 # Rows hashed or formatted per step, so few Python objects are alive at once
 _LOG_CHUNK = 1 << 10
 # Most (transmission, UE) links resolved in one batch; a subframe with more
@@ -60,8 +57,7 @@ _LOG_CHUNK = 1 << 10
 _BATCH_LINKS = 1 << 15
 # Bytes per link that a flush holds at its peak: the (k, n_ue) arrays of
 # `resolve_subframe` and of the hand-off to the log and the ledger (traced at
-# the cap: 77 to 95 on mini-low, freeway-low and urban-medium, 124 on
-# mini-low with the rx log)
+# the cap: 77 to 95 on mini-low, freeway-low and urban-medium)
 _FLUSH_BYTES_PER_LINK = 128
 # A flush with nothing queued resolves no transmission
 _NO_TX = (np.zeros(0, dtype=np.int64),) * 5
@@ -90,7 +86,6 @@ class RunConfig:
     timeseries_period_ms: int = 1000
     bin_width_m: float = 25.0
     roi_radius_m: float = 100.0
-    log_rx_outcomes: bool = False
     cr_limit_enabled: bool = False
     cbp_limit: float = 0.6
     cr_calibration: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 200.0))
@@ -140,12 +135,8 @@ class RunConfig:
         links, and the S-RSSI and the transmitter and sensed masks of each
         subframe of the batch, which ends at the next mobility tick and spans
         at most the sensing window.  A subframe with more links than the cap
-        is resolved alone, and its transient exceeds this term.
-
-        `run.log_rx_outcomes`: one rx row per tx row and other vehicle.
-
-        Both logs count twice: the per-subframe chunks and the array they are
-        joined into.
+        is resolved alone, and its transient exceeds this term.  The tx rows
+        count twice: the per-batch chunks and the array they are joined into.
         """
         n = self.scenario.vehicle_count
         per_pair = 4 + 8 + 3 * 8
@@ -153,15 +144,19 @@ class RunConfig:
             per_pair += 8
         span = self.sps.sensing_window_sf
         sensing = span * n * (8 * self.subchannels + 1 + 8 * self.subchannels)
-        tx_rows = n * int(round(self.duration_s * 1000)) // 100
-        rx_rows = tx_rows * (n - 1) if self.log_rx_outcomes else 0
+        tx_rows = n * int(round(self.duration_s * 1000)) // int(dcc.BASE_ITT_MS)
         flush = _BATCH_LINKS * _FLUSH_BYTES_PER_LINK \
             + min(span, self.mobility_tick_ms) * n * (8 * self.subchannels + 2)
         return {
             "scenario.vehicle_count": (n * n * per_pair + sensing + flush
                                        + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20,
-            "run.log_rx_outcomes": 2 * rx_rows * RX_DTYPE.itemsize / 2 ** 20,
         }
+
+
+def _grant_period(itt_ms: np.ndarray) -> np.ndarray:
+    """The period of a grant selected at each ITT: the ITT rounded (half to
+    even) to whole subframes, at least one."""
+    return np.maximum(1, np.rint(itt_ms)).astype(np.int64)
 
 
 def _rows(dtype: np.dtype, n_rows: int, *columns) -> np.ndarray:
@@ -186,38 +181,29 @@ class EventLog:
     """Append-only transmission record with per-event outcome tallies.
 
     `tx_events` is a TX_DTYPE array with one row per transmission; its row
-    index is the event id.  `rx_records` is an RX_DTYPE array with one row
-    per (transmission, other UE) link, kept only when the run asks for it;
-    large runs rely on the aggregate counts.  The engine appends one chunk
-    per subframe, and reading either array joins its chunks.
+    index is the event id.  Each row counts its links by outcome; the
+    per-link outcomes are not kept (a caller that needs them wraps
+    `resolve_subframe`).  The engine appends one chunk per batch, and reading
+    `tx_events` joins the chunks.
     """
 
     def __init__(self):
         self._tx: list[bytes] = []
-        self._rx: list[bytes] = []
-        self.n_tx = 0
 
-    def append(self, tx: np.ndarray, rx: np.ndarray | None = None) -> None:
-        """Add one subframe's TX_DTYPE rows and, when logged, its RX_DTYPE rows."""
+    def append(self, tx: np.ndarray) -> None:
+        """Add one batch's TX_DTYPE rows."""
         self._tx.append(tx.tobytes())
-        self.n_tx += len(tx)
-        if rx is not None:
-            self._rx.append(rx.tobytes())
 
     @property
     def tx_events(self) -> np.ndarray:
         return _joined(self._tx, TX_DTYPE)
 
-    @property
-    def rx_records(self) -> np.ndarray:
-        return _joined(self._rx, RX_DTYPE)
-
     def digest(self) -> str:
-        """sha256 over `repr` of each tx row's tuple, then each rx row's."""
+        """sha256 over `repr` of each tx row's tuple."""
         h = hashlib.sha256()
-        for rows in (self.tx_events, self.rx_records):
-            for i in range(0, len(rows), _LOG_CHUNK):
-                h.update("".join(map(repr, rows[i:i + _LOG_CHUNK].tolist())).encode())
+        rows = self.tx_events
+        for i in range(0, len(rows), _LOG_CHUNK):
+            h.update("".join(map(repr, rows[i:i + _LOG_CHUNK].tolist())).encode())
         return h.hexdigest()
 
     def write_csv(self, path) -> None:
@@ -269,7 +255,8 @@ class Simulation:
         n = self.n_ue
         self.y = self.geometry.lane_y(self.lane)
 
-        self.itt_ms = np.full(n, 100.0)
+        self.itt_ms = np.full(n, dcc.BASE_ITT_MS)
+        self.itt_sf = _grant_period(self.itt_ms)
         self.power_dbm = np.full(n, self.scheme.range.p_max_dbm)
         self.n_sta_s = np.zeros(n)
         self.cbp_pct = np.zeros(n)
@@ -316,7 +303,7 @@ class Simulation:
 
     def _select_grant(self, ue: int, n: int) -> None:
         self._flush(n)
-        period = max(1, int(round(self.itt_ms[ue])))
+        period = int(self.itt_sf[ue])
         sps = self.cfg.sps
         subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, sps,
                                                   self.rngs.stream("sps", ue),
@@ -360,16 +347,9 @@ class Simulation:
         others = np.ones((k, n_ue), dtype=bool)
         others[rows, tx_ue] = False
 
-        first_id = self.log.n_tx
         tx_x = self.x[tx_ue]
-        tx = _rows(TX_DTYPE, k, subframe, tx_ue, tx_subch, tx_power, tx_x, self.lane[tx_ue],
-                   tx_period, delay, *counts.T)
-        rx = None
-        if cfg.log_rx_outcomes:
-            t, r = np.nonzero(others)
-            rx = _rows(RX_DTYPE, len(t), first_id + t, r, res.outcome[others],
-                       res.rx_power_dbm[others])
-        self.log.append(tx, rx)
+        self.log.append(_rows(TX_DTYPE, k, subframe, tx_ue, tx_subch, tx_power, tx_x,
+                              self.lane[tx_ue], tx_period, delay, *counts.T))
 
         region_lo, region_hi = self._region
         recorded = (region_lo <= tx_x) & (tx_x <= region_hi) & (subframe >= self.warmup_sf)
@@ -386,7 +366,7 @@ class Simulation:
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue
         scheme, rate_cfg, range_cfg = self.scheme, self.scheme.rate, self.scheme.range
-        cbp_thresh_mw = 10.0 ** (cfg.cbp_rssi_threshold_dbm / 10.0)
+        cbp_thresh_mw = dbm_to_mw(cfg.cbp_rssi_threshold_dbm)
         pte_on = scheme.enabled and rate_cfg.pte_enabled
         perturb_rng = self.rngs.stream("perturb")
         span_sf = self.store.span
@@ -415,6 +395,7 @@ class Simulation:
                 self.n_sta_s = dcc.smooth_density(counts, self.n_sta_s)
                 if scheme.enabled:
                     self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
+                    self.itt_sf = _grant_period(self.itt_ms)
 
             # busy measurement -> range control
             if n % cfg.power_period_ms == 0 and n > 0:
@@ -436,7 +417,7 @@ class Simulation:
                                          n - self.bcast_t, self.geometry)
             ready, pte_fire = dcc.release_triggers(self.pending, n - self.last_tx, self.itt_ms,
                                                    pte, rate_cfg.pte_threshold_m)
-            gen = ready | pte_fire
+            gen = ready if pte_fire is None else ready | pte_fire
             # np.count_nonzero for .any() and .all(): half the cost on arrays this small
             if np.count_nonzero(gen):
                 self.pending |= gen
@@ -468,7 +449,7 @@ class Simulation:
             # queued for channel resolution, logging, metrics and sensing
             if tx_ue.size:
                 tx_subch = self.grant_subch[tx_ue]
-                tx_period = np.maximum(1, np.rint(self.itt_ms[tx_ue])).astype(np.int64)
+                tx_period = self.itt_sf[tx_ue]
                 self.pending[tx_ue] = False
                 self.last_tx[tx_ue] = n
                 self.bcast_x[tx_ue] = x_true[tx_ue]
@@ -477,7 +458,7 @@ class Simulation:
                     slrrc = mac_sps.on_transmission(int(self.slrrc[ue]),
                                                     self.rngs.stream("sps", ue), cfg.sps)
                     if slrrc is None:
-                        # the new grant's period comes from the same itt_ms as `period`
+                        # the new grant's period comes from the same itt_sf as `period`
                         self._select_grant(ue, n)
                     else:
                         self.slrrc[ue], self.grant_period[ue] = slrrc, period
@@ -489,9 +470,8 @@ class Simulation:
                                         float(self.power_dbm.mean()), float(self.itt_ms.mean())))
 
         self._flush(self.total_sf)
-        observation_s = cfg.duration_s - cfg.warmup_s
-        self.metrics.observation_s = observation_s
-        return RunResult(cfg, self.log, self.metrics, self.timeseries, n_ue, observation_s)
+        return RunResult(cfg, self.log, self.metrics, self.timeseries, n_ue,
+                         cfg.duration_s - cfg.warmup_s)
 
 
 def run(cfg: RunConfig, fleet: mobility.Fleet | None = None) -> RunResult:

@@ -132,7 +132,6 @@ class MetricsStore:
         self._gap_chunks: list[np.ndarray] = []
         self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int32)   # ms stay below 2**31
         self.roi_pairs: np.ndarray | None = None
-        self.observation_s = 0.0
 
     def record_arrays(self, times_ms: np.ndarray, pair_ids: np.ndarray, dist_m: np.ndarray,
                       decoded: np.ndarray) -> None:

@@ -321,7 +321,6 @@ class DenseMetricsStore:
         self._gap_chunks: list[np.ndarray] = []
         self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int64)
         self.roi_always = ~np.eye(n_ue, dtype=bool)
-        self.observation_s = 0.0
 
     def record_arrays(self, now_ms: int, pair_ids: np.ndarray, dist_m: np.ndarray,
                       decoded: np.ndarray) -> None:

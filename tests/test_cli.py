@@ -81,7 +81,7 @@ def test_each_default_is_the_dataclass_default():
     want.update({f"scenario.{k}": v for k, v in asdict(PRESETS["freeway-high"]).items()
                  if k not in ("name", "adjustments")})
     assert defaults == want
-    assert len(defaults) == 62
+    assert len(defaults) == 61
     assert config.parse_calibration(defaults["cr.calibration"]) == run.cr_calibration
     # resolving nothing builds exactly the dataclass defaults
     assert config.build_run_config(config.resolve()) == run
@@ -124,7 +124,7 @@ def test_optional_key_takes_none_from_every_source(tmp_path):
     with pytest.raises(config.ConfigError, match="channel.exponent: expected a number"):
         config.resolve(overrides={"channel.exponent": "none"})
     # a key not declared optional takes no null from a manifest either
-    for key in ("run.seed", "run.log_rx_outcomes"):
+    for key in ("run.seed", "cr.enabled"):
         config.write_manifest(manifest, {**by_set, key: None}, "0.1.0")
         with pytest.raises(config.ConfigError, match=f"{key}: expected a value"):
             config.resolve(config.read_config_file(str(manifest)))
@@ -179,16 +179,19 @@ class TestCliCommands:
         assert "[channel] sinr_threshold_db" in capsys.readouterr().err
 
     def test_removed_key_exit_code(self, capsys):
-        rc = main(["validate", "--scenario", "mini-low", "--set", "run.mcs_index=5"])
-        assert rc == 2
-        assert "run.mcs_index" in capsys.readouterr().err
+        for key, value in (("run.mcs_index", "5"), ("run.log_rx_outcomes", "true")):
+            rc = main(["validate", "--scenario", "mini-low", "--set", f"{key}={value}"])
+            assert rc == 2
+            assert key in capsys.readouterr().err
 
     def test_manifest_with_removed_key_exit_code(self, tmp_path, capsys):
+        # every manifest written while run.log_rx_outcomes existed carries it
         path = tmp_path / "manifest.json"
-        config.write_manifest(path, {**config.resolve(scenario="mini-low"),
-                                     "rate.smoothing": 0.5}, "0.1.0")
-        assert main(["validate", "--config", str(path)]) == 2
-        assert "rate.smoothing" in capsys.readouterr().err
+        for key, value in (("rate.smoothing", 0.5), ("run.log_rx_outcomes", False)):
+            config.write_manifest(path, {**config.resolve(scenario="mini-low"), key: value},
+                                  "0.1.0")
+            assert main(["validate", "--config", str(path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_oversized_config_exit_code(self, tmp_path, capsys):
         # fails in validation, before the run allocates or writes anything
@@ -201,22 +204,14 @@ class TestCliCommands:
         assert "scenario.vehicle_count" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rx_log_counted_in_memory_estimate(self, capsys):
-        # about 288 M rx rows over the default 20 s: the rx log term dominates
-        rx_log = ["validate", "--scenario", "urban-medium"]
-        assert main([*rx_log, "--set", "run.log_rx_outcomes=true"]) == 2
-        err = capsys.readouterr().err
-        assert "run.log_rx_outcomes" in err and "MiB" in err
-        assert main(rx_log) == 0
-
     def test_sweep_rejects_oversized_job_before_starting(self, tmp_path, capsys):
         root = tmp_path / "sweep"
         rc = main(["sweep", "--scenarios", "mini-low,urban-medium", "--schemes", "baseline",
                    "--seeds", "1", "--out", str(root), "--workers", "1",
-                   "--set", "run.log_rx_outcomes=true"])
+                   "--set", "run.duration_s=3000"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "urban-medium/baseline/seed1" in err and "run.log_rx_outcomes" in err
+        assert "urban-medium/baseline/seed1" in err and "scenario.vehicle_count" in err
         assert "mini-low/" not in err
         assert not root.exists()    # not even the mini-low job ran
 

@@ -280,9 +280,12 @@ class TestShouldTransmit:
         assert not tracking[0]
 
     def test_override_disabled(self):
-        # the engine passes no tracking error when the trigger is off
+        # the engine passes no tracking error when the trigger is off, and
+        # gets no tracking mask back
         timer, tracking = release_triggers(self.IDLE, np.array([50]), np.array([100.0]), None, 0.5)
-        assert not timer[0] and not tracking[0]
+        assert not timer[0] and tracking is None
+        timer, tracking = release_triggers(self.IDLE, np.array([100]), np.array([100.0]), None, 0.5)
+        assert timer[0] and tracking is None
 
     def test_pending_packet_blocks_release(self):
         timer, tracking = release_triggers(np.array([True, False]), np.array([500, 500]),

@@ -66,21 +66,43 @@ class TestTwoUes:
         assert mean_gap == pytest.approx(100.0, abs=2.0)
 
 
+def resolved_links(cfg, monkeypatch):
+    """Run `cfg` and capture, per flush, the subframe and UE of each
+    transmission and its (transmission, UE) outcome array, as the engine's
+    `resolve_subframe` returns them; with the run's result."""
+    resolve = engine.resolve_subframe
+    batches = []
+
+    def capture(tx_sf, tx_ue, *args):
+        res = resolve(tx_sf, tx_ue, *args)
+        batches.append((tx_sf, tx_ue, res.outcome))
+        return res
+
+    monkeypatch.setattr(engine, "resolve_subframe", capture)
+    return run(cfg), batches
+
+
 class TestHalfDuplexLog:
     """A UE that sends in a subframe hears nobody in it.  A busy ring, so
     that UEs share subframes (a two-UE run never does, see TestTwoUes)."""
 
     @pytest.fixture(scope="class")
     def links(self):
-        """(outcome, whether the receiver also sent in that subframe) per rx row."""
+        """(outcome, whether the receiver also sent in that subframe) per
+        link to another UE."""
         preset = ScenarioPreset("busy", 30, 30.0, road_length_km=0.4, lanes=4,
                                 wraparound=True, region="full")
-        res = run(make_cfg(preset, duration=1.0, warmup=0.5, seed=8, log_rx_outcomes=True))
-        events, rx = res.event_log.tx_events, res.event_log.rx_records
-        sent = set(zip(events["subframe"].tolist(), events["ue"].tolist()))
-        subframes = events["subframe"][rx["tx_event_id"]].tolist()
-        return [(o, (sf, r) in sent) for sf, r, o in
-                zip(subframes, rx["rx_ue"].tolist(), rx["outcome"].tolist())]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            res, batches = resolved_links(make_cfg(preset, duration=1.0, warmup=0.5, seed=8),
+                                          monkeypatch)
+        out = []
+        for tx_sf, tx_ue, outcome in batches:
+            sent = set(zip(tx_sf.tolist(), tx_ue.tolist()))
+            for t, (sf, ue) in enumerate(zip(tx_sf.tolist(), tx_ue.tolist())):
+                out += [(o, (sf, r) in sent) for r, o in enumerate(outcome[t].tolist())
+                        if r != ue]
+        assert len(out) == len(res.event_log.tx_events) * (res.n_ue - 1)
+        return out
 
     def test_half_duplex_detectable_in_log(self, links):
         assert any(also_sent for _, also_sent in links)
@@ -241,18 +263,24 @@ class TestCrLimit:
         assert len(capped.event_log.tx_events) < len(free.event_log.tx_events)
 
 
-def test_outcome_counts_match_rx_rows():
-    # each tx row's four counts tally its rx rows, one per other UE
-    resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5",
-                                     "run.log_rx_outcomes": "true"},
+def test_outcome_counts_match_resolved_links(monkeypatch):
+    # each tx row's four counts tally its links' outcomes, the self link
+    # excluded, one per other UE
+    resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5"},
                               scenario="mini-oversat", scheme="baseline", seed=1)
-    res = run(config.build_run_config(resolved))
-    events, rx = res.event_log.tx_events, res.event_log.rx_records
-    k = len(events)
-    tally = np.bincount(rx["tx_event_id"].astype(np.int64) * 4 + rx["outcome"],
-                        minlength=4 * k).reshape(k, 4)
+    res, batches = resolved_links(config.build_run_config(resolved), monkeypatch)
+    outcome = np.concatenate([o for _, _, o in batches])
+    tx_ue = np.concatenate([ue for _, ue, _ in batches])
+    k = len(outcome)
+    tally = np.stack([np.count_nonzero(outcome == code, axis=1) for code in
+                      (Outcome.DECODED, Outcome.COLLIDED, Outcome.BELOW_SENSITIVITY,
+                       Outcome.HALF_DUPLEX_BLOCKED)], axis=1)
+    assert np.all(outcome[np.arange(k), tx_ue] == Outcome.HALF_DUPLEX_BLOCKED)
+    tally[:, Outcome.HALF_DUPLEX_BLOCKED] -= 1   # the self link
+    events = res.event_log.tx_events
     counts = np.stack([events[f] for f in ("n_decoded", "n_collided", "n_below_sensitivity",
                                            "n_half_duplex")], axis=1)
+    assert np.array_equal(events["ue"], tx_ue)
     assert np.array_equal(counts, tally)
     assert np.all(counts.sum(axis=1) == res.n_ue - 1)
     assert tally[:, Outcome.HALF_DUPLEX_BLOCKED].any()
