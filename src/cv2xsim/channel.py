@@ -45,6 +45,8 @@ class ChannelModel:
             raise ValueError(f"unknown shadowing_mode {self.shadowing_mode!r}")
         if self.fading not in ("none", "nakagami"):
             raise ValueError(f"unknown fading {self.fading!r}")
+        if self.nakagami_m <= 0:
+            raise ValueError("nakagami_m must be positive")
         if self.sinr_threshold_db < 0:
             raise ValueError("sinr_threshold_db must be at least 0 dB: the sensing store keeps "
                              "one decode per (subframe, receiver, subchannel), and below 0 dB "

@@ -139,7 +139,8 @@ def _scenario_layer(name: str) -> dict[str, object]:
 
 def read_config_file(path: str) -> dict[str, object]:
     """Parse an INI config (or a run manifest in JSON) into {section.key: raw}."""
-    text = open(path).read()
+    with open(path) as f:
+        text = f.read()
     if path.endswith(".json"):
         data = json.loads(text)
         return dict(data["config"] if "config" in data else data)

@@ -22,9 +22,9 @@ class RoadGeometry:
     """Straight multi-lane road; wraparound turns it into a ring for desk-scale runs."""
 
     length_m: float
-    lanes: int = 12
-    lane_width_m: float = 4.0
-    wraparound: bool = False
+    lanes: int
+    lane_width_m: float
+    wraparound: bool
 
     def lane_y(self, lane):
         """Lateral position of the centre of `lane` (scalar or array)."""
@@ -41,6 +41,10 @@ class RoadGeometry:
         """Euclidean distance between (x1, y1) and (x2, y2), elementwise; the
         longitudinal part wraps as `dx` does."""
         return np.hypot(self.dx(x1, x2), y1 - y2)
+
+    def within(self, x, y, radius_m):
+        """(n, n) mask of the pairs of the points (x, y) at most `radius_m` apart."""
+        return self.distance(x[:, None], y[:, None], x[None, :], y[None, :]) <= radius_m
 
     def wrap_x(self, x):
         return x % self.length_m if self.wraparound else x

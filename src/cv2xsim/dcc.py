@@ -53,8 +53,7 @@ def neighbor_counts(x: np.ndarray, y: np.ndarray, geometry: RoadGeometry,
                     radius_m: float) -> np.ndarray:
     """Vehicles within radius_m of each vehicle at (x, y) (boundary
     inclusive), itself excluded.  Builds the (n, n) distances for the call."""
-    within = geometry.distance(x[:, None], y[:, None], x[None, :], y[None, :]) <= radius_m
-    return (np.sum(within, axis=1) - 1).astype(float)
+    return (np.sum(geometry.within(x, y, radius_m), axis=1) - 1).astype(float)
 
 
 def smooth_density(n_new: float, n_prev_smoothed: float) -> float:

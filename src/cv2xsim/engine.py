@@ -61,9 +61,9 @@ _BATCH_LINKS = 1 << 15
 _FLUSH_BYTES_PER_LINK = 128
 # A flush with nothing queued resolves no transmission
 _NO_TX = (np.zeros(0, dtype=np.int64),) * 5
-# A txevents.csv line: the event id, then each field, floats at 6
-# significant digits as `metrics.fmt` writes them
-_CSV_ROW = ",".join(["%d"] + ["%.6g" if TX_DTYPE[name].kind == "f" else "%d"
+# A txevents.csv line: the event id, then each field, floats as
+# `metrics.FLOAT` as in every output CSV
+_CSV_ROW = ",".join(["%d"] + [metrics.FLOAT if TX_DTYPE[name].kind == "f" else "%d"
                               for name in TX_DTYPE.names]) + "\r\n"
 
 
@@ -91,18 +91,24 @@ class RunConfig:
     cr_calibration: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 200.0))
 
     def validate(self) -> None:
-        if self.warmup_s >= self.duration_s:
-            raise ValueError("run.warmup_s must be below run.duration_s")
+        if not 0 <= self.warmup_s < self.duration_s:
+            raise ValueError("run.warmup_s must be at least 0 and below run.duration_s")
         if self.duration_s * 1000 >= 2 ** 31:
             raise ValueError("run.duration_s must stay below 2**31 ms (the ledger's int32 times)")
         if self.subchannels < 1:
             raise ValueError("subchannels must be at least 1")
         if self.payload_bytes < 1:
             raise ValueError("payload_bytes must be positive")
-        if self.mobility_tick_ms < 1 or self.density_period_ms < 1 or self.power_period_ms < 1:
-            raise ValueError("cadences must be positive")
+        for name in ("mobility_tick_ms", "density_period_ms", "power_period_ms",
+                     "cbp_window_ms", "timeseries_period_ms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"run.{name} must be at least 1")
         if self.cbp_window_ms > self.sps.sensing_window_sf:
             raise ValueError("cbp_window_ms cannot exceed the sensing window span")
+        for key, value in (("metrics.bin_width_m", self.bin_width_m),
+                           ("metrics.roi_radius_m", self.roi_radius_m)):
+            if value <= 0:
+                raise ValueError(f"{key} must be positive")
         if not 0.0 <= self.cbp_limit <= 1.0:
             raise ValueError("cr.cbp_limit must be in [0, 1]")
         if len(self.cr_calibration) < 2:
@@ -207,9 +213,8 @@ class EventLog:
         return h.hexdigest()
 
     def write_csv(self, path) -> None:
-        """One line per transmission; floats at 6 significant digits, as
-        `metrics.fmt` writes them.  Each chunk of rows is one `%` operation
-        over its values, flattened row by row."""
+        """One line per transmission, as the `_CSV_ROW` template.  Each chunk
+        of rows is one `%` operation over its values, flattened row by row."""
         events = self.tx_events
         with open(path, "w", newline="") as f:
             f.write("event_id," + ",".join(TX_DTYPE.names) + "\r\n")
@@ -274,11 +279,10 @@ class Simulation:
         self.store = SensingStore(n, cfg.subchannels, cfg.sps.sensing_window_sf,
                                   cfg.channel.noise_mw)
         # per transmitting subframe since the last flush: (subframe, UE,
-        # subchannel, power, period, queue delay); subframes before
-        # `_resolved_to` are resolved and recorded
+        # subchannel, power, period, queue delay); the subframes up to the
+        # store's newest are resolved and recorded
         self._queued: list[tuple] = []
         self._queued_links = 0
-        self._resolved_to = 0
 
         if cfg.channel.shadowing_mode == "static" and cfg.channel.shadowing_sigma_db > 0:
             self.static_shadow = self.rngs.stream("shadow-static").normal(
@@ -327,12 +331,12 @@ class Simulation:
         """Resolve the subframes from the last flush up to `end` (excluded)
         with their queued transmissions, and hand the outcome arrays to the
         event log, the metrics ledger and the sensing store."""
-        start = self._resolved_to
+        start = self.store.newest + 1
         if end <= start:
             return
         cfg, n_ue = self.cfg, self.n_ue
         subframes, *columns = zip(*(self._queued or [(start, *_NO_TX)]))
-        self._queued, self._queued_links, self._resolved_to = [], 0, end
+        self._queued, self._queued_links = [], 0
         subframe = np.repeat(subframes, [len(ue) for ue in columns[0]])
         tx_ue, tx_subch, tx_power, tx_period, delay = map(np.concatenate, columns)
         tx_sf = subframe - start
@@ -373,7 +377,7 @@ class Simulation:
 
         for n in range(self.total_sf):
             # a batch never spans more subframes than the sensing ring holds
-            if n - self._resolved_to >= span_sf:
+            if n - self.store.newest > span_sf:
                 self._flush(n)
 
             # mobility tick: move vehicles, then narrow the region of interest

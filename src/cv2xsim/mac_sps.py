@@ -80,13 +80,13 @@ class SensingStore:
         self.newest = -1
 
     def record_subframe(self, n: int, srssi_mw: np.ndarray, sensed_mask: np.ndarray,
-                        decodes: tuple[np.ndarray, ...] | None) -> None:
+                        decodes: tuple[np.ndarray, ...]) -> None:
         """Store the measurements of subframes n, n+1, ..., n+m-1 in their
         ring rows, clearing the decodes those rows held: `srssi_mw` is
         (m, n_ue, n_subch) and `sensed_mask` (m, n_ue), with 1 <= m <= span.
         `decodes` is (subframe offset, receiver, subchannel, period,
         PSSCH-RSRP dBm) arrays, one entry per decoded link and at most one
-        per (subframe, receiver, subchannel); None when nothing was decoded."""
+        per (subframe, receiver, subchannel)."""
         m = len(srssi_mw)
         if n < self.newest:
             raise ValueError(f"out-of-order sensing record: {n} < newest {self.newest}")
@@ -98,10 +98,9 @@ class SensingStore:
         self.srssi_mw[rows] = srssi_mw
         self.sensed[rows] = sensed_mask
         self.reservations[rows] = -np.inf
-        if decodes is not None:
-            offset, rx, subch, period, rsrp_dbm = decodes
-            self.reservations[rows[offset], rx, subch] = rsrp_dbm
-            self.period_sf[rows[offset], rx, subch] = period
+        offset, rx, subch, period, rsrp_dbm = decodes
+        self.reservations[rows[offset], rx, subch] = rsrp_dbm
+        self.period_sf[rows[offset], rx, subch] = period
         self.newest = n + m - 1
 
     def oldest_valid(self) -> int:

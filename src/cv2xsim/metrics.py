@@ -4,7 +4,6 @@ blind-node detection, and scheme-vs-baseline gains."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -14,11 +13,8 @@ import numpy as np
 from .core import RoadGeometry
 
 
-def fmt(v) -> str:
-    """CSV number formatting: floats at 6 significant digits."""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.6g}"
+# Every float of every output CSV row: 6 significant digits
+FLOAT = "%.6g"
 
 
 class SparseCounts:
@@ -196,8 +192,7 @@ class MetricsStore:
         positions.  The first tick measures every pair; a later one only the
         pairs kept so far."""
         if self.roi_pairs is None:
-            within = geometry.distance(x[:, None], y[:, None], x[None, :], y[None, :]) \
-                <= self.roi_radius_m
+            within = geometry.within(x, y, self.roi_radius_m)
             within.flat[::self.n_ue + 1] = False
             self.roi_pairs = np.flatnonzero(within)
         else:
@@ -327,15 +322,20 @@ def gains(scheme_pdr: list[BinValue], scheme_slt: list[BinValue],
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (6 significant digits; one file per metric)
+# CSV emission (one file per metric): each row is a `%` template, floats as
+# FLOAT and ints as %d, lines ended by "\r\n"
+
+def _write(path, header: str, row: str, values) -> None:
+    """`header`, then `row` filled with each tuple of `values`."""
+    with open(path, "w", newline="") as f:
+        f.write(header + "\r\n")
+        f.writelines(row % v for v in values)
+
 
 def write_bin_csv(path, rows: list[BinValue], value_col: str) -> None:
     """One row per distance bin, its value under the header `value_col`."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_lo_m", "bin_hi_m", value_col, "n_pairs"])
-        for r in rows:
-            w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
+    _write(path, f"bin_lo_m,bin_hi_m,{value_col},n_pairs", f"{FLOAT},{FLOAT},{FLOAT},%d\r\n",
+           ((r.bin_lo_m, r.bin_hi_m, r.value, r.n_pairs) for r in rows))
 
 
 _ECDF_CHUNK = 1 << 10
@@ -345,47 +345,35 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
     """Single file with three row kinds: per-bin means, the pooled ECDF, and
     the 80th percentile."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "bin_lo_m", "bin_hi_m", "gap_ms", "value"])
-        for r in stats.bins:
-            w.writerow(["bin_mean", fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
-        # the rows csv.writer would emit (gaps are whole ms, so fmt gives
-        # str(int)).  The gaps are sorted, so each run of equal gaps, found
-        # by a binary search, shares one row template, filled a chunk of
-        # probabilities k/N at a time ('%.6g' formats as `fmt` does)
+        f.write("kind,bin_lo_m,bin_hi_m,gap_ms,value\r\n")
+        f.writelines(f"bin_mean,{FLOAT},{FLOAT},{FLOAT},%d\r\n"
+                     % (r.bin_lo_m, r.bin_hi_m, r.value, r.n_pairs) for r in stats.bins)
+        # gaps are whole ms, written as ints.  The gaps are sorted, so each
+        # run of equal gaps, found by a binary search, shares one row
+        # template, filled a chunk of probabilities k/N at a time
         gaps = stats.ecdf_gaps_ms
         lo = 0
         while lo < gaps.size:
             hi = int(gaps.searchsorted(gaps[lo], side="right"))
-            row = f"ecdf,,,{gaps[lo]},%.6g\r\n"
+            row = f"ecdf,,,{gaps[lo]},{FLOAT}\r\n"
             for i in range(lo, hi, _ECDF_CHUNK):
                 p = (np.arange(i + 1.0, min(i + _ECDF_CHUNK, hi) + 1.0) / gaps.size).tolist()
                 f.write((row * len(p)) % tuple(p))
             lo = hi
         if stats.p80_ms is not None:
-            w.writerow(["p80", "", "", fmt(stats.p80_ms), ""])
+            f.write(f"p80,,,{FLOAT},\r\n" % stats.p80_ms)
 
 
 def write_blind_csv(path, report: BlindReport) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["tx_ue", "rx_ue"])
-        for a, b in report.pairs:
-            w.writerow([a, b])
+    _write(path, "tx_ue,rx_ue", "%d,%d\r\n", report.pairs)
 
 
 def write_timeseries_csv(path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_s", "mean_cbp_pct", "mean_power_dbm", "mean_itt_ms"])
-        for row in rows:
-            w.writerow([fmt(v) for v in row])
+    _write(path, "t_s,mean_cbp_pct,mean_power_dbm,mean_itt_ms",
+           ",".join([FLOAT] * 4) + "\r\n", rows)
 
 
 def write_gains_csv(path, rows: list[GainBin], n_seeds: int = 1) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_lo_m", "bin_hi_m", "pdr_gain_pp", "slt_gain_bps", "n_seeds"])
-        for r in rows:
-            w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.pdr_gain_pp),
-                        fmt(r.slt_gain_bps), n_seeds])
+    _write(path, "bin_lo_m,bin_hi_m,pdr_gain_pp,slt_gain_bps,n_seeds",
+           f"{FLOAT},{FLOAT},{FLOAT},{FLOAT},%d\r\n",
+           ((r.bin_lo_m, r.bin_hi_m, r.pdr_gain_pp, r.slt_gain_bps, n_seeds) for r in rows))

@@ -35,6 +35,8 @@ class ScenarioPreset:
             raise ValueError("vehicle_count must be positive")
         if self.region not in ("middle-third", "full"):
             raise ValueError(f"unknown region mode {self.region!r}")
+        if self.lanes < 1:
+            raise ValueError("lanes must be at least 1")
         per_lane = math.ceil(self.vehicle_count / self.lanes)
         if per_lane > self.road_length_km * 1000.0:
             raise ValueError("density above jam density (under 1 m headway per lane)")

@@ -33,7 +33,11 @@ and `MetricsStore.update_roi` compute where they read them.
 of `cv2xsim.mobility`: one object per vehicle, moved in a Python loop with
 one scalar normal draw per vehicle.
 
-`write_ipg_csv` and `write_txevents_csv` are the row-by-row form of
+`fmt` and the `csv.writer` writers `write_bin_csv`, `write_blind_csv`,
+`write_timeseries_csv` and `write_gains_csv` are the reference for the `%`
+row templates of the CSV writers in `cv2xsim.metrics`: `fmt` writes an int
+as `str` and a float at 6 significant digits.  `write_ipg_csv` and
+`write_txevents_csv` are the row-by-row form of
 `cv2xsim.metrics.write_ipg_csv` and `cv2xsim.engine.EventLog.write_csv`:
 one f-string per ECDF sample, with its probability k/N, and per
 transmission.
@@ -52,7 +56,7 @@ from cv2xsim.channel import ChannelModel, Outcome, SubframeResolution, pathloss
 from cv2xsim.core import RngStream, RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
-from cv2xsim.metrics import BinValue, BlindReport, IpgStats, MetricsStore, fmt
+from cv2xsim.metrics import BinValue, BlindReport, GainBin, IpgStats, MetricsStore
 from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
 from cv2xsim.mobility import ScenarioPreset
 
@@ -400,6 +404,47 @@ def dense_counts(store: MetricsStore) -> tuple[np.ndarray, np.ndarray]:
     return tx, rx
 
 
+def fmt(v) -> str:
+    """CSV number formatting: floats at 6 significant digits."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.6g}"
+
+
+def write_bin_csv(path, rows: list[BinValue], value_col: str) -> None:
+    """One row per distance bin, its value under the header `value_col`."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["bin_lo_m", "bin_hi_m", value_col, "n_pairs"])
+        for r in rows:
+            w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.value), r.n_pairs])
+
+
+def write_blind_csv(path, report: BlindReport) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["tx_ue", "rx_ue"])
+        for a, b in report.pairs:
+            w.writerow([a, b])
+
+
+def write_timeseries_csv(path, rows: list[tuple]) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["t_s", "mean_cbp_pct", "mean_power_dbm", "mean_itt_ms"])
+        for row in rows:
+            w.writerow([fmt(v) for v in row])
+
+
+def write_gains_csv(path, rows: list[GainBin], n_seeds: int = 1) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["bin_lo_m", "bin_hi_m", "pdr_gain_pp", "slt_gain_bps", "n_seeds"])
+        for r in rows:
+            w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.pdr_gain_pp),
+                        fmt(r.slt_gain_bps), n_seeds])
+
+
 _ECDF_CHUNK = 1 << 12
 
 
@@ -426,8 +471,8 @@ _LOG_CHUNK = 65536
 
 
 def write_txevents_csv(log: EventLog, path) -> None:
-    """One line per transmission; floats at 6 significant digits, as
-    `metrics.fmt` writes them."""
+    """One line per transmission; floats at 6 significant digits, as `fmt`
+    writes them."""
     events = log.tx_events
     with open(path, "w", newline="") as f:
         f.write("event_id," + ",".join(TX_DTYPE.names) + "\r\n")

@@ -6,6 +6,8 @@ import numpy as np
 from cv2xsim.mac_sps import SensingStore, SensingWindow
 
 NOISE_MW = 1e-10  # -100 dBm
+# The decode arrays of a record in which nothing was decoded
+NO_DECODES = (np.zeros(0, dtype=int),) * 4 + (np.zeros(0),)
 
 
 def build_window(records, span=30, n_subch=2):

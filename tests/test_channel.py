@@ -9,7 +9,7 @@ import oracles
 from cv2xsim.channel import ChannelModel, Outcome, pathloss, resolve_subframe
 from cv2xsim.core import RngStream, RoadGeometry
 
-GEO = RoadGeometry(length_m=10_000.0, lanes=12, lane_width_m=4.0)
+GEO = RoadGeometry(length_m=10_000.0, lanes=12, lane_width_m=4.0, wraparound=False)
 
 
 def clean_model(**kw):

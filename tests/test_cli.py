@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict, fields
 
@@ -135,8 +136,17 @@ def test_optional_key_takes_none_from_every_source(tmp_path):
     (["cr.calibration=0:0"], "cr.calibration"),
     (["cr.calibration=0.5:10,0.5:20"], "cr.calibration"),
     (["cr.enabled=true", "sps.sensing_window_sf=500"], "sps.sensing_window_sf"),
+    (["run.timeseries_period_ms=0"], "run.timeseries_period_ms"),
+    (["run.cbp_window_ms=0"], "run.cbp_window_ms"),
+    (["run.warmup_s=-1"], "run.warmup_s"),
+    (["metrics.bin_width_m=0"], "metrics.bin_width_m"),
+    (["metrics.roi_radius_m=-5"], "metrics.roi_radius_m"),
+    # a nested config's errors name the key as "[section] key"
+    pytest.param(["channel.fading=nakagami", "channel.nakagami_m=0"], "[channel] nakagami_m",
+                 id="channel.nakagami_m"),
+    pytest.param(["scenario.lanes=0"], "[scenario] lanes", id="scenario.lanes"),
 ])
-def test_validate_rejects_bad_cr_config(sets, key, capsys):
+def test_validate_rejects_bad_config(sets, key, capsys):
     args = ["validate", "--scenario", "mini-low"]
     for pair in sets:
         args += ["--set", pair]
@@ -276,17 +286,41 @@ class TestCliCommands:
 
     def test_sweep_layout_and_gains(self, tmp_path):
         root = tmp_path / "sweep"
-        rc = main(["sweep", "--scenarios", "mini-low", "--schemes", "baseline,dcc-1",
+        rc = main(["sweep", "--scenarios", "mini-low", "--schemes", "baseline,dcc-1,dcc-7",
                    "--seeds", "1,2", "--out", str(root), "--workers", "2",
                    "--set", "run.duration_s=2", "--set", "run.warmup_s=1"])
         assert rc == 0
         dirs = sorted(p.name for p in root.iterdir() if p.is_dir())
-        assert dirs == ["mini-low__baseline__seed1", "mini-low__baseline__seed2",
-                        "mini-low__dcc-1__seed1", "mini-low__dcc-1__seed2"]
-        gains = root / "gains__mini-low__dcc-1.csv"
-        assert gains.exists()
-        header = gains.read_text().splitlines()[0]
-        assert header == "bin_lo_m,bin_hi_m,pdr_gain_pp,slt_gain_bps,n_seeds"
+        assert dirs == [f"mini-low__{scheme}__seed{seed}"
+                        for scheme in ("baseline", "dcc-1", "dcc-7") for seed in (1, 2)]
+        for scheme in ("dcc-1", "dcc-7"):
+            header = (root / f"gains__mini-low__{scheme}.csv").read_text().splitlines()[0]
+            assert header == "bin_lo_m,bin_hi_m,pdr_gain_pp,slt_gain_bps,n_seeds"
+
+        def read(path, col):
+            with open(path) as f:
+                return {(float(r["bin_lo_m"]), float(r["bin_hi_m"])): float(r[col])
+                        for r in csv.DictReader(f)}
+
+        # dcc-1 runs as baseline does on this ring, so its gains are all 0;
+        # dcc-7's are checked by value against the runs' own CSVs
+        want = {}       # bin -> (PDR gains, SLT gains), one per seed with the bin
+        for seed in (1, 2):
+            runs = [root / f"mini-low__{s}__seed{seed}" for s in ("dcc-7", "baseline")]
+            s_pdr, b_pdr = (read(d / "pdr_vs_distance.csv", "pdr") for d in runs)
+            s_slt, b_slt = (read(d / "slt_vs_distance.csv", "slt_bytes_per_s") for d in runs)
+            for key in s_pdr.keys() & b_pdr.keys():
+                pp, bps = want.setdefault(key, ([], []))
+                pp.append(100.0 * (s_pdr[key] - b_pdr[key]))
+                bps.append(s_slt.get(key, 0.0) - b_slt.get(key, 0.0))
+        gains = root / "gains__mini-low__dcc-7.csv"
+        got = {col: read(gains, col) for col in ("pdr_gain_pp", "slt_gain_bps", "n_seeds")}
+        assert sorted(got["n_seeds"]) == sorted(want)
+        assert set(got["n_seeds"].values()) == {2.0}
+        for key, (pp, bps) in want.items():
+            assert got["pdr_gain_pp"][key] == pytest.approx(sum(pp) / len(pp), rel=1e-5)
+            assert got["slt_gain_bps"][key] == pytest.approx(sum(bps) / len(bps), rel=1e-5)
+        assert any(got["pdr_gain_pp"].values())
 
     def test_sweep_determinism(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -23,9 +23,9 @@ def test_power_roundtrip_across_range():
 
 
 def test_wraparound_distance():
-    ring = RoadGeometry(length_m=1200.0, lanes=2, wraparound=True)
+    ring = RoadGeometry(length_m=1200.0, lanes=2, lane_width_m=4.0, wraparound=True)
     assert ring.dx(10.0, 1190.0) == pytest.approx(20.0)
-    flat = RoadGeometry(length_m=1200.0, lanes=2, wraparound=False)
+    flat = RoadGeometry(length_m=1200.0, lanes=2, lane_width_m=4.0, wraparound=False)
     assert flat.dx(10.0, 1190.0) == pytest.approx(1180.0)
 
 

@@ -12,7 +12,7 @@ from cv2xsim.dcc import (RangeControlConfig, RateControlConfig, SCHEMES, busy_pe
                          compute_itt, neighbor_counts, power_target, release_triggers,
                          scheme_by_name, smooth_density, tracking_error, update_power)
 
-GEO = RoadGeometry(length_m=100_000.0, lanes=12, lane_width_m=4.0)
+GEO = RoadGeometry(length_m=100_000.0, lanes=12, lane_width_m=4.0, wraparound=False)
 RATE = RateControlConfig()     # B=25, itt_max=600
 RANGE = RangeControlConfig()   # P [10,23], U [50,80], eta 0.5
 
@@ -96,7 +96,7 @@ class TestCountNeighbors:
         assert counts(xs, lanes, 99.0) == [0.0, 1.0, 1.0]
 
     def test_ring_wraps(self):
-        ring = RoadGeometry(length_m=1000.0, lanes=1, wraparound=True)
+        ring = RoadGeometry(length_m=1000.0, lanes=1, lane_width_m=4.0, wraparound=True)
         assert counts([5.0, 905.0, 500.0], [0, 0, 0], 100.0, ring) == [1.0, 1.0, 0.0]
         assert counts([5.0, 905.0, 500.0], [0, 0, 0], 100.0) == [0.0, 0.0, 0.0]
 
@@ -252,7 +252,7 @@ class TestUpdatePte:
             pte(0.0, 0.0, 0.0, -50)
 
     def test_wraparound_extrapolation(self):
-        ring = RoadGeometry(1200.0, 2, wraparound=True)
+        ring = RoadGeometry(1200.0, 2, 4.0, wraparound=True)
         assert pte(10.0, 1190.0, 20.0, 1000, ring) == pytest.approx(0.0)
         # more than one lap since the broadcast
         assert pte(10.0, 1190.0, 20.0, 61_000, ring) == pytest.approx(0.0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sensing import NOISE_MW, build_window, recorded_count
+from sensing import NO_DECODES, NOISE_MW, build_window, recorded_count
 
 from cv2xsim.core import RngStream
 from cv2xsim.mac_sps import (SensingStore, SensingWindow, SpsConfig,
@@ -36,7 +36,8 @@ class TestSensingWindow:
     def test_out_of_order_rejected(self):
         store = build_window([(5, (-80.0, -100.0), True, [])], span=10).store
         with pytest.raises(ValueError):
-            store.record_subframe(4, np.full((1, 1, 2), NOISE_MW), np.array([[True]]), None)
+            store.record_subframe(4, np.full((1, 1, 2), NOISE_MW), np.array([[True]]),
+                                  NO_DECODES)
 
     def test_own_transmission_marks_unsensed(self):
         store = build_window([(3, (-100.0, -100.0), False, [])], span=10).store
@@ -128,7 +129,8 @@ def own_tx_store(n, times, span=1000, n_subch=1):
     store = SensingStore(len(times), n_subch, span, NOISE_MW)
     for lo in range(0, n, span):
         sensed = np.array([[j not in t for t in times] for j in range(lo, min(lo + span, n))])
-        store.record_subframe(lo, np.full(sensed.shape + (n_subch,), NOISE_MW), sensed, None)
+        store.record_subframe(lo, np.full(sensed.shape + (n_subch,), NOISE_MW), sensed,
+                              NO_DECODES)
     return store
 
 
@@ -458,11 +460,10 @@ def sensing_histories(draw):
                     rsrp = rnd.choice(near + [rnd.uniform(-70.0, -55.0) if saturated
                                               else rnd.uniform(-110.0, -60.0)])
                     heard.append((n, u, c, period[i], float(np.float32(rsrp))))
-        # (subframe offset, receiver, subchannel, period, rsrp) columns, or None
-        # when nothing was decoded
+        # (subframe offset, receiver, subchannel, period, rsrp) columns
         columns = [np.array(col) for col in zip(*heard)]
         store.record_subframe(n, srssi[None], sensed[None],
-                              (columns[0] - n, *columns[1:]) if heard else None)
+                              (columns[0] - n, *columns[1:]) if heard else NO_DECODES)
         decodes += heard
     n = last + 1 + draw(st.integers(0, 2))
     ue = draw(st.integers(0, n_ue - 1))
@@ -509,7 +510,7 @@ def test_batched_record_matches_per_subframe_writes(n_ue, n_subch, span, data):
         assert np.array_equal(getattr(batched, name), getattr(single, name)), name
     with pytest.raises(ValueError, match="1 to"):
         batched.record_subframe(first + count, np.zeros((span + 1, n_ue, n_subch)),
-                                np.ones((span + 1, n_ue), dtype=bool), None)
+                                np.ones((span + 1, n_ue), dtype=bool), NO_DECODES)
 
 
 @settings(max_examples=300, deadline=None)

@@ -186,7 +186,7 @@ class TestBlindNodes:
         s = store()
         for t in range(10):
             record(s, 100 * t, 0, 1, 30.0, False)
-        road, y = RoadGeometry(1000.0, lanes=1), np.full(4, 2.0)
+        road, y = RoadGeometry(1000.0, 1, 4.0, False), np.full(4, 2.0)
         s.update_roi(np.array([0.0, 30.0, 500.0, 800.0]), y, road)
         assert s.roi_pairs.tolist() == [0 * 4 + 1, 1 * 4 + 0]
         assert blind_nodes(s).pairs == [(0, 1)]
@@ -336,7 +336,7 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
             assert pdr(sparse) == oracles.pdr(dense)
     for x in ticks:
         update_roi(sparse, dense, np.array(x, dtype=float), np.full(n_ue, 2.0),
-                   RoadGeometry(300.0, lanes=1))
+                   RoadGeometry(300.0, 1, 4.0, False))
 
     tx, rx = oracles.dense_counts(sparse)
     assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)

@@ -1,5 +1,6 @@
-"""The CSV writers of the ECDF and the event log against their row-by-row
-oracles: every file must be byte-equal."""
+"""The CSV writers against their oracles: the ECDF and the event log against
+their row-by-row forms, the other writers against their `csv.writer` forms.
+Every file must be byte-equal."""
 
 import math
 import tempfile
@@ -8,13 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cv2xsim import engine, metrics
 from cv2xsim.engine import TX_DTYPE, EventLog
-from cv2xsim.metrics import BinValue, IpgStats
+from cv2xsim.metrics import BinValue, BlindReport, GainBin, IpgStats
 
 
 def file_bytes(write) -> bytes:
@@ -136,3 +137,51 @@ def test_txevents_csv_across_chunks():
     new, oracle = txevents_bytes(log)
     assert new == oracle
     assert new.count(b"\r\n") == 8201 and b"\r\n8199," in new
+
+
+# Floats of every kind the `%` templates must write as `fmt` does: negative,
+# at least 1e6 and below 1e-4 (exponent form), integral, signed zero, inf
+# and nan; and ints up to past 64 bits
+floats = st.one_of(st.floats(), st.integers(-10 ** 12, 10 ** 12).map(float),
+                   st.sampled_from([0.0, -0.0, 1e-4, 9.99999e-5, 999999.5, 1e6, 25.0]))
+ints = st.integers(0, 2 ** 70)
+
+
+def writer_bytes(name: str, *args) -> tuple[bytes, bytes]:
+    """The file `metrics.<name>` writes from `args`, and its oracle's."""
+    return (file_bytes(lambda p: getattr(metrics, name)(p, *args)),
+            file_bytes(lambda p: getattr(oracles, name)(p, *args)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(BinValue, floats, floats, floats, ints), max_size=6),
+       st.sampled_from(["pdr", "slt_bytes_per_s"]))
+@example([], "pdr")
+def test_bin_csv_matches_csv_writer_oracle(rows, value_col):
+    new, oracle = writer_bytes("write_bin_csv", rows, value_col)
+    assert new == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ints, ints), max_size=6))
+@example([])
+def test_blind_csv_matches_csv_writer_oracle(pairs):
+    new, oracle = writer_bytes("write_blind_csv", BlindReport(len(pairs), pairs))
+    assert new == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(floats, floats, floats, floats), max_size=6))
+@example([])
+def test_timeseries_csv_matches_csv_writer_oracle(rows):
+    new, oracle = writer_bytes("write_timeseries_csv", rows)
+    assert new == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(GainBin, floats, floats, floats, floats), max_size=6), ints)
+@example([], 2)
+def test_gains_csv_matches_csv_writer_oracle(rows, n_seeds):
+    new, oracle = writer_bytes("write_gains_csv", rows, n_seeds)
+    assert new == oracle
+
