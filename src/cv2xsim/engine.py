@@ -61,8 +61,7 @@ _BATCH_LINKS = 1 << 15
 _FLUSH_BYTES_PER_LINK = 128
 # A flush with nothing queued resolves no transmission
 _NO_TX = (np.zeros(0, dtype=np.int64),) * 5
-# A txevents.csv line: the event id, then each field, floats as
-# `metrics.FLOAT` as in every output CSV
+# A txevents.csv line: the event id, then each field, floats as `metrics.FLOAT`
 _CSV_ROW = ",".join(["%d"] + [metrics.FLOAT if TX_DTYPE[name].kind == "f" else "%d"
                               for name in TX_DTYPE.names]) + "\r\n"
 
