@@ -7,14 +7,14 @@ __version__ = "0.1.0"
 
 from .channel import ChannelModel, Outcome
 from .core import RngPool, RngStream, RoadGeometry, dbm_to_mw
-from .dcc import DccScheme, RangeControlConfig, RateControlConfig, SCHEMES
+from .dcc import RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
 from .mac_sps import SensingStore, SensingWindow, SpsConfig
 from .mobility import PRESETS, Fleet, ScenarioPreset
 
 __all__ = [
-    "ChannelModel", "DccScheme", "Fleet", "Outcome", "PRESETS", "RangeControlConfig",
-    "RateControlConfig", "RngPool", "RngStream", "RoadGeometry", "RunConfig", "RunResult",
-    "SCHEMES", "ScenarioPreset", "SensingStore", "SensingWindow", "Simulation", "SpsConfig",
-    "dbm_to_mw", "run", "__version__",
+    "ChannelModel", "Fleet", "Outcome", "PRESETS", "RangeControlConfig", "RateControlConfig",
+    "RngPool", "RngStream", "RoadGeometry", "RunConfig", "RunResult", "SCHEMES",
+    "ScenarioPreset", "SensingStore", "SensingWindow", "Simulation", "SpsConfig", "dbm_to_mw",
+    "run", "__version__",
 ]

@@ -207,14 +207,8 @@ def _cmd_presets(_args) -> int:
               f"{p.density_veh_km_lane:6.1f} veh/(km.lane)  {p.speed_kmh:5.1f} km/h  "
               f"{p.road_length_km:.1f} km {'ring' if p.wraparound else 'road'}")
     print("congestion-control schemes:")
-    for s in dcc.SCHEMES.values():
-        if not s.enabled:
-            print(f"  {s.name:8s} rate/range control off (100 ms, max power)")
-            continue
-        extra = "".join(f"  {key}={value}" for key, value in s.adjustments.items())
-        print(f"  {s.name:8s} B={s.rate.density_coefficient:<4.0f} "
-              f"P [{s.range.p_min_dbm:g},{s.range.p_max_dbm:g}] dBm  "
-              f"U [{s.range.u_min_pct:g},{s.range.u_max_pct:g}] %{extra}")
+    for name, keys in dcc.SCHEMES.items():
+        print(f"  {name:8s} " + "  ".join(f"{key}={value}" for key, value in keys.items()))
     return 0
 
 

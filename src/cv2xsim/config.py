@@ -11,7 +11,7 @@ from typing import get_args, get_type_hints
 
 from . import dcc, mobility
 from .channel import ChannelModel
-from .dcc import DccScheme, RangeControlConfig, RateControlConfig
+from .dcc import RangeControlConfig, RateControlConfig
 from .engine import RunConfig
 from .mac_sps import SpsConfig
 
@@ -44,7 +44,7 @@ _NESTED = {"channel": ChannelModel, "sps": SpsConfig,
 def _run_fields() -> dict[str, Field]:
     """{section.key: RunConfig field} for the keys that set RunConfig fields."""
     return {_RUN_FIELD_KEYS.get(f.name, f"run.{f.name}"): f for f in fields(RunConfig)
-            if f.name not in ("scenario", "scheme", *_NESTED)}
+            if f.name not in ("scenario", *_NESTED)}
 
 
 def _scenario_values(preset: mobility.ScenarioPreset) -> dict[str, object]:
@@ -125,13 +125,6 @@ def _apply(resolved: dict, updates: dict[str, object], errors: list) -> None:
             errors.extend(e.errors)
 
 
-def _scheme_layer(name: str) -> dict[str, object]:
-    scheme = dcc.scheme_by_name(name)
-    return {**{f"rate.{k}": v for k, v in asdict(scheme.rate).items()},
-            **{f"range.{k}": v for k, v in asdict(scheme.range).items()},
-            **scheme.adjustments}
-
-
 def _scenario_layer(name: str) -> dict[str, object]:
     preset = mobility.preset_by_name(name)
     return {**_scenario_values(preset), **preset.adjustments}
@@ -172,7 +165,7 @@ def resolve(file_values: dict[str, object] | None = None,
     scenario_name = scenario or overrides.get("run.scenario") or file_values.get("run.scenario") \
         or _DEFAULT_SCENARIO
     try:
-        _apply(resolved, _scheme_layer(str(scheme_name)), errors)
+        _apply(resolved, dcc.scheme_by_name(str(scheme_name)), errors)
     except KeyError as e:
         errors.append(str(e.args[0]))
     try:
@@ -228,10 +221,7 @@ def build_run_config(resolved: dict[str, object]) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    scheme_name = str(resolved["run.scheme"])
-    scheme = DccScheme(name=scheme_name, enabled=dcc.scheme_by_name(scheme_name).enabled,
-                       rate=nested.pop("rate"), range=nested.pop("range"))
-    cfg = RunConfig(scenario=preset, scheme=scheme, **nested, **run)
+    cfg = RunConfig(scenario=preset, **nested, **run)
     try:
         cfg.validate()
     except ValueError as e:

@@ -1,16 +1,21 @@
 """Distributed congestion control: transmission rate control driven by
 neighbor density, transmission range control driven by channel busy
-percentage, and the position-tracking-error transmit trigger."""
+percentage, and the position-tracking-error transmit trigger.
+
+Every scheme runs these same rules.  A scheme is just the config keys it
+sets (`SCHEMES`).  Baseline sets the ITT ceiling to the ITT floor and
+P_min to P_max, so `compute_itt` and `update_power` return constants, and
+it turns the tracking trigger off."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RoadGeometry
 
-# The inter-transmit time without rate control, and its floor with it
+# The inter-transmit time at low density: the floor of rate control
 BASE_ITT_MS = 100.0
 
 
@@ -126,42 +131,32 @@ def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, itt_ms: np.nda
     return timer, None if pte_m is None else idle & (pte_m > pte_threshold_m)
 
 
-@dataclass(frozen=True)
-class DccScheme:
-    """A named congestion-control configuration; baseline disables everything
-    (fixed 100 ms rate, fixed maximum power, no tracking-error trigger)."""
-
-    name: str
-    enabled: bool = True
-    rate: RateControlConfig = field(default_factory=RateControlConfig)
-    range: RangeControlConfig = field(default_factory=RangeControlConfig)
-    adjustments: dict = field(default_factory=dict)  # config overrides this scheme needs
-
-
-def _scheme(name, p_max, p_min, u_max, u_min, b, **kw):
-    return DccScheme(name=name,
-                     rate=RateControlConfig(density_coefficient=b),
-                     range=RangeControlConfig(p_min_dbm=p_min, p_max_dbm=p_max,
-                                              u_min_pct=u_min, u_max_pct=u_max),
-                     **kw)
-
-
-SCHEMES: dict[str, DccScheme] = {
-    "baseline": DccScheme(name="baseline", enabled=False,
-                          rate=RateControlConfig(pte_enabled=False)),
-    "dcc-std": _scheme("dcc-std", p_max=23.0, p_min=10.0, u_max=80.0, u_min=50.0, b=25.0),
-    "dcc-1": _scheme("dcc-1", p_max=23.0, p_min=23.0, u_max=80.0, u_min=50.0, b=25.0),
-    "dcc-2": _scheme("dcc-2", p_max=23.0, p_min=10.0, u_max=50.0, u_min=30.0, b=25.0),
-    "dcc-3": _scheme("dcc-3", p_max=23.0, p_min=5.0, u_max=50.0, u_min=30.0, b=25.0),
-    "dcc-4": _scheme("dcc-4", p_max=23.0, p_min=5.0, u_max=50.0, u_min=30.0, b=35.0),
-    "dcc-5": _scheme("dcc-5", p_max=23.0, p_min=5.0, u_max=50.0, u_min=30.0, b=45.0),
-    "dcc-6": _scheme("dcc-6", p_max=23.0, p_min=5.0, u_max=50.0, u_min=30.0, b=55.0),
-    "dcc-7": _scheme("dcc-7", p_max=23.0, p_min=0.0, u_max=50.0, u_min=30.0, b=45.0,
-                     adjustments={"sps.slrrc_min": 1, "sps.slrrc_max": 5, "sps.p_resel": 0.2}),
+# Config keys each scheme sets over the defaults, as a scenario preset's
+# adjustments do.  Each dcc-* entry is a row of the paper's table.
+SCHEMES: dict[str, dict[str, object]] = {
+    "baseline": {"rate.itt_max_ms": BASE_ITT_MS, "rate.pte_enabled": False,
+                 "range.p_min_dbm": 23.0, "range.p_max_dbm": 23.0},
+    "dcc-std": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 10.0, "range.u_max_pct": 80.0,
+                "range.u_min_pct": 50.0, "rate.density_coefficient": 25.0},
+    "dcc-1": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 23.0, "range.u_max_pct": 80.0,
+              "range.u_min_pct": 50.0, "rate.density_coefficient": 25.0},
+    "dcc-2": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 10.0, "range.u_max_pct": 50.0,
+              "range.u_min_pct": 30.0, "rate.density_coefficient": 25.0},
+    "dcc-3": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 5.0, "range.u_max_pct": 50.0,
+              "range.u_min_pct": 30.0, "rate.density_coefficient": 25.0},
+    "dcc-4": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 5.0, "range.u_max_pct": 50.0,
+              "range.u_min_pct": 30.0, "rate.density_coefficient": 35.0},
+    "dcc-5": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 5.0, "range.u_max_pct": 50.0,
+              "range.u_min_pct": 30.0, "rate.density_coefficient": 45.0},
+    "dcc-6": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 5.0, "range.u_max_pct": 50.0,
+              "range.u_min_pct": 30.0, "rate.density_coefficient": 55.0},
+    "dcc-7": {"range.p_max_dbm": 23.0, "range.p_min_dbm": 0.0, "range.u_max_pct": 50.0,
+              "range.u_min_pct": 30.0, "rate.density_coefficient": 45.0,
+              "sps.slrrc_min": 1, "sps.slrrc_max": 5, "sps.p_resel": 0.2},
 }
 
 
-def scheme_by_name(name: str) -> DccScheme:
+def scheme_by_name(name: str) -> dict[str, object]:
     try:
         return SCHEMES[name]
     except KeyError:

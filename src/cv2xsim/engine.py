@@ -69,9 +69,10 @@ _CSV_ROW = ",".join(["%d"] + [metrics.FLOAT if TX_DTYPE[name].kind == "f" else "
 @dataclass
 class RunConfig:
     scenario: mobility.ScenarioPreset
-    scheme: dcc.DccScheme
     channel: ChannelModel = field(default_factory=ChannelModel)
     sps: SpsConfig = field(default_factory=SpsConfig)
+    rate: dcc.RateControlConfig = field(default_factory=dcc.RateControlConfig)
+    range: dcc.RangeControlConfig = field(default_factory=dcc.RangeControlConfig)
     duration_s: float = 20.0
     warmup_s: float = 10.0
     seed: int = 1
@@ -241,7 +242,8 @@ class RunResult:
 
 
 class Simulation:
-    """One seeded run over a scenario with a congestion-control scheme."""
+    """One seeded run over a scenario.  Rate and range control always run,
+    with the configs that the scheme's keys set (`dcc.SCHEMES`)."""
 
     def __init__(self, cfg: RunConfig, fleet: mobility.Fleet | None = None):
         cfg.validate()
@@ -254,14 +256,13 @@ class Simulation:
         # views of the fleet's arrays, which mobility.step updates in place
         self.x, self.speed, self.lane = self.fleet.x, self.fleet.speed_mps, self.fleet.lane
         self.n_ue = len(self.x)
-        self.scheme = cfg.scheme
 
         n = self.n_ue
         self.y = self.geometry.lane_y(self.lane)
 
         self.itt_ms = np.full(n, dcc.BASE_ITT_MS)
         self.itt_sf = _grant_period(self.itt_ms)
-        self.power_dbm = np.full(n, self.scheme.range.p_max_dbm)
+        self.power_dbm = np.full(n, cfg.range.p_max_dbm)
         self.n_sta_s = np.zeros(n)
         self.cbp_pct = np.zeros(n)
         self.last_tx = np.full(n, -(10 ** 9), dtype=np.int64)
@@ -368,9 +369,9 @@ class Simulation:
 
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue
-        scheme, rate_cfg, range_cfg = self.scheme, self.scheme.rate, self.scheme.range
+        rate_cfg, range_cfg = cfg.rate, cfg.range
         cbp_thresh_mw = dbm_to_mw(cfg.cbp_rssi_threshold_dbm)
-        pte_on = scheme.enabled and rate_cfg.pte_enabled
+        pte_on = rate_cfg.pte_enabled
         perturb_rng = self.rngs.stream("perturb")
         span_sf = self.store.span
 
@@ -396,17 +397,15 @@ class Simulation:
                 counts = dcc.neighbor_counts(self.x, self.y, self.geometry,
                                              rate_cfg.neighbor_radius_m)
                 self.n_sta_s = dcc.smooth_density(counts, self.n_sta_s)
-                if scheme.enabled:
-                    self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
-                    self.itt_sf = _grant_period(self.itt_ms)
+                self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
+                self.itt_sf = _grant_period(self.itt_ms)
 
             # busy measurement -> range control
             if n % cfg.power_period_ms == 0 and n > 0:
                 self._flush(n)
                 busy, slots = self.store.cbp_counts(n, cfg.cbp_window_ms, cbp_thresh_mw)
                 self.cbp_pct = dcc.busy_percentage(busy, slots, self.cbp_pct)
-                if scheme.enabled:
-                    self.power_dbm = dcc.update_power(self.power_dbm, self.cbp_pct, range_cfg)
+                self.power_dbm = dcc.update_power(self.power_dbm, self.cbp_pct, range_cfg)
 
             # packet release: rate timer, plus the tracking-error override.
             # Kinematic state is continuous even though propagation samples

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -67,13 +67,13 @@ def test_cross_field_violations_name_keys():
 
 def test_each_default_is_the_dataclass_default():
     defaults = config.default_config()
-    run = RunConfig(scenario=PRESETS["freeway-high"], scheme=SCHEMES["baseline"])
+    run = RunConfig(scenario=PRESETS["freeway-high"])
     renamed = {"bin_width_m": "metrics.bin_width_m", "roi_radius_m": "metrics.roi_radius_m",
                "cr_limit_enabled": "cr.enabled", "cbp_limit": "cr.cbp_limit",
                "cr_calibration": "cr.calibration"}
     want = {"run.scenario": "freeway-high", "run.scheme": "baseline"}
     for f in fields(RunConfig):
-        if f.name not in ("scenario", "scheme", "channel", "sps"):
+        if f.name not in ("scenario", "channel", "sps", "rate", "range"):
             want[renamed.get(f.name, f"run.{f.name}")] = getattr(run, f.name)
     want["cr.calibration"] = "0:0,1:200"
     for section, value in (("channel", ChannelModel()), ("sps", SpsConfig()),
@@ -84,14 +84,19 @@ def test_each_default_is_the_dataclass_default():
     assert defaults == want
     assert len(defaults) == 61
     assert config.parse_calibration(defaults["cr.calibration"]) == run.cr_calibration
-    # resolving nothing builds exactly the dataclass defaults
-    assert config.build_run_config(config.resolve()) == run
+    # resolving nothing builds the dataclass defaults under the baseline scheme
+    assert config.build_run_config(config.resolve()) == replace(
+        run, rate=RateControlConfig(itt_max_ms=100.0, pte_enabled=False),
+        range=RangeControlConfig(p_min_dbm=23.0, p_max_dbm=23.0))
 
 
-def test_scheme_enabled_follows_the_scheme_table():
-    for name, scheme in SCHEMES.items():
-        cfg = config.build_run_config(config.resolve(scenario="mini-low", scheme=name))
-        assert cfg.scheme.enabled is scheme.enabled, name
+@pytest.mark.parametrize("scenario", list(PRESETS))
+def test_each_scheme_key_reaches_the_run_config(scenario):
+    for name, keys in SCHEMES.items():
+        cfg = config.build_run_config(config.resolve(scenario=scenario, scheme=name))
+        for key, value in keys.items():
+            section, field = key.split(".")
+            assert getattr(getattr(cfg, section), field) == value, (name, key)
 
 
 def test_ini_round_trip(tmp_path):

@@ -7,14 +7,18 @@ import oracles
 from roads import road_ticks
 from sensing import build_window
 
+from cv2xsim import config
 from cv2xsim.core import RngStream, RoadGeometry, dbm_to_mw
-from cv2xsim.dcc import (RangeControlConfig, RateControlConfig, SCHEMES, busy_percentage,
-                         compute_itt, neighbor_counts, power_target, release_triggers,
-                         scheme_by_name, smooth_density, tracking_error, update_power)
+from cv2xsim.dcc import (BASE_ITT_MS, RangeControlConfig, RateControlConfig, SCHEMES,
+                         busy_percentage, compute_itt, neighbor_counts, power_target,
+                         release_triggers, scheme_by_name, smooth_density, tracking_error,
+                         update_power)
 
 GEO = RoadGeometry(length_m=100_000.0, lanes=12, lane_width_m=4.0, wraparound=False)
 RATE = RateControlConfig()     # B=25, itt_max=600
 RANGE = RangeControlConfig()   # P [10,23], U [50,80], eta 0.5
+# The RunConfig that each scheme's keys build
+BUILT = {name: config.build_run_config(config.resolve(scheme=name)) for name in SCHEMES}
 
 
 class TestMeasureCbp:
@@ -206,9 +210,9 @@ class TestUpdatePower:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 23.0), st.floats(0.0, 100.0)),
                     min_size=1, max_size=50),
-           st.sampled_from(list(SCHEMES.values())))
+           st.sampled_from(list(SCHEMES)))
     def test_array_matches_reference(self, rows, scheme):
-        cfg = scheme.range
+        cfg = BUILT[scheme].range
         rows += [(23.0, cfg.u_min_pct), (23.0, cfg.u_max_pct)]     # the branch edges
         power, cbp = np.array(rows).T
         assert power_target(cbp, cfg).tolist() == [oracles.power_target(c, cfg) for _, c in rows]
@@ -295,7 +299,7 @@ class TestShouldTransmit:
 
 class TestSchemes:
     def test_standard_scheme_values(self):
-        s = scheme_by_name("dcc-std")
+        s = BUILT["dcc-std"]
         assert s.rate.density_coefficient == 25.0
         assert s.rate.itt_max_ms == 600.0
         assert s.range.eta == 0.5
@@ -313,23 +317,32 @@ class TestSchemes:
             "dcc-7": (23.0, 0.0, 50.0, 30.0, 45.0),
         }
         for name, (p_max, p_min, u_max, u_min, b) in rows.items():
-            s = scheme_by_name(name)
+            s = BUILT[name]
             assert s.range.p_max_dbm == p_max, name
             assert s.range.p_min_dbm == p_min, name
             assert s.range.u_max_pct == u_max, name
             assert s.range.u_min_pct == u_min, name
             assert s.rate.density_coefficient == b, name
-        s7 = scheme_by_name("dcc-7")
-        assert s7.adjustments == {"sps.slrrc_min": 1, "sps.slrrc_max": 5, "sps.p_resel": 0.2}
+        s7 = BUILT["dcc-7"].sps
+        assert (s7.slrrc_min, s7.slrrc_max, s7.p_resel) == (1, 5, 0.2)
 
-    def test_baseline_disables_control(self):
-        base = scheme_by_name("baseline")
-        assert base.enabled is False
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 100.0)),
+                    min_size=1, max_size=50))
+    def test_baseline_holds_the_rate_and_the_power(self, rows):
+        # at any neighbor count and CBP: the 100 ms ITT and the initial 23 dBm
+        base = BUILT["baseline"]
+        counts, cbp = np.array(rows).T
+        assert compute_itt(counts, base.rate).tolist() == [BASE_ITT_MS] * len(rows)
+        power = np.full(len(rows), base.range.p_max_dbm)
+        assert update_power(power, cbp, base.range).tolist() == [23.0] * len(rows)
         assert base.rate.pte_enabled is False
 
     def test_unknown_scheme(self):
         with pytest.raises(KeyError):
             scheme_by_name("dcc-99")
+        with pytest.raises(config.ConfigError, match="unknown scheme 'dcc-99'"):
+            config.resolve(scheme="dcc-99")
         assert set(SCHEMES) == {"baseline", "dcc-std", "dcc-1", "dcc-2", "dcc-3",
                                 "dcc-4", "dcc-5", "dcc-6", "dcc-7"}
 

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from cv2xsim import config, dcc, engine, mac_sps, metrics, mobility
 from cv2xsim.channel import ChannelModel, Outcome
-from cv2xsim.dcc import DccScheme, RangeControlConfig, RateControlConfig, scheme_by_name
+from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import RunConfig, Simulation, run
 from cv2xsim.mac_sps import SensingStore
 from cv2xsim.mobility import Fleet, ScenarioPreset
@@ -18,9 +18,11 @@ def quiet_channel():
 
 
 def make_cfg(preset, scheme="baseline", seed=1, duration=2.0, warmup=1.0, **kw):
-    scheme = scheme_by_name(scheme) if isinstance(scheme, str) else scheme
-    return RunConfig(scenario=preset, scheme=scheme, duration_s=duration,
-                     warmup_s=warmup, seed=seed, **kw)
+    """A RunConfig over `preset` with the rate and range configs that
+    `scheme` resolves to; `rate=` and `range=` in `kw` replace them."""
+    built = config.build_run_config(config.resolve(scheme=scheme))
+    kw = {"rate": built.rate, "range": built.range, **kw}
+    return RunConfig(scenario=preset, duration_s=duration, warmup_s=warmup, seed=seed, **kw)
 
 
 def stationary(positions):
@@ -201,15 +203,17 @@ class TestPteTrigger:
         preset = ScenarioPreset("wobbly", 2, 70.0, road_length_km=2.0, lanes=2,
                                 wraparound=True, region="full",
                                 speed_sigma=speed_sigma, speed_reversion=0.2)
-        rate = RateControlConfig(density_coefficient=0.01)
-        scheme = DccScheme(name="dcc-pte", rate=rate, range=RangeControlConfig())
         v = preset.speed_kmh / 3.6
-        return preset, scheme, Fleet([500.0, 520.0], [0, 0], [v, v], [v, v])
+        return preset, Fleet([500.0, 520.0], [0, 0], [v, v], [v, v])
+
+    @staticmethod
+    def dcc_pte(preset, **rate):
+        return make_cfg(preset, duration=6.0, warmup=1.0, seed=12, channel=quiet_channel(),
+                        rate=RateControlConfig(**rate), range=RangeControlConfig())
 
     def test_speed_perturbation_forces_extra_broadcasts(self):
-        preset, scheme, fleet = self.wobbly_pair(speed_sigma=6.0)
-        cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
-                       channel=quiet_channel())
+        preset, fleet = self.wobbly_pair(speed_sigma=6.0)
+        cfg = self.dcc_pte(preset, density_coefficient=0.01)
         res = run(cfg, fleet)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         # the 600 ms cadence alone would give roughly ten broadcasts per UE
@@ -221,19 +225,15 @@ class TestPteTrigger:
         assert any(np.min(np.diff(g)) < 300 for g in gaps.values() if len(g) > 1)
 
     def test_constant_speed_never_triggers(self):
-        preset, scheme, fleet = self.wobbly_pair(speed_sigma=0.0)
-        cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
-                       channel=quiet_channel())
+        preset, fleet = self.wobbly_pair(speed_sigma=0.0)
+        cfg = self.dcc_pte(preset, density_coefficient=0.01)
         res = run(cfg, fleet)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 11
 
     def test_disabled_trigger_ignores_tracking_error(self):
-        preset, scheme, fleet = self.wobbly_pair(speed_sigma=6.0)
-        scheme = DccScheme(name="dcc-no-pte", range=scheme.range,
-                           rate=RateControlConfig(density_coefficient=0.01, pte_enabled=False))
-        cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
-                       channel=quiet_channel())
+        preset, fleet = self.wobbly_pair(speed_sigma=6.0)
+        cfg = self.dcc_pte(preset, density_coefficient=0.01, pte_enabled=False)
         res = run(cfg, fleet)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 11
@@ -241,10 +241,7 @@ class TestPteTrigger:
     def test_no_perturbation_means_no_extra_traffic(self):
         preset = ScenarioPreset("calm", 2, 70.0, road_length_km=2.0, lanes=2,
                                 wraparound=True, region="full")
-        scheme = DccScheme(name="dcc-pte", rate=RateControlConfig(),
-                           range=RangeControlConfig())
-        cfg = make_cfg(preset, scheme, duration=6.0, warmup=1.0, seed=12,
-                       channel=quiet_channel())
+        cfg = self.dcc_pte(preset)
         res = run(cfg)
         per_ue = collections.Counter(res.event_log.tx_events["ue"].tolist())
         assert max(per_ue.values()) <= 61
@@ -357,7 +354,7 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
     store, ledger = sim.store, sim.metrics
     tracemalloc.start()
     ledger.update_roi(sim.x, sim.y, sim.geometry)
-    dcc.neighbor_counts(sim.x, sim.y, sim.geometry, cfg.scheme.rate.neighbor_radius_m)
+    dcc.neighbor_counts(sim.x, sim.y, sim.geometry, cfg.rate.neighbor_radius_m)
     build_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
@@ -381,3 +378,16 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
     assert build_peak >= 3 * 8 * sim.n_ue ** 2
     assert cfg.memory_estimate_mib()["scenario.vehicle_count"] * 2 ** 20 >= \
         sum(a.nbytes for a in held) + build_peak + flush_peak
+
+
+def test_baseline_rate_ceiling_acts():
+    # baseline is a point of the rate space (a 100 ms ceiling), so raising
+    # its ceiling lets the dense ring's ITT stretch (halved first sample:
+    # smoothing starts from a count of 0)
+    def first_itt(overrides):
+        resolved = config.resolve(None, {"run.duration_s": "0.3", "run.warmup_s": "0.1",
+                                         **overrides}, scenario="mini-oversat", scheme="baseline")
+        return run(config.build_run_config(resolved)).timeseries[0][3]
+
+    assert first_itt({}) == 100.0
+    assert first_itt({"rate.itt_max_ms": "600"}) > 300.0
