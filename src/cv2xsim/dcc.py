@@ -117,17 +117,19 @@ def tracking_error(x_m: np.ndarray, last_x_m: np.ndarray, last_speed_mps: np.nda
     return geometry.dx(predicted, x_m)
 
 
-def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, itt_ms: np.ndarray,
+def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, period_ms: np.ndarray,
                      pte_m: np.ndarray | None, pte_threshold_m: float):
     """Masks of the UEs that release a packet now, as (timer, tracking).
 
     Only UEs with no packet pending release.  The rate timer fires once
-    elapsed_ms since the last transmission reaches itt_ms; the tracking
-    trigger fires where the tracking error exceeds the threshold.  With no
-    tracking error (pte_m None) there is no tracking mask: it is None.
+    elapsed_ms since the last transmission reaches period_ms, the ITT in the
+    whole subframes that a grant's period takes, so a packet is ready by
+    the occurrence; the tracking trigger fires where the tracking error
+    exceeds the threshold.  With no tracking error (pte_m None) there is no
+    tracking mask: it is None.
     """
     idle = ~pending
-    timer = idle & (elapsed_ms >= itt_ms)
+    timer = idle & (elapsed_ms >= period_ms)
     return timer, None if pte_m is None else idle & (pte_m > pte_threshold_m)
 
 

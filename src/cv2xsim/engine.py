@@ -417,7 +417,7 @@ class Simulation:
                 x_true = self.geometry.wrap_x(self.x + self.speed * frac_s)
                 pte = dcc.tracking_error(x_true, self.bcast_x, self.bcast_v,
                                          n - self.bcast_t, self.geometry)
-            ready, pte_fire = dcc.release_triggers(self.pending, n - self.last_tx, self.itt_ms,
+            ready, pte_fire = dcc.release_triggers(self.pending, n - self.last_tx, self.itt_sf,
                                                    pte, rate_cfg.pte_threshold_m)
             gen = ready if pte_fire is None else ready | pte_fire
             # np.count_nonzero for .any() and .all(): half the cost on arrays this small

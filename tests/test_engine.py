@@ -247,6 +247,24 @@ class TestPteTrigger:
         assert max(per_ue.values()) <= 61
 
 
+class TestRateTimer:
+    def test_packet_meets_a_grant_whose_period_rounds_down(self):
+        # three parked neighbors (two each) smooth to 1.5 at 1 s: an ITT of
+        # 115.38 ms and a grant period of 115.  The packet must be released
+        # by the grant's occurrence, not one subframe after it, where it
+        # would wait out a whole period.
+        preset = ScenarioPreset("trio", 3, 0.0, road_length_km=1.0, lanes=2, region="full")
+        cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=3, channel=quiet_channel(),
+                       rate=RateControlConfig(density_coefficient=1.3),
+                       range=RangeControlConfig())
+        events = run(cfg, stationary([(100.0, 0), (140.0, 0), (180.0, 0)])).event_log.tx_events
+        late = events[events["subframe"] >= 1300]
+        assert np.all(late["period_ms"] == 115)
+        assert np.all(late["queue_delay_ms"] == 0)
+        for ue in range(3):
+            assert set(np.diff(late["subframe"][late["ue"] == ue]).tolist()) == {115}
+
+
 class TestCrLimit:
     def test_occupancy_cap_skips_transmissions(self):
         preset = ScenarioPreset("capped", 3, 0.0, road_length_km=1.0, lanes=2, region="full")

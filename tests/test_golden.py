@@ -46,7 +46,7 @@ CASES = [
      "54c8f506e2e68cb054cd7df38fbeaaa2e2b289b14172d37969577bf4f3015510"),
     ("db-ranking", "mini-oversat", "dcc-7", 3,
      {**SHORT_OVERSAT, "sps.rank_average": "db"},
-     "42ec9dad68373e8e39ee540445327ca8de9319e6dab820b3b58378076dd01ec4"),
+     "41d9a1cc79f40cd6db7de905907349eecd70a2f2215c9a5738a57a9f3ac28358"),
     ("straight-road-middle-third", "freeway-high", "dcc-std", 1, SHORT_ROAD,
      "851385b9cb37a13b0bb77a4954deb7da78d0af2d09b9223f4f6bf2b3ef0438e7"),
     # speed perturbation together with respawns (4 in this run)
