@@ -113,8 +113,15 @@ class RunConfig:
             raise ValueError("cr.cbp_limit must be in [0, 1]")
         if len(self.cr_calibration) < 2:
             raise ValueError("cr.calibration needs at least two cbp:density points")
-        if np.any(np.diff(sorted(cbp for cbp, _ in self.cr_calibration)) <= 0):
+        cbps, densities = np.array(sorted(self.cr_calibration)).T
+        if np.any(np.diff(cbps) <= 0):
             raise ValueError("cr.calibration busy fractions must be strictly increasing")
+        # so that the density interpolated at any busy fraction above the
+        # limit, the cap's divisor, is positive
+        if np.any(densities < 0) or np.any(densities[(cbps > self.cbp_limit)] <= 0) \
+                or densities[-1] <= 0:
+            raise ValueError("cr.calibration densities must be at least 0, and positive at "
+                             "its last point and at each point above cr.cbp_limit")
         if self.cr_limit_enabled and self.sps.sensing_window_sf < mac_sps.CR_PAST_SF:
             # the CR counts each UE's own transmissions in the sensing store
             raise ValueError(f"sps.sensing_window_sf must be at least {mac_sps.CR_PAST_SF} "

@@ -46,6 +46,8 @@ class SpsConfig:
             raise ValueError("p_resel must be in [0, 1]")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
+        if self.rank_period_sf < 1:
+            raise ValueError("rank_period_sf must be at least 1")
         if self.rank_average not in ("mw", "db"):
             raise ValueError(f"unknown rank_average {self.rank_average!r}")
 

@@ -37,6 +37,11 @@ class ScenarioPreset:
             raise ValueError(f"unknown region mode {self.region!r}")
         if self.lanes < 1:
             raise ValueError("lanes must be at least 1")
+        if self.lane_width_m <= 0:
+            raise ValueError("lane_width_m must be positive")
+        for name in ("speed_sigma", "speed_reversion"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         per_lane = math.ceil(self.vehicle_count / self.lanes)
         if per_lane > self.road_length_km * 1000.0:
             raise ValueError("density above jam density (under 1 m headway per lane)")

@@ -150,6 +150,19 @@ def test_optional_key_takes_none_from_every_source(tmp_path):
     pytest.param(["channel.fading=nakagami", "channel.nakagami_m=0"], "[channel] nakagami_m",
                  id="channel.nakagami_m"),
     pytest.param(["scenario.lanes=0"], "[scenario] lanes", id="scenario.lanes"),
+    pytest.param(["sps.rank_period_sf=0"], "[sps] rank_period_sf", id="sps.rank_period_sf=0"),
+    pytest.param(["sps.rank_period_sf=-100"], "[sps] rank_period_sf",
+                 id="sps.rank_period_sf<0"),
+    pytest.param(["scenario.lane_width_m=-4"], "[scenario] lane_width_m",
+                 id="scenario.lane_width_m"),
+    pytest.param(["scenario.speed_sigma=-1"], "[scenario] speed_sigma", id="scenario.speed_sigma"),
+    pytest.param(["scenario.speed_reversion=-0.5"], "[scenario] speed_reversion",
+                 id="scenario.speed_reversion"),
+    # the CR cap divides by the density at each busy fraction above the limit
+    pytest.param(["cr.enabled=true", "cr.calibration=0:0,1:0"], "cr.calibration",
+                 id="cr.calibration-zero-density"),
+    pytest.param(["cr.calibration=0:-50,1:100"], "cr.calibration",
+                 id="cr.calibration-negative-density"),
 ])
 def test_validate_rejects_bad_config(sets, key, capsys):
     args = ["validate", "--scenario", "mini-low"]
