@@ -122,9 +122,9 @@ def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, period_ms: np.
     """Masks of the UEs that release a packet now, as (timer, tracking).
 
     Only UEs with no packet pending release.  The rate timer fires once
-    elapsed_ms since the last transmission reaches period_ms, the ITT in the
-    whole subframes that a grant's period takes, so a packet is ready by
-    the occurrence; the tracking trigger fires where the tracking error
+    elapsed_ms since the last transmission reaches period_ms, the ITT as the
+    whole subframes of a grant's period, so the packet is ready by the
+    grant's occurrence; the tracking trigger fires where the tracking error
     exceeds the threshold.  With no tracking error (pte_m None) there is no
     tracking mask: it is None.
     """

@@ -118,7 +118,7 @@ class RunConfig:
             raise ValueError("cr.calibration busy fractions must be strictly increasing")
         # so that the density interpolated at any busy fraction above the
         # limit, the cap's divisor, is positive
-        if np.any(densities < 0) or np.any(densities[(cbps > self.cbp_limit)] <= 0) \
+        if np.any(densities < 0) or np.any(densities[cbps > self.cbp_limit] <= 0) \
                 or densities[-1] <= 0:
             raise ValueError("cr.calibration densities must be at least 0, and positive at "
                              "its last point and at each point above cr.cbp_limit")
