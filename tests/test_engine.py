@@ -255,8 +255,7 @@ class TestRateTimer:
         # would wait out a whole period.
         preset = ScenarioPreset("trio", 3, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=3, channel=quiet_channel(),
-                       rate=RateControlConfig(density_coefficient=1.3),
-                       range=RangeControlConfig())
+                       rate=RateControlConfig(density_coefficient=1.3))
         events = run(cfg, stationary([(100.0, 0), (140.0, 0), (180.0, 0)])).event_log.tx_events
         late = events[events["subframe"] >= 1300]
         assert np.all(late["period_ms"] == 115)
