@@ -3,9 +3,11 @@
 Each case exercises one path of the simulator (shadowing mode, fading, CR
 limit, ranking average, half-duplex exemption, rate control with speed
 perturbation, an oversaturated ring, a straight road whose metrics come
-only from its middle-third region, and a straight road whose perturbed
-vehicles respawn at its ends).  The output files of the first case and of
-the first straight road are pinned byte for byte as well.
+only from its middle-third region, a straight road whose perturbed
+vehicles respawn at its ends, and held grants that see the ITT change).
+The output files of the first case and of the first straight road are
+pinned byte for byte as well, and the gap and transmission files of the
+held-grant case.
 When the digests were pinned, every case with an override was checked to
 differ from the same run without it, so a change to that path moves its
 digest.  Two cases are also run with every transmitting subframe resolved in
@@ -22,6 +24,8 @@ from cv2xsim import cli, config, engine
 SHORT = {"run.duration_s": "1.5", "run.warmup_s": "0.5"}
 SHORT_OVERSAT = {"run.duration_s": "1.0", "run.warmup_s": "0.5"}
 SHORT_ROAD = {"run.duration_s": "1.2", "run.warmup_s": "0.5"}
+# long enough for a second density sample to move the ITT under held grants
+ITT_CHANGE = {"run.duration_s": "2.5", "run.warmup_s": "1.0"}
 
 # (id, scenario, scheme, seed, overrides, event-log digest)
 CASES = [
@@ -53,12 +57,17 @@ CASES = [
     ("straight-road-speed-sigma", "freeway-high", "dcc-7", 1,
      {**SHORT_ROAD, "scenario.speed_sigma": "1.0"},
      "b3e86c817ea0e03ef0807e92d0e4795633eca74f600cbcef67df4a28d8391e45"),
+    # grant periods of 348-446 ms in the first second and 523-600 ms after,
+    # so packets queue behind grants held across the ITT change
+    ("itt-change-held-grants", "mini-oversat", "dcc-std", 1, ITT_CHANGE,
+     "cd7a95237e37dce9db0b9545dbfd2c0436883e559904d20723d507a03939ea77"),
 ]
 
 # sha256 of the files that `cli.write_outputs` writes, per case.  All but
 # manifest.json (it carries the version) for mini-low-baseline; the CSVs for
 # the straight road, whose metrics only its region's transmitters feed and
-# whose range control writes powers other than 23 dBm into txevents.csv.
+# whose range control writes powers other than 23 dBm into txevents.csv; the
+# gaps and transmissions of the held grants, whose ITT is not 100 ms.
 FILE_PINS = {
     "mini-low-baseline": {
         "pdr_vs_distance.csv": "bf4adb3853a2df295ed69525a6dfab9f5e010dce56d2327b81270791077b0466",
@@ -76,6 +85,10 @@ FILE_PINS = {
         "blind_nodes.csv": "5e9ae640209b5f6aca479465cdd7b83eefcdbf6b40f3526be8f1969f9ef1fc3b",
         "txevents.csv": "16b5fcd6cc3cd22d1cc0f43e460893c4c5df4ec2bf96143a00dd6f2eb4dd767f",
         "timeseries.csv": "0c4ed1892c1c73014ced30196b956fbf040c0d27c5f357992e185502be27a550",
+    },
+    "itt-change-held-grants": {
+        "ipg.csv": "46c65849a7ed130423fadeddea016878cc8dac9a3871bbb11783856b67e4e29a",
+        "txevents.csv": "53275cc7b32dbb95fa325dc9a03558abb72415b661a451727de507d896ac368b",
     },
 }
 
