@@ -125,7 +125,7 @@ class MetricsStore:
         self._cells: LedgerCells | None = None
         self.gap_sum_ms = np.zeros(self.n_bins)
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
-        self._gap_chunks: list[np.ndarray] = []
+        self.gap_hist = np.zeros(0, dtype=np.int64)    # pooled gap samples per gap in ms
         self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int32)   # ms stay below 2**31
         self.roi_pairs: np.ndarray | None = None
 
@@ -159,7 +159,9 @@ class MetricsStore:
                 self.gap_sum_ms += np.bincount(db[has_prev], weights=gaps,
                                                minlength=self.n_bins)
                 self.gap_count += np.bincount(db[has_prev], minlength=self.n_bins)
-                self._gap_chunks.append(gaps)
+                hist = np.bincount(gaps, minlength=self.gap_hist.size)
+                hist[:self.gap_hist.size] += self.gap_hist
+                self.gap_hist = hist
             closes = np.append(opens[1:], True)
             self.last_rx_ms[dp[closes]] = dt[closes]
 
@@ -200,14 +202,6 @@ class MetricsStore:
             kept = geometry.distance(x[tx], y[tx], x[rx], y[rx]) <= self.roi_radius_m
             self.roi_pairs = self.roi_pairs[kept]
 
-    def gap_samples(self) -> np.ndarray:
-        """Every gap sample in one array, which replaces the chunks, so the
-        samples are held once; their order carries nothing."""
-        if len(self._gap_chunks) != 1:
-            self._gap_chunks[:] = [np.concatenate(self._gap_chunks) if self._gap_chunks
-                                   else np.zeros(0, dtype=np.int64)]
-        return self._gap_chunks[0]
-
     def bin_edges(self, b: int) -> tuple[float, float]:
         return (b * self.bin_width_m, (b + 1) * self.bin_width_m)
 
@@ -243,7 +237,8 @@ def pdr(store: MetricsStore) -> list[BinValue]:
 @dataclass(frozen=True)
 class IpgStats:
     bins: list[BinValue]            # mean gap (ms) per distance bin at reception time
-    ecdf_gaps_ms: np.ndarray        # sorted pooled gap samples; the k-th has probability k/N
+    ecdf_gaps_ms: np.ndarray        # distinct pooled gaps, ascending
+    ecdf_counts: np.ndarray         # samples at each gap; the k-th sample has probability k/N
     p80_ms: float | None
 
 
@@ -258,10 +253,12 @@ def ipg_stats(store: MetricsStore) -> IpgStats:
         lo, hi = store.bin_edges(b)
         bins.append(BinValue(lo, hi, float(store.gap_sum_ms[b] / store.gap_count[b]),
                              int(store.gap_count[b])))
-    gaps = store.gap_samples()
-    gaps.sort()     # in place: the store's one copy of the samples
-    p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1]) if gaps.size else None
-    return IpgStats(bins, gaps, p80)
+    gaps = np.flatnonzero(store.gap_hist)
+    counts = store.gap_hist[gaps]
+    # the ceil(0.8 N)-th sample is the first gap whose cumulative count reaches it
+    cum = np.cumsum(counts)
+    p80 = float(gaps[cum.searchsorted(math.ceil(0.8 * int(cum[-1])))]) if gaps.size else None
+    return IpgStats(bins, gaps, counts, p80)
 
 
 def slt(store: MetricsStore, observation_s: float) -> list[BinValue]:
@@ -348,18 +345,16 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
         f.write("kind,bin_lo_m,bin_hi_m,gap_ms,value\r\n")
         f.writelines(f"bin_mean,{FLOAT},{FLOAT},{FLOAT},%d\r\n"
                      % (r.bin_lo_m, r.bin_hi_m, r.value, r.n_pairs) for r in stats.bins)
-        # gaps are whole ms, written as ints.  The gaps are sorted, so each
-        # run of equal gaps, found by a binary search, shares one row
-        # template, filled a chunk of probabilities k/N at a time
-        gaps = stats.ecdf_gaps_ms
-        lo = 0
-        while lo < gaps.size:
-            hi = int(gaps.searchsorted(gaps[lo], side="right"))
-            row = f"ecdf,,,{gaps[lo]},{FLOAT}\r\n"
+        # gaps are whole ms, written as ints.  The samples of one gap, the
+        # lo+1-th to the hi-th, share one row template, filled a chunk of
+        # probabilities k/N at a time
+        n, hi = int(stats.ecdf_counts.sum()), 0
+        for gap, count in zip(stats.ecdf_gaps_ms.tolist(), stats.ecdf_counts.tolist()):
+            lo, hi = hi, hi + count
+            row = f"ecdf,,,{gap},{FLOAT}\r\n"
             for i in range(lo, hi, _ECDF_CHUNK):
-                p = (np.arange(i + 1.0, min(i + _ECDF_CHUNK, hi) + 1.0) / gaps.size).tolist()
+                p = (np.arange(i + 1.0, min(i + _ECDF_CHUNK, hi) + 1.0) / n).tolist()
                 f.write((row * len(p)) % tuple(p))
-            lo = hi
         if stats.p80_ms is not None:
             f.write(f"p80,,,{FLOAT},\r\n" % stats.p80_ms)
 

@@ -20,6 +20,9 @@ the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
 tables written cell by cell and swept column by column, and an (n_ue, n_ue)
 region-of-interest mask that each tick's in-range mask is ANDed into.
 `dense_counts` lays the sparse ledger's cells out in the same tables.
+`ipg_stats` is the sample form of `cv2xsim.metrics.ipg_stats`: every gap
+sample is kept with its bin, each bin's mean is a Python int sum over its
+samples, and p80 is the ceil(0.8 N)-th of the sorted samples.
 
 `resolve_subframe` is the subframe-by-subframe form of
 `cv2xsim.channel.resolve_subframe`: one call per subframe, with a draw and
@@ -39,7 +42,7 @@ row templates of the CSV writers in `cv2xsim.metrics`: `fmt` writes an int
 as `str` and a float at 6 significant digits.  `write_ipg_csv` and
 `write_txevents_csv` are the row-by-row form of
 `cv2xsim.metrics.write_ipg_csv` and `cv2xsim.engine.EventLog.write_csv`:
-one f-string per ECDF sample, with its probability k/N, and per
+one f-string per sorted gap sample, with its probability k/N, and per
 transmission.
 """
 
@@ -56,7 +59,7 @@ from cv2xsim.channel import ChannelModel, Outcome, SubframeResolution, pathloss
 from cv2xsim.core import RngStream, RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
-from cv2xsim.metrics import BinValue, BlindReport, GainBin, IpgStats, MetricsStore
+from cv2xsim.metrics import BinValue, BlindReport, GainBin, MetricsStore
 from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
 from cv2xsim.mobility import ScenarioPreset
 
@@ -320,9 +323,8 @@ class DenseMetricsStore:
         self.roi_radius_m = roi_radius_m
         self.tx_count = np.zeros((n_ue * n_ue, self.n_bins), dtype=np.int32)
         self.rx_count = np.zeros((n_ue * n_ue, self.n_bins), dtype=np.int32)
-        self.gap_sum_ms = np.zeros(self.n_bins)
-        self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
-        self._gap_chunks: list[np.ndarray] = []
+        self.gap_bins: list[int] = []       # distance bin of each gap sample
+        self.gap_ms: list[int] = []         # each gap sample, in recording order
         self.last_rx_ms = np.full(n_ue * n_ue, -1, dtype=np.int64)
         self.roi_always = ~np.eye(n_ue, dtype=bool)
 
@@ -336,21 +338,12 @@ class DenseMetricsStore:
             self.rx_count[dp, db] += 1
             prev = self.last_rx_ms[dp]
             has_prev = prev >= 0
-            if has_prev.any():
-                gaps = (now_ms - prev[has_prev]).astype(np.int64)
-                self.gap_sum_ms += np.bincount(db[has_prev], weights=gaps,
-                                               minlength=self.n_bins)
-                self.gap_count += np.bincount(db[has_prev], minlength=self.n_bins)
-                self._gap_chunks.append(gaps)
+            self.gap_bins.extend(db[has_prev].tolist())
+            self.gap_ms.extend((now_ms - prev[has_prev]).tolist())
             self.last_rx_ms[dp] = now_ms
 
     def update_roi(self, within_roi: np.ndarray) -> None:
         self.roi_always &= within_roi
-
-    def gap_samples(self) -> np.ndarray:
-        if not self._gap_chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(self._gap_chunks)
 
     def bin_edges(self, b: int) -> tuple[float, float]:
         return (b * self.bin_width_m, (b + 1) * self.bin_width_m)
@@ -392,6 +385,33 @@ def blind_nodes(store: DenseMetricsStore) -> BlindReport:
     blind = store.roi_always & (attempts > 0) & (decodes == 0)
     pairs = [(int(a), int(b)) for a, b in np.argwhere(blind)]
     return BlindReport(int(np.unique([b for _, b in pairs]).size) if pairs else 0, pairs)
+
+
+class IpgSamples(NamedTuple):
+    """Gap statistics with every pooled sample held."""
+
+    bins: list[BinValue]
+    gaps_ms: np.ndarray         # every gap sample, ascending
+    p80_ms: float | None
+
+
+def ipg_samples(bins: list[BinValue], gaps_ms) -> IpgSamples:
+    """`bins` with the gap samples `gaps_ms` sorted and the ceil(0.8 N)-th
+    of them as p80."""
+    gaps = np.sort(np.asarray(gaps_ms, dtype=np.int64))
+    p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1]) if gaps.size else None
+    return IpgSamples(list(bins), gaps, p80)
+
+
+def ipg_stats(store: DenseMetricsStore) -> IpgSamples:
+    """Mean gap per distance bin over the samples recorded in it, and every
+    sample pooled."""
+    per_bin: dict[int, list[int]] = {}
+    for b, g in zip(store.gap_bins, store.gap_ms):
+        per_bin.setdefault(b, []).append(g)
+    bins = [BinValue(*store.bin_edges(b), sum(g) / len(g), len(g))
+            for b, g in sorted(per_bin.items())]
+    return ipg_samples(bins, store.gap_ms)
 
 
 def dense_counts(store: MetricsStore) -> tuple[np.ndarray, np.ndarray]:
@@ -448,7 +468,7 @@ def write_gains_csv(path, rows: list[GainBin], n_seeds: int = 1) -> None:
 _ECDF_CHUNK = 1 << 12
 
 
-def write_ipg_csv(path, stats: IpgStats) -> None:
+def write_ipg_csv(path, stats: IpgSamples) -> None:
     """Single file with three row kinds: per-bin means, the pooled ECDF, and
     the 80th percentile."""
     with open(path, "w", newline="") as f:
@@ -459,7 +479,7 @@ def write_ipg_csv(path, stats: IpgStats) -> None:
         # the rows csv.writer would emit (gaps are whole ms, so fmt gives
         # str(int)), formatted a chunk at a time to keep few strings alive;
         # the k-th sorted gap has probability k/N
-        gaps = stats.ecdf_gaps_ms
+        gaps = stats.gaps_ms
         for i in range(0, gaps.size, _ECDF_CHUNK):
             f.writelines(f"ecdf,,,{g},{(i + j + 1) / gaps.size:.6g}\r\n"
                          for j, g in enumerate(gaps[i:i + _ECDF_CHUNK].tolist()))

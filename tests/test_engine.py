@@ -64,7 +64,7 @@ class TestTwoUes:
         for row in rows:
             assert row.value == 1.0
         stats = metrics.ipg_stats(res.metrics)
-        mean_gap = float(np.mean(stats.ecdf_gaps_ms))
+        mean_gap = float(np.average(stats.ecdf_gaps_ms, weights=stats.ecdf_counts))
         assert mean_gap == pytest.approx(100.0, abs=2.0)
 
 

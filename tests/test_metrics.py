@@ -91,7 +91,7 @@ class TestIpg:
         for t, ok in ((0, True), (100, True), (200, False), (300, True)):
             record(s, t, 0, 1, 30.0, ok)
         stats = ipg_stats(s)
-        assert sorted(stats.ecdf_gaps_ms.tolist()) == [100, 200]
+        assert stats.ecdf_gaps_ms.tolist() == [100, 200] and stats.ecdf_counts.tolist() == [1, 1]
         assert stats.bins[0].value == pytest.approx(150.0)
 
     def test_thinning_doubles_gaps(self):
@@ -99,7 +99,7 @@ class TestIpg:
         for t in range(40):
             record(s, 100 * t, 0, 1, 30.0, t % 2 == 0)
         stats = ipg_stats(s)
-        assert set(stats.ecdf_gaps_ms.tolist()) == {200}
+        assert stats.ecdf_gaps_ms.tolist() == [200] and stats.ecdf_counts.tolist() == [19]
 
     def test_ecdf_monotone_and_p80(self):
         s = store()
@@ -109,16 +109,17 @@ class TestIpg:
             record(s, t, 0, 1, 30.0, True)
             t += g
         stats = ipg_stats(s)
-        assert np.all(np.diff(stats.ecdf_gaps_ms) >= 0)
+        # the last gap is never closed by a reception
+        assert stats.ecdf_gaps_ms.tolist() == [100, 300] and stats.ecdf_counts.tolist() == [8, 1]
         # smallest gap with cumulative probability k/N >= 0.8
-        probs = np.arange(1, len(gaps) + 1) / len(gaps)
-        assert stats.p80_ms == stats.ecdf_gaps_ms[np.searchsorted(probs, 0.8)]
+        probs = np.cumsum(stats.ecdf_counts) / stats.ecdf_counts.sum()
+        assert stats.p80_ms == stats.ecdf_gaps_ms[np.searchsorted(probs, 0.8)] == 100
 
     def test_single_reception_contributes_no_gap(self):
         s = store()
         record(s, 0, 0, 1, 30.0, True)
         stats = ipg_stats(s)
-        assert stats.ecdf_gaps_ms.size == 0 and stats.p80_ms is None
+        assert stats.ecdf_gaps_ms.size == stats.ecdf_counts.size == 0 and stats.p80_ms is None
 
 
 class TestSlt:
@@ -180,7 +181,8 @@ class TestBlindNodes:
         assert blind_nodes(s).pairs == [(0, 1)]
         [slt_row] = slt(s, 1.0)
         assert slt_row.value == 0.0
-        assert ipg_stats(s).ecdf_gaps_ms.size == 0   # mean gap undefined
+        stats = ipg_stats(s)     # mean gap undefined
+        assert stats.bins == [] and stats.ecdf_counts.size == 0
 
     def test_roi_mask_excludes_distant_pairs(self):
         s = store()
@@ -247,6 +249,7 @@ def test_batched_recording_matches_per_link_accumulation():
     tx_count = np.zeros((n_ue * n_ue, s.n_bins), dtype=np.int64)
     rx_count = np.zeros_like(tx_count)
     gap_sum, gap_count = np.zeros(s.n_bins), np.zeros(s.n_bins, dtype=np.int64)
+    gap_hist = collections.Counter()
     last = {}
     for now in range(0, 3000, 7):
         senders = rng.choice(n_ue, size=int(rng.integers(1, 4)), replace=False)
@@ -262,11 +265,14 @@ def test_batched_recording_matches_per_link_accumulation():
                 if p in last:
                     gap_sum[b] += now - last[p]
                     gap_count[b] += 1
+                    gap_hist[now - last[p]] += 1
                 last[p] = now
     got_tx, got_rx = oracles.dense_counts(s)
     assert np.array_equal(got_tx, tx_count) and np.array_equal(got_rx, rx_count)
     assert s.gap_sum_ms.tolist() == gap_sum.tolist()
     assert s.gap_count.tolist() == gap_count.tolist()
+    # one count per gap value, up to the longest gap
+    assert s.gap_hist.tolist() == [gap_hist[g] for g in range(max(gap_hist) + 1)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,6 +287,13 @@ def test_sparse_counts_match_a_counter(batches, buffer_keys, min_fold):
     keys, n = counts.compacted()
     assert keys.tolist() == sorted(want)
     assert n.tolist() == [want[k] for k in sorted(want)]
+
+
+def assert_ipg_matches(got, want: oracles.IpgSamples) -> None:
+    """The histogram statistics hold every sorted sample as a (gap, count) run."""
+    assert got.bins == want.bins and got.p80_ms == want.p80_ms
+    gaps, counts = np.unique(want.gaps_ms, return_counts=True)
+    assert np.array_equal(got.ecdf_gaps_ms, gaps) and np.array_equal(got.ecdf_counts, counts)
 
 
 class SmallBuffer(MetricsStore):
@@ -345,9 +358,7 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
     assert pdr(sparse) == oracles.pdr(dense)
     assert slt(sparse, 3.0) == oracles.slt(dense, 3.0)
     assert blind_nodes(sparse) == oracles.blind_nodes(dense)
-    got, want = ipg_stats(sparse), ipg_stats(dense)
-    assert got.bins == want.bins and got.p80_ms == want.p80_ms
-    assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
+    assert_ipg_matches(ipg_stats(sparse), oracles.ipg_stats(dense))
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,9 +393,7 @@ def test_batched_recording_matches_per_subframe_calls(case, cls, data):
     tx, rx = oracles.dense_counts(sparse)
     assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
     assert sparse.last_rx_ms.tolist() == dense.last_rx_ms.tolist()
-    got, want = ipg_stats(sparse), ipg_stats(dense)
-    assert got.bins == want.bins and got.p80_ms == want.p80_ms
-    assert np.array_equal(got.ecdf_gaps_ms, want.ecdf_gaps_ms)
+    assert_ipg_matches(ipg_stats(sparse), oracles.ipg_stats(dense))
     assert pdr(sparse) == oracles.pdr(dense) and slt(sparse, 3.0) == oracles.slt(dense, 3.0)
 
 
@@ -453,4 +462,5 @@ def test_empty_ledger():
     assert blind_nodes(s) == oracles.blind_nodes(oracles.DenseMetricsStore(4, 25.0, 500.0, 190,
                                                                            ROI_M))
     stats = ipg_stats(s)
-    assert stats.bins == [] and stats.ecdf_gaps_ms.size == 0 and stats.p80_ms is None
+    assert stats.bins == [] and stats.ecdf_gaps_ms.size == stats.ecdf_counts.size == 0
+    assert stats.p80_ms is None

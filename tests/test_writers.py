@@ -2,7 +2,6 @@
 their row-by-row forms, the other writers against their `csv.writer` forms.
 Every file must be byte-equal."""
 
-import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -26,17 +25,17 @@ def file_bytes(write) -> bytes:
         return path.read_bytes()
 
 
-def ecdf(gaps, bins=()) -> IpgStats:
-    """IpgStats over sorted `gaps`, with the p80 row `ipg_stats` would give."""
-    gaps = np.asarray(gaps, dtype=np.int64)
-    p80 = float(gaps[math.ceil(0.8 * gaps.size) - 1]) if gaps.size else None
-    return IpgStats(list(bins), gaps, p80)
+def ecdf(samples: oracles.IpgSamples) -> IpgStats:
+    """IpgStats over the oracle's sorted samples: each distinct gap with its
+    count, and the same bins and p80."""
+    return IpgStats(samples.bins, *np.unique(samples.gaps_ms, return_counts=True),
+                    samples.p80_ms)
 
 
-def ipg_bytes(stats: IpgStats) -> tuple[bytes, bytes]:
+def ipg_bytes(samples: oracles.IpgSamples) -> tuple[bytes, bytes]:
     """ipg.csv from the writer and from its oracle."""
-    return (file_bytes(lambda p: metrics.write_ipg_csv(p, stats)),
-            file_bytes(lambda p: oracles.write_ipg_csv(p, stats)))
+    return (file_bytes(lambda p: metrics.write_ipg_csv(p, ecdf(samples))),
+            file_bytes(lambda p: oracles.write_ipg_csv(p, samples)))
 
 
 def txevents_bytes(log: EventLog) -> tuple[bytes, bytes]:
@@ -46,8 +45,8 @@ def txevents_bytes(log: EventLog) -> tuple[bytes, bytes]:
 
 @st.composite
 def ipg_cases(draw):
-    """Runs of equal gaps (sorted), a few bin rows, and the ECDF chunk size
-    to write with."""
+    """The oracle's statistics over runs of equal gaps, with a few bin rows,
+    and the ECDF chunk size to write with."""
     runs = draw(st.lists(st.integers(1, 40), max_size=8))
     values = sorted(draw(st.lists(st.integers(1, 10 ** 7), min_size=len(runs),
                                   max_size=len(runs), unique=True)))
@@ -56,22 +55,21 @@ def ipg_cases(draw):
             draw(st.lists(st.tuples(st.integers(0, 40),
                                     st.floats(0.0, 1e7, allow_nan=False),
                                     st.integers(1, 10 ** 6)), max_size=4))]
-    return ecdf(gaps, bins), draw(st.sampled_from([1, 2, 3, 5, 1024]))
+    return oracles.ipg_samples(bins, gaps), draw(st.sampled_from([1, 2, 3, 5, 1024]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(ipg_cases())
 def test_ipg_csv_matches_row_by_row_oracle(case):
-    stats, chunk = case
+    samples, chunk = case
     with mock.patch.object(metrics, "_ECDF_CHUNK", chunk):
-        new, oracle = ipg_bytes(stats)
+        new, oracle = ipg_bytes(samples)
     assert new == oracle
 
 
 @pytest.mark.parametrize("gaps", [[], [100]], ids=["empty", "single-row"])
 def test_ipg_csv_tiny_ecdf(gaps):
-    stats = ecdf(gaps)
-    new, oracle = ipg_bytes(stats)
+    new, oracle = ipg_bytes(oracles.ipg_samples([], gaps))
     assert new == oracle
     assert new.count(b"ecdf") == len(gaps) and new.count(b"p80") == len(gaps)
 
@@ -81,8 +79,7 @@ def test_ipg_csv_run_across_the_chunk_and_tiny_probabilities():
     and with 12,000 samples the first probabilities are below 1e-4."""
     assert metrics._ECDF_CHUNK < 5000
     gaps = [100] * 5000 + [101] * 6999 + [250]
-    stats = ecdf(gaps)
-    new, oracle = ipg_bytes(stats)
+    new, oracle = ipg_bytes(oracles.ipg_samples([], gaps))
     assert new == oracle
     assert b"ecdf,,,100,8.33333e-05\r\n" in new and b"p80,,,101,\r\n" in new
 
