@@ -76,7 +76,7 @@ def write_outputs(out_dir: Path, resolved: dict[str, object],
         "collided_by_second": {str(k): v for k, v in sorted(result.collided_by_second().items())},
     }
     with open(out_dir / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     return summary
 

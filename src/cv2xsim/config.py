@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import json
+import math
 from dataclasses import Field, asdict, fields
 from typing import get_args, get_type_hints
 
@@ -76,24 +77,35 @@ _OPTIONAL_KEYS = frozenset(
     for name, hint in get_type_hints(cls).items() if type(None) in get_args(hint))
 
 
+def _float(key: str, raw) -> float:
+    """`raw`, a number or its text, as a float, which must be finite."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    except OverflowError:       # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
+
+
 def _convert(key: str, raw, default):
-    """`raw` as the type of the key's `default`; a string is parsed."""
+    """`raw` as the type of the key's `default`; a string is parsed.  A float
+    key takes only a finite number."""
     if raw is None and key not in _OPTIONAL_KEYS:
         raise ConfigError(f"{key}: expected a value, got None")
     if not isinstance(raw, str):
         if isinstance(default, bool):
             return bool(raw)
         if isinstance(default, float) and isinstance(raw, (int, float)):
-            return float(raw)
+            return _float(key, raw)
         return raw
     text = raw.strip()
     if key in _OPTIONAL_KEYS and text.lower() in ("none", "null", ""):
         return None
     if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        return _float(key, raw)
     if isinstance(default, bool):
         if text.lower() in ("true", "yes", "on", "1"):
             return True
@@ -195,6 +207,8 @@ def parse_calibration(text: str) -> tuple[tuple[float, float], ...]:
     for part in str(text).split(","):
         cbp, _, density = part.partition(":")
         points.append((float(cbp), float(density)))
+        if not all(map(math.isfinite, points[-1])):
+            raise ValueError(f"non-finite point {part!r}")
     return tuple(points)
 
 
@@ -239,5 +253,5 @@ def write_manifest(path, resolved: dict[str, object], version: str) -> None:
     body = {"tool": "cv2xsim", "version": version,
             "config": {k: resolved[k] for k in sorted(resolved)}}
     with open(path, "w") as f:
-        json.dump(body, f, indent=2, sort_keys=True)
+        json.dump(body, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

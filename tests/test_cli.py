@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -163,6 +164,12 @@ def test_optional_key_takes_none_from_every_source(tmp_path):
                  id="cr.calibration-zero-density"),
     pytest.param(["cr.calibration=0:-50,1:100"], "cr.calibration",
                  id="cr.calibration-negative-density"),
+    # a float key takes only a finite number, and the CR table only finite points
+    *(pytest.param([f"{key}={value}"], key, id=f"{key}={value}") for key, value in (
+        ("metrics.bin_width_m", "nan"), ("channel.shadowing_sigma_db", "nan"),
+        ("rate.density_coefficient", "nan"), ("scenario.speed_kmh", "nan"),
+        ("range.p_max_dbm", "inf"), ("range.p_min_dbm", "-inf"), ("run.duration_s", "nan"),
+        ("cr.calibration", "0:0,1:inf"), ("cr.calibration", "0:0,nan:100,1:200"))),
 ])
 def test_validate_rejects_bad_config(sets, key, capsys):
     args = ["validate", "--scenario", "mini-low"]
@@ -218,6 +225,20 @@ class TestCliCommands:
         for key, value in (("rate.smoothing", 0.5), ("run.log_rx_outcomes", False)):
             config.write_manifest(path, {**config.resolve(scenario="mini-low"), key: value},
                                   "0.1.0")
+            assert main(["validate", "--config", str(path)]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_manifest_with_non_finite_value_exit_code(self, tmp_path, capsys):
+        # json reads NaN, Infinity and ints past the float range, but no
+        # manifest may carry them
+        resolved = config.resolve(scenario="mini-low")
+        with pytest.raises(ValueError):
+            config.write_manifest(tmp_path / "bad.json", {**resolved, "range.eta": math.nan},
+                                  "0.1.0")
+        path = tmp_path / "manifest.json"
+        for key, value in (("channel.shadowing_sigma_db", "NaN"), ("range.p_max_dbm", "Infinity"),
+                           ("run.duration_s", "1" + "0" * 400)):
+            path.write_text(f'{{"config": {{"{key}": {value}}}}}')
             assert main(["validate", "--config", str(path)]) == 2
             assert key in capsys.readouterr().err
 
