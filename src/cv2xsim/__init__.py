@@ -9,12 +9,13 @@ from .channel import ChannelModel, Outcome
 from .core import RngPool, RngStream, RoadGeometry, dbm_to_mw
 from .dcc import RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
-from .mac_sps import SensingStore, SensingWindow, SpsConfig
+from .mac_sps import CrConfig, SensingStore, SensingWindow, SpsConfig
+from .metrics import MetricsConfig
 from .mobility import PRESETS, Fleet, ScenarioPreset
 
 __all__ = [
-    "ChannelModel", "Fleet", "Outcome", "PRESETS", "RangeControlConfig", "RateControlConfig",
-    "RngPool", "RngStream", "RoadGeometry", "RunConfig", "RunResult", "SCHEMES",
-    "ScenarioPreset", "SensingStore", "SensingWindow", "Simulation", "SpsConfig", "dbm_to_mw",
-    "run", "__version__",
+    "ChannelModel", "CrConfig", "Fleet", "MetricsConfig", "Outcome", "PRESETS",
+    "RangeControlConfig", "RateControlConfig", "RngPool", "RngStream", "RoadGeometry",
+    "RunConfig", "RunResult", "SCHEMES", "ScenarioPreset", "SensingStore", "SensingWindow",
+    "Simulation", "SpsConfig", "dbm_to_mw", "run", "__version__",
 ]

@@ -15,14 +15,14 @@ class ChannelModel:
     """Dual-slope log-distance channel with lognormal shadowing.
 
     Pathloss follows exponent `exponent` from the reference distance out to
-    `breakpoint_m` and `exponent_beyond` past it (set breakpoint_m=None for a
-    single slope).  Distances under d0 clamp to the reference loss.
+    `breakpoint_m` and `exponent_beyond` past it, one slope if they are equal.
+    Distances under d0 clamp to the reference loss.
     """
 
     d0_m: float = 10.0
     pl0_db: float = 67.8            # free-space loss at 10 m, 5.86 GHz
     exponent: float = 2.0
-    breakpoint_m: float | None = 150.0
+    breakpoint_m: float = 150.0
     exponent_beyond: float = 3.8
     shadowing_sigma_db: float = 3.0
     shadowing_mode: str = "iid"     # "iid" per (tx, rx, subframe) or "static" per pair
@@ -35,16 +35,18 @@ class ChannelModel:
     def __post_init__(self):
         if self.d0_m <= 0:
             raise ValueError("d0_m must be positive")
-        if self.exponent <= 0 or self.exponent_beyond <= 0:
-            raise ValueError("pathloss exponents must be positive")
+        for name in ("exponent", "exponent_beyond"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing_sigma_db must be non-negative")
         if self.sensitivity_dbm < self.noise_floor_dbm:
             raise ValueError("sensitivity_dbm must be at or above noise_floor_dbm")
         if self.shadowing_mode not in ("iid", "static"):
-            raise ValueError(f"unknown shadowing_mode {self.shadowing_mode!r}")
+            raise ValueError("shadowing_mode must be 'iid' or 'static', "
+                             f"not {self.shadowing_mode!r}")
         if self.fading not in ("none", "nakagami"):
-            raise ValueError(f"unknown fading {self.fading!r}")
+            raise ValueError(f"fading must be 'none' or 'nakagami', not {self.fading!r}")
         if self.nakagami_m <= 0:
             raise ValueError("nakagami_m must be positive")
         if self.sinr_threshold_db < 0:
@@ -61,12 +63,10 @@ def pathloss(d_m: np.ndarray, model: ChannelModel) -> np.ndarray:
     """Pathloss in dB at each distance of d_m, clamped below d0."""
     d = np.maximum(np.asarray(d_m, dtype=float), model.d0_m)
     pl = model.pl0_db + 10.0 * model.exponent * np.log10(d / model.d0_m)
-    if model.breakpoint_m is not None:
-        bp = max(model.breakpoint_m, model.d0_m)
-        pl_bp = model.pl0_db + 10.0 * model.exponent * np.log10(bp / model.d0_m)
-        beyond = pl_bp + 10.0 * model.exponent_beyond * np.log10(d / bp)
-        pl = np.where(d > bp, beyond, pl)
-    return pl
+    bp = max(model.breakpoint_m, model.d0_m)
+    pl_bp = model.pl0_db + 10.0 * model.exponent * np.log10(bp / model.d0_m)
+    beyond = pl_bp + 10.0 * model.exponent_beyond * np.log10(d / bp)
+    return np.where(d > bp, beyond, pl)
 
 
 class Outcome:

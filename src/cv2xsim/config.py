@@ -1,5 +1,8 @@
 """Run configuration: INI-style files with sections, named presets, CLI
-overrides, strict key checking, and reproducible manifests."""
+overrides, strict key checking, and reproducible manifests.
+
+Key `section.name` sets field `name` of `RunConfig` for [run], of
+`RunConfig.scenario` for [scenario], and of `RunConfig.<section>` otherwise."""
 
 from __future__ import annotations
 
@@ -8,13 +11,13 @@ import difflib
 import json
 import math
 from dataclasses import Field, asdict, fields
-from typing import get_args, get_type_hints
 
 from . import dcc, mobility
 from .channel import ChannelModel
 from .dcc import RangeControlConfig, RateControlConfig
 from .engine import RunConfig
-from .mac_sps import SpsConfig
+from .mac_sps import CrConfig, SpsConfig
+from .metrics import MetricsConfig
 
 
 class ConfigError(Exception):
@@ -31,21 +34,13 @@ _DEFAULT_SCENARIO, _DEFAULT_SCHEME = "freeway-high", "baseline"
 # this is rejected before anything is allocated, naming the key of its largest part.
 MEMORY_LIMIT_MIB = 4096
 
-# RunConfig fields set from a section other than [run]; every other field of
-# RunConfig that is not a nested config is a [run] key of the same name
-_RUN_FIELD_KEYS = {
-    "bin_width_m": "metrics.bin_width_m", "roi_radius_m": "metrics.roi_radius_m",
-    "cr_limit_enabled": "cr.enabled", "cbp_limit": "cr.cbp_limit",
-    "cr_calibration": "cr.calibration",
-}
-_NESTED = {"channel": ChannelModel, "sps": SpsConfig,
-           "rate": RateControlConfig, "range": RangeControlConfig}
+_NESTED = {"metrics": MetricsConfig, "cr": CrConfig, "channel": ChannelModel,
+           "sps": SpsConfig, "rate": RateControlConfig, "range": RangeControlConfig}
 
 
-def _run_fields() -> dict[str, Field]:
-    """{section.key: RunConfig field} for the keys that set RunConfig fields."""
-    return {_RUN_FIELD_KEYS.get(f.name, f"run.{f.name}"): f for f in fields(RunConfig)
-            if f.name not in ("scenario", *_NESTED)}
+def _run_fields() -> list[Field]:
+    """The RunConfig fields that are [run] keys."""
+    return [f for f in fields(RunConfig) if f.name not in ("scenario", *_NESTED)]
 
 
 def _scenario_values(preset: mobility.ScenarioPreset) -> dict[str, object]:
@@ -57,10 +52,8 @@ def default_config() -> dict[str, object]:
     """Flat {section.key: value} map with every supported key, each default
     taken from the dataclass that the key configures."""
     out: dict[str, object] = {"run.scenario": _DEFAULT_SCENARIO, "run.scheme": _DEFAULT_SCHEME}
-    for key, f in _run_fields().items():
-        out[key] = f.default
-    out["cr.calibration"] = ",".join(f"{cbp:g}:{density:g}" for cbp, density
-                                     in out["cr.calibration"])
+    for f in _run_fields():
+        out[f"run.{f.name}"] = f.default
     for section, cls in _NESTED.items():
         out.update({f"{section}.{k}": v for k, v in asdict(cls()).items()})
     out.update(_scenario_values(mobility.preset_by_name(_DEFAULT_SCENARIO)))
@@ -70,11 +63,7 @@ def default_config() -> dict[str, object]:
 # A value is converted to the type of its key's default, never to that of a
 # value layered before it
 _DEFAULTS = default_config()
-# Keys whose field is declared `... | None` (only the nested configs declare
-# one); they also take none, null or an empty value, for None
-_OPTIONAL_KEYS = frozenset(
-    f"{section}.{name}" for section, cls in _NESTED.items()
-    for name, hint in get_type_hints(cls).items() if type(None) in get_args(hint))
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 def _float(key: str, raw) -> float:
@@ -91,33 +80,30 @@ def _float(key: str, raw) -> float:
 
 
 def _convert(key: str, raw, default):
-    """`raw` as the type of the key's `default`; a string is parsed.  A float
-    key takes only a finite number."""
-    if raw is None and key not in _OPTIONAL_KEYS:
-        raise ConfigError(f"{key}: expected a value, got None")
-    if not isinstance(raw, str):
-        if isinstance(default, bool):
-            return bool(raw)
-        if isinstance(default, float) and isinstance(raw, (int, float)):
+    """`raw` as a value of the type of the key's `default`.  Text is parsed;
+    any other value must have that type already, except that an int serves
+    a float key.  A float key takes only a finite number."""
+    kind = type(default)
+    if isinstance(raw, str):
+        text = raw.strip()
+        if kind is float:
             return _float(key, raw)
-        return raw
-    text = raw.strip()
-    if key in _OPTIONAL_KEYS and text.lower() in ("none", "null", ""):
-        return None
-    if isinstance(default, float):
-        return _float(key, raw)
-    if isinstance(default, bool):
-        if text.lower() in ("true", "yes", "on", "1"):
+        if kind is str:
+            return text
+        if kind is bool and text.lower() in ("true", "yes", "on", "1"):
             return True
-        if text.lower() in ("false", "no", "off", "0"):
+        if kind is bool and text.lower() in ("false", "no", "off", "0"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    return text
+        if kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                pass
+    elif kind is float and type(raw) in (int, float):
+        return _float(key, raw)
+    elif type(raw) is kind:
+        return raw
+    raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}")
 
 
 def _reject_unknown(key: str, known: dict) -> None:
@@ -201,45 +187,26 @@ def _section(resolved: dict, name: str) -> dict:
     return {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
 
 
-def parse_calibration(text: str) -> tuple[tuple[float, float], ...]:
-    """Comma-separated cbp:density pairs, e.g. "0:0,0.5:100,1:200"."""
-    points = []
-    for part in str(text).split(","):
-        cbp, _, density = part.partition(":")
-        points.append((float(cbp), float(density)))
-        if not all(map(math.isfinite, points[-1])):
-            raise ValueError(f"non-finite point {part!r}")
-    return tuple(points)
-
-
 def build_run_config(resolved: dict[str, object]) -> RunConfig:
-    """Materialize the typed RunConfig; invariant violations become ConfigError."""
+    """Materialize the typed RunConfig; each violation becomes one ConfigError
+    message that starts with the key it rejects."""
     errors: list[str] = []
-    nested = {}
-    for section, cls in _NESTED.items():
+
+    def build(section: str, cls, **named):
         try:
-            nested[section] = cls(**_section(resolved, section))
+            return cls(**named, **_section(resolved, section))
         except (ValueError, TypeError) as e:
-            errors.append(f"[{section}] {e}")
-    try:
-        preset = mobility.ScenarioPreset(name=str(resolved["run.scenario"]),
-                                         **_section(resolved, "scenario"))
-    except (ValueError, TypeError) as e:
-        errors.append(f"[scenario] {e}")
-    run = {f.name: type(f.default)(resolved[key]) for key, f in _run_fields().items()
-           if key != "cr.calibration"}
-    try:
-        run["cr_calibration"] = parse_calibration(resolved["cr.calibration"])
-    except ValueError as e:
-        errors.append(f"cr.calibration: {e}")
+            errors.append(f"{section}.{e}")
+
+    nested = {section: build(section, cls) for section, cls in _NESTED.items()}
+    preset = build("scenario", mobility.ScenarioPreset, name=resolved["run.scenario"])
     if errors:
         raise ConfigError(errors)
-
-    cfg = RunConfig(scenario=preset, **nested, **run)
     try:
-        cfg.validate()
+        cfg = RunConfig(scenario=preset, **nested,
+                        **{f.name: resolved[f"run.{f.name}"] for f in _run_fields()})
     except ValueError as e:
-        raise ConfigError([str(e)]) from None
+        raise ConfigError(str(e)) from None
     terms = cfg.memory_estimate_mib()
     need_mib = sum(terms.values())
     if need_mib > MEMORY_LIMIT_MIB:

@@ -66,13 +66,15 @@ _CSV_ROW = ",".join(["%d"] + [metrics.FLOAT if TX_DTYPE[name].kind == "f" else "
                               for name in TX_DTYPE.names]) + "\r\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scenario: mobility.ScenarioPreset
     channel: ChannelModel = field(default_factory=ChannelModel)
     sps: SpsConfig = field(default_factory=SpsConfig)
     rate: dcc.RateControlConfig = field(default_factory=dcc.RateControlConfig)
     range: dcc.RangeControlConfig = field(default_factory=dcc.RangeControlConfig)
+    cr: mac_sps.CrConfig = field(default_factory=mac_sps.CrConfig)
+    metrics: metrics.MetricsConfig = field(default_factory=metrics.MetricsConfig)
     duration_s: float = 20.0
     warmup_s: float = 10.0
     seed: int = 1
@@ -84,45 +86,21 @@ class RunConfig:
     cbp_window_ms: int = 100
     cbp_rssi_threshold_dbm: float = -94.0
     timeseries_period_ms: int = 1000
-    bin_width_m: float = 25.0
-    roi_radius_m: float = 100.0
-    cr_limit_enabled: bool = False
-    cbp_limit: float = 0.6
-    cr_calibration: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 200.0))
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Checks the [run] keys, and the rules that span sections; each
+        section's config checks its own keys."""
         if not 0 <= self.warmup_s < self.duration_s:
             raise ValueError("run.warmup_s must be at least 0 and below run.duration_s")
         if self.duration_s * 1000 >= 2 ** 31:
             raise ValueError("run.duration_s must stay below 2**31 ms (the ledger's int32 times)")
-        if self.subchannels < 1:
-            raise ValueError("subchannels must be at least 1")
-        if self.payload_bytes < 1:
-            raise ValueError("payload_bytes must be positive")
-        for name in ("mobility_tick_ms", "density_period_ms", "power_period_ms",
-                     "cbp_window_ms", "timeseries_period_ms"):
+        for name in ("subchannels", "payload_bytes", "mobility_tick_ms", "density_period_ms",
+                     "power_period_ms", "cbp_window_ms", "timeseries_period_ms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"run.{name} must be at least 1")
         if self.cbp_window_ms > self.sps.sensing_window_sf:
-            raise ValueError("cbp_window_ms cannot exceed the sensing window span")
-        for key, value in (("metrics.bin_width_m", self.bin_width_m),
-                           ("metrics.roi_radius_m", self.roi_radius_m)):
-            if value <= 0:
-                raise ValueError(f"{key} must be positive")
-        if not 0.0 <= self.cbp_limit <= 1.0:
-            raise ValueError("cr.cbp_limit must be in [0, 1]")
-        if len(self.cr_calibration) < 2:
-            raise ValueError("cr.calibration needs at least two cbp:density points")
-        cbps, densities = np.array(sorted(self.cr_calibration)).T
-        if np.any(np.diff(cbps) <= 0):
-            raise ValueError("cr.calibration busy fractions must be strictly increasing")
-        # so that the density interpolated at any busy fraction above the
-        # limit, the cap's divisor, is positive
-        if np.any(densities < 0) or np.any(densities[cbps > self.cbp_limit] <= 0) \
-                or densities[-1] <= 0:
-            raise ValueError("cr.calibration densities must be at least 0, and positive at "
-                             "its last point and at each point above cr.cbp_limit")
-        if self.cr_limit_enabled and self.sps.sensing_window_sf < mac_sps.CR_PAST_SF:
+            raise ValueError("run.cbp_window_ms cannot exceed sps.sensing_window_sf")
+        if self.cr.enabled and self.sps.sensing_window_sf < mac_sps.CR_PAST_SF:
             # the CR counts each UE's own transmissions in the sensing store
             raise ValueError(f"sps.sensing_window_sf must be at least {mac_sps.CR_PAST_SF} "
                              "with cr.enabled")
@@ -253,7 +231,6 @@ class Simulation:
     with the configs that the scheme's keys set (`dcc.SCHEMES`)."""
 
     def __init__(self, cfg: RunConfig, fleet: mobility.Fleet | None = None):
-        cfg.validate()
         self.cfg = cfg
         self.preset = cfg.scenario
         self.geometry = self.preset.geometry
@@ -299,13 +276,11 @@ class Simulation:
 
         max_range = self.geometry.length_m / 2.0 if self.geometry.wraparound else self.geometry.length_m
         max_range += self.preset.lanes * self.preset.lane_width_m
-        self.metrics = metrics.MetricsStore(n, cfg.bin_width_m, max_range,
-                                            cfg.payload_bytes, cfg.roi_radius_m)
+        self.metrics = metrics.MetricsStore(n, cfg.metrics.bin_width_m, max_range,
+                                            cfg.payload_bytes, cfg.metrics.roi_radius_m)
         self.log = EventLog()
         self.timeseries: list[tuple] = []
-        # the CR calibration as (busy fractions, densities), sorted by fraction
-        self._cr_points = tuple(np.array(c) for c in zip(*sorted(cfg.cr_calibration))) \
-            if cfg.cr_limit_enabled else None
+        self._cr_points = cfg.cr.points() if cfg.cr.enabled else None
 
         self.warmup_sf = int(round(cfg.warmup_s * 1000))
         self.total_sf = int(round(cfg.duration_s * 1000))
@@ -450,7 +425,7 @@ class Simulation:
                     cr = mac_sps.compute_cr(self.store.own_tx_counts(n, ues),
                                             self.grant_period[ues], cfg.subchannels)
                     cbp = np.minimum(self.cbp_pct[ues] / 100.0, 1.0)
-                    send[send] = cr <= mac_sps.cr_limit(cbp, cfg.cbp_limit, self._cr_points)
+                    send[send] = cr <= mac_sps.cr_limit(cbp, cfg.cr.cbp_limit, self._cr_points)
                 if np.count_nonzero(send) < due.size:
                     skipped, tx_ue = due[~send], due[send]
                     self.next_tx[skipped] = n + self.grant_period[skipped]

@@ -39,9 +39,9 @@ class SpsConfig:
 
     def __post_init__(self):
         if not 0 < self.t1_sf <= self.t2_sf:
-            raise ValueError("need 0 < t1_sf <= t2_sf")
+            raise ValueError("t1_sf must be at least 1 and at most t2_sf")
         if self.slrrc_min > self.slrrc_max or self.slrrc_min < 1:
-            raise ValueError("bad slrrc range")
+            raise ValueError("slrrc_min must be at least 1 and at most slrrc_max")
         if not 0.0 <= self.p_resel <= 1.0:
             raise ValueError("p_resel must be in [0, 1]")
         if not 0.0 < self.keep_fraction <= 1.0:
@@ -49,7 +49,48 @@ class SpsConfig:
         if self.rank_period_sf < 1:
             raise ValueError("rank_period_sf must be at least 1")
         if self.rank_average not in ("mw", "db"):
-            raise ValueError(f"unknown rank_average {self.rank_average!r}")
+            raise ValueError(f"rank_average must be 'mw' or 'db', not {self.rank_average!r}")
+
+
+@dataclass(frozen=True)
+class CrConfig:
+    """The channel-occupancy limit: with `enabled`, a UE lets a grant
+    occurrence pass unused while its occupancy ratio exceeds `cr_limit`'s cap.
+    `calibration` maps a busy fraction to a vehicle count by piecewise-linear
+    interpolation in comma-separated cbp:density points."""
+
+    enabled: bool = False
+    cbp_limit: float = 0.6
+    calibration: str = "0:0,1:200"
+
+    def __post_init__(self):
+        if not 0.0 <= self.cbp_limit <= 1.0:
+            raise ValueError("cbp_limit must be in [0, 1]")
+        cbps, densities = self.points()
+        if len(cbps) < 2:
+            raise ValueError("calibration needs at least two cbp:density points")
+        if np.any(np.diff(cbps) <= 0):
+            raise ValueError("calibration busy fractions must be strictly increasing")
+        # so that the density interpolated at any busy fraction above the
+        # limit, the cap's divisor, is positive
+        if np.any(densities < 0) or np.any(densities[cbps > self.cbp_limit] <= 0) \
+                or densities[-1] <= 0:
+            raise ValueError("calibration densities must be at least 0, and positive at "
+                             "its last point and at each point above cbp_limit")
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The calibration as (busy fractions, densities), sorted by fraction."""
+        points = []
+        for part in self.calibration.split(","):
+            cbp, _, density = part.partition(":")
+            try:
+                point = (float(cbp), float(density))
+            except ValueError:
+                point = (math.nan, math.nan)
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"calibration point {part!r} is not a finite cbp:density pair")
+            points.append(point)
+        return tuple(np.array(sorted(points)).T)
 
 
 class SensingStore:
@@ -297,13 +338,13 @@ def compute_cr(past, period_sf, n_subch: int) -> np.ndarray:
     """Channel-occupancy ratio per UE over the window [n-750, n+250) (ETSI TS
     103 574): its own transmissions in [n-750, n-1] (`past`, as
     `SensingStore.own_tx_counts` counts them) plus its grant's occurrences n,
-    n+period_sf, ... before n+250, over the window's 1000 * n_subch subchannel
-    slots."""
+    n+period_sf, ... before n+250, over the window's
+    (CR_PAST_SF + CR_FUTURE_SF) * n_subch subchannel slots."""
     period_sf = np.asarray(period_sf)
     if np.any(period_sf < 1) or n_subch < 1:
         raise ValueError("period_sf and n_subch must be at least 1")
     future = -(-CR_FUTURE_SF // period_sf)
-    return (np.asarray(past) + future) / (1000.0 * n_subch)
+    return (np.asarray(past) + future) / ((CR_PAST_SF + CR_FUTURE_SF) * n_subch)
 
 
 def cr_limit(cbp, cbp_limit: float, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

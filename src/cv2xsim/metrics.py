@@ -17,6 +17,17 @@ from .core import RoadGeometry
 FLOAT = "%.6g"
 
 
+@dataclass(frozen=True)
+class MetricsConfig:
+    bin_width_m: float = 25.0       # width of a distance bin
+    roi_radius_m: float = 100.0     # a pair stays in the blind-node ROI while this close
+
+    def __post_init__(self):
+        for name in ("bin_width_m", "roi_radius_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+
 class SparseCounts:
     """Exact occurrence counts of int64 keys.
 

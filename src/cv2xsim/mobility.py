@@ -34,7 +34,7 @@ class ScenarioPreset:
         if self.vehicle_count < 1:
             raise ValueError("vehicle_count must be positive")
         if self.region not in ("middle-third", "full"):
-            raise ValueError(f"unknown region mode {self.region!r}")
+            raise ValueError(f"region must be 'middle-third' or 'full', not {self.region!r}")
         if self.lanes < 1:
             raise ValueError("lanes must be at least 1")
         if self.lane_width_m <= 0:
@@ -44,7 +44,7 @@ class ScenarioPreset:
                 raise ValueError(f"{name} must not be negative")
         per_lane = math.ceil(self.vehicle_count / self.lanes)
         if per_lane > self.road_length_km * 1000.0:
-            raise ValueError("density above jam density (under 1 m headway per lane)")
+            raise ValueError("vehicle_count is above jam density (under 1 m headway per lane)")
 
     @property
     def density_veh_km_lane(self) -> float:

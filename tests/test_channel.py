@@ -19,7 +19,7 @@ def clean_model(**kw):
 
 
 def single_slope(**kw):
-    return clean_model(breakpoint_m=None, **kw)
+    return clean_model(exponent_beyond=kw.get("exponent", 2.0), **kw)
 
 
 def resolve(txs, ues, model, rng, static_shadow=None, fading_rng=None):
@@ -77,6 +77,8 @@ class TestPathloss:
         m = single_slope(d0_m=10.0, pl0_db=67.8, exponent=2.0)
         # 10 * 2 * log10(2), evaluated independently
         assert pathloss(20.0, m) - pathloss(10.0, m) == pytest.approx(6.0206, abs=1e-3)
+        # one slope past the 150 m breakpoint too
+        assert pathloss(600.0, m) == pytest.approx(67.8 + 20.0 * np.log10(60.0), abs=1e-9)
 
     def test_clamped_below_reference(self):
         m = single_slope(d0_m=10.0, pl0_db=67.8)

@@ -10,7 +10,8 @@ from cv2xsim.channel import ChannelModel
 from cv2xsim.cli import main
 from cv2xsim.dcc import SCHEMES, RangeControlConfig, RateControlConfig
 from cv2xsim.engine import RunConfig
-from cv2xsim.mac_sps import SpsConfig
+from cv2xsim.mac_sps import CrConfig, SpsConfig
+from cv2xsim.metrics import MetricsConfig
 from cv2xsim.mobility import PRESETS
 
 
@@ -69,22 +70,19 @@ def test_cross_field_violations_name_keys():
 def test_each_default_is_the_dataclass_default():
     defaults = config.default_config()
     run = RunConfig(scenario=PRESETS["freeway-high"])
-    renamed = {"bin_width_m": "metrics.bin_width_m", "roi_radius_m": "metrics.roi_radius_m",
-               "cr_limit_enabled": "cr.enabled", "cbp_limit": "cr.cbp_limit",
-               "cr_calibration": "cr.calibration"}
+    sections = {"channel": ChannelModel(), "sps": SpsConfig(), "rate": RateControlConfig(),
+                "range": RangeControlConfig(), "cr": CrConfig(), "metrics": MetricsConfig()}
     want = {"run.scenario": "freeway-high", "run.scheme": "baseline"}
     for f in fields(RunConfig):
-        if f.name not in ("scenario", "channel", "sps", "rate", "range"):
-            want[renamed.get(f.name, f"run.{f.name}")] = getattr(run, f.name)
-    want["cr.calibration"] = "0:0,1:200"
-    for section, value in (("channel", ChannelModel()), ("sps", SpsConfig()),
-                           ("rate", RateControlConfig()), ("range", RangeControlConfig())):
+        if f.name not in ("scenario", *sections):
+            want[f"run.{f.name}"] = getattr(run, f.name)
+    for section, value in sections.items():
+        assert getattr(run, section) == value
         want.update({f"{section}.{k}": v for k, v in asdict(value).items()})
     want.update({f"scenario.{k}": v for k, v in asdict(PRESETS["freeway-high"]).items()
                  if k not in ("name", "adjustments")})
     assert defaults == want
     assert len(defaults) == 61
-    assert config.parse_calibration(defaults["cr.calibration"]) == run.cr_calibration
     # resolving nothing builds the dataclass defaults under the baseline scheme
     assert config.build_run_config(config.resolve()) == replace(
         run, rate=RateControlConfig(itt_max_ms=100.0, pte_enabled=False),
@@ -112,29 +110,67 @@ def test_ini_round_trip(tmp_path):
     assert cfg.seed == 9 and cfg.channel.shadowing_sigma_db == 0.0
 
 
-def test_optional_key_takes_none_from_every_source(tmp_path):
-    # channel.breakpoint_m is declared `float | None`; None is a single slope
-    by_set = config.resolve(overrides={"channel.breakpoint_m": "none"}, scenario="mini-low")
-    ini = tmp_path / "run.ini"
-    ini.write_text("[channel]\nbreakpoint_m = none\n")
-    by_ini = config.resolve(config.read_config_file(str(ini)), scenario="mini-low")
+def test_no_key_takes_null_from_a_manifest(tmp_path):
+    resolved = config.resolve(scenario="mini-low")
+    manifest = tmp_path / "manifest.json"
+    for key in ("run.seed", "cr.enabled", "channel.breakpoint_m"):
+        config.write_manifest(manifest, {**resolved, key: None}, "0.1.0")
+        with pytest.raises(config.ConfigError, match=f"{key}: expected .*, got None"):
+            config.resolve(config.read_config_file(str(manifest)))
+    # nor a "none" from text: a single slope is exponent_beyond = exponent
+    with pytest.raises(config.ConfigError, match="channel.breakpoint_m: expected a number"):
+        config.resolve(overrides={"channel.breakpoint_m": "none"})
+
+
+# A valid value for every key, each unlike its default
+NON_DEFAULT = {
+    "run.scenario": "mini-low", "run.scheme": "dcc-std", "run.duration_s": "3.5",
+    "run.warmup_s": "1.5", "run.seed": "9", "run.subchannels": "3", "run.payload_bytes": "300",
+    "run.mobility_tick_ms": "50", "run.density_period_ms": "500",
+    "run.power_period_ms": "100", "run.cbp_window_ms": "50",
+    "run.cbp_rssi_threshold_dbm": "-90.5", "run.timeseries_period_ms": "250",
+    "metrics.bin_width_m": "10", "metrics.roi_radius_m": "150",
+    "cr.enabled": "true", "cr.cbp_limit": "0.5", "cr.calibration": "0:10,0.5:100,1:300",
+    "channel.d0_m": "5", "channel.pl0_db": "60", "channel.exponent": "2.2",
+    "channel.breakpoint_m": "200", "channel.exponent_beyond": "3.5",
+    "channel.shadowing_sigma_db": "4", "channel.shadowing_mode": "static",
+    "channel.fading": "nakagami", "channel.nakagami_m": "2", "channel.noise_floor_dbm": "-99",
+    "channel.sensitivity_dbm": "-93", "channel.sinr_threshold_db": "3",
+    "sps.t1_sf": "2", "sps.t2_sf": "50", "sps.th_sps_dbm": "-80", "sps.slrrc_min": "4",
+    "sps.slrrc_max": "12", "sps.p_resel": "0.4", "sps.sensing_window_sf": "1100",
+    "sps.keep_fraction": "0.3", "sps.rank_period_sf": "50", "sps.rank_average": "db",
+    "sps.unsensed_exempt": "false",
+    "rate.density_coefficient": "30", "rate.itt_max_ms": "500", "rate.neighbor_radius_m": "150",
+    "rate.pte_threshold_m": "1", "rate.pte_enabled": "false", "rate.pte_wait_limit_ms": "30",
+    "range.p_min_dbm": "5", "range.p_max_dbm": "20", "range.u_min_pct": "40",
+    "range.u_max_pct": "70", "range.eta": "0.6",
+    "scenario.vehicle_count": "50", "scenario.speed_kmh": "100", "scenario.road_length_km": "2",
+    "scenario.lanes": "4", "scenario.lane_width_m": "3.5", "scenario.wraparound": "true",
+    "scenario.region": "full", "scenario.speed_sigma": "1", "scenario.speed_reversion": "0.3",
+}
+
+
+def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
+    defaults = config.default_config()
+    assert NON_DEFAULT.keys() == defaults.keys()
+    sets = [arg for pair in NON_DEFAULT.items() for arg in ("--set", "=".join(pair))]
+    assert main(["validate", *sets]) == 0
+    by_set = config.resolve(overrides=NON_DEFAULT)
+    for key, value in by_set.items():
+        assert value != defaults[key], key
     manifest = tmp_path / "manifest.json"
     config.write_manifest(manifest, by_set, "0.1.0")
     by_manifest = config.resolve(config.read_config_file(str(manifest)))
-    for resolved in (by_set, by_ini, by_manifest):
-        assert resolved["channel.breakpoint_m"] is None
-        assert config.build_run_config(resolved).channel.breakpoint_m is None
-    # a number over a None layer is still a number
-    again = config.resolve(config.read_config_file(str(manifest)),
-                           overrides={"channel.breakpoint_m": "120"})
-    assert again["channel.breakpoint_m"] == 120.0
-    with pytest.raises(config.ConfigError, match="channel.exponent: expected a number"):
-        config.resolve(overrides={"channel.exponent": "none"})
-    # a key not declared optional takes no null from a manifest either
-    for key in ("run.seed", "cr.enabled"):
-        config.write_manifest(manifest, {**by_set, key: None}, "0.1.0")
-        with pytest.raises(config.ConfigError, match=f"{key}: expected a value"):
-            config.resolve(config.read_config_file(str(manifest)))
+    assert by_manifest == by_set
+    cfg = config.build_run_config(by_manifest)
+    assert cfg == config.build_run_config(by_set)
+    # key section.name sets field name of the section's config
+    assert cfg.scenario.name == by_set.pop("run.scenario")
+    del by_set["run.scheme"]
+    for key, value in by_set.items():
+        section, name = key.split(".")
+        owner = cfg if section == "run" else getattr(cfg, section)
+        assert getattr(owner, name) == value, key
 
 
 @pytest.mark.parametrize("sets,key", [
@@ -147,17 +183,17 @@ def test_optional_key_takes_none_from_every_source(tmp_path):
     (["run.warmup_s=-1"], "run.warmup_s"),
     (["metrics.bin_width_m=0"], "metrics.bin_width_m"),
     (["metrics.roi_radius_m=-5"], "metrics.roi_radius_m"),
-    # a nested config's errors name the key as "[section] key"
-    pytest.param(["channel.fading=nakagami", "channel.nakagami_m=0"], "[channel] nakagami_m",
+    # every error names the key as --set takes it
+    pytest.param(["channel.fading=nakagami", "channel.nakagami_m=0"], "channel.nakagami_m",
                  id="channel.nakagami_m"),
-    pytest.param(["scenario.lanes=0"], "[scenario] lanes", id="scenario.lanes"),
-    pytest.param(["sps.rank_period_sf=0"], "[sps] rank_period_sf", id="sps.rank_period_sf=0"),
-    pytest.param(["sps.rank_period_sf=-100"], "[sps] rank_period_sf",
+    pytest.param(["scenario.lanes=0"], "scenario.lanes", id="scenario.lanes"),
+    pytest.param(["sps.rank_period_sf=0"], "sps.rank_period_sf", id="sps.rank_period_sf=0"),
+    pytest.param(["sps.rank_period_sf=-100"], "sps.rank_period_sf",
                  id="sps.rank_period_sf<0"),
-    pytest.param(["scenario.lane_width_m=-4"], "[scenario] lane_width_m",
+    pytest.param(["scenario.lane_width_m=-4"], "scenario.lane_width_m",
                  id="scenario.lane_width_m"),
-    pytest.param(["scenario.speed_sigma=-1"], "[scenario] speed_sigma", id="scenario.speed_sigma"),
-    pytest.param(["scenario.speed_reversion=-0.5"], "[scenario] speed_reversion",
+    pytest.param(["scenario.speed_sigma=-1"], "scenario.speed_sigma", id="scenario.speed_sigma"),
+    pytest.param(["scenario.speed_reversion=-0.5"], "scenario.speed_reversion",
                  id="scenario.speed_reversion"),
     # the CR cap divides by the density at each busy fraction above the limit
     pytest.param(["cr.enabled=true", "cr.calibration=0:0,1:0"], "cr.calibration",
@@ -170,6 +206,10 @@ def test_optional_key_takes_none_from_every_source(tmp_path):
         ("rate.density_coefficient", "nan"), ("scenario.speed_kmh", "nan"),
         ("range.p_max_dbm", "inf"), ("range.p_min_dbm", "-inf"), ("run.duration_s", "nan"),
         ("cr.calibration", "0:0,1:inf"), ("cr.calibration", "0:0,nan:100,1:200"))),
+    *(pytest.param([f"{key}={value}"], key, id=f"{key}={value}") for key, value in (
+        ("run.subchannels", "0"), ("run.payload_bytes", "0"), ("run.cbp_window_ms", "2000"),
+        ("sps.slrrc_min", "0"), ("sps.t1_sf", "0"), ("channel.exponent", "0"),
+        ("scenario.region", "x"))),
 ])
 def test_validate_rejects_bad_config(sets, key, capsys):
     args = ["validate", "--scenario", "mini-low"]
@@ -211,7 +251,7 @@ class TestCliCommands:
         rc = main(["validate", "--scenario", "mini-low",
                    "--set", "channel.sinr_threshold_db=-1"])
         assert rc == 2
-        assert "[channel] sinr_threshold_db" in capsys.readouterr().err
+        assert "channel.sinr_threshold_db" in capsys.readouterr().err
 
     def test_removed_key_exit_code(self, capsys):
         for key, value in (("run.mcs_index", "5"), ("run.log_rx_outcomes", "true")):
@@ -230,14 +270,15 @@ class TestCliCommands:
 
     def test_manifest_with_non_finite_value_exit_code(self, tmp_path, capsys):
         # json reads NaN, Infinity and ints past the float range, but no
-        # manifest may carry them
+        # manifest may carry them, nor a value of another type than its key's
         resolved = config.resolve(scenario="mini-low")
         with pytest.raises(ValueError):
             config.write_manifest(tmp_path / "bad.json", {**resolved, "range.eta": math.nan},
                                   "0.1.0")
         path = tmp_path / "manifest.json"
         for key, value in (("channel.shadowing_sigma_db", "NaN"), ("range.p_max_dbm", "Infinity"),
-                           ("run.duration_s", "1" + "0" * 400)):
+                           ("run.duration_s", "1" + "0" * 400), ("sps.t1_sf", "1.5"),
+                           ("run.subchannels", "2.7"), ("cr.enabled", "5"), ("run.seed", "true")):
             path.write_text(f'{{"config": {{"{key}": {value}}}}}')
             assert main(["validate", "--config", str(path)]) == 2
             assert key in capsys.readouterr().err

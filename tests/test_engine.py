@@ -270,9 +270,9 @@ class TestCrLimit:
         base = make_cfg(preset, duration=4.0, warmup=1.0, seed=3, channel=quiet_channel())
         free = run(base, stationary([(100.0, 0), (150.0, 0), (200.0, 0)]))
         capped_cfg = make_cfg(preset, duration=4.0, warmup=1.0, seed=3,
-                              channel=quiet_channel(), cr_limit_enabled=True,
-                              cbp_limit=0.0001,
-                              cr_calibration=((0.0, 1000.0), (1.0, 1000.0)))
+                              channel=quiet_channel(),
+                              cr=mac_sps.CrConfig(enabled=True, cbp_limit=0.0001,
+                                                  calibration="0:1000,1:1000"))
         capped = run(capped_cfg, stationary([(100.0, 0), (150.0, 0), (200.0, 0)]))
         assert len(capped.event_log.tx_events) < len(free.event_log.tx_events)
 
@@ -351,11 +351,10 @@ def test_sensing_window_shorter_than_the_mobility_tick(monkeypatch):
 
 def test_config_validation():
     preset = ScenarioPreset("v", 2, 10.0, road_length_km=1.0, lanes=2)
-    with pytest.raises(ValueError):
-        make_cfg(preset, duration=1.0, warmup=2.0).validate()
-    cfg = make_cfg(preset, duration=2.0, warmup=1.0, subchannels=0)
-    with pytest.raises(ValueError):
-        Simulation(cfg)
+    with pytest.raises(ValueError, match="run.warmup_s"):
+        make_cfg(preset, duration=1.0, warmup=2.0)
+    with pytest.raises(ValueError, match="run.subchannels"):
+        make_cfg(preset, duration=2.0, warmup=1.0, subchannels=0)
 
 
 @pytest.mark.parametrize("shadowing", ["iid", "static"])
