@@ -1,6 +1,9 @@
 """Command-line entry points: single runs, baseline-vs-scheme sweeps, config
 validation, and preset listing.
 
+A sweep computes each `gains__<scenario>__<scheme>.csv` in memory from the PDR
+and SLT bins its jobs return, one (scheme, baseline) pair of runs per seed.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -8,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import os
 import sys
@@ -81,17 +83,24 @@ def write_outputs(out_dir: Path, resolved: dict[str, object],
     return summary
 
 
-def execute_run(resolved: dict[str, object], out_dir: Path) -> dict:
+def execute_run(resolved: dict[str, object], out_dir: Path) -> tuple[dict, metrics.RunBins]:
+    """Build, run and write one run; return its summary and (PDR, SLT) bins."""
     cfg = config.build_run_config(resolved)
     result = engine.run(cfg)
-    return write_outputs(out_dir, resolved, result)
+    summary = write_outputs(out_dir, resolved, result)
+    return summary, (metrics.pdr(result.metrics),
+                     metrics.slt(result.metrics, result.observation_s))
+
+
+def _run_name(resolved: dict[str, object]) -> str:
+    """The directory of one run under the output root."""
+    return f"{resolved['run.scenario']}__{resolved['run.scheme']}__seed{resolved['run.seed']}"
 
 
 def _cmd_run(args) -> int:
     resolved = _resolve_from_args(args)
-    name = f"{resolved['run.scenario']}__{resolved['run.scheme']}__seed{resolved['run.seed']}"
-    out_dir = Path(args.out) if args.out else _out_root(None) / name
-    summary = execute_run(resolved, out_dir)
+    out_dir = Path(args.out) if args.out else _out_root(None) / _run_name(resolved)
+    summary, _ = execute_run(resolved, out_dir)
     print(f"run complete: {out_dir}")
     print(f"  tx_events={summary['tx_events']} blind_ues={summary['blind_ue_count']} "
           f"mean_itt={_shown(summary['mean_itt_ms'], 'ms')} "
@@ -103,45 +112,34 @@ def _shown(value: float | None, unit: str) -> str:
     return "n/a" if value is None else f"{value:.1f}{unit}"
 
 
-def _read_bin_csv(path: Path, value_col: str) -> list[metrics.BinValue]:
-    rows = []
-    with open(path) as f:
-        for rec in csv.DictReader(f):
-            rows.append(metrics.BinValue(float(rec["bin_lo_m"]), float(rec["bin_hi_m"]),
-                                         float(rec[value_col]), int(rec["n_pairs"])))
-    return rows
-
-
-def _sweep_worker(job) -> None:
-    resolved, cfg, out_dir = job
-    write_outputs(Path(out_dir), resolved, engine.run(cfg))
-
-
-def _mean_gains(per_seed: list[list[metrics.GainBin]]) -> list[metrics.GainBin]:
-    by_bin: dict[tuple[float, float], list[metrics.GainBin]] = {}
-    for rows in per_seed:
-        for g in rows:
-            by_bin.setdefault((g.bin_lo_m, g.bin_hi_m), []).append(g)
-    out = []
-    for (lo, hi), entries in sorted(by_bin.items()):
-        out.append(metrics.GainBin(lo, hi,
-                                   sum(e.pdr_gain_pp for e in entries) / len(entries),
-                                   sum(e.slt_gain_bps for e in entries) / len(entries)))
-    return out
+def _sweep_axis(text: str, option: str, parse=str) -> list:
+    """The comma-separated entries of one sweep option, parsed, each once."""
+    values = []
+    for entry in filter(None, (e.strip() for e in text.split(","))):
+        try:
+            value = parse(entry)
+        except ValueError:
+            raise config.ConfigError(f"{option}: {entry!r} is not an integer") from None
+        if value in values:
+            raise config.ConfigError(f"{option}: {entry!r} is given twice")
+        values.append(value)
+    return values
 
 
 def _cmd_sweep(args) -> int:
-    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    scenarios = _sweep_axis(args.scenarios, "--scenarios")
+    schemes = _sweep_axis(args.schemes, "--schemes")
+    seeds = _sweep_axis(args.seeds, "--seeds", parse=int)
     if not scenarios or not schemes or not seeds:
         raise config.ConfigError("sweep needs at least one scenario, scheme, and seed")
+    if args.workers is not None and args.workers < 1:
+        raise config.ConfigError(f"--workers must be at least 1, got {args.workers}")
     file_values = config.read_config_file(args.config) if args.config else None
     overrides = _parse_sets(args.set)
     root = _out_root(args.out)
 
     # every job's config is built, and so checked, before any job starts
-    jobs = {}
+    jobs = {}       # (scenario, scheme, seed) -> (tag, resolved config)
     for scenario in scenarios:
         for scheme in schemes:
             for seed in seeds:
@@ -149,18 +147,20 @@ def _cmd_sweep(args) -> int:
                 resolved = config.resolve(file_values, overrides, scenario=scenario,
                                           scheme=scheme, seed=seed)
                 try:
-                    cfg = config.build_run_config(resolved)
+                    config.build_run_config(resolved)
                 except config.ConfigError as e:
                     raise config.ConfigError([f"{tag}: {err}" for err in e.errors]) from None
-                jobs[tag] = (resolved, cfg, str(root / f"{scenario}__{scheme}__seed{seed}"))
+                jobs[scenario, scheme, seed] = (tag, resolved)
 
+    bins = {}       # (scenario, scheme, seed) -> the run's (PDR, SLT) bins
     failures = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(_sweep_worker, job): tag for tag, job in jobs.items()}
+        futures = {pool.submit(execute_run, resolved, root / _run_name(resolved)): (job, tag)
+                   for job, (tag, resolved) in jobs.items()}
         for fut in concurrent.futures.as_completed(futures):
-            tag = futures[fut]
+            job, tag = futures[fut]
             try:
-                fut.result()
+                _, bins[job] = fut.result()
                 print(f"done {tag}")
             except Exception as e:  # noqa: BLE001 - sweep reports every failure
                 failures.append(f"{tag}: {e}")
@@ -174,19 +174,11 @@ def _cmd_sweep(args) -> int:
     if "baseline" in schemes:
         for scenario in scenarios:
             for scheme in schemes:
-                if scheme == "baseline":
-                    continue
-                per_seed = []
-                for seed in seeds:
-                    sdir = root / f"{scenario}__{scheme}__seed{seed}"
-                    bdir = root / f"{scenario}__baseline__seed{seed}"
-                    per_seed.append(metrics.gains(
-                        _read_bin_csv(sdir / "pdr_vs_distance.csv", "pdr"),
-                        _read_bin_csv(sdir / "slt_vs_distance.csv", "slt_bytes_per_s"),
-                        _read_bin_csv(bdir / "pdr_vs_distance.csv", "pdr"),
-                        _read_bin_csv(bdir / "slt_vs_distance.csv", "slt_bytes_per_s")))
-                metrics.write_gains_csv(root / f"gains__{scenario}__{scheme}.csv",
-                                        _mean_gains(per_seed), n_seeds=len(seeds))
+                if scheme != "baseline":
+                    pairs = [(bins[scenario, scheme, seed], bins[scenario, "baseline", seed])
+                             for seed in seeds]
+                    metrics.write_gains_csv(root / f"gains__{scenario}__{scheme}.csv",
+                                            metrics.gains(pairs))
     print(f"sweep complete: {len(jobs)} runs under {root}")
     return 0
 

@@ -30,8 +30,8 @@ class ConfigError(Exception):
 
 _DEFAULT_SCENARIO, _DEFAULT_SCHEME = "freeway-high", "baseline"
 
-# A run whose estimated memory (the sum of RunConfig.memory_estimate_mib) exceeds
-# this is rejected before anything is allocated, naming the key of its largest part.
+# A run whose estimated memory (RunConfig.memory_estimate_mib) exceeds this is
+# rejected before anything is allocated, naming the keys the estimate grows with.
 MEMORY_LIMIT_MIB = 4096
 
 _NESTED = {"metrics": MetricsConfig, "cr": CrConfig, "channel": ChannelModel,
@@ -207,12 +207,11 @@ def build_run_config(resolved: dict[str, object]) -> RunConfig:
                         **{f.name: resolved[f"run.{f.name}"] for f in _run_fields()})
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    terms = cfg.memory_estimate_mib()
-    need_mib = sum(terms.values())
+    need_mib = cfg.memory_estimate_mib()
     if need_mib > MEMORY_LIMIT_MIB:
-        key = max(terms, key=terms.get)
-        raise ConfigError(f"{key} = {resolved[key]} needs an estimated {need_mib:.0f} MiB, "
-                          f"above the {MEMORY_LIMIT_MIB} MiB limit")
+        raise ConfigError(f"scenario.vehicle_count = {resolved['scenario.vehicle_count']} and "
+                          f"run.duration_s = {resolved['run.duration_s']} need an estimated "
+                          f"{need_mib:.0f} MiB, above the {MEMORY_LIMIT_MIB} MiB limit")
     return cfg
 
 

@@ -105,14 +105,15 @@ class RunConfig:
             raise ValueError(f"sps.sensing_window_sf must be at least {mac_sps.CR_PAST_SF} "
                              "with cr.enabled")
 
-    def memory_estimate_mib(self) -> dict[str, float]:
+    def memory_estimate_mib(self) -> float:
         """Estimated peak size of the state that grows with the run's scale,
-        in MiB, split by the config key that drives each part.
+        in MiB.  It grows with `scenario.vehicle_count`, and the event log's
+        tx rows also with `run.duration_s`.
 
-        `scenario.vehicle_count`: per ordered pair, 36 bytes: the ledger's
-        `last_rx_ms` (int32); the ledger's `roi_pairs` (int64 keys) in the
-        worst case, where every pair stays in range; and the one-shot
-        distance build of `dcc.neighbor_counts` and the first ROI tick,
+        Per ordered pair, 36 bytes: the ledger's `last_rx_ms` (int32); the
+        ledger's `roi_pairs` (int64 keys) in the worst case, where every
+        pair stays in range; and the one-shot distance build of
+        `dcc.neighbor_counts` and the first ROI tick,
         whose peak holds three float64 arrays (the longitudinal and lateral
         separations and their `hypot`).  A later ROI tick holds about 80
         bytes per kept pair for a moment, which this covers while at most a
@@ -138,10 +139,7 @@ class RunConfig:
         tx_rows = n * int(round(self.duration_s * 1000)) // int(dcc.BASE_ITT_MS)
         flush = _BATCH_LINKS * _FLUSH_BYTES_PER_LINK \
             + min(span, self.mobility_tick_ms) * n * (8 * self.subchannels + 2)
-        return {
-            "scenario.vehicle_count": (n * n * per_pair + sensing + flush
-                                       + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20,
-        }
+        return (n * n * per_pair + sensing + flush + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20
 
 
 def _grant_period(itt_ms: np.ndarray) -> np.ndarray:

@@ -307,25 +307,34 @@ class GainBin:
     bin_hi_m: float
     pdr_gain_pp: float      # percentage points, scheme minus baseline
     slt_gain_bps: float     # bytes per second, scheme minus baseline
+    n_seeds: int            # seeds whose scheme and baseline runs both have the bin
 
 
-def gains(scheme_pdr: list[BinValue], scheme_slt: list[BinValue],
-          base_pdr: list[BinValue], base_slt: list[BinValue]) -> list[GainBin]:
-    """Elementwise scheme-minus-baseline differences over bins present in
-    both runs; the two runs must share binning."""
+RunBins = tuple[list[BinValue], list[BinValue]]     # one run's (PDR, SLT) bins
+
+
+def gains(pairs: list[tuple[RunBins, RunBins]]) -> list[GainBin]:
+    """Scheme-minus-baseline differences from one (scheme, baseline) pair of
+    runs per seed.  For each bin that both runs of at least one seed have:
+    the mean difference over those seeds, summed in seed order, and how many
+    seeds that is.  All runs must share binning."""
     def index(rows):
         return {(r.bin_lo_m, r.bin_hi_m): r.value for r in rows}
 
-    sp, ss, bp, bs = index(scheme_pdr), index(scheme_slt), index(base_pdr), index(base_slt)
-    for a, b in ((sp, bp), (ss, bs)):
-        shared_widths = {hi - lo for lo, hi in list(a) + list(b)}
-        if len(shared_widths) > 1:
-            raise ValueError("bin mismatch: runs use different bin widths")
+    widths = set()
+    diffs: dict[tuple[float, float], list[tuple[float, float]]] = {}
+    for (scheme_pdr, scheme_slt), (base_pdr, base_slt) in pairs:
+        sp, ss, bp, bs = index(scheme_pdr), index(scheme_slt), index(base_pdr), index(base_slt)
+        widths.update(hi - lo for lo, hi in [*sp, *ss, *bp, *bs])
+        for key in sp.keys() & bp.keys():
+            diffs.setdefault(key, []).append((100.0 * (sp[key] - bp[key]),
+                                              ss.get(key, 0.0) - bs.get(key, 0.0)))
+    if len(widths) > 1:
+        raise ValueError("bin mismatch: runs use different bin widths")
     out = []
-    for key in sorted(set(sp) & set(bp)):
-        lo, hi = key
-        out.append(GainBin(lo, hi, 100.0 * (sp[key] - bp[key]),
-                           ss.get(key, 0.0) - bs.get(key, 0.0)))
+    for (lo, hi), d in sorted(diffs.items()):
+        n = len(d)
+        out.append(GainBin(lo, hi, sum(pp for pp, _ in d) / n, sum(bps for _, bps in d) / n, n))
     return out
 
 
@@ -379,7 +388,7 @@ def write_timeseries_csv(path, rows: list[tuple]) -> None:
            ",".join([FLOAT] * 4) + "\r\n", rows)
 
 
-def write_gains_csv(path, rows: list[GainBin], n_seeds: int = 1) -> None:
+def write_gains_csv(path, rows: list[GainBin]) -> None:
     _write(path, "bin_lo_m,bin_hi_m,pdr_gain_pp,slt_gain_bps,n_seeds",
            f"{FLOAT},{FLOAT},{FLOAT},{FLOAT},%d\r\n",
-           ((r.bin_lo_m, r.bin_hi_m, r.pdr_gain_pp, r.slt_gain_bps, n_seeds) for r in rows))
+           ((r.bin_lo_m, r.bin_hi_m, r.pdr_gain_pp, r.slt_gain_bps, r.n_seeds) for r in rows))

@@ -456,13 +456,13 @@ def write_timeseries_csv(path, rows: list[tuple]) -> None:
             w.writerow([fmt(v) for v in row])
 
 
-def write_gains_csv(path, rows: list[GainBin], n_seeds: int = 1) -> None:
+def write_gains_csv(path, rows: list[GainBin]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["bin_lo_m", "bin_hi_m", "pdr_gain_pp", "slt_gain_bps", "n_seeds"])
         for r in rows:
             w.writerow([fmt(r.bin_lo_m), fmt(r.bin_hi_m), fmt(r.pdr_gain_pp),
-                        fmt(r.slt_gain_bps), n_seeds])
+                        fmt(r.slt_gain_bps), r.n_seeds])
 
 
 _ECDF_CHUNK = 1 << 12

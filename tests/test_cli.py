@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, replace
 
 import pytest
 
-from cv2xsim import config, metrics
+from cv2xsim import config, engine, metrics
 from cv2xsim.channel import ChannelModel
 from cv2xsim.cli import main
 from cv2xsim.dcc import SCHEMES, RangeControlConfig, RateControlConfig
@@ -293,6 +293,9 @@ class TestCliCommands:
         assert main(["run", *too_many, "--out", str(out)]) == 2
         assert "scenario.vehicle_count" in capsys.readouterr().err
         assert not out.exists()
+        # the event log's rows grow with the duration, at any vehicle count
+        assert main(["validate", "--scenario", "urban-medium", "--set", "run.duration_s=3000"]) == 2
+        assert "run.duration_s = 3000" in capsys.readouterr().err
 
     def test_sweep_rejects_oversized_job_before_starting(self, tmp_path, capsys):
         root = tmp_path / "sweep"
@@ -304,6 +307,24 @@ class TestCliCommands:
         assert "urban-medium/baseline/seed1" in err and "scenario.vehicle_count" in err
         assert "mini-low/" not in err
         assert not root.exists()    # not even the mini-low job ran
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--seeds", "1,x", "'x'"),
+        ("--seeds", "1,1", "'1'"),
+        ("--scenarios", "mini-low,mini-low", "'mini-low'"),
+        ("--schemes", "baseline,baseline", "'baseline'"),
+        ("--workers", "0", "at least 1, got 0"),
+    ])
+    def test_sweep_argument_error_before_any_job(self, tmp_path, capsys, option, value, named):
+        root = tmp_path / "sweep"
+        args = {"--scenarios": "mini-low", "--schemes": "baseline", "--seeds": "1",
+                "--workers": "1", "--out": str(root), option: value}
+        rc = main(["sweep", *(x for kv in args.items() for x in kv),
+                   "--set", "run.duration_s=0.3", "--set", "run.warmup_s=0.1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert option in err and named in err
+        assert not root.exists()
 
     def test_urban_preset_runs(self, tmp_path, capsys):
         out = tmp_path / "urban"
@@ -377,30 +398,36 @@ class TestCliCommands:
             header = (root / f"gains__mini-low__{scheme}.csv").read_text().splitlines()[0]
             assert header == "bin_lo_m,bin_hi_m,pdr_gain_pp,slt_gain_bps,n_seeds"
 
-        def read(path, col):
-            with open(path) as f:
-                return {(float(r["bin_lo_m"]), float(r["bin_hi_m"])): float(r[col])
-                        for r in csv.DictReader(f)}
+        # each gains cell is the %.6g text of the mean, in seed order, of the
+        # exact per-seed differences of in-process runs of the same configs
+        def bins(scheme, seed):
+            resolved = config.resolve(overrides=FAST, scenario="mini-low", scheme=scheme, seed=seed)
+            result = engine.run(config.build_run_config(resolved))
+            return [{(b.bin_lo_m, b.bin_hi_m): b.value for b in rows}
+                    for rows in (metrics.pdr(result.metrics),
+                                 metrics.slt(result.metrics, result.observation_s))]
 
-        # dcc-1 runs as baseline does on this ring, so its gains are all 0;
-        # dcc-7's are checked by value against the runs' own CSVs
-        want = {}       # bin -> (PDR gains, SLT gains), one per seed with the bin
-        for seed in (1, 2):
-            runs = [root / f"mini-low__{s}__seed{seed}" for s in ("dcc-7", "baseline")]
-            s_pdr, b_pdr = (read(d / "pdr_vs_distance.csv", "pdr") for d in runs)
-            s_slt, b_slt = (read(d / "slt_vs_distance.csv", "slt_bytes_per_s") for d in runs)
-            for key in s_pdr.keys() & b_pdr.keys():
-                pp, bps = want.setdefault(key, ([], []))
-                pp.append(100.0 * (s_pdr[key] - b_pdr[key]))
-                bps.append(s_slt.get(key, 0.0) - b_slt.get(key, 0.0))
-        gains = root / "gains__mini-low__dcc-7.csv"
-        got = {col: read(gains, col) for col in ("pdr_gain_pp", "slt_gain_bps", "n_seeds")}
-        assert sorted(got["n_seeds"]) == sorted(want)
-        assert set(got["n_seeds"].values()) == {2.0}
-        for key, (pp, bps) in want.items():
-            assert got["pdr_gain_pp"][key] == pytest.approx(sum(pp) / len(pp), rel=1e-5)
-            assert got["slt_gain_bps"][key] == pytest.approx(sum(bps) / len(bps), rel=1e-5)
-        assert any(got["pdr_gain_pp"].values())
+        runs = {(scheme, seed): bins(scheme, seed)
+                for scheme in ("baseline", "dcc-1", "dcc-7") for seed in (1, 2)}
+        for scheme in ("dcc-1", "dcc-7"):
+            diffs = {}      # bin -> [(PDR gain, SLT gain)], one per seed with the bin
+            for seed in (1, 2):
+                (s_pdr, s_slt), (b_pdr, b_slt) = runs[scheme, seed], runs["baseline", seed]
+                for key in sorted(s_pdr.keys() & b_pdr.keys()):
+                    diffs.setdefault(key, []).append((100.0 * (s_pdr[key] - b_pdr[key]),
+                                                      s_slt.get(key, 0.0) - b_slt.get(key, 0.0)))
+            with open(root / f"gains__mini-low__{scheme}.csv") as f:
+                got = {(float(r["bin_lo_m"]), float(r["bin_hi_m"])): r for r in csv.DictReader(f)}
+            assert sorted(got) == sorted(diffs)
+            for key, d in diffs.items():
+                assert got[key]["n_seeds"] == str(len(d)), key
+                for col, i in (("pdr_gain_pp", 0), ("slt_gain_bps", 1)):
+                    mean = sum(x[i] for x in d) / len(d)
+                    assert got[key][col] == metrics.FLOAT % mean, (key, col)
+            if scheme == "dcc-7":
+                # a bin only one seed's runs reach, next to bins both reach
+                assert {len(d) for d in diffs.values()} == {1, 2}
+                assert any(x[0] for d in diffs.values() for x in d)
 
     def test_sweep_determinism(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -210,21 +210,38 @@ class TestGains:
         return [BinValue(i * width, (i + 1) * width, v, 1) for i, v in enumerate(values)]
 
     def test_identical_runs_zero_gain(self):
-        p = self.bins([0.9, 0.7])
-        s = self.bins([1000.0, 400.0])
-        for g in gains(p, s, p, s):
-            assert g.pdr_gain_pp == 0.0 and g.slt_gain_bps == 0.0
+        run = (self.bins([0.9, 0.7]), self.bins([1000.0, 400.0]))
+        for g in gains([(run, run)]):
+            assert g.pdr_gain_pp == 0.0 and g.slt_gain_bps == 0.0 and g.n_seeds == 1
 
     def test_difference_direction(self):
-        rows = gains(self.bins([0.6]), self.bins([500.0]),
-                     self.bins([0.4]), self.bins([800.0]))
+        rows = gains([((self.bins([0.6]), self.bins([500.0])),
+                       (self.bins([0.4]), self.bins([800.0])))])
         assert rows[0].pdr_gain_pp == pytest.approx(20.0)
         assert rows[0].slt_gain_bps == pytest.approx(-300.0)
 
+    def test_seeds_counted_per_bin(self):
+        # seed 2's scheme run lacks the second bin, so that bin's row is seed
+        # 1's difference alone; the first bin's is the mean over both seeds
+        seed1 = ((self.bins([0.6, 0.5]), self.bins([500.0, 300.0])),
+                 (self.bins([0.4, 0.2]), self.bins([800.0, 100.0])))
+        seed2 = ((self.bins([0.9]), self.bins([700.0])),
+                 (self.bins([0.3, 0.1]), self.bins([200.0, 50.0])))
+        first, second = gains([seed1, seed2])
+        assert (first.bin_lo_m, first.n_seeds) == (0.0, 2)
+        assert first.pdr_gain_pp == (100.0 * (0.6 - 0.4) + 100.0 * (0.9 - 0.3)) / 2
+        assert first.slt_gain_bps == ((500.0 - 800.0) + (700.0 - 200.0)) / 2
+        assert (second.bin_lo_m, second.n_seeds) == (25.0, 1)
+        assert second.pdr_gain_pp == 100.0 * (0.5 - 0.2)
+        assert second.slt_gain_bps == 300.0 - 100.0
+
     def test_bin_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            gains(self.bins([0.5]), self.bins([1.0]),
-                  self.bins([0.5], width=50.0), self.bins([1.0], width=50.0))
+        # within one seed's pair of runs, and across seeds
+        run = (self.bins([0.5]), self.bins([1.0]))
+        wide = (self.bins([0.5], width=50.0), self.bins([1.0], width=50.0))
+        for pairs in ([(run, wide)], [(run, run), (wide, wide)]):
+            with pytest.raises(ValueError):
+                gains(pairs)
 
 
 def test_metrics_are_pure_functions_of_the_ledger():
