@@ -6,7 +6,7 @@ metrics."""
 __version__ = "0.1.0"
 
 from .channel import ChannelModel, Outcome
-from .core import RngPool, RngStream, RoadGeometry, dbm_to_mw
+from .core import RngPool, RoadGeometry, dbm_to_mw, rng_stream
 from .dcc import RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
 from .mac_sps import CrConfig, SensingStore, SensingWindow, SpsConfig
@@ -15,7 +15,7 @@ from .mobility import PRESETS, Fleet, ScenarioPreset
 
 __all__ = [
     "ChannelModel", "CrConfig", "Fleet", "MetricsConfig", "Outcome", "PRESETS",
-    "RangeControlConfig", "RateControlConfig", "RngPool", "RngStream", "RoadGeometry",
-    "RunConfig", "RunResult", "SCHEMES", "ScenarioPreset", "SensingStore", "SensingWindow",
-    "Simulation", "SpsConfig", "dbm_to_mw", "run", "__version__",
+    "RangeControlConfig", "RateControlConfig", "RngPool", "RoadGeometry", "RunConfig",
+    "RunResult", "SCHEMES", "ScenarioPreset", "SensingStore", "SensingWindow", "Simulation",
+    "SpsConfig", "dbm_to_mw", "rng_stream", "run", "__version__",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, RoadGeometry, dbm_to_mw
+from .core import RoadGeometry, dbm_to_mw
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ class SubframeResolution:
 
 def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
                      tx_power_dbm: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     model: ChannelModel, rng: RngStream, geometry: RoadGeometry, n_subch: int,
-                     static_shadow: np.ndarray | None, fading_rng: RngStream,
-                     n_sf: int) -> SubframeResolution:
+                     model: ChannelModel, rng: np.random.Generator, geometry: RoadGeometry,
+                     n_subch: int, static_shadow: np.ndarray | None,
+                     fading_rng: np.random.Generator, n_sf: int) -> SubframeResolution:
     """Resolve every transmission of a batch of `n_sf` subframes against
     every UE, each subframe on its own.
 

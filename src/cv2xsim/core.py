@@ -1,4 +1,5 @@
-"""Shared domain types, unit conversions, and deterministic randomness."""
+"""Shared domain types, unit conversions, and deterministic randomness: every
+draw comes from a NumPy Philox `Generator` keyed by (seed, purpose, UE id)."""
 
 from __future__ import annotations
 
@@ -56,49 +57,25 @@ def _derive_key(seed: int, purpose: str, ue: int | None) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
-class RngStream:
-    """Counter-based random stream keyed by (seed, purpose, ue id).
+def rng_stream(seed: int, purpose: str, ue: int | None = None) -> np.random.Generator:
+    """Counter-based Philox generator keyed by (seed, purpose, ue id).
 
     Streams with distinct ids are statistically independent, so adding or
     removing draws in one subsystem never perturbs another.  The same
     (seed, purpose, ue) always reproduces the same sequence on any platform.
     """
-
-    def __init__(self, seed: int, purpose: str, ue: int | None = None):
-        self.seed = seed
-        self.purpose = purpose
-        self.ue = ue
-        self._gen = np.random.Generator(np.random.Philox(key=_derive_key(seed, purpose, ue)))
-
-    def random(self) -> float:
-        return float(self._gen.random())
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer on [lo, hi], both ends inclusive."""
-        return int(self._gen.integers(lo, hi + 1))
-
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0, *, size) -> np.ndarray:
-        return self._gen.normal(mu, sigma, size=size)
-
-    def gamma(self, shape: float, scale: float, *, size) -> np.ndarray:
-        return self._gen.gamma(shape, scale, size=size)
-
-    def uniform_array(self, lo: float, hi: float, size) -> np.ndarray:
-        return self._gen.uniform(lo, hi, size=size)
+    return np.random.Generator(np.random.Philox(key=_derive_key(seed, purpose, ue)))
 
 
 class RngPool:
-    """Factory handing out cached per-(purpose, ue) streams for one run seed."""
+    """Factory handing out cached per-(purpose, ue) generators for one run seed."""
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._streams: dict[tuple[str, int | None], RngStream] = {}
+        self._streams: dict[tuple[str, int | None], np.random.Generator] = {}
 
-    def stream(self, purpose: str, ue: int | None = None) -> RngStream:
+    def stream(self, purpose: str, ue: int | None = None) -> np.random.Generator:
         key = (purpose, ue)
         if key not in self._streams:
-            self._streams[key] = RngStream(self.seed, purpose, ue)
+            self._streams[key] = rng_stream(self.seed, purpose, ue)
         return self._streams[key]

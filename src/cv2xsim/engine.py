@@ -148,24 +148,6 @@ def _grant_period(itt_ms: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.rint(itt_ms)).astype(np.int64)
 
 
-def _rows(dtype: np.dtype, n_rows: int, *columns) -> np.ndarray:
-    """Structured array of `dtype` whose fields, in order, are `columns`
-    (each an array of `n_rows` or a scalar)."""
-    out = np.empty(n_rows, dtype)
-    for name, col in zip(dtype.names, columns):
-        out[name] = col
-    return out
-
-
-def _joined(chunks: list[bytes], dtype: np.dtype) -> np.ndarray:
-    """The rows of the chunks as one read-only array; the list is left
-    holding just their joined bytes.  (Joining bytes is a memcpy, where
-    `np.concatenate` of many small structured arrays copies field by field.)"""
-    if len(chunks) != 1:
-        chunks[:] = [b"".join(chunks)]
-    return np.frombuffer(chunks[0], dtype)
-
-
 class EventLog:
     """Append-only transmission record with per-event outcome tallies.
 
@@ -185,7 +167,12 @@ class EventLog:
 
     @property
     def tx_events(self) -> np.ndarray:
-        return _joined(self._tx, TX_DTYPE)
+        """The rows as one read-only array; the chunk list is left holding
+        just their joined bytes.  (Joining bytes is a memcpy, where
+        `np.concatenate` of many small structured arrays copies field by field.)"""
+        if len(self._tx) != 1:
+            self._tx[:] = [b"".join(self._tx)]
+        return np.frombuffer(self._tx[0], TX_DTYPE)
 
     def digest(self) -> str:
         """sha256 over `repr` of each tx row's tuple."""
@@ -289,10 +276,11 @@ class Simulation:
         self._flush(n)
         period = int(self.itt_sf[ue])
         sps = self.cfg.sps
-        subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, sps,
-                                                  self.rngs.stream("sps", ue),
+        rng = self.rngs.stream("sps", ue)
+        # the resource pick draws first, then the counter
+        subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, sps, rng,
                                                   own_period_sf=period)
-        slrrc = self.rngs.stream("sps", ue).randint(sps.slrrc_min, sps.slrrc_max)
+        slrrc = mac_sps.draw_counter(rng, sps)
         self.next_tx[ue], self.grant_subch[ue] = subframe, subch
         self.grant_period[ue], self.slrrc[ue] = period, slrrc
 
@@ -332,8 +320,12 @@ class Simulation:
         others[rows, tx_ue] = False
 
         tx_x = self.x[tx_ue]
-        self.log.append(_rows(TX_DTYPE, k, subframe, tx_ue, tx_subch, tx_power, tx_x,
-                              self.lane[tx_ue], tx_period, delay, *counts.T))
+        # field by field: a third of the cost of np.rec.fromarrays on a batch
+        log_rows = np.empty(k, TX_DTYPE)
+        for name, col in zip(TX_DTYPE.names, (subframe, tx_ue, tx_subch, tx_power, tx_x,
+                                              self.lane[tx_ue], tx_period, delay, *counts.T)):
+            log_rows[name] = col
+        self.log.append(log_rows)
 
         region_lo, region_hi = self._region
         recorded = (region_lo <= tx_x) & (tx_x <= region_hi) & (subframe >= self.warmup_sf)

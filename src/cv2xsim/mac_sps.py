@@ -5,7 +5,8 @@ Maintains the trailing 1000 ms sensing window, performs resource
 computes the channel-occupancy ratio and its congestion limit.  A grant is
 not an object here: the engine keeps each UE's next occurrence, subchannel,
 period and counter in arrays, `select_resource` returns a (subframe,
-subchannel) pair and `on_transmission` the next counter value.
+subchannel) pair, `draw_counter` a fresh counter and `on_transmission` the
+next counter value.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .core import RngStream
 
 # The occupancy window of `compute_cr` reaches this far into the past of n
 # and into its future
@@ -308,16 +307,22 @@ def _log10(values: np.ndarray) -> np.ndarray:
     return np.array([math.log10(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: RngStream, *,
-                    own_period_sf: int) -> tuple[int, int]:
+def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: np.random.Generator,
+                    *, own_period_sf: int) -> tuple[int, int]:
     """Pick uniformly at random from the selection pipeline's candidate set;
     returns (subframe, subchannel)."""
-    result = select_candidates(window, n, cfg, own_period_sf=own_period_sf)
-    subframe, subchannel = rng.choice(result.candidates).tolist()
+    candidates = select_candidates(window, n, cfg, own_period_sf=own_period_sf).candidates
+    # the row `rng.choice(candidates)` returns, drawn at a quarter of its cost
+    subframe, subchannel = candidates[rng.integers(len(candidates))].tolist()
     return subframe, subchannel
 
 
-def on_transmission(slrrc: int, rng: RngStream, cfg: SpsConfig) -> int | None:
+def draw_counter(rng: np.random.Generator, cfg: SpsConfig) -> int:
+    """A fresh reselection counter, uniform on [slrrc_min, slrrc_max]."""
+    return int(rng.integers(cfg.slrrc_min, cfg.slrrc_max + 1))
+
+
+def on_transmission(slrrc: int, rng: np.random.Generator, cfg: SpsConfig) -> int | None:
     """Advance a grant's reselection counter after a transmission.
 
     Returns the new counter, or None when the reservation must change
@@ -331,7 +336,7 @@ def on_transmission(slrrc: int, rng: RngStream, cfg: SpsConfig) -> int | None:
         return slrrc
     if rng.random() < cfg.p_resel:
         return None
-    return rng.randint(cfg.slrrc_min, cfg.slrrc_max)
+    return draw_counter(rng, cfg)
 
 
 def compute_cr(past, period_sf, n_subch: int) -> np.ndarray:

@@ -317,19 +317,22 @@ def gains(pairs: list[tuple[RunBins, RunBins]]) -> list[GainBin]:
     """Scheme-minus-baseline differences from one (scheme, baseline) pair of
     runs per seed.  For each bin that both runs of at least one seed have:
     the mean difference over those seeds, summed in seed order, and how many
-    seeds that is.  All runs must share binning."""
+    seeds that is.  All runs must share binning: no two distinct bins of
+    theirs overlap.  (Edges are compared, not widths: `hi - lo` of the bins
+    of one width varies in the last bits.)"""
     def index(rows):
         return {(r.bin_lo_m, r.bin_hi_m): r.value for r in rows}
 
-    widths = set()
+    edges = set()
     diffs: dict[tuple[float, float], list[tuple[float, float]]] = {}
     for (scheme_pdr, scheme_slt), (base_pdr, base_slt) in pairs:
         sp, ss, bp, bs = index(scheme_pdr), index(scheme_slt), index(base_pdr), index(base_slt)
-        widths.update(hi - lo for lo, hi in [*sp, *ss, *bp, *bs])
+        edges.update([*sp, *ss, *bp, *bs])
         for key in sp.keys() & bp.keys():
             diffs.setdefault(key, []).append((100.0 * (sp[key] - bp[key]),
                                               ss.get(key, 0.0) - bs.get(key, 0.0)))
-    if len(widths) > 1:
+    bins = sorted(edges)
+    if any(hi > next_lo for (_, hi), (next_lo, _) in zip(bins, bins[1:])):
         raise ValueError("bin mismatch: runs use different bin widths")
     out = []
     for (lo, hi), d in sorted(diffs.items()):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, RoadGeometry
+from .core import RoadGeometry
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class Fleet:
             raise ValueError("fleet arrays must have one entry per vehicle")
 
 
-def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> Fleet:
+def generate_scenario(preset: ScenarioPreset, rng: np.random.Generator) -> Fleet:
     """Place vehicles uniformly at random per lane at the preset density.
 
     Vehicles are numbered lane by lane.  Half the lanes run in each
@@ -91,13 +91,14 @@ def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> Fleet:
     count, lanes = preset.vehicle_count, preset.lanes
     length_m = preset.road_length_km * 1000.0
     per_lane = [count // lanes + (1 if i < count % lanes else 0) for i in range(lanes)]
-    x = np.concatenate([rng.uniform_array(0.0, length_m, size=k) for k in per_lane])
+    x = np.concatenate([rng.uniform(0.0, length_m, size=k) for k in per_lane])
     lane = np.repeat(np.arange(lanes), per_lane)
     speed = np.where(lane < lanes // 2, 1.0, -1.0) * (preset.speed_kmh / 3.6)
     return Fleet(x, lane, speed, speed.copy())
 
 
-def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset, rng: RngStream) -> np.ndarray:
+def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset,
+         rng: np.random.Generator) -> np.ndarray:
     """Advance every vehicle by dt_s in place; returns the indices that respawned.
 
     Vehicles leaving a non-wraparound road re-enter at the opposite end of

@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cv2xsim.channel import ChannelModel, Outcome, SubframeResolution, pathloss
-from cv2xsim.core import RngStream, RoadGeometry
+from cv2xsim.core import RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
 from cv2xsim.metrics import BinValue, BlindReport, GainBin, MetricsStore
@@ -238,9 +238,10 @@ def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> floa
 
 
 def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.ndarray,
-                     x: np.ndarray, y: np.ndarray, model: ChannelModel, rng: RngStream,
-                     geometry: RoadGeometry, n_subch: int, static_shadow: np.ndarray | None,
-                     fading_rng: RngStream) -> SubframeResolution:
+                     x: np.ndarray, y: np.ndarray, model: ChannelModel,
+                     rng: np.random.Generator, geometry: RoadGeometry, n_subch: int,
+                     static_shadow: np.ndarray | None,
+                     fading_rng: np.random.Generator) -> SubframeResolution:
     """Per-subframe form of `cv2xsim.channel.resolve_subframe`: the result
     of one subframe, as a batch of one, with a draw of each stream and a
     `sum(axis=0)` per subchannel."""
@@ -511,7 +512,7 @@ class Vehicle:
     nominal_mps: float      # constant cruise speed the perturbation reverts to
 
 
-def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> list[Vehicle]:
+def generate_scenario(preset: ScenarioPreset, rng: np.random.Generator) -> list[Vehicle]:
     """Vehicle-by-vehicle form of `cv2xsim.mobility.generate_scenario`."""
     count, lanes = preset.vehicle_count, preset.lanes
     length_m = preset.road_length_km * 1000.0
@@ -520,13 +521,13 @@ def generate_scenario(preset: ScenarioPreset, rng: RngStream) -> list[Vehicle]:
     vehicles = []
     for lane, k in enumerate(per_lane):
         direction = 1.0 if lane < lanes // 2 else -1.0
-        for x in rng.uniform_array(0.0, length_m, size=k):
+        for x in rng.uniform(0.0, length_m, size=k):
             vehicles.append(Vehicle(float(x), lane, direction * speed, direction * speed))
     return vehicles
 
 
 def step(vehicles: list[Vehicle], dt_s: float, preset: ScenarioPreset,
-         rng: RngStream) -> list[int]:
+         rng: np.random.Generator) -> list[int]:
     """Vehicle-by-vehicle form of `cv2xsim.mobility.step`."""
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import oracles
-from cv2xsim.core import RngStream
+from cv2xsim.core import rng_stream
 from cv2xsim.mobility import Fleet, ScenarioPreset, step
 
 
@@ -34,7 +34,7 @@ def road_ticks(draw, max_ticks=4):
     start = (fleet.x.copy(), y)
     ticks = []
     for _ in range(draw(st.integers(0, max_ticks))):
-        step(fleet, 1.0, preset, RngStream(0, "perturb"))    # no speed noise: no draws
+        step(fleet, 1.0, preset, rng_stream(0, "perturb"))    # no speed noise: no draws
         ticks.append((fleet.x.copy(), y))
     d = oracles.pair_distances(*start, geometry)
     distances = sorted(set(d[~np.eye(n, dtype=bool)].tolist()) - {0.0})

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cv2xsim.channel import ChannelModel, Outcome, pathloss, resolve_subframe
-from cv2xsim.core import RngStream, RoadGeometry
+from cv2xsim.core import RoadGeometry, rng_stream
 
 GEO = RoadGeometry(length_m=10_000.0, lanes=12, lane_width_m=4.0, wraparound=False)
 
@@ -30,7 +30,7 @@ def resolve(txs, ues, model, rng, static_shadow=None, fading_rng=None):
     fresh stream."""
     tx = np.array(txs, dtype=float).reshape(-1, 3)
     pos = np.array(ues, dtype=float)
-    fading_rng = RngStream(1, "fading") if fading_rng is None else fading_rng
+    fading_rng = rng_stream(1, "fading") if fading_rng is None else fading_rng
     res = resolve_subframe(np.zeros(len(tx), dtype=int), tx[:, 0].astype(int),
                            tx[:, 1].astype(int), tx[:, 2], pos[:, 0],
                            GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, 2,
@@ -105,18 +105,18 @@ class TestReceivedPower:
         # tx - pathloss(d) - shadow, with the shadowing looked up per pair
         m = single_slope(d0_m=10.0, pl0_db=100.0)
         ues = [(0.0, 0), (10.0, 0)]
-        res = resolve([(0, 0, 23.0)], ues, m, RngStream(1, "shadow"))
+        res = resolve([(0, 0, 23.0)], ues, m, rng_stream(1, "shadow"))
         assert res.rx_power_dbm[0, 1] == pytest.approx(-77.0)
         static = single_slope(d0_m=10.0, pl0_db=100.0, shadowing_sigma_db=1.0,
                               shadowing_mode="static")
-        res = resolve([(0, 0, 23.0)], ues, static, RngStream(1, "shadow"),
+        res = resolve([(0, 0, 23.0)], ues, static, rng_stream(1, "shadow"),
                       static_shadow=np.full((2, 2), 3.0))
         assert res.rx_power_dbm[0, 1] == pytest.approx(-80.0)
         assert shadow_db(res, [(0, 0, 23.0)], static)[0, 1] == pytest.approx(3.0)
 
     def test_shadowing_distribution_zero_mean(self):
         sigma = 3.0
-        draws = RngStream(5, "shadow").normal(0.0, sigma, size=100_000)
+        draws = rng_stream(5, "shadow").normal(0.0, sigma, size=100_000)
         assert abs(draws.mean()) < 0.1
         assert draws.std() == pytest.approx(sigma, rel=0.02)
 
@@ -124,7 +124,7 @@ class TestReceivedPower:
         m = clean_model()
         d = np.linspace(1.0, 2000.0, 500)
         res = resolve([(0, 0, 23.0)], [(0.0, 0), *((x, 0) for x in d)], m,
-                      RngStream(1, "shadow"))
+                      rng_stream(1, "shadow"))
         assert np.all(np.diff(res.rx_power_dbm[0, 1:]) <= 0)
 
 
@@ -132,7 +132,7 @@ class TestResolveSubframe:
     def test_isolated_link_decodes(self):
         m = clean_model()
         txs = [(0, 0, 23.0)]
-        res = resolve(txs, [(0.0, 0), (50.0, 0)], m, RngStream(1, "shadow"))
+        res = resolve(txs, [(0.0, 0), (50.0, 0)], m, rng_stream(1, "shadow"))
         [(outcome, rx_power_dbm, sinr)] = links_to(res, txs, 1, m).values()
         assert outcome == Outcome.DECODED
         # SINR equals SNR exactly when nobody else transmits
@@ -142,7 +142,7 @@ class TestResolveSubframe:
     def test_half_duplex_blocks_own_subframe(self):
         m = clean_model()
         txs = [(0, 0, 23.0), (1, 1, 23.0)]
-        res = resolve(txs, [(0.0, 0), (50.0, 0), (100.0, 0)], m, RngStream(1, "shadow"))
+        res = resolve(txs, [(0.0, 0), (50.0, 0), (100.0, 0)], m, rng_stream(1, "shadow"))
         assert [o for o, _, _ in links_to(res, txs, 1, m).values()] == \
             [Outcome.HALF_DUPLEX_BLOCKED]
         assert [o for o, _, _ in links_to(res, txs, 2, m).values()] == [Outcome.DECODED] * 2
@@ -154,7 +154,7 @@ class TestResolveSubframe:
         # transmission rows so a mix-up between them shows)
         m = clean_model()
         txs = [(2, 0, 23.0), (1, 0, 20.0)]
-        res = resolve(txs, [(0.0, 0), (50.0, 0), (120.0, 1)], m, RngStream(1, "shadow"))
+        res = resolve(txs, [(0.0, 0), (50.0, 0), (120.0, 1)], m, rng_stream(1, "shadow"))
         arrival_mw = 10.0 ** (res.rx_power_dbm / 10.0)
         assert res.srssi_mw[2, 0] == pytest.approx(m.noise_mw + arrival_mw[1, 2], rel=1e-12)
         assert res.srssi_mw[1, 0] == pytest.approx(m.noise_mw + arrival_mw[0, 1], rel=1e-12)
@@ -165,22 +165,22 @@ class TestResolveSubframe:
         # signal == interference gives SINR below 1 before noise
         m = clean_model(sinr_threshold_db=2.5)
         txs = [(0, 0, 23.0), (1, 0, 23.0)]
-        res = resolve(txs, [(0.0, 0), (200.0, 0), (100.0, 0)], m, RngStream(1, "shadow"))
+        res = resolve(txs, [(0.0, 0), (200.0, 0), (100.0, 0)], m, rng_stream(1, "shadow"))
         out = {ue: o for ue, (o, _, _) in links_to(res, txs, 2, m).items()}
         assert out == {0: Outcome.COLLIDED, 1: Outcome.COLLIDED}
 
     def test_below_sensitivity(self):
         m = clean_model(sensitivity_dbm=-92.0)
         txs = [(0, 0, 23.0)]
-        res = resolve(txs, [(0.0, 0), (5000.0, 0)], m, RngStream(1, "shadow"))
+        res = resolve(txs, [(0.0, 0), (5000.0, 0)], m, rng_stream(1, "shadow"))
         assert links_to(res, txs, 1, m)[0][0] == Outcome.BELOW_SENSITIVITY
 
     def test_interferer_never_rescues_a_link(self):
         m = clean_model()
         ues = [(0.0, 0), (500.0, 0), (400.0, 0), (300.0, 0)]
         two, three = [(0, 0, 23.0), (1, 0, 23.0)], [(0, 0, 23.0), (1, 0, 23.0), (2, 0, 23.0)]
-        base = resolve(two, ues, m, RngStream(1, "shadow"))
-        more = resolve(three, ues, m, RngStream(1, "shadow"))
+        base = resolve(two, ues, m, rng_stream(1, "shadow"))
+        more = resolve(three, ues, m, rng_stream(1, "shadow"))
         if base.outcome[0, 3] == Outcome.COLLIDED:
             assert more.outcome[0, 3] in (Outcome.COLLIDED, Outcome.BELOW_SENSITIVITY)
         assert sinr_db(more, three, m)[0, 3] <= sinr_db(base, two, m)[0, 3] + 1e-9
@@ -189,16 +189,16 @@ class TestResolveSubframe:
         m = clean_model()
         ues = [(0.0, 0), (400.0, 0), (800.0, 0), (123.0, 2)]
         txs = [(0, 0, 23.0), (1, 0, 20.0), (2, 0, 17.0)]
-        full = resolve(txs, ues, m, RngStream(1, "shadow"))
+        full = resolve(txs, ues, m, rng_stream(1, "shadow"))
         for k in range(1, len(txs)):
-            part = resolve(txs[:k], ues, m, RngStream(1, "shadow"))
+            part = resolve(txs[:k], ues, m, rng_stream(1, "shadow"))
             assert part.srssi_mw[3, 0] <= full.srssi_mw[3, 0] + 1e-18
 
     def test_measurement_rsrp_below_total(self):
         m = ChannelModel(shadowing_sigma_db=3.0)
         ues = [(0.0, 0), (300.0, 0), (100.0, 0), (150.0, 4)]
         txs = [(0, 0, 23.0), (1, 0, 23.0), (2, 1, 23.0)]
-        res = resolve(txs, ues, m, RngStream(3, "shadow"))
+        res = resolve(txs, ues, m, rng_stream(3, "shadow"))
         for t, (_, subch, _) in enumerate(txs):
             if res.outcome[t, 3] == Outcome.DECODED:
                 srssi_dbm = 10.0 * np.log10(res.srssi_mw[3, subch])
@@ -206,7 +206,7 @@ class TestResolveSubframe:
 
     def test_empty_subframe_is_noise_only(self):
         m = clean_model()
-        res = resolve([], [(0.0, 0)], m, RngStream(1, "shadow"))
+        res = resolve([], [(0.0, 0)], m, rng_stream(1, "shadow"))
         assert res.srssi_mw[0, 0] == pytest.approx(m.noise_mw)
         assert 10.0 * np.log10(res.srssi_mw[0, 0]) == pytest.approx(m.noise_floor_dbm)
 
@@ -215,9 +215,9 @@ class TestResolveSubframe:
         faded = ChannelModel(shadowing_sigma_db=3.0, fading="nakagami", nakagami_m=3.0)
         ues = [(0.0, 0), (50.0, 0), (100.0, 0), (200.0, 0)]
         txs = [(0, 0, 23.0), (1, 1, 23.0)]
-        shadow_a, shadow_b = RngStream(2, "shadow"), RngStream(2, "shadow")
-        resolve(txs, ues, base, shadow_a, fading_rng=RngStream(2, "fading"))
-        resolve(txs, ues, faded, shadow_b, fading_rng=RngStream(2, "fading"))
+        shadow_a, shadow_b = rng_stream(2, "shadow"), rng_stream(2, "shadow")
+        resolve(txs, ues, base, shadow_a, fading_rng=rng_stream(2, "fading"))
+        resolve(txs, ues, faded, shadow_b, fading_rng=rng_stream(2, "fading"))
         # both runs took the same shadowing draws, and the fading none of them
         assert shadow_a.normal(size=4).tolist() == shadow_b.normal(size=4).tolist()
 
@@ -249,10 +249,10 @@ class TestResolveSubframe:
                              fading=data.draw(st.sampled_from(["none", "nakagami"])),
                              sensitivity_dbm=data.draw(st.sampled_from([-98.0, -92.0])))
         seed = data.draw(st.integers(0, 2 ** 16))
-        table = RngStream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
+        table = rng_stream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
         res = resolve_subframe(np.zeros(k, dtype=int), tx_ue, tx_subch, power, x,
-                               GEO.lane_y(lanes), model, RngStream(seed, "shadow"), GEO, n_subch,
-                               table, RngStream(seed, "fading"), 1)
+                               GEO.lane_y(lanes), model, rng_stream(seed, "shadow"), GEO, n_subch,
+                               table, rng_stream(seed, "fading"), 1)
         decoded = res.outcome == Outcome.DECODED
         for c in range(n_subch):
             assert decoded[tx_subch == c].sum(axis=0).max(initial=0) <= 1
@@ -287,9 +287,9 @@ def test_batch_matches_subframe_by_subframe(data):
                          fading=data.draw(st.sampled_from(["none", "nakagami"])),
                          sinr_threshold_db=data.draw(st.sampled_from([0.0, 2.5])))
     seed = data.draw(st.integers(0, 2 ** 16))
-    table = RngStream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
+    table = rng_stream(seed, "shadow-static").normal(0.0, sigma, size=(n_ue, n_ue))
 
-    streams = [(RngStream(seed, "shadow"), RngStream(seed, "fading")) for _ in range(2)]
+    streams = [(rng_stream(seed, "shadow"), rng_stream(seed, "fading")) for _ in range(2)]
     tx_sf = np.repeat(np.arange(n_sf), [len(ues) for ues, _, _ in subframes])
     tx_ue, tx_subch, power = (np.concatenate(col) for col in zip(*subframes))
     batch = resolve_subframe(tx_sf, tx_ue, tx_subch, power, x, y, model, streams[0][0], GEO,

@@ -8,7 +8,7 @@ from roads import road_ticks
 from sensing import build_window
 
 from cv2xsim import config
-from cv2xsim.core import RngStream, RoadGeometry, dbm_to_mw
+from cv2xsim.core import RoadGeometry, dbm_to_mw, rng_stream
 from cv2xsim.dcc import (BASE_ITT_MS, RangeControlConfig, RateControlConfig, SCHEMES,
                          busy_percentage, compute_itt, neighbor_counts, power_target,
                          release_triggers, scheme_by_name, smooth_density, tracking_error,
@@ -107,13 +107,13 @@ class TestCountNeighbors:
     def test_uniform_density_monte_carlo(self):
         # density rho on a line -> mean count ~ 200 * rho within a 100 m radius
         rho = 0.5
-        rng = RngStream(8, "mc")
+        rng = rng_stream(8, "mc")
         length = 1000.0
         total = 0
         trials = 200
         for _ in range(trials):
             xs = np.concatenate([[length / 2.0],
-                                 rng.uniform_array(0.0, length, size=int(rho * length))])
+                                 rng.uniform(0.0, length, size=int(rho * length))])
             total += counts(xs, np.zeros(xs.size, dtype=int), 100.0)[0]
         assert total / trials == pytest.approx(200.0 * rho, rel=0.05)
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from sensing import NO_DECODES, NOISE_MW, build_window, recorded_count
 
-from cv2xsim.core import RngStream
+from cv2xsim.core import rng_stream
 from cv2xsim.mac_sps import (SensingStore, SensingWindow, SpsConfig,
-                             _rank_metric, compute_cr, cr_limit, on_transmission,
+                             _rank_metric, compute_cr, cr_limit, draw_counter, on_transmission,
                              select_candidates, select_resource)
 
 
@@ -77,22 +77,22 @@ class TestOnTransmission:
     CFG = SpsConfig()
 
     def test_plain_decrement(self):
-        assert on_transmission(5, RngStream(1, "sps", 0), self.CFG) == 4
+        assert on_transmission(5, rng_stream(1, "sps", 0), self.CFG) == 4
 
     def test_forced_change(self):
         cfg = SpsConfig(p_resel=1.0)
         for seed in range(20):
-            assert on_transmission(1, RngStream(seed, "sps"), cfg) is None
+            assert on_transmission(1, rng_stream(seed, "sps"), cfg) is None
 
     def test_expiry_draws_fresh_counter(self):
         cfg = SpsConfig(p_resel=0.0)
         for seed in range(20):
-            out = on_transmission(1, RngStream(seed, "sps"), cfg)
+            out = on_transmission(1, rng_stream(seed, "sps"), cfg)
             assert out is not None and cfg.slrrc_min <= out <= cfg.slrrc_max
 
     def test_change_probability_monte_carlo(self):
         cfg = SpsConfig(p_resel=0.2)
-        rng = RngStream(9, "sps")
+        rng = rng_stream(9, "sps")
         trials = 100_000
         changed = sum(on_transmission(1, rng, cfg) is None
                       for _ in range(trials))
@@ -100,16 +100,16 @@ class TestOnTransmission:
 
     def test_expired_counter_rejected(self):
         with pytest.raises(ValueError):
-            on_transmission(0, RngStream(1, "sps"), self.CFG)
+            on_transmission(0, rng_stream(1, "sps"), self.CFG)
 
     def test_expected_transmissions_per_reservation(self):
         # mean grant lifetime = E[slrrc] / p_resel
         cfg = SpsConfig(slrrc_min=5, slrrc_max=15, p_resel=0.2)
-        rng = RngStream(4, "sps")
+        rng = rng_stream(4, "sps")
         total = 0
         lifetimes = 10_000
         for _ in range(lifetimes):
-            slrrc = rng.randint(cfg.slrrc_min, cfg.slrrc_max)
+            slrrc = draw_counter(rng, cfg)
             while True:
                 total += 1
                 slrrc = on_transmission(slrrc, rng, cfg)
@@ -210,60 +210,6 @@ def toy_cfg(**kw):
     return SpsConfig(**base)
 
 
-def oracle_candidates(window, n, cfg, n_subch, own_period_sf):
-    """Independent enumeration of the selection pipeline, candidate by candidate."""
-    store, ue = window.store, window.ue_index
-    lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
-    pool = [(t, c) for t in range(lo, hi + 1) for c in range(n_subch)]
-    need = math.ceil(cfg.keep_fraction * len(pool))
-    oldest = max(0, store.newest - store.span + 1)
-
-    heard = [(rec.subframe, rec.subchannel, rec.period_sf, rec.rsrp_dbm)
-             for rec in oracles.reservation_records(store)
-             if oldest <= rec.subframe < n and rec.receiver == ue]
-    unsensed = [j for j in range(oldest, n)
-                if store.row_subframe[j % store.span] == j and not store.sensed[j % store.span, ue]]
-
-    def is_exempt(t, c, th):
-        for j, jc, period, rsrp in heard:
-            if jc == c and rsrp > th and t > j and (t - j) % period == 0:
-                return True
-        if cfg.unsensed_exempt:
-            for j in unsensed:
-                if t > j and (t - j) % own_period_sf == 0:
-                    return True
-        return False
-
-    th = cfg.th_sps_dbm
-    while True:
-        survivors = [(t, c) for t, c in pool if not is_exempt(t, c, th)]
-        if len(survivors) >= need:
-            break
-        if not any(rsrp > th for _, _, _, rsrp in heard):
-            survivors = list(pool)
-            break
-        th += 3.0
-
-    def avg_rssi(t, c):
-        vals = []
-        m = 1
-        while t - m * cfg.rank_period_sf >= oldest:
-            j = t - m * cfg.rank_period_sf
-            if j <= n - 1:
-                row = j % store.span
-                if store.row_subframe[row] == j and store.sensed[row, ue]:
-                    v = float(store.srssi_mw[row, ue, c])
-                    vals.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
-            m += 1
-        if not vals:
-            return store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
-        return sum(vals) / len(vals)
-
-    scored = sorted((avg_rssi(t, c), t, c) for t, c in survivors)
-    cut = scored[min(need, len(scored)) - 1][0]
-    return {(t, c) for a, t, c in scored if a <= cut}
-
-
 def random_instance(rnd):
     span = rnd.randint(15, 30)
     n_subch = 2
@@ -302,7 +248,7 @@ class TestSelection:
         assert len(result.candidates) == 200
         assert result.escalations == 0
         # uniform choice over the whole pool: many distinct picks across draws
-        rng = RngStream(3, "sps")
+        rng = rng_stream(3, "sps")
         picks = {select_resource(w, 0, cfg, rng, own_period_sf=100) for _ in range(600)}
         assert len(picks) > 150
 
@@ -310,7 +256,7 @@ class TestSelection:
         rnd = random.Random(5)
         for _ in range(50):
             w, n, cfg, n_subch, own = random_instance(rnd)
-            subframe, subch = select_resource(w, n, cfg, RngStream(rnd.randrange(999), "sps"),
+            subframe, subch = select_resource(w, n, cfg, rng_stream(rnd.randrange(999), "sps"),
                                               own_period_sf=own)
             assert n + cfg.t1_sf <= subframe <= n + cfg.t2_sf
             assert 0 <= subch < n_subch
@@ -330,7 +276,7 @@ class TestSelection:
         rnd = random.Random(11)
         seen = 0
         for _ in range(200):
-            w, n, cfg, n_subch, own = random_instance(rnd)
+            w, n, cfg, _, own = random_instance(rnd)
             result = select_candidates(w, n, cfg, own_period_sf=own)
             assert result.threshold_dbm == pytest.approx(cfg.th_sps_dbm + 3.0 * result.escalations)
             seen += result.escalations > 0
@@ -341,7 +287,7 @@ class TestSelection:
         # ceil(keep_fraction * pool) candidates when enough survive
         rnd = random.Random(23)
         for _ in range(100):
-            w, n, cfg, n_subch, own = random_instance(rnd)
+            w, n, cfg, _, own = random_instance(rnd)
             result = select_candidates(w, n, cfg, own_period_sf=own)
             need = math.ceil(cfg.keep_fraction * result.pool_size)
             assert len(result.candidates) >= min(need, result.pool_size)
@@ -385,13 +331,13 @@ class TestSelection:
         rnd = random.Random(99)
         escalated = 0
         for _ in range(200):
-            w, n, cfg, n_subch, own = random_instance(rnd)
+            w, n, cfg, _, own = random_instance(rnd)
             result = select_candidates(w, n, cfg, own_period_sf=own)
             got = set(map(tuple, result.candidates.tolist()))
-            want = oracle_candidates(w, n, cfg, n_subch, own)
+            want = set(oracles.select_candidates(w, n, cfg, own_period_sf=own).candidates)
             assert got == want
             escalated += result.escalations > 0
-            choice = select_resource(w, n, cfg, RngStream(7, "sps"), own_period_sf=own)
+            choice = select_resource(w, n, cfg, rng_stream(7, "sps"), own_period_sf=own)
             assert choice in want
         assert escalated > 0
 
@@ -524,8 +470,8 @@ def test_selection_matches_reference(history):
     assert list(map(tuple, got.candidates.tolist())) == want.candidates
     assert (got.escalations, got.threshold_dbm, got.pool_size) == \
         (want.escalations, want.threshold_dbm, want.pool_size)
-    pick = select_resource(w, n, cfg, RngStream(7, "sps"), own_period_sf=own_period)
-    assert pick == RngStream(7, "sps").choice(want.candidates)
+    pick = select_resource(w, n, cfg, rng_stream(7, "sps"), own_period_sf=own_period)
+    assert list(pick) == rng_stream(7, "sps").choice(want.candidates).tolist()
     assert all(type(v) is int for v in pick)
     # every pool cell's ranking average, bit for bit
     ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)

@@ -235,6 +235,18 @@ class TestGains:
         assert second.pdr_gain_pp == 100.0 * (0.5 - 0.2)
         assert second.slt_gain_bps == 300.0 - 100.0
 
+    @pytest.mark.parametrize("width", [7.3, 0.1])
+    def test_fractional_bin_width_accepted(self, width):
+        # b * width to (b + 1) * width: the widths of these bins differ in
+        # the last bits, their shared edges do not
+        s = MetricsStore(4, width, 300.0, 190, 100.0)
+        bins = [BinValue(*s.bin_edges(b), 0.5, 1) for b in range(s.n_bins)]
+        assert len({hi - lo for lo, hi in map(s.bin_edges, range(s.n_bins))}) > 1
+        run = (bins, bins)
+        rows = gains([(run, run), (run, run)])
+        assert [(g.bin_lo_m, g.bin_hi_m) for g in rows] == list(map(s.bin_edges, range(s.n_bins)))
+        assert all(g.pdr_gain_pp == 0.0 and g.n_seeds == 2 for g in rows)
+
     def test_bin_mismatch_rejected(self):
         # within one seed's pair of runs, and across seeds
         run = (self.bins([0.5]), self.bins([1.0]))
@@ -242,6 +254,13 @@ class TestGains:
         for pairs in ([(run, wide)], [(run, run), (wide, wide)]):
             with pytest.raises(ValueError):
                 gains(pairs)
+
+    def test_overlapping_bins_rejected(self):
+        # no lower edge in common, but 25 to 50 m lies inside 0 to 50 m
+        narrow = (self.bins([0.5, 0.5])[1:], self.bins([1.0, 1.0])[1:])
+        wide = (self.bins([0.5], width=50.0), self.bins([1.0], width=50.0))
+        with pytest.raises(ValueError, match="bin mismatch"):
+            gains([(narrow, wide)])
 
 
 def test_metrics_are_pure_functions_of_the_ledger():

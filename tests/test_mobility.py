@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cv2xsim.core import RngStream
+from cv2xsim.core import rng_stream
 from cv2xsim.mobility import (PRESETS, Fleet, ScenarioPreset, generate_scenario,
                               preset_by_name, step)
 
@@ -51,7 +51,7 @@ class TestPresets:
 class TestGenerateScenario:
     def test_count_and_lane_split(self):
         p = preset_by_name("freeway-high")
-        fleet = generate_scenario(p, RngStream(1, "mobility"))
+        fleet = generate_scenario(p, rng_stream(1, "mobility"))
         assert len(fleet.x) == 300
         assert np.bincount(fleet.lane).tolist() == [25] * 12
         assert np.all((0.0 <= fleet.x) & (fleet.x <= 3600.0))
@@ -61,8 +61,8 @@ class TestGenerateScenario:
 
     def test_reproducible_placement(self):
         p = preset_by_name("mini-low")
-        a = generate_scenario(p, RngStream(4, "mobility"))
-        b = generate_scenario(p, RngStream(4, "mobility"))
+        a = generate_scenario(p, rng_stream(4, "mobility"))
+        b = generate_scenario(p, rng_stream(4, "mobility"))
         assert a.x.tolist() == b.x.tolist()
 
     @pytest.mark.parametrize("p", [
@@ -70,8 +70,8 @@ class TestGenerateScenario:
         ScenarioPreset("sparse", 5, 70.0, road_length_km=1.0, lanes=12)],   # empty lanes
         ids=lambda p: p.name)
     def test_matches_reference(self, p):
-        fleet = generate_scenario(p, RngStream(5, "mobility"))
-        want = oracles.generate_scenario(p, RngStream(5, "mobility"))
+        fleet = generate_scenario(p, rng_stream(5, "mobility"))
+        want = oracles.generate_scenario(p, rng_stream(5, "mobility"))
         assert fleet.x.tolist() == [v.x for v in want]
         assert fleet.lane.tolist() == [v.lane for v in want]
         assert fleet.speed_mps.tolist() == [v.speed_mps for v in want]
@@ -80,13 +80,13 @@ class TestGenerateScenario:
 
 
 # a perturbation stream for presets without speed noise, which never draw from it
-STILL = RngStream(0, "perturb")
+STILL = rng_stream(0, "perturb")
 
 
 class TestStep:
     def test_displacement_unit_conversion(self):
         p = ScenarioPreset("one", 2, 140.0, road_length_km=10.0, lanes=2)
-        fleet = generate_scenario(p, RngStream(1, "mobility"))
+        fleet = generate_scenario(p, rng_stream(1, "mobility"))
         x0 = fleet.x.copy()
         step(fleet, 0.1, p, STILL)
         # 140 km/h over 0.1 s, signed by lane direction
@@ -95,7 +95,7 @@ class TestStep:
 
     def test_zero_speed_stays_put(self):
         p = preset_by_name("mini-low")
-        fleet = generate_scenario(p, RngStream(1, "mobility"))
+        fleet = generate_scenario(p, rng_stream(1, "mobility"))
         fleet.speed_mps[:] = 0.0
         xs = fleet.x.tolist()
         step(fleet, 1.0, p, STILL)
@@ -103,7 +103,7 @@ class TestStep:
 
     def test_population_and_lane_conserved_with_respawn(self):
         p = ScenarioPreset("short", 60, 140.0, road_length_km=0.5, lanes=6)
-        fleet = generate_scenario(p, RngStream(2, "mobility"))
+        fleet = generate_scenario(p, rng_stream(2, "mobility"))
         lanes_before = fleet.lane.tolist()
         respawns = 0
         for _ in range(200):
@@ -125,7 +125,7 @@ class TestStep:
 
     def test_linear_trajectory_without_perturbation(self):
         p = ScenarioPreset("line", 5, 70.0, road_length_km=100.0, lanes=1)
-        fleet = generate_scenario(p, RngStream(7, "mobility"))
+        fleet = generate_scenario(p, rng_stream(7, "mobility"))
         x0, v0 = fleet.x.copy(), fleet.speed_mps.copy()
         for k in range(100):
             step(fleet, 0.1, p, STILL)
@@ -134,8 +134,8 @@ class TestStep:
     def test_perturbation_respects_speed_cap(self):
         p = ScenarioPreset("wobble", 20, 70.0, road_length_km=5.0, lanes=2,
                            speed_sigma=5.0, speed_reversion=0.5)
-        fleet = generate_scenario(p, RngStream(8, "mobility"))
-        rng = RngStream(8, "perturb")
+        fleet = generate_scenario(p, rng_stream(8, "mobility"))
+        rng = rng_stream(8, "perturb")
         moved = False
         for _ in range(300):
             step(fleet, 0.1, p, rng)
@@ -173,7 +173,7 @@ def test_step_matches_reference(vehicles, wraparound, sigma, reversion, dt_s, st
                        wraparound=wraparound, speed_sigma=sigma, speed_reversion=reversion)
     fleet = Fleet(*map(list, zip(*vehicles)))
     want = [oracles.Vehicle(*v) for v in vehicles]
-    rng, want_rng = RngStream(seed, "perturb"), RngStream(seed, "perturb")
+    rng, want_rng = rng_stream(seed, "perturb"), rng_stream(seed, "perturb")
     for _ in range(steps):
         respawned = step(fleet, dt_s, p, rng)
         assert respawned.tolist() == oracles.step(want, dt_s, p, want_rng)
