@@ -240,11 +240,11 @@ class TestGains:
         # b * width to (b + 1) * width: the widths of these bins differ in
         # the last bits, their shared edges do not
         s = MetricsStore(4, width, 300.0, 190, 100.0)
-        bins = [BinValue(*s.bin_edges(b), 0.5, 1) for b in range(s.n_bins)]
-        assert len({hi - lo for lo, hi in map(s.bin_edges, range(s.n_bins))}) > 1
-        run = (bins, bins)
+        edges = [s.bin_edges(b) for b in range(s.n_bins)]
+        assert len({hi - lo for lo, hi in edges}) > 1
+        run = ([BinValue(lo, hi, 0.5, 1) for lo, hi in edges],) * 2
         rows = gains([(run, run), (run, run)])
-        assert [(g.bin_lo_m, g.bin_hi_m) for g in rows] == list(map(s.bin_edges, range(s.n_bins)))
+        assert [(g.bin_lo_m, g.bin_hi_m) for g in rows] == edges
         assert all(g.pdr_gain_pp == 0.0 and g.n_seeds == 2 for g in rows)
 
     def test_bin_mismatch_rejected(self):
