@@ -11,11 +11,11 @@ from .dcc import RangeControlConfig, RateControlConfig, SCHEMES
 from .engine import RunConfig, RunResult, Simulation, run
 from .mac_sps import CrConfig, SensingStore, SensingWindow, SpsConfig
 from .metrics import MetricsConfig
-from .mobility import PRESETS, Fleet, ScenarioPreset
+from .mobility import PRESETS, Fleet, ScenarioConfig
 
 __all__ = [
     "ChannelModel", "CrConfig", "Fleet", "MetricsConfig", "Outcome", "PRESETS",
     "RangeControlConfig", "RateControlConfig", "RngPool", "RoadGeometry", "RunConfig",
-    "RunResult", "SCHEMES", "ScenarioPreset", "SensingStore", "SensingWindow", "Simulation",
+    "RunResult", "SCHEMES", "ScenarioConfig", "SensingStore", "SensingWindow", "Simulation",
     "SpsConfig", "dbm_to_mw", "rng_stream", "run", "__version__",
 ]

@@ -194,8 +194,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_presets(_args) -> int:
     print("scenario presets:")
-    for p in mobility.PRESETS.values():
-        print(f"  {p.name:16s} {p.vehicle_count:5d} vehicles  "
+    for name in mobility.PRESETS:
+        p = mobility.ScenarioConfig(**config.section(config.resolve(scenario=name), "scenario"))
+        print(f"  {name:16s} {p.vehicle_count:5d} vehicles  "
               f"{p.density_veh_km_lane:6.1f} veh/(km.lane)  {p.speed_kmh:5.1f} km/h  "
               f"{p.road_length_km:.1f} km {'ring' if p.wraparound else 'road'}")
     print("congestion-control schemes:")
@@ -250,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except config.ConfigError as e:
         print(f"configuration error:\n{e}", file=sys.stderr)
-        return 2
-    except (KeyError, FileNotFoundError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {e}", file=sys.stderr)

@@ -1,8 +1,10 @@
-"""Run configuration: INI-style files with sections, named presets, CLI
-overrides, strict key checking, and reproducible manifests.
+"""Run configuration: INI-style files with sections, named scenarios and
+schemes, CLI overrides, strict key checking, and reproducible manifests.
 
-Key `section.name` sets field `name` of `RunConfig` for [run], of
-`RunConfig.scenario` for [scenario], and of `RunConfig.<section>` otherwise."""
+Key `section.name` sets field `name` of `RunConfig` for [run], and of
+`RunConfig.<section>` for every other section.  A scenario
+(`mobility.PRESETS`) and a scheme (`dcc.SCHEMES`) are each a named set of
+keys that `resolve` layers over the defaults."""
 
 from __future__ import annotations
 
@@ -28,35 +30,28 @@ class ConfigError(Exception):
         super().__init__("\n".join(str(e) for e in self.errors))
 
 
-_DEFAULT_SCENARIO, _DEFAULT_SCHEME = "freeway-high", "baseline"
-
 # A run whose estimated memory (RunConfig.memory_estimate_mib) exceeds this is
 # rejected before anything is allocated, naming the keys the estimate grows with.
 MEMORY_LIMIT_MIB = 4096
 
 _NESTED = {"metrics": MetricsConfig, "cr": CrConfig, "channel": ChannelModel,
-           "sps": SpsConfig, "rate": RateControlConfig, "range": RangeControlConfig}
+           "sps": SpsConfig, "rate": RateControlConfig, "range": RangeControlConfig,
+           "scenario": mobility.ScenarioConfig}
 
 
 def _run_fields() -> list[Field]:
     """The RunConfig fields that are [run] keys."""
-    return [f for f in fields(RunConfig) if f.name not in ("scenario", *_NESTED)]
-
-
-def _scenario_values(preset: mobility.ScenarioPreset) -> dict[str, object]:
-    return {f"scenario.{k}": v for k, v in asdict(preset).items()
-            if k not in ("name", "adjustments")}
+    return [f for f in fields(RunConfig) if f.name not in _NESTED]
 
 
 def default_config() -> dict[str, object]:
     """Flat {section.key: value} map with every supported key, each default
     taken from the dataclass that the key configures."""
-    out: dict[str, object] = {"run.scenario": _DEFAULT_SCENARIO, "run.scheme": _DEFAULT_SCHEME}
+    out: dict[str, object] = {"run.scenario": "freeway-high", "run.scheme": "baseline"}
     for f in _run_fields():
         out[f"run.{f.name}"] = f.default
-    for section, cls in _NESTED.items():
-        out.update({f"{section}.{k}": v for k, v in asdict(cls()).items()})
-    out.update(_scenario_values(mobility.preset_by_name(_DEFAULT_SCENARIO)))
+    for name, cls in _NESTED.items():
+        out.update({f"{name}.{k}": v for k, v in asdict(cls()).items()})
     return out
 
 
@@ -123,32 +118,33 @@ def _apply(resolved: dict, updates: dict[str, object], errors: list) -> None:
             errors.extend(e.errors)
 
 
-def _scenario_layer(name: str) -> dict[str, object]:
-    preset = mobility.preset_by_name(name)
-    return {**_scenario_values(preset), **preset.adjustments}
-
-
 def read_config_file(path: str) -> dict[str, object]:
-    """Parse an INI config (or a run manifest in JSON) into {section.key: raw}."""
-    with open(path) as f:
-        text = f.read()
-    if path.endswith(".json"):
+    """Parse an INI config (or a run manifest in JSON) into {section.key: raw}.
+    A file that cannot be read or parsed is a ConfigError that names it; an
+    INI value is taken literally, `%` included."""
+    try:
+        with open(path) as f:
+            text = f.read()
+        if not path.endswith(".json"):
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string(text, source=path)
+            return {f"{section}.{key}": value
+                    for section in parser.sections() for key, value in parser.items(section)}
         data = json.loads(text)
-        return dict(data["config"] if "config" in data else data)
-    parser = configparser.ConfigParser()
-    parser.read_string(text, source=path)
-    out = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            out[f"{section}.{key}"] = value
-    return out
+    except (OSError, ValueError, configparser.Error) as e:
+        raise ConfigError(f"{path}: {e}") from None
+    values = data.get("config", data) if isinstance(data, dict) else data
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path}: its config is not a JSON object")
+    return dict(values)
 
 
 def resolve(file_values: dict[str, object] | None = None,
             overrides: dict[str, object] | None = None,
             scenario: str | None = None, scheme: str | None = None,
             seed: int | None = None) -> dict[str, object]:
-    """Layer defaults, scheme preset, scenario preset, file, then overrides.
+    """Layer defaults, the scheme's keys, the scenario's keys, file, then
+    overrides.
 
     CLI arguments (scenario/scheme/seed) beat the file's [run] entries; every
     key is validated against the schema with a nearest-name suggestion.
@@ -158,23 +154,20 @@ def resolve(file_values: dict[str, object] | None = None,
     file_values = dict(file_values or {})
     overrides = dict(overrides or {})
 
-    scheme_name = scheme or overrides.get("run.scheme") or file_values.get("run.scheme") \
-        or _DEFAULT_SCHEME
-    scenario_name = scenario or overrides.get("run.scenario") or file_values.get("run.scenario") \
-        or _DEFAULT_SCENARIO
-    try:
-        _apply(resolved, dcc.scheme_by_name(str(scheme_name)), errors)
-    except KeyError as e:
-        errors.append(str(e.args[0]))
-    try:
-        _apply(resolved, _scenario_layer(str(scenario_name)), errors)
-    except KeyError as e:
-        errors.append(str(e.args[0]))
+    names = {}
+    for kind, arg, table in (("scheme", scheme, dcc.SCHEMES),
+                             ("scenario", scenario, mobility.PRESETS)):
+        key = f"run.{kind}"
+        name = names[key] = str(arg or overrides.get(key) or file_values.get(key)
+                                or _DEFAULTS[key])
+        if name in table:
+            _apply(resolved, table[name], errors)
+        else:
+            errors.append(f"unknown {kind} {name!r}; available: {', '.join(table)}")
 
     _apply(resolved, file_values, errors)
     _apply(resolved, overrides, errors)
-    resolved["run.scheme"] = str(scheme_name)
-    resolved["run.scenario"] = str(scenario_name)
+    resolved.update(names)
     if seed is not None:
         resolved["run.seed"] = int(seed)
     if errors:
@@ -182,7 +175,8 @@ def resolve(file_values: dict[str, object] | None = None,
     return resolved
 
 
-def _section(resolved: dict, name: str) -> dict:
+def section(resolved: dict, name: str) -> dict:
+    """The keys of one section of a resolved config, as {field: value}."""
     prefix = name + "."
     return {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
 
@@ -192,19 +186,16 @@ def build_run_config(resolved: dict[str, object]) -> RunConfig:
     message that starts with the key it rejects."""
     errors: list[str] = []
 
-    def build(section: str, cls, **named):
+    nested = {}
+    for name, cls in _NESTED.items():
         try:
-            return cls(**named, **_section(resolved, section))
+            nested[name] = cls(**section(resolved, name))
         except (ValueError, TypeError) as e:
-            errors.append(f"{section}.{e}")
-
-    nested = {section: build(section, cls) for section, cls in _NESTED.items()}
-    preset = build("scenario", mobility.ScenarioPreset, name=resolved["run.scenario"])
+            errors.append(f"{name}.{e}")
     if errors:
         raise ConfigError(errors)
     try:
-        cfg = RunConfig(scenario=preset, **nested,
-                        **{f.name: resolved[f"run.{f.name}"] for f in _run_fields()})
+        cfg = RunConfig(**nested, **{f.name: resolved[f"run.{f.name}"] for f in _run_fields()})
     except ValueError as e:
         raise ConfigError(str(e)) from None
     need_mib = cfg.memory_estimate_mib()

@@ -133,8 +133,8 @@ def release_triggers(pending: np.ndarray, elapsed_ms: np.ndarray, period_ms: np.
     return timer, None if pte_m is None else idle & (pte_m > pte_threshold_m)
 
 
-# Config keys each scheme sets over the defaults, as a scenario preset's
-# adjustments do.  Each dcc-* entry is a row of the paper's table.
+# Config keys each scheme sets over the defaults, as each scenario does
+# (`mobility.PRESETS`).  Each dcc-* entry is a row of the paper's table.
 SCHEMES: dict[str, dict[str, object]] = {
     "baseline": {"rate.itt_max_ms": BASE_ITT_MS, "rate.pte_enabled": False,
                  "range.p_min_dbm": 23.0, "range.p_max_dbm": 23.0},
@@ -156,10 +156,3 @@ SCHEMES: dict[str, dict[str, object]] = {
               "range.u_min_pct": 30.0, "rate.density_coefficient": 45.0,
               "sps.slrrc_min": 1, "sps.slrrc_max": 5, "sps.p_resel": 0.2},
 }
-
-
-def scheme_by_name(name: str) -> dict[str, object]:
-    try:
-        return SCHEMES[name]
-    except KeyError:
-        raise KeyError(f"unknown scheme {name!r}; available: {', '.join(SCHEMES)}") from None

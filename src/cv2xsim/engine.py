@@ -68,7 +68,7 @@ _CSV_ROW = ",".join(["%d"] + [metrics.FLOAT if TX_DTYPE[name].kind == "f" else "
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: mobility.ScenarioPreset
+    scenario: mobility.ScenarioConfig = field(default_factory=mobility.ScenarioConfig)
     channel: ChannelModel = field(default_factory=ChannelModel)
     sps: SpsConfig = field(default_factory=SpsConfig)
     rate: dcc.RateControlConfig = field(default_factory=dcc.RateControlConfig)
@@ -100,10 +100,10 @@ class RunConfig:
                 raise ValueError(f"run.{name} must be at least 1")
         if self.cbp_window_ms > self.sps.sensing_window_sf:
             raise ValueError("run.cbp_window_ms cannot exceed sps.sensing_window_sf")
-        if self.cr.enabled and self.sps.sensing_window_sf < mac_sps.CR_PAST_SF:
+        if self.cr.cbp_limit < 1.0 and self.sps.sensing_window_sf < mac_sps.CR_PAST_SF:
             # the CR counts each UE's own transmissions in the sensing store
             raise ValueError(f"sps.sensing_window_sf must be at least {mac_sps.CR_PAST_SF} "
-                             "with cr.enabled")
+                             "with cr.cbp_limit below 1")
 
     def memory_estimate_mib(self) -> float:
         """Estimated peak size of the state that grows with the run's scale,
@@ -217,11 +217,11 @@ class Simulation:
 
     def __init__(self, cfg: RunConfig, fleet: mobility.Fleet | None = None):
         self.cfg = cfg
-        self.preset = cfg.scenario
-        self.geometry = self.preset.geometry
+        self.scenario = cfg.scenario
+        self.geometry = self.scenario.geometry
         self.rngs = RngPool(cfg.seed)
         self.fleet = fleet if fleet is not None \
-            else mobility.generate_scenario(self.preset, self.rngs.stream("mobility"))
+            else mobility.generate_scenario(self.scenario, self.rngs.stream("mobility"))
         # views of the fleet's arrays, which mobility.step updates in place
         self.x, self.speed, self.lane = self.fleet.x, self.fleet.speed_mps, self.fleet.lane
         self.n_ue = len(self.x)
@@ -260,16 +260,16 @@ class Simulation:
             self.static_shadow = None
 
         max_range = self.geometry.length_m / 2.0 if self.geometry.wraparound else self.geometry.length_m
-        max_range += self.preset.lanes * self.preset.lane_width_m
+        max_range += self.scenario.lanes * self.scenario.lane_width_m
         self.metrics = metrics.MetricsStore(n, cfg.metrics.bin_width_m, max_range,
                                             cfg.payload_bytes, cfg.metrics.roi_radius_m)
         self.log = EventLog()
         self.timeseries: list[tuple] = []
-        self._cr_points = cfg.cr.points() if cfg.cr.enabled else None
+        self._cr_points = cfg.cr.points() if cfg.cr.cbp_limit < 1.0 else None
 
         self.warmup_sf = int(round(cfg.warmup_s * 1000))
         self.total_sf = int(round(cfg.duration_s * 1000))
-        lo, hi = self.preset.region_bounds_m
+        lo, hi = self.scenario.region_bounds_m
         self._region = (lo, hi)
 
     def _select_grant(self, ue: int, n: int) -> None:
@@ -356,7 +356,7 @@ class Simulation:
             if n > 0 and n % cfg.mobility_tick_ms == 0:
                 self._flush(n)
                 respawned = mobility.step(self.fleet, cfg.mobility_tick_ms / 1000.0,
-                                          self.preset, perturb_rng)
+                                          self.scenario, perturb_rng)
                 # a respawned vehicle re-enters as a fresh participant
                 self.bcast_x[respawned] = self.x[respawned]
                 self.bcast_v[respawned] = self.speed[respawned]

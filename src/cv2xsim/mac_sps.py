@@ -53,13 +53,13 @@ class SpsConfig:
 
 @dataclass(frozen=True)
 class CrConfig:
-    """The channel-occupancy limit: with `enabled`, a UE lets a grant
-    occurrence pass unused while its occupancy ratio exceeds `cr_limit`'s cap.
-    `calibration` maps a busy fraction to a vehicle count by piecewise-linear
-    interpolation in comma-separated cbp:density points."""
+    """The channel-occupancy limit: a UE lets a grant occurrence pass unused
+    while its occupancy ratio exceeds `cr_limit`'s cap.  No busy fraction
+    exceeds a `cbp_limit` of 1, so at 1 the limit is off.  `calibration` maps
+    a busy fraction to a vehicle count by piecewise-linear interpolation in
+    comma-separated cbp:density points."""
 
-    enabled: bool = False
-    cbp_limit: float = 0.6
+    cbp_limit: float = 1.0
     calibration: str = "0:0,1:200"
 
     def __post_init__(self):

@@ -1,15 +1,17 @@
 """Highway scenario generation and vehicle kinematics.
 
-Paper-scale presets model a 3.6 km, 12-lane highway at five traffic
-densities; the mini-* presets are desk-scale rings sized so the full test
-suite runs in minutes.  A `Fleet` holds every vehicle's position, lane and
-speed as arrays indexed by UE id, and `step` moves them all at once.
+A scenario is just the config keys it sets over the defaults (`PRESETS`),
+as a scheme is (`dcc.SCHEMES`).  The paper-scale scenarios model a 3.6 km,
+12-lane highway at five traffic densities; the mini-* scenarios are
+desk-scale rings sized so the full test suite runs in minutes.  A `Fleet`
+holds every vehicle's position, lane and speed as arrays indexed by UE id,
+and `step` moves them all at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +19,9 @@ from .core import RoadGeometry
 
 
 @dataclass(frozen=True)
-class ScenarioPreset:
-    name: str
-    vehicle_count: int
-    speed_kmh: float
+class ScenarioConfig:
+    vehicle_count: int = 300
+    speed_kmh: float = 140.0
     road_length_km: float = 3.6
     lanes: int = 12
     lane_width_m: float = 4.0
@@ -28,7 +29,6 @@ class ScenarioPreset:
     region: str = "middle-third"        # metrics draw only from this stretch
     speed_sigma: float = 0.0            # mean-reverting speed noise (m/s), 0 = constant speed
     speed_reversion: float = 0.5        # pull back toward the nominal speed, 1/s
-    adjustments: dict = field(default_factory=dict)  # config overrides this scenario needs
 
     def __post_init__(self):
         if self.vehicle_count < 1:
@@ -81,23 +81,23 @@ class Fleet:
             raise ValueError("fleet arrays must have one entry per vehicle")
 
 
-def generate_scenario(preset: ScenarioPreset, rng: np.random.Generator) -> Fleet:
-    """Place vehicles uniformly at random per lane at the preset density.
+def generate_scenario(scenario: ScenarioConfig, rng: np.random.Generator) -> Fleet:
+    """Place vehicles uniformly at random per lane at the scenario's density.
 
     Vehicles are numbered lane by lane.  Half the lanes run in each
-    direction; every vehicle starts at the preset cruise speed with its
+    direction; every vehicle starts at the scenario's cruise speed with its
     lane's direction sign.
     """
-    count, lanes = preset.vehicle_count, preset.lanes
-    length_m = preset.road_length_km * 1000.0
+    count, lanes = scenario.vehicle_count, scenario.lanes
+    length_m = scenario.road_length_km * 1000.0
     per_lane = [count // lanes + (1 if i < count % lanes else 0) for i in range(lanes)]
     x = np.concatenate([rng.uniform(0.0, length_m, size=k) for k in per_lane])
     lane = np.repeat(np.arange(lanes), per_lane)
-    speed = np.where(lane < lanes // 2, 1.0, -1.0) * (preset.speed_kmh / 3.6)
+    speed = np.where(lane < lanes // 2, 1.0, -1.0) * (scenario.speed_kmh / 3.6)
     return Fleet(x, lane, speed, speed.copy())
 
 
-def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset,
+def step(fleet: Fleet, dt_s: float, scenario: ScenarioConfig,
          rng: np.random.Generator) -> np.ndarray:
     """Advance every vehicle by dt_s in place; returns the indices that respawned.
 
@@ -110,18 +110,18 @@ def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset,
     """
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")
-    length_m = preset.road_length_km * 1000.0
-    if preset.speed_sigma > 0.0:
+    length_m = scenario.road_length_km * 1000.0
+    if scenario.speed_sigma > 0.0:
         nominal, speed = fleet.nominal_mps, fleet.speed_mps
-        dv = preset.speed_reversion * (nominal - speed) * dt_s \
-            + preset.speed_sigma * math.sqrt(dt_s) * rng.normal(size=len(speed))
+        dv = scenario.speed_reversion * (nominal - speed) * dt_s \
+            + scenario.speed_sigma * math.sqrt(dt_s) * rng.normal(size=len(speed))
         speed = speed + dv
         cap = 1.2 * np.abs(nominal)
         sign = np.where(nominal >= 0, 1.0, -1.0)
         fleet.speed_mps[:] = sign * np.minimum(np.maximum(sign * speed, 0.0), cap)
     x = fleet.x
     x += fleet.speed_mps * dt_s
-    if preset.wraparound:
+    if scenario.wraparound:
         x %= length_m
         return np.zeros(0, dtype=np.int64)
     respawned = np.flatnonzero((x >= length_m) | (x < 0.0))
@@ -129,30 +129,26 @@ def step(fleet: Fleet, dt_s: float, preset: ScenarioPreset,
     return respawned
 
 
-PRESETS: dict[str, ScenarioPreset] = {
+# Config keys each scenario sets over the defaults, as each scheme does
+PRESETS: dict[str, dict[str, object]] = {
     # nominal densities: 7 / 14 / 28 / 56 / 111 vehicles per km per lane
-    "freeway-high": ScenarioPreset("freeway-high", 300, 140.0),
-    "freeway-low": ScenarioPreset("freeway-low", 600, 70.0),
-    "urban-medium": ScenarioPreset("urban-medium", 1200, 15.0),
-    "urban-high": ScenarioPreset("urban-high", 2400, 15.0),
-    "urban-ultrahigh": ScenarioPreset("urban-ultrahigh", 4800, 15.0),
+    "freeway-high": {"scenario.vehicle_count": 300, "scenario.speed_kmh": 140.0},
+    "freeway-low": {"scenario.vehicle_count": 600, "scenario.speed_kmh": 70.0},
+    "urban-medium": {"scenario.vehicle_count": 1200, "scenario.speed_kmh": 15.0},
+    "urban-high": {"scenario.vehicle_count": 2400, "scenario.speed_kmh": 15.0},
+    "urban-ultrahigh": {"scenario.vehicle_count": 4800, "scenario.speed_kmh": 15.0},
     # desk-scale rings: wraparound removes road-edge effects, so metrics can
     # use the whole road instead of the middle third
-    "mini-low": ScenarioPreset("mini-low", 40, 70.0, road_length_km=1.2,
-                               wraparound=True, region="full"),
-    "mini-sat": ScenarioPreset("mini-sat", 250, 15.0, road_length_km=0.3,
-                               wraparound=True, region="full"),
+    "mini-low": {"scenario.vehicle_count": 40, "scenario.speed_kmh": 70.0,
+                 "scenario.road_length_km": 1.2, "scenario.wraparound": True,
+                 "scenario.region": "full"},
+    "mini-sat": {"scenario.vehicle_count": 250, "scenario.speed_kmh": 15.0,
+                 "scenario.road_length_km": 0.3, "scenario.wraparound": True,
+                 "scenario.region": "full"},
     # 400 vehicles on a 1.2 km ring is twice the schedulable load; the wider
     # density-sensing radius compensates for the compressed geometry so the
     # rate controller sees a genuinely over-saturated neighborhood
-    "mini-oversat": ScenarioPreset("mini-oversat", 400, 15.0, road_length_km=1.2,
-                                   wraparound=True, region="full",
-                                   adjustments={"rate.neighbor_radius_m": 300.0}),
+    "mini-oversat": {"scenario.vehicle_count": 400, "scenario.speed_kmh": 15.0,
+                     "scenario.road_length_km": 1.2, "scenario.wraparound": True,
+                     "scenario.region": "full", "rate.neighbor_radius_m": 300.0},
 }
-
-
-def preset_by_name(name: str) -> ScenarioPreset:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; available: {', '.join(PRESETS)}") from None

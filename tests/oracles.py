@@ -61,7 +61,7 @@ from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
 from cv2xsim.metrics import BinValue, BlindReport, GainBin, MetricsStore
 from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
-from cv2xsim.mobility import ScenarioPreset
+from cv2xsim.mobility import ScenarioConfig
 
 
 class Record(NamedTuple):
@@ -512,7 +512,7 @@ class Vehicle:
     nominal_mps: float      # constant cruise speed the perturbation reverts to
 
 
-def generate_scenario(preset: ScenarioPreset, rng: np.random.Generator) -> list[Vehicle]:
+def generate_scenario(preset: ScenarioConfig, rng: np.random.Generator) -> list[Vehicle]:
     """Vehicle-by-vehicle form of `cv2xsim.mobility.generate_scenario`."""
     count, lanes = preset.vehicle_count, preset.lanes
     length_m = preset.road_length_km * 1000.0
@@ -526,7 +526,7 @@ def generate_scenario(preset: ScenarioPreset, rng: np.random.Generator) -> list[
     return vehicles
 
 
-def step(vehicles: list[Vehicle], dt_s: float, preset: ScenarioPreset,
+def step(vehicles: list[Vehicle], dt_s: float, preset: ScenarioConfig,
          rng: np.random.Generator) -> list[int]:
     """Vehicle-by-vehicle form of `cv2xsim.mobility.step`."""
     if dt_s <= 0:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cv2xsim.core import rng_stream
-from cv2xsim.mobility import Fleet, ScenarioPreset, step
+from cv2xsim.mobility import Fleet, ScenarioConfig, step
 
 
 @st.composite
@@ -22,7 +22,7 @@ def road_ticks(draw, max_ticks=4):
     n = draw(st.integers(1, 8))
     lanes = draw(st.integers(1, 3))
     length_km = draw(st.sampled_from([0.04, 0.15, 0.6]))
-    preset = ScenarioPreset("road", n, 0.0, road_length_km=length_km, lanes=lanes,
+    preset = ScenarioConfig(n, 0.0, road_length_km=length_km, lanes=lanes,
                             wraparound=draw(st.booleans()), region="full")
     geometry = preset.geometry
     assert geometry.length_m == int(geometry.length_m)

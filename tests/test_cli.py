@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -12,7 +13,7 @@ from cv2xsim.dcc import SCHEMES, RangeControlConfig, RateControlConfig
 from cv2xsim.engine import RunConfig
 from cv2xsim.mac_sps import CrConfig, SpsConfig
 from cv2xsim.metrics import MetricsConfig
-from cv2xsim.mobility import PRESETS
+from cv2xsim.mobility import PRESETS, ScenarioConfig
 
 
 FAST = {"run.duration_s": "2", "run.warmup_s": "1"}
@@ -38,10 +39,10 @@ def test_resolve_dcc7_overrides():
     assert r["sps.p_resel"] == 0.2
 
 
-def test_scenario_adjustments_apply():
+def test_scenario_keys_apply():
     r = config.resolve(scenario="mini-oversat", scheme="dcc-std", seed=1)
     assert r["rate.neighbor_radius_m"] == 300.0
-    # explicit override still wins over the scenario adjustment
+    # explicit override still wins over the scenario's key
     r2 = config.resolve(scenario="mini-oversat", scheme="dcc-std", seed=1,
                         overrides={"rate.neighbor_radius_m": "150"})
     assert r2["rate.neighbor_radius_m"] == 150.0
@@ -69,21 +70,21 @@ def test_cross_field_violations_name_keys():
 
 def test_each_default_is_the_dataclass_default():
     defaults = config.default_config()
-    run = RunConfig(scenario=PRESETS["freeway-high"])
+    run = RunConfig()
     sections = {"channel": ChannelModel(), "sps": SpsConfig(), "rate": RateControlConfig(),
-                "range": RangeControlConfig(), "cr": CrConfig(), "metrics": MetricsConfig()}
+                "range": RangeControlConfig(), "cr": CrConfig(), "metrics": MetricsConfig(),
+                "scenario": ScenarioConfig()}
     want = {"run.scenario": "freeway-high", "run.scheme": "baseline"}
     for f in fields(RunConfig):
-        if f.name not in ("scenario", *sections):
+        if f.name not in sections:
             want[f"run.{f.name}"] = getattr(run, f.name)
     for section, value in sections.items():
         assert getattr(run, section) == value
         want.update({f"{section}.{k}": v for k, v in asdict(value).items()})
-    want.update({f"scenario.{k}": v for k, v in asdict(PRESETS["freeway-high"]).items()
-                 if k not in ("name", "adjustments")})
     assert defaults == want
-    assert len(defaults) == 61
+    assert len(defaults) == 60
     # resolving nothing builds the dataclass defaults under the baseline scheme
+    # and the default scenario, which sets no key to other than its default
     assert config.build_run_config(config.resolve()) == replace(
         run, rate=RateControlConfig(itt_max_ms=100.0, pte_enabled=False),
         range=RangeControlConfig(p_min_dbm=23.0, p_max_dbm=23.0))
@@ -91,11 +92,22 @@ def test_each_default_is_the_dataclass_default():
 
 @pytest.mark.parametrize("scenario", list(PRESETS))
 def test_each_scheme_key_reaches_the_run_config(scenario):
+    # and each of the scenario's keys, mini-oversat's rate.neighbor_radius_m too
     for name, keys in SCHEMES.items():
         cfg = config.build_run_config(config.resolve(scenario=scenario, scheme=name))
-        for key, value in keys.items():
+        for key, value in {**keys, **PRESETS[scenario]}.items():
             section, field = key.split(".")
             assert getattr(getattr(cfg, section), field) == value, (name, key)
+
+
+def test_every_named_run_round_trips_through_a_manifest(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    for scenario in PRESETS:
+        for scheme in SCHEMES:
+            resolved = config.resolve(scenario=scenario, scheme=scheme)
+            config.write_manifest(manifest, resolved, "0.1.0")
+            assert config.resolve(config.read_config_file(str(manifest))) == resolved, \
+                (scenario, scheme)
 
 
 def test_ini_round_trip(tmp_path):
@@ -113,7 +125,7 @@ def test_ini_round_trip(tmp_path):
 def test_no_key_takes_null_from_a_manifest(tmp_path):
     resolved = config.resolve(scenario="mini-low")
     manifest = tmp_path / "manifest.json"
-    for key in ("run.seed", "cr.enabled", "channel.breakpoint_m"):
+    for key in ("run.seed", "rate.pte_enabled", "channel.breakpoint_m"):
         config.write_manifest(manifest, {**resolved, key: None}, "0.1.0")
         with pytest.raises(config.ConfigError, match=f"{key}: expected .*, got None"):
             config.resolve(config.read_config_file(str(manifest)))
@@ -130,7 +142,7 @@ NON_DEFAULT = {
     "run.power_period_ms": "100", "run.cbp_window_ms": "50",
     "run.cbp_rssi_threshold_dbm": "-90.5", "run.timeseries_period_ms": "250",
     "metrics.bin_width_m": "10", "metrics.roi_radius_m": "150",
-    "cr.enabled": "true", "cr.cbp_limit": "0.5", "cr.calibration": "0:10,0.5:100,1:300",
+    "cr.cbp_limit": "0.5", "cr.calibration": "0:10,0.5:100,1:300",
     "channel.d0_m": "5", "channel.pl0_db": "60", "channel.exponent": "2.2",
     "channel.breakpoint_m": "200", "channel.exponent_beyond": "3.5",
     "channel.shadowing_sigma_db": "4", "channel.shadowing_mode": "static",
@@ -165,8 +177,7 @@ def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
     cfg = config.build_run_config(by_manifest)
     assert cfg == config.build_run_config(by_set)
     # key section.name sets field name of the section's config
-    assert cfg.scenario.name == by_set.pop("run.scenario")
-    del by_set["run.scheme"]
+    del by_set["run.scenario"], by_set["run.scheme"]
     for key, value in by_set.items():
         section, name = key.split(".")
         owner = cfg if section == "run" else getattr(cfg, section)
@@ -174,10 +185,10 @@ def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sets,key", [
-    (["cr.enabled=true", "cr.cbp_limit=2"], "cr.cbp_limit"),
+    (["cr.cbp_limit=2"], "cr.cbp_limit"),
     (["cr.calibration=0:0"], "cr.calibration"),
     (["cr.calibration=0.5:10,0.5:20"], "cr.calibration"),
-    (["cr.enabled=true", "sps.sensing_window_sf=500"], "sps.sensing_window_sf"),
+    (["cr.cbp_limit=0.6", "sps.sensing_window_sf=500"], "sps.sensing_window_sf"),
     (["run.timeseries_period_ms=0"], "run.timeseries_period_ms"),
     (["run.cbp_window_ms=0"], "run.cbp_window_ms"),
     (["run.warmup_s=-1"], "run.warmup_s"),
@@ -196,7 +207,7 @@ def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
     pytest.param(["scenario.speed_reversion=-0.5"], "scenario.speed_reversion",
                  id="scenario.speed_reversion"),
     # the CR cap divides by the density at each busy fraction above the limit
-    pytest.param(["cr.enabled=true", "cr.calibration=0:0,1:0"], "cr.calibration",
+    pytest.param(["cr.cbp_limit=0.6", "cr.calibration=0:0,1:0"], "cr.calibration",
                  id="cr.calibration-zero-density"),
     pytest.param(["cr.calibration=0:-50,1:100"], "cr.calibration",
                  id="cr.calibration-negative-density"),
@@ -229,6 +240,41 @@ def test_sensing_window_below_cr_window_is_fine_without_cr(capsys):
     assert main(["validate", "--scenario", "mini-low", "--set", "sps.sensing_window_sf=500"]) == 0
 
 
+@pytest.mark.parametrize("name, text", [
+    ("no-section.ini", "seed = 3\n"),
+    ("truncated.json", '{"config": {"run.seed": '),
+    ("list-config.json", '{"config": [["run.seed", 3]]}'),
+    ("list.json", '[["run.seed", 3]]'),
+    ("missing.ini", None),
+])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(config.ConfigError, match=re.escape(str(path))):
+        config.read_config_file(str(path))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_ini_value_is_taken_literally(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[cr]\ncalibration = %(x)s\n")
+    assert config.read_config_file(str(ini)) == {"cr.calibration": "%(x)s"}
+    assert main(["validate", "--config", str(ini)]) == 2
+    assert "cr.calibration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError("run.seed"), FileNotFoundError("missing.csv")])
+def test_key_and_file_errors_of_a_run_are_runtime_errors(tmp_path, capsys, monkeypatch, error):
+    def fail(cfg):
+        raise error
+    monkeypatch.setattr(engine, "run", fail)
+    assert main(["run", "--scenario", "mini-low", "--out", str(tmp_path / "run"),
+                 *(arg for pair in FAST.items() for arg in ("--set", "=".join(pair)))]) == 3
+    assert "runtime error" in capsys.readouterr().err
+
+
 class TestCliCommands:
     def test_validate_ok(self, capsys):
         rc = main(["validate", "--scenario", "mini-low", "--scheme", "dcc-std"])
@@ -254,7 +300,8 @@ class TestCliCommands:
         assert "channel.sinr_threshold_db" in capsys.readouterr().err
 
     def test_removed_key_exit_code(self, capsys):
-        for key, value in (("run.mcs_index", "5"), ("run.log_rx_outcomes", "true")):
+        for key, value in (("run.mcs_index", "5"), ("run.log_rx_outcomes", "true"),
+                           ("cr.enabled", "true")):
             rc = main(["validate", "--scenario", "mini-low", "--set", f"{key}={value}"])
             assert rc == 2
             assert key in capsys.readouterr().err
@@ -262,7 +309,8 @@ class TestCliCommands:
     def test_manifest_with_removed_key_exit_code(self, tmp_path, capsys):
         # every manifest written while run.log_rx_outcomes existed carries it
         path = tmp_path / "manifest.json"
-        for key, value in (("rate.smoothing", 0.5), ("run.log_rx_outcomes", False)):
+        for key, value in (("rate.smoothing", 0.5), ("run.log_rx_outcomes", False),
+                           ("cr.enabled", True)):
             config.write_manifest(path, {**config.resolve(scenario="mini-low"), key: value},
                                   "0.1.0")
             assert main(["validate", "--config", str(path)]) == 2
@@ -278,7 +326,8 @@ class TestCliCommands:
         path = tmp_path / "manifest.json"
         for key, value in (("channel.shadowing_sigma_db", "NaN"), ("range.p_max_dbm", "Infinity"),
                            ("run.duration_s", "1" + "0" * 400), ("sps.t1_sf", "1.5"),
-                           ("run.subchannels", "2.7"), ("cr.enabled", "5"), ("run.seed", "true")):
+                           ("run.subchannels", "2.7"), ("rate.pte_enabled", "5"),
+                           ("run.seed", "true")):
             path.write_text(f'{{"config": {{"{key}": {value}}}}}')
             assert main(["validate", "--config", str(path)]) == 2
             assert key in capsys.readouterr().err
@@ -342,6 +391,9 @@ class TestCliCommands:
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "urban-ultrahigh" in out and "dcc-7" in out
+        row = next(line.split() for line in out.splitlines()
+                   if line.split()[:1] == ["urban-ultrahigh"])
+        assert row[1:5] == ["4800", "vehicles", "111.1", "veh/(km.lane)"]
         assert "sps.slrrc_min=1  sps.slrrc_max=5  sps.p_resel=0.2" in out
 
     def test_run_writes_artifacts_and_manifest(self, tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from cv2xsim import config
 from cv2xsim.core import RoadGeometry, dbm_to_mw, rng_stream
 from cv2xsim.dcc import (BASE_ITT_MS, RangeControlConfig, RateControlConfig, SCHEMES,
                          busy_percentage, compute_itt, neighbor_counts, power_target,
-                         release_triggers, scheme_by_name, smooth_density, tracking_error,
+                         release_triggers, smooth_density, tracking_error,
                          update_power)
 
 GEO = RoadGeometry(length_m=100_000.0, lanes=12, lane_width_m=4.0, wraparound=False)
@@ -339,8 +339,6 @@ class TestSchemes:
         assert base.rate.pte_enabled is False
 
     def test_unknown_scheme(self):
-        with pytest.raises(KeyError):
-            scheme_by_name("dcc-99")
         with pytest.raises(config.ConfigError, match="unknown scheme 'dcc-99'"):
             config.resolve(scheme="dcc-99")
         assert set(SCHEMES) == {"baseline", "dcc-std", "dcc-1", "dcc-2", "dcc-3",

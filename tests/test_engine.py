@@ -10,7 +10,7 @@ from cv2xsim.channel import ChannelModel, Outcome
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import RunConfig, Simulation, run
 from cv2xsim.mac_sps import SensingStore
-from cv2xsim.mobility import Fleet, ScenarioPreset
+from cv2xsim.mobility import Fleet, ScenarioConfig
 
 
 def quiet_channel():
@@ -33,7 +33,7 @@ def stationary(positions):
 
 class TestSingleUe:
     def test_ten_transmissions_per_second(self):
-        preset = ScenarioPreset("solo", 1, 0.0, road_length_km=1.0, lanes=2, region="full")
+        preset = ScenarioConfig(1, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=1.0, warmup=0.5, seed=3, channel=quiet_channel())
         fleet = stationary([(500.0, 0)])
         res = run(cfg, fleet)
@@ -48,7 +48,7 @@ class TestSingleUe:
 
 class TestTwoUes:
     def build(self, seed=2, duration=20.0):
-        preset = ScenarioPreset("pair", 2, 0.0, road_length_km=1.0, lanes=2, region="full")
+        preset = ScenarioConfig(2, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=duration, warmup=10.0, seed=seed,
                        channel=quiet_channel())
         fleet = stationary([(400.0, 0), (450.0, 0)])
@@ -92,7 +92,7 @@ class TestHalfDuplexLog:
     def links(self):
         """(outcome, whether the receiver also sent in that subframe) per
         link to another UE."""
-        preset = ScenarioPreset("busy", 30, 30.0, road_length_km=0.4, lanes=4,
+        preset = ScenarioConfig(30, 30.0, road_length_km=0.4, lanes=4,
                                 wraparound=True, region="full")
         with pytest.MonkeyPatch.context() as monkeypatch:
             res, batches = resolved_links(make_cfg(preset, duration=1.0, warmup=0.5, seed=8),
@@ -118,7 +118,7 @@ class TestHalfDuplexLog:
 
 
 class TestDeterminism:
-    PRESET = ScenarioPreset("det", 12, 50.0, road_length_km=1.2, lanes=4,
+    PRESET = ScenarioConfig(12, 50.0, road_length_km=1.2, lanes=4,
                             wraparound=True, region="full")
 
     def test_identical_seed_identical_log(self):
@@ -135,7 +135,7 @@ class TestDeterminism:
 
 class TestEngineInvariants:
     def test_one_transmission_per_ue_per_subframe(self):
-        preset = ScenarioPreset("busy", 30, 30.0, road_length_km=0.4, lanes=4,
+        preset = ScenarioConfig(30, 30.0, road_length_km=0.4, lanes=4,
                                 wraparound=True, region="full")
         res = run(make_cfg(preset, duration=3.0, warmup=1.0, seed=8))
         events = res.event_log.tx_events
@@ -143,7 +143,7 @@ class TestEngineInvariants:
         assert len(set(pairs)) == len(pairs)
 
     def test_subframe_stamps_non_decreasing(self):
-        preset = ScenarioPreset("busy", 20, 30.0, road_length_km=0.4, lanes=4,
+        preset = ScenarioConfig(20, 30.0, road_length_km=0.4, lanes=4,
                                 wraparound=True, region="full")
         res = run(make_cfg(preset, duration=2.0, warmup=1.0, seed=8))
         stamps = res.event_log.tx_events["subframe"].tolist()
@@ -151,7 +151,7 @@ class TestEngineInvariants:
 
     def test_metrics_only_from_region_transmitters(self):
         # middle third of a 3 km road is [1000, 2000]
-        preset = ScenarioPreset("edges", 4, 0.0, road_length_km=3.0, lanes=2,
+        preset = ScenarioConfig(4, 0.0, road_length_km=3.0, lanes=2,
                                 region="middle-third")
         cfg = make_cfg(preset, duration=3.0, warmup=1.0, seed=4, channel=quiet_channel())
         fleet = stationary([(100.0, 0), (150.0, 0), (1500.0, 0), (1550.0, 0)])
@@ -162,7 +162,7 @@ class TestEngineInvariants:
 
     def test_region_bounds_are_inclusive(self):
         # the middle third of the 3.6 km road is [1200, 2400]
-        preset = ScenarioPreset("bounds", 5, 0.0, lanes=2, region="middle-third")
+        preset = ScenarioConfig(5, 0.0, lanes=2, region="middle-third")
         cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=4, channel=quiet_channel())
         xs = [1800.0, 500.0, 1200.0, 2400.0, 2400.1]
         res = run(cfg, stationary([(x, 0) for x in xs]))
@@ -170,7 +170,7 @@ class TestEngineInvariants:
         assert (attempts > 0).tolist() == [True, False, True, True, False]
 
     def test_full_region_covers_the_whole_ring(self):
-        preset = ScenarioPreset("ring-ends", 2, 0.0, road_length_km=1.2, lanes=2,
+        preset = ScenarioConfig(2, 0.0, road_length_km=1.2, lanes=2,
                                 wraparound=True, region="full")
         cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=4, channel=quiet_channel())
         res = run(cfg, stationary([(0.0, 0), (1199.0, 0)]))
@@ -180,7 +180,7 @@ class TestEngineInvariants:
     def test_queue_delay_logged_and_mostly_zero(self):
         # the cadence matches the grant period, so delay is zero except for the
         # one re-aligning transmission right after each reselection
-        preset = ScenarioPreset("pairq", 2, 0.0, road_length_km=1.0, lanes=2, region="full")
+        preset = ScenarioConfig(2, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=5.0, warmup=1.0, seed=2, channel=quiet_channel())
         res = run(cfg, stationary([(400.0, 0), (450.0, 0)]))
         delays = res.event_log.tx_events["queue_delay_ms"].tolist()
@@ -189,7 +189,7 @@ class TestEngineInvariants:
 
     def test_saturated_pool_produces_collisions(self):
         # more UEs than schedulable resources: pigeonhole forces collisions
-        preset = ScenarioPreset("pigeon", 210, 15.0, road_length_km=0.25, lanes=12,
+        preset = ScenarioConfig(210, 15.0, road_length_km=0.25, lanes=12,
                                 wraparound=True, region="full")
         res = run(make_cfg(preset, duration=3.0, warmup=1.0, seed=1))
         assert res.event_log.tx_events["n_collided"].sum() > 0
@@ -200,7 +200,7 @@ class TestPteTrigger:
     def wobbly_pair(speed_sigma):
         # two same-direction neighbors whose rate control sits at the 600 ms
         # ceiling: only there can tracking error accrue between broadcasts
-        preset = ScenarioPreset("wobbly", 2, 70.0, road_length_km=2.0, lanes=2,
+        preset = ScenarioConfig(2, 70.0, road_length_km=2.0, lanes=2,
                                 wraparound=True, region="full",
                                 speed_sigma=speed_sigma, speed_reversion=0.2)
         v = preset.speed_kmh / 3.6
@@ -239,7 +239,7 @@ class TestPteTrigger:
         assert max(per_ue.values()) <= 11
 
     def test_no_perturbation_means_no_extra_traffic(self):
-        preset = ScenarioPreset("calm", 2, 70.0, road_length_km=2.0, lanes=2,
+        preset = ScenarioConfig(2, 70.0, road_length_km=2.0, lanes=2,
                                 wraparound=True, region="full")
         cfg = self.dcc_pte(preset)
         res = run(cfg)
@@ -253,7 +253,7 @@ class TestRateTimer:
         # 115.38 ms and a grant period of 115.  The packet must be released
         # by the grant's occurrence, not one subframe after it, where it
         # would wait out a whole period.
-        preset = ScenarioPreset("trio", 3, 0.0, road_length_km=1.0, lanes=2, region="full")
+        preset = ScenarioConfig(3, 0.0, road_length_km=1.0, lanes=2, region="full")
         cfg = make_cfg(preset, duration=2.0, warmup=1.0, seed=3, channel=quiet_channel(),
                        rate=RateControlConfig(density_coefficient=1.3))
         events = run(cfg, stationary([(100.0, 0), (140.0, 0), (180.0, 0)])).event_log.tx_events
@@ -266,13 +266,12 @@ class TestRateTimer:
 
 class TestCrLimit:
     def test_occupancy_cap_skips_transmissions(self):
-        preset = ScenarioPreset("capped", 3, 0.0, road_length_km=1.0, lanes=2, region="full")
+        preset = ScenarioConfig(3, 0.0, road_length_km=1.0, lanes=2, region="full")
         base = make_cfg(preset, duration=4.0, warmup=1.0, seed=3, channel=quiet_channel())
         free = run(base, stationary([(100.0, 0), (150.0, 0), (200.0, 0)]))
         capped_cfg = make_cfg(preset, duration=4.0, warmup=1.0, seed=3,
                               channel=quiet_channel(),
-                              cr=mac_sps.CrConfig(enabled=True, cbp_limit=0.0001,
-                                                  calibration="0:1000,1:1000"))
+                              cr=mac_sps.CrConfig(cbp_limit=0.0001, calibration="0:1000,1:1000"))
         capped = run(capped_cfg, stationary([(100.0, 0), (150.0, 0), (200.0, 0)]))
         assert len(capped.event_log.tx_events) < len(free.event_log.tx_events)
 
@@ -305,7 +304,7 @@ def test_every_read_finds_the_store_recorded_up_to_it(monkeypatch):
     # measurement (at 70 ms, so most fall between mobility ticks) and CR
     # check reads the store, and before each mobility tick moves the vehicles
     resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5",
-                                     "run.power_period_ms": "70", "cr.enabled": "true"},
+                                     "run.power_period_ms": "70", "cr.cbp_limit": "0.6"},
                               scenario="mini-oversat", scheme="dcc-7", seed=1)
     sim = Simulation(config.build_run_config(resolved))
     reads = collections.Counter()
@@ -350,7 +349,7 @@ def test_sensing_window_shorter_than_the_mobility_tick(monkeypatch):
 
 
 def test_config_validation():
-    preset = ScenarioPreset("v", 2, 10.0, road_length_km=1.0, lanes=2)
+    preset = ScenarioConfig(2, 10.0, road_length_km=1.0, lanes=2)
     with pytest.raises(ValueError, match="run.warmup_s"):
         make_cfg(preset, duration=1.0, warmup=2.0)
     with pytest.raises(ValueError, match="run.subchannels"):

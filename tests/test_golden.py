@@ -46,7 +46,7 @@ CASES = [
     ("mini-oversat-baseline", "mini-oversat", "baseline", 1, SHORT_OVERSAT,
      "7a7f193915b981dcf4434e15ec4f356b81f8610ec3c265aa5879b16bc72e2825"),
     ("cr-limit", "mini-oversat", "baseline", 1,
-     {**SHORT_OVERSAT, "cr.enabled": "true"},
+     {**SHORT_OVERSAT, "cr.cbp_limit": "0.6"},
      "54c8f506e2e68cb054cd7df38fbeaaa2e2b289b14172d37969577bf4f3015510"),
     ("db-ranking", "mini-oversat", "dcc-7", 3,
      {**SHORT_OVERSAT, "sps.rank_average": "db"},

@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cv2xsim import config
 from cv2xsim.core import rng_stream
-from cv2xsim.mobility import (PRESETS, Fleet, ScenarioPreset, generate_scenario,
-                              preset_by_name, step)
+from cv2xsim.mobility import Fleet, ScenarioConfig, generate_scenario, step
+
+
+def resolved_scenario(name: str) -> ScenarioConfig:
+    """The scenario config a run of the named scenario builds."""
+    return ScenarioConfig(**config.section(config.resolve(scenario=name), "scenario"))
 
 
 class TestPresets:
@@ -19,7 +24,7 @@ class TestPresets:
             "urban-ultrahigh": (4800, 15.0),
         }
         for name, (count, speed) in expect.items():
-            p = preset_by_name(name)
+            p = resolved_scenario(name)
             assert p.vehicle_count == count
             assert p.speed_kmh == speed
             assert p.road_length_km == 3.6 and p.lanes == 12
@@ -29,28 +34,29 @@ class TestPresets:
         for name, nominal in [("freeway-high", 7), ("freeway-low", 14),
                               ("urban-medium", 28), ("urban-high", 56),
                               ("urban-ultrahigh", 111)]:
-            p = preset_by_name(name)
+            p = resolved_scenario(name)
             derived = p.density_veh_km_lane * p.road_length_km * p.lanes
             assert derived == pytest.approx(p.vehicle_count, rel=1e-9)
             assert p.density_veh_km_lane == pytest.approx(nominal, rel=0.01)
 
     def test_ultrahigh_density_label(self):
-        p = preset_by_name("urban-ultrahigh")
+        p = resolved_scenario("urban-ultrahigh")
         assert round(p.density_veh_km_lane) == 111
 
     def test_jam_density_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioPreset("too-dense", vehicle_count=50_000, speed_kmh=5.0,
+            ScenarioConfig(vehicle_count=50_000, speed_kmh=5.0,
                            road_length_km=1.0, lanes=12)
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
-            preset_by_name("downtown")
+        with pytest.raises(config.ConfigError,
+                           match="unknown scenario 'downtown'; available: freeway-high, "):
+            config.resolve(scenario="downtown")
 
 
 class TestGenerateScenario:
     def test_count_and_lane_split(self):
-        p = preset_by_name("freeway-high")
+        p = resolved_scenario("freeway-high")
         fleet = generate_scenario(p, rng_stream(1, "mobility"))
         assert len(fleet.x) == 300
         assert np.bincount(fleet.lane).tolist() == [25] * 12
@@ -60,15 +66,16 @@ class TestGenerateScenario:
         assert np.array_equal(fleet.nominal_mps, fleet.speed_mps)
 
     def test_reproducible_placement(self):
-        p = preset_by_name("mini-low")
+        p = resolved_scenario("mini-low")
         a = generate_scenario(p, rng_stream(4, "mobility"))
         b = generate_scenario(p, rng_stream(4, "mobility"))
         assert a.x.tolist() == b.x.tolist()
 
     @pytest.mark.parametrize("p", [
-        preset_by_name("freeway-high"), preset_by_name("mini-low"), preset_by_name("mini-oversat"),
-        ScenarioPreset("sparse", 5, 70.0, road_length_km=1.0, lanes=12)],   # empty lanes
-        ids=lambda p: p.name)
+        *(pytest.param(resolved_scenario(name), id=name)
+          for name in ("freeway-high", "mini-low", "mini-oversat")),
+        pytest.param(ScenarioConfig(5, 70.0, road_length_km=1.0, lanes=12),   # empty lanes
+                     id="sparse")])
     def test_matches_reference(self, p):
         fleet = generate_scenario(p, rng_stream(5, "mobility"))
         want = oracles.generate_scenario(p, rng_stream(5, "mobility"))
@@ -85,7 +92,7 @@ STILL = rng_stream(0, "perturb")
 
 class TestStep:
     def test_displacement_unit_conversion(self):
-        p = ScenarioPreset("one", 2, 140.0, road_length_km=10.0, lanes=2)
+        p = ScenarioConfig(2, 140.0, road_length_km=10.0, lanes=2)
         fleet = generate_scenario(p, rng_stream(1, "mobility"))
         x0 = fleet.x.copy()
         step(fleet, 0.1, p, STILL)
@@ -94,7 +101,7 @@ class TestStep:
         assert fleet.x[1] - x0[1] == pytest.approx(-3.889, abs=1e-3)
 
     def test_zero_speed_stays_put(self):
-        p = preset_by_name("mini-low")
+        p = resolved_scenario("mini-low")
         fleet = generate_scenario(p, rng_stream(1, "mobility"))
         fleet.speed_mps[:] = 0.0
         xs = fleet.x.tolist()
@@ -102,7 +109,7 @@ class TestStep:
         assert fleet.x.tolist() == xs
 
     def test_population_and_lane_conserved_with_respawn(self):
-        p = ScenarioPreset("short", 60, 140.0, road_length_km=0.5, lanes=6)
+        p = ScenarioConfig(60, 140.0, road_length_km=0.5, lanes=6)
         fleet = generate_scenario(p, rng_stream(2, "mobility"))
         lanes_before = fleet.lane.tolist()
         respawns = 0
@@ -115,7 +122,7 @@ class TestStep:
     def test_respawned_indices(self):
         # only the vehicles that left the road come back, each at the
         # opposite end of its own lane
-        p = ScenarioPreset("ends", 4, 0.0, road_length_km=0.1, lanes=1)
+        p = ScenarioConfig(4, 0.0, road_length_km=0.1, lanes=1)
         fleet = Fleet([99.0, 50.0, 1.0, 99.5], [0] * 4, [20.0, 20.0, -20.0, 0.0],
                       [20.0, 20.0, -20.0, 0.0])
         respawned = step(fleet, 0.1, p, STILL)
@@ -124,7 +131,7 @@ class TestStep:
         assert step(fleet, 0.1, p, STILL).tolist() == []
 
     def test_linear_trajectory_without_perturbation(self):
-        p = ScenarioPreset("line", 5, 70.0, road_length_km=100.0, lanes=1)
+        p = ScenarioConfig(5, 70.0, road_length_km=100.0, lanes=1)
         fleet = generate_scenario(p, rng_stream(7, "mobility"))
         x0, v0 = fleet.x.copy(), fleet.speed_mps.copy()
         for k in range(100):
@@ -132,7 +139,7 @@ class TestStep:
         assert fleet.x == pytest.approx(x0 + v0 * 10.0, abs=1e-6)
 
     def test_perturbation_respects_speed_cap(self):
-        p = ScenarioPreset("wobble", 20, 70.0, road_length_km=5.0, lanes=2,
+        p = ScenarioConfig(20, 70.0, road_length_km=5.0, lanes=2,
                            speed_sigma=5.0, speed_reversion=0.5)
         fleet = generate_scenario(p, rng_stream(8, "mobility"))
         rng = rng_stream(8, "perturb")
@@ -145,7 +152,7 @@ class TestStep:
         assert moved
 
     def test_bad_dt(self):
-        p = preset_by_name("mini-low")
+        p = resolved_scenario("mini-low")
         with pytest.raises(ValueError):
             step(Fleet([], [], [], []), 0.0, p, STILL)
 
@@ -169,7 +176,7 @@ speeds = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-60.0, 60.0))
        st.booleans(), st.sampled_from([0.0, 0.3, 4.0]), st.floats(0.0, 2.0),
        st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_step_matches_reference(vehicles, wraparound, sigma, reversion, dt_s, steps, seed):
-    p = ScenarioPreset("prop", len(vehicles), 0.0, road_length_km=ROAD_M / 1000.0, lanes=4,
+    p = ScenarioConfig(len(vehicles), 0.0, road_length_km=ROAD_M / 1000.0, lanes=4,
                        wraparound=wraparound, speed_sigma=sigma, speed_reversion=reversion)
     fleet = Fleet(*map(list, zip(*vehicles)))
     want = [oracles.Vehicle(*v) for v in vehicles]
@@ -185,14 +192,14 @@ def test_step_matches_reference(vehicles, wraparound, sigma, reversion, dt_s, st
 class TestMeasurementRegion:
     # which transmitters the engine records from these bounds: test_engine.py
     def test_middle_third_of_default_road(self):
-        assert preset_by_name("freeway-high").region_bounds_m == (1200.0, 2400.0)
+        assert resolved_scenario("freeway-high").region_bounds_m == (1200.0, 2400.0)
 
     def test_full_region_on_ring_presets(self):
-        assert preset_by_name("mini-oversat").region_bounds_m == (0.0, 1200.0)
+        assert resolved_scenario("mini-oversat").region_bounds_m == (0.0, 1200.0)
 
     def test_mini_presets_shape(self):
-        assert PRESETS["mini-sat"].vehicle_count == 250
-        assert PRESETS["mini-sat"].wraparound
-        assert PRESETS["mini-oversat"].vehicle_count == 400
-        assert PRESETS["mini-oversat"].adjustments["rate.neighbor_radius_m"] == 300.0
-        assert PRESETS["mini-low"].vehicle_count == 40
+        assert resolved_scenario("mini-sat").vehicle_count == 250
+        assert resolved_scenario("mini-sat").wraparound
+        assert resolved_scenario("mini-oversat").vehicle_count == 400
+        assert config.resolve(scenario="mini-oversat")["rate.neighbor_radius_m"] == 300.0
+        assert resolved_scenario("mini-low").vehicle_count == 40
