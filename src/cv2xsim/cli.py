@@ -193,12 +193,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_presets(_args) -> int:
+    columns = {f"scenario.{key}" for key in ("vehicle_count", "speed_kmh", "road_length_km",
+                                              "wraparound")}
     print("scenario presets:")
-    for name in mobility.PRESETS:
+    for name, keys in mobility.PRESETS.items():
         p = mobility.ScenarioConfig(**config.section(config.resolve(scenario=name), "scenario"))
         print(f"  {name:16s} {p.vehicle_count:5d} vehicles  "
               f"{p.density_veh_km_lane:6.1f} veh/(km.lane)  {p.speed_kmh:5.1f} km/h  "
-              f"{p.road_length_km:.1f} km {'ring' if p.wraparound else 'road'}")
+              f"{p.road_length_km:.1f} km {'ring' if p.wraparound else 'road'}"
+              + "".join(f"  {key}={value}" for key, value in keys.items() if key not in columns))
     print("congestion-control schemes:")
     for name, keys in dcc.SCHEMES.items():
         print(f"  {name:8s} " + "  ".join(f"{key}={value}" for key, value in keys.items()))

@@ -120,14 +120,17 @@ def _apply(resolved: dict, updates: dict[str, object], errors: list) -> None:
 
 def read_config_file(path: str) -> dict[str, object]:
     """Parse an INI config (or a run manifest in JSON) into {section.key: raw}.
-    A file that cannot be read or parsed is a ConfigError that names it; an
-    INI value is taken literally, `%` included."""
+    A file that cannot be read or parsed, or an INI with a [DEFAULT]
+    section, is a ConfigError that names it; an INI value is taken
+    literally, `%` included."""
     try:
         with open(path) as f:
             text = f.read()
         if not path.endswith(".json"):
             parser = configparser.ConfigParser(interpolation=None)
             parser.read_string(text, source=path)
+            if parser.defaults():   # configparser drops its keys or copies them to each section
+                raise configparser.Error("a [DEFAULT] section is not supported; use named sections")
             return {f"{section}.{key}": value
                     for section in parser.sections() for key, value in parser.items(section)}
         data = json.loads(text)

@@ -110,9 +110,10 @@ class RunConfig:
         in MiB.  It grows with `scenario.vehicle_count`, and the event log's
         tx rows also with `run.duration_s`.
 
-        Per ordered pair, 36 bytes: the ledger's `last_rx_ms` (int32); the
-        ledger's `roi_pairs` (int64 keys) in the worst case, where every
-        pair stays in range; and the one-shot distance build of
+        Per ordered pair, 48 bytes: the ledger's `last_rx_ms` and its open
+        cell's bin, attempts and decodes (int32 at most each); the ledger's
+        `roi_pairs` (int64 keys) in the worst case, where every pair stays
+        in range; and the one-shot distance build of
         `dcc.neighbor_counts` and the first ROI tick,
         whose peak holds three float64 arrays (the longitudinal and lateral
         separations and their `hypot`).  A later ROI tick holds about 80
@@ -129,9 +130,11 @@ class RunConfig:
         at most the sensing window.  A subframe with more links than the cap
         is resolved alone, and its transient exceeds this term.  The tx rows
         count twice: the per-batch chunks and the array they are joined into.
+        Left out: the ledger's closed cells, 16 bytes per cell a pair left,
+        which grow with the observed time.
         """
         n = self.scenario.vehicle_count
-        per_pair = 4 + 8 + 3 * 8
+        per_pair = 4 * 4 + 8 + 3 * 8
         if self.channel.shadowing_mode == "static" and self.channel.shadowing_sigma_db > 0:
             per_pair += 8
         span = self.sps.sensing_window_sf

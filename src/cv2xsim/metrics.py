@@ -28,100 +28,29 @@ class MetricsConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-class SparseCounts:
-    """Exact occurrence counts of int64 keys.
-
-    Keys are appended to a preallocated buffer of `buffer_keys`.  Once it
-    holds as many keys as the compacted set (at least `min_fold`, at most
-    the whole buffer), the buffer alone is reduced with `np.unique` and
-    merged into the sorted unique keys and their counts; so a merge's
-    copy of the compacted arrays is paid for by as many new keys, and a
-    small ledger never touches more of the buffer than it needs.  A batch
-    above that limit is merged directly.
-    """
-
-    def __init__(self, buffer_keys: int, min_fold: int):
-        self._buf = np.empty(buffer_keys, dtype=np.int64)
-        self._min_fold = min_fold
-        self._fill = 0
-        self._keys = np.zeros(0, dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.int64)
-
-    def add(self, keys: np.ndarray) -> None:
-        k = keys.size
-        limit = min(self._buf.size, max(self._min_fold, self._keys.size))
-        if self._fill + k > limit:
-            self._fold_buffer()
-            if k > limit:
-                self._merge(keys)
-                return
-        self._buf[self._fill:self._fill + k] = keys
-        self._fill += k
-
-    def compacted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique keys and their counts, the buffer included."""
-        self._fold_buffer()
-        return self._keys, self._counts
-
-    def _fold_buffer(self) -> None:
-        if self._fill:
-            self._merge(self._buf[:self._fill])
-            self._fill = 0
-
-    def _merge(self, keys: np.ndarray) -> None:
-        new, counts = np.unique(keys, return_counts=True)
-        pos = np.searchsorted(self._keys, new)
-        hit = pos < self._keys.size
-        hit[hit] = self._keys[pos[hit]] == new[hit]
-        self._counts[pos[hit]] += counts[hit]
-        miss = ~hit
-        if not miss.any():
-            return
-        # the merged layout: the i-th missing key lands at its insertion
-        # point plus the i missing keys before it, the old keys in between.
-        # One array at a time, so the old keys go before the counts are copied
-        dest = pos[miss] + np.arange(np.count_nonzero(miss))
-        old = np.ones(self._keys.size + dest.size, dtype=bool)
-        old[dest] = False
-        self._keys = _interleave(self._keys, new[miss], old, dest)
-        self._counts = _interleave(self._counts, counts[miss], old, dest)
-
-
-def _interleave(old_values: np.ndarray, new_values: np.ndarray, old: np.ndarray,
-                dest: np.ndarray) -> np.ndarray:
-    """The array holding `old_values` where `old` is True and `new_values`
-    at `dest`, the indices where it is False."""
-    out = np.empty(old.size, dtype=old_values.dtype)
-    out[old], out[dest] = old_values, new_values
-    return out
-
-
 class LedgerCells(NamedTuple):
     """The (pair, distance bin) cells with at least one attempt, ordered by
     bin and, inside a bin, by pair (tx*n_ue+rx)."""
 
-    pair: np.ndarray
-    bin: np.ndarray
-    tx: np.ndarray       # attempts
-    rx: np.ndarray       # decodes
+    pair: np.ndarray     # int64
+    bin: np.ndarray      # the ledger's unsigned bin type
+    tx: np.ndarray       # attempts, int32
+    rx: np.ndarray       # decodes, int32
 
 
 class MetricsStore:
     """Pairwise reception ledger with distance-binned accumulators.
 
     Pairs are ordered (transmitter, receiver) flattened to tx*n_ue+rx; bins
-    are distances at transmission time.  Each link is counted under the key
-    2*cell + decoded of its (pair, bin) cell, cell = bin*n_ue**2 + pair, so
-    only cells that saw an attempt take memory, and the sorted keys list the
-    cells bin by bin with pairs ascending.  Gap statistics pool all pairs.
-    `roi_pairs` holds the sorted keys of the pairs (tx != rx) that were within
-    `roi_radius_m` on every mobility tick of the observation window, so
-    blind-node detection only reports pairs that stayed in range; it is None
-    until the first tick.
+    are distances at transmission time.  Vehicles move only at mobility
+    ticks, so a pair has one open cell: its bin (`_bin`) and that cell's
+    attempt and decode counts (`_tx`, `_rx`).  A link toward another bin
+    closes it into `_closed`, as arrays of (bin*n_ue**2 + pair, attempts,
+    decodes).  Gap statistics pool all pairs.  `roi_pairs` holds the sorted
+    keys of the pairs (tx != rx) that were within `roi_radius_m` on every
+    mobility tick of the observation window, so blind-node detection only
+    reports pairs that stayed in range; it is None until the first tick.
     """
-
-    BUFFER_KEYS = 1 << 18    # most links held between merges
-    MIN_FOLD = 1 << 13       # fewest links held between merges
 
     def __init__(self, n_ue: int, bin_width_m: float, max_range_m: float,
                  payload_bytes: int, roi_radius_m: float):
@@ -132,7 +61,11 @@ class MetricsStore:
         self.n_bins = int(math.ceil(max_range_m / bin_width_m))
         self.payload_bytes = payload_bytes
         self.roi_radius_m = roi_radius_m
-        self._links = SparseCounts(self.BUFFER_KEYS, self.MIN_FOLD)
+        # a pair's cell is open once it has an attempt; bins in the narrowest type
+        self._bin = np.zeros(n_ue * n_ue, dtype=np.min_scalar_type(self.n_bins - 1))
+        self._tx = np.zeros(n_ue * n_ue, dtype=np.int32)
+        self._rx = np.zeros(n_ue * n_ue, dtype=np.int32)
+        self._closed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._cells: LedgerCells | None = None
         self.gap_sum_ms = np.zeros(self.n_bins)
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
@@ -145,15 +78,32 @@ class MetricsStore:
         """Account links: an attempt toward each pair's current distance bin,
         a reception (and possibly a gap sample) where it decoded.  Link i was
         sent at `times_ms[i]`, the times non-decreasing; pair ids are
-        flattened tx*n_ue+rx, and a pair appears at most once per time."""
+        flattened tx*n_ue+rx, and a pair appears at most once per time.  All
+        links of a pair in one call lie in one bin (the engine's batches end
+        at mobility ticks); a call that breaks this raises ValueError."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
         self._cells = None
-        self._links.add(2 * (bins * (self.n_ue * self.n_ue) + pair_ids) + decoded)
+        moved = self._bin[pair_ids] != bins
+        if moved.any():
+            pairs, first = np.unique(pair_ids[moved], return_index=True)
+            old = self._bin[pairs]
+            self._bin[pairs] = bins[moved][first]
+            if (self._bin[pair_ids] != bins).any():
+                self._bin[pairs] = old
+                raise ValueError("record_arrays: a pair has links in two distance bins")
+            was_open = self._tx[pairs] > 0
+            pairs = pairs[was_open]
+            self._closed.append((old[was_open].astype(np.int64) * (self.n_ue * self.n_ue) + pairs,
+                                 self._tx[pairs], self._rx[pairs]))
+            self._tx[pairs] = self._rx[pairs] = 0
+        # a NumPy scalar: np.add.at takes its fast path only on a matching dtype
+        np.add.at(self._tx, pair_ids, np.int32(1))
         if decoded.any():
+            dp = pair_ids[decoded]
+            np.add.at(self._rx, dp, np.int32(1))
             # the decodes pair by pair, each pair's in time order: a decode's
             # previous one is the decode before it in its pair's run, or the
             # ledger's last for the run's first
-            dp = pair_ids[decoded]
             order = np.argsort(dp, kind="stable")
             dp, db, dt = dp[order], bins[decoded][order], times_ms[decoded][order]
             opens = np.empty(dp.size, dtype=bool)
@@ -178,24 +128,27 @@ class MetricsStore:
 
     def cells(self) -> LedgerCells:
         """Attempt and decode counts of every cell that saw an attempt, built
-        once and kept until the next `record_arrays`."""
+        once and kept until the next `record_arrays`: the closed and open
+        cells in (bin, pair) order, the cells of a pair that came back to a
+        bin added together."""
         if self._cells is None:
-            keys, counts = self._links.compacted()
-            # a cell's keys 2*cell and 2*cell+1 are adjacent when both occur,
-            # so a key opens a cell unless it is the decoded twin of the one
-            # before it; of the key-sized temporaries only `cell` is int64
-            cell = keys >> 1
-            opens = np.empty(keys.size, dtype=bool)
-            opens[:1] = True
-            np.not_equal(cell[1:], cell[:-1], out=opens[1:])
-            del cell
-            starts = np.flatnonzero(opens)
-            # each cell's last key, which is its decoded one if it has one
-            last = np.flatnonzero(np.append(opens[1:], keys.size > 0))
-            tx = np.add.reduceat(counts, starts)
-            rx = counts[last] * (keys[last] & 1)
-            b, pair = np.divmod(keys[starts] >> 1, self.n_ue * self.n_ue)
-            self._cells = LedgerCells(pair, b, tx, rx)
+            n2 = self.n_ue * self.n_ue
+            pairs = np.flatnonzero(self._tx)
+            # the closed cells, then the open ones.  At urban scale this build
+            # is the output's largest transient, so each temporary goes once used
+            keys, tx, rx = (np.concatenate([c[i] for c in self._closed] + [column])
+                            for i, column in enumerate((self._bin[pairs] * np.int64(n2) + pairs,
+                                                        self._tx[pairs], self._rx[pairs])))
+            del pairs
+            order = keys.argsort()
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys = keys[starts]
+            tx = np.add.reduceat(tx[order], starts, dtype=np.int32)
+            rx = np.add.reduceat(rx[order], starts, dtype=np.int32)
+            del order, starts
+            b, pair = np.divmod(keys, n2)
+            self._cells = LedgerCells(pair, b.astype(self._bin.dtype), tx, rx)
             for a in self._cells:
                 a.flags.writeable = False   # every caller shares these arrays
         return self._cells
@@ -278,7 +231,9 @@ def slt(store: MetricsStore, observation_s: float) -> list[BinValue]:
     if observation_s <= 0:
         raise ValueError("observation_s must be positive")
     cells = store.cells()
-    return _bin_means(store, cells, cells.rx * store.payload_bytes / observation_s)
+    # in float64: int32 decodes times the payload could overflow int32, and
+    # each product is the exact one rounded once, as from int64
+    return _bin_means(store, cells, cells.rx * float(store.payload_bytes) / observation_s)
 
 
 @dataclass(frozen=True)

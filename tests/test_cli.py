@@ -257,6 +257,20 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, name, text):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                  "[DEFAULT]\nduration_s = 2\n[run]\nwarmup_s = 1\n"],
+                         ids=["alone", "beside-a-section"])
+def test_ini_default_section_is_a_config_error(tmp_path, capsys, text):
+    # configparser drops a lone [DEFAULT] section's keys and copies them into
+    # every other section
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    with pytest.raises(config.ConfigError, match=re.escape(f"{ini}: a [DEFAULT] section")):
+        config.read_config_file(str(ini))
+    assert main(["validate", "--config", str(ini)]) == 2
+    assert str(ini) in capsys.readouterr().err
+
+
 def test_ini_value_is_taken_literally(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[cr]\ncalibration = %(x)s\n")
@@ -395,12 +409,15 @@ class TestCliCommands:
                    if line.split()[:1] == ["urban-ultrahigh"])
         assert row[1:5] == ["4800", "vehicles", "111.1", "veh/(km.lane)"]
         assert "sps.slrrc_min=1  sps.slrrc_max=5  sps.p_resel=0.2" in out
+        # a scenario row lists the keys its columns do not show, as a scheme row does
+        oversat = next(line.split() for line in out.splitlines()
+                       if line.split()[:1] == ["mini-oversat"])
+        assert oversat[-2:] == ["scenario.region=full", "rate.neighbor_radius_m=300.0"]
 
     def test_run_writes_artifacts_and_manifest(self, tmp_path, capsys, monkeypatch):
         builds = []
-        compacted = metrics.SparseCounts.compacted
-        monkeypatch.setattr(metrics.SparseCounts, "compacted",
-                            lambda self: builds.append(1) or compacted(self))
+        cells = metrics.LedgerCells
+        monkeypatch.setattr(metrics, "LedgerCells", lambda *a: builds.append(1) or cells(*a))
         out = tmp_path / "run1"
         rc = main(["run", "--scenario", "mini-low", "--scheme", "baseline",
                    "--seed", "7", "--out", str(out),

@@ -387,7 +387,8 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
     assert len(sim.log.tx_events) == n * k
 
     held = [store.srssi_mw, store.sensed, store.reservations, store.period_sf,
-            store.row_subframe, ledger.last_rx_ms, ledger.roi_pairs]
+            store.row_subframe, ledger.last_rx_ms, ledger.roi_pairs, ledger._bin, ledger._tx,
+            ledger._rx]
     if shadowing == "static":
         held.append(sim.static_shadow)
     assert build_peak >= 3 * 8 * sim.n_ue ** 2

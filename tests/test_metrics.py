@@ -2,13 +2,14 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cv2xsim import metrics
 from cv2xsim.core import RoadGeometry
-from cv2xsim.metrics import (BinValue, MetricsStore, SparseCounts, blind_nodes, gains,
-                             ipg_stats, pdr, slt)
+from cv2xsim.metrics import (BinValue, MetricsStore, blind_nodes, gains, ipg_stats, pdr,
+                             slt)
 from roads import road_ticks
 
 ROI_M = 100.0
@@ -311,32 +312,11 @@ def test_batched_recording_matches_per_link_accumulation():
     assert s.gap_hist.tolist() == [gap_hist[g] for g in range(max(gap_hist) + 1)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 40), max_size=30), max_size=30),
-       st.integers(1, 16), st.integers(1, 8))
-def test_sparse_counts_match_a_counter(batches, buffer_keys, min_fold):
-    counts = SparseCounts(buffer_keys, min_fold)
-    want = collections.Counter()
-    for batch in batches:
-        counts.add(np.array(batch, dtype=np.int64))
-        want.update(batch)
-    keys, n = counts.compacted()
-    assert keys.tolist() == sorted(want)
-    assert n.tolist() == [want[k] for k in sorted(want)]
-
-
 def assert_ipg_matches(got, want: oracles.IpgSamples) -> None:
     """The histogram statistics hold every sorted sample as a (gap, count) run."""
     assert got.bins == want.bins and got.p80_ms == want.p80_ms
     gaps, counts = np.unique(want.gaps_ms, return_counts=True)
     assert np.array_equal(got.ecdf_gaps_ms, gaps) and np.array_equal(got.ecdf_counts, counts)
-
-
-class SmallBuffer(MetricsStore):
-    # a few links per merge, so short runs cross many, and a limit that
-    # grows with the compacted set until the buffer caps it
-    BUFFER_KEYS = 24
-    MIN_FOLD = 3
 
 
 @st.composite
@@ -366,11 +346,17 @@ def ledger_calls(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ledger_calls(), st.sampled_from([SmallBuffer, MetricsStore]))
-def test_sparse_ledger_matches_dense_oracle(case, cls):
+@given(ledger_calls())
+# pair 1 leaves bin 0 for bin 2 and comes back to each; pair 2 reaches the
+# clamped last bin
+@example((2, 110.0, [(5, [(1, 10.0, True), (2, 80.0, False)]), (100, [(1, 60.0, True)]),
+                     (100, [(1, 15.0, False), (2, 80.0, True)]),
+                     (100, [(2, 120.0, True), (1, 55.0, True)]), (100, [(1, 5.0, True)])],
+          []))
+def test_sparse_ledger_matches_dense_oracle(case):
     """Every cell count and every metric equals the dense ledger's, bit for bit."""
     n_ue, max_range, calls, ticks = case
-    sparse = cls(n_ue, 25.0, max_range, 190, ROI_M)
+    sparse = MetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
     dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
     now = 0
     for i, (step, links) in enumerate(calls):
@@ -398,30 +384,33 @@ def test_sparse_ledger_matches_dense_oracle(case, cls):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ledger_calls(), st.sampled_from([SmallBuffer, MetricsStore]), st.data())
-def test_batched_recording_matches_per_subframe_calls(case, cls, data):
+@given(ledger_calls(), st.data())
+def test_batched_recording_matches_per_subframe_calls(case, data):
     """Links of several subframes recorded in one call, with the warm-up
     cut inside a batch as the engine cuts it, equal the dense ledger fed one
     subframe at a time from the warm-up on: counts, gaps of pairs decoded in
-    several subframes of a batch, and each pair's last decode."""
+    several subframes of a batch, and each pair's last decode.  As in the
+    engine, where a batch ends at a mobility tick, a pair keeps one distance
+    through a batch."""
     n_ue, max_range, calls, _ = case
     times = np.cumsum([step for step, _ in calls], dtype=np.int64)
     warmup = data.draw(st.integers(0, int(times[-1]) + 1)) if calls else 0
     cuts = sorted(data.draw(st.sets(st.integers(1, len(calls) - 1)))) if len(calls) > 1 else []
-    sparse = cls(n_ue, 25.0, max_range, 190, ROI_M)
+    sparse = MetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
     dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
-    columns = []        # per subframe: (time, pair, distance, decoded) per link
-    for now, (_, links) in zip(times.tolist(), calls):
-        pairs = np.array([p for p, _, _ in links], dtype=np.int64)
-        dist = np.array([d for _, d, _ in links])
-        ok = np.array([o for _, _, o in links], dtype=bool)
-        if now >= warmup:
-            dense.record_arrays(now, pairs, dist, ok)
-        columns.append((np.full(pairs.size, now), pairs, dist, ok))
     for lo, hi in zip([0] + cuts, cuts + [len(calls)]):
         if lo == hi:        # no calls at all
             continue
-        t, pairs, dist, ok = (np.concatenate(col) for col in zip(*columns[lo:hi]))
+        dist_of = {}        # each pair's first distance in the batch
+        columns = []        # per subframe: (time, pair, distance, decoded) per link
+        for now, (_, links) in zip(times[lo:hi].tolist(), calls[lo:hi]):
+            pairs = np.array([p for p, _, _ in links], dtype=np.int64)
+            dist = np.array([dist_of.setdefault(p, d) for p, d, _ in links])
+            ok = np.array([o for _, _, o in links], dtype=bool)
+            if now >= warmup:
+                dense.record_arrays(now, pairs, dist, ok)
+            columns.append((np.full(pairs.size, now), pairs, dist, ok))
+        t, pairs, dist, ok = (np.concatenate(col) for col in zip(*columns))
         kept = t >= warmup
         if kept.any():
             sparse.record_arrays(t[kept], pairs[kept], dist[kept], ok[kept])
@@ -459,8 +448,8 @@ def test_cells_built_once_until_the_next_record(monkeypatch):
     """pdr, slt and blind_nodes share one build of the cells; recording a
     link drops it, and the next build counts that link."""
     builds = []
-    compacted = SparseCounts.compacted
-    monkeypatch.setattr(SparseCounts, "compacted", lambda self: builds.append(1) or compacted(self))
+    cells = metrics.LedgerCells
+    monkeypatch.setattr(metrics, "LedgerCells", lambda *a: builds.append(1) or cells(*a))
     s = random_ledger(4)
     before = pdr(s), slt(s, 2.0), blind_nodes(s)
     assert len(builds) == 1
@@ -471,23 +460,20 @@ def test_cells_built_once_until_the_next_record(monkeypatch):
     assert len(builds) == 2 and after[1] != before[1]
 
 
-def test_call_larger_than_the_buffer():
-    """One call of more links than the buffer holds, on top of a part-filled
-    buffer and a merged history, is counted exactly."""
-    n_ue = 8
-    sparse = SmallBuffer(n_ue, 25.0, 100.0, 190, ROI_M)
-    dense = oracles.DenseMetricsStore(n_ue, 25.0, 100.0, 190, ROI_M)
-    rng = np.random.default_rng(3)
-    for now, n_pairs in ((0, 4), (10, 5), (20, 3), (30, n_ue * (n_ue - 1)), (40, 2)):
-        pairs = rng.choice(np.delete(np.arange(n_ue * n_ue), np.arange(0, n_ue * n_ue, n_ue + 1)),
-                           size=n_pairs, replace=False)
-        dist = rng.uniform(0.0, 150.0, n_pairs)
-        ok = rng.random(n_pairs) < 0.5
-        sparse.record_arrays(np.full(n_pairs, now), pairs, dist, ok)
-        dense.record_arrays(now, pairs, dist, ok)
-    tx, rx = oracles.dense_counts(sparse)
-    assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
-    assert pdr(sparse) == oracles.pdr(dense)
+def test_pair_in_two_bins_in_one_call_is_rejected():
+    """A call whose links put one pair in two distance bins raises and
+    leaves the ledger as it was; one bin per pair, as the engine's batches
+    give, is accepted, also where the pair moved since the last call."""
+    s = random_ledger(5)
+    before = s.cells()
+    with pytest.raises(ValueError, match="two distance bins"):
+        s.record_arrays(np.array([6000, 6010]), np.array([1, 1]), np.array([30.0, 80.0]),
+                        np.array([True, True]))
+    assert all(np.array_equal(a, b) for a, b in zip(s.cells(), before))
+    s.record_arrays(np.array([6000, 6010]), np.array([1, 1]), np.array([455.0, 460.0]),
+                    np.array([True, False]))
+    tx, rx = oracles.dense_counts(s)
+    assert tx[1, 18] == 2 and rx[1, 18] == 1
 
 
 def test_empty_ledger():
