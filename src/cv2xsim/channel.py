@@ -60,13 +60,21 @@ class ChannelModel:
 
 
 def pathloss(d_m: np.ndarray, model: ChannelModel) -> np.ndarray:
-    """Pathloss in dB at each distance of d_m, clamped below d0."""
-    d = np.maximum(np.asarray(d_m, dtype=float), model.d0_m)
-    pl = model.pl0_db + 10.0 * model.exponent * np.log10(d / model.d0_m)
+    """Pathloss in dB at each distance of d_m, clamped below d0, in a new
+    array that the caller may write to."""
     bp = max(model.breakpoint_m, model.d0_m)
     pl_bp = model.pl0_db + 10.0 * model.exponent * np.log10(bp / model.d0_m)
-    beyond = pl_bp + 10.0 * model.exponent_beyond * np.log10(d / bp)
-    return np.where(d > bp, beyond, pl)
+    d = np.maximum(d_m, model.d0_m, out=np.empty(np.shape(d_m)))
+    far = d > bp
+    pl = np.log10(d / model.d0_m)
+    pl *= 10.0 * model.exponent
+    pl += model.pl0_db
+    # the slope beyond the breakpoint, in the clamped distances' buffer
+    np.divide(d, bp, out=d)
+    np.log10(d, out=d)
+    d *= 10.0 * model.exponent_beyond
+    d += pl_bp
+    return np.where(far, d, pl)
 
 
 class Outcome:
@@ -86,7 +94,9 @@ class SubframeResolution:
     Row t is the transmission of UE `tx_ue[t]` in subframe `tx_sf[t]` of the
     batch, as passed to `resolve_subframe`; column r is UE r, since every UE
     receives.  The per-subframe arrays have one entry per subframe of the
-    batch, those without a transmission included.
+    batch, those without a transmission included.  `outcome` is built as
+    int8 from the failing conditions' masks, and the engine takes the links
+    it hands on from the (k, n_ue) arrays by flat index, t * n_ue + r.
     """
 
     rx_power_dbm: np.ndarray      # (k, n_ue)
@@ -139,6 +149,9 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
     size = np.diff(first, append=k)
 
     d = geometry.distance(x[tx_ue][:, None], y[tx_ue][:, None], x[None, :], y[None, :])
+    # the received power, built in pathloss's buffer
+    p_dbm = pathloss(d, model)
+    np.subtract(tx_power_dbm[:, None], p_dbm, out=p_dbm)
 
     if model.shadowing_sigma_db > 0.0:
         if model.shadowing_mode == "static":
@@ -148,18 +161,18 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
         else:
             sh = np.empty((k, nrx))
             sh[order] = rng.normal(0.0, model.shadowing_sigma_db, size=(k, nrx))
-    else:
-        sh = 0.0
+        p_dbm -= sh
 
     if model.fading == "nakagami":
-        gain = np.empty((k, nrx))
-        gain[order] = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=(k, nrx))
-        fade = -10.0 * np.log10(np.maximum(gain, 1e-12))
-    else:
-        fade = 0.0
+        fade = np.empty((k, nrx))
+        fade[order] = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=(k, nrx))
+        np.maximum(fade, 1e-12, out=fade)
+        np.log10(fade, out=fade)
+        fade *= -10.0
+        p_dbm -= fade
 
-    p_dbm = tx_power_dbm[:, None] - pathloss(d, model) - sh - fade
-    p_mw = dbm_to_mw(p_dbm)
+    p_mw = np.divide(p_dbm, 10.0)
+    np.power(10.0, p_mw, out=p_mw)       # dbm_to_mw, in place
     # own signal does not reach own receiver chain
     p_mw[np.arange(k), tx_ue] = 0.0
 
@@ -170,19 +183,29 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
         total_mw[g] += p_mw[order[first[g] + j]]
     row_group = np.empty(k, dtype=np.int64)
     row_group[order] = np.repeat(np.arange(first.size), size)
-    interference_mw = total_mw[row_group] - p_mw
+    # signal / (interference + noise) in dB, the interference being the
+    # group's total less the signal
+    sinr_db = total_mw[row_group]
+    sinr_db -= p_mw
+    sinr_db += model.noise_mw
     with np.errstate(divide="ignore"):
-        sinr = p_mw / (interference_mw + model.noise_mw)
-        sinr_row_db = 10.0 * np.log10(np.maximum(sinr, 1e-300))
+        np.divide(p_mw, sinr_db, out=sinr_db)
+    np.maximum(sinr_db, 1e-300, out=sinr_db)
+    np.log10(sinr_db, out=sinr_db)
+    sinr_db *= 10.0
 
-    decodable = (p_dbm >= model.sensitivity_dbm)
-    sinr_ok = sinr_row_db >= model.sinr_threshold_db
-    code = np.where(is_tx[tx_sf], Outcome.HALF_DUPLEX_BLOCKED,
-                    np.where(~decodable, Outcome.BELOW_SENSITIVITY,
-                             np.where(~sinr_ok, Outcome.COLLIDED, Outcome.DECODED)))
+    # the codes rise in the order the conditions are tested, so the first
+    # failing one is the largest code among the failing ones
+    outcome = np.less(sinr_db, model.sinr_threshold_db).view(np.int8)
+    failing = np.less(p_dbm, model.sensitivity_dbm).view(np.int8)
+    failing *= Outcome.BELOW_SENSITIVITY
+    np.maximum(outcome, failing, out=outcome)
+    failing = is_tx[tx_sf].view(np.int8)
+    failing *= Outcome.HALF_DUPLEX_BLOCKED
+    np.maximum(outcome, failing, out=outcome)
 
     srssi_mw = np.full((n_sf, nrx, n_subch), model.noise_mw)
     group_sf, group_subch = np.divmod(group[order[first]], n_subch)
     srssi_mw[group_sf, :, group_subch] += total_mw
 
-    return SubframeResolution(p_dbm, code.astype(np.int8), d, srssi_mw, is_tx)
+    return SubframeResolution(p_dbm, outcome, d, srssi_mw, is_tx)

@@ -20,14 +20,16 @@ mobility tick, and the end of the run.  It also flushes before the queued
 (transmission, UE) links would pass `_BATCH_LINKS`, and before a batch would
 span more subframes than the sensing ring holds.  A flush resolves every
 subframe since the last one, those without a transmission included, in one
-`resolve_subframe` call, which turns them into (transmission, UE) outcome
-arrays.  From those the batch's rows go to the event log as one chunk, its
-in-region links after the warm-up to the metrics ledger and its
-measurements and decodes to the sensing store, without a loop over
-subframes, transmissions or receivers.  The shadowing and fading streams
-are drawn in the order resolving one subframe at a time draws them, so the
-batches leave every output as it would be.  Everything is driven by named
-RNG streams, so one seed fixes the whole run.
+`resolve_subframe` call, which turns them into (transmission, UE) arrays
+with the outcome as int8 codes.  From those the batch's rows, each with its
+links counted by outcome, go to the event log as one chunk.  The links of
+the rows sent inside the region after the warm-up go to the metrics ledger
+and the decoded links, with the measurements, to the sensing store; each
+set is taken from the (transmission, UE) arrays by flat index, without a
+loop over subframes, transmissions or receivers.  The shadowing and fading
+streams are drawn in the order resolving one subframe at a time draws
+them, so the batches leave every output as it would be.  Everything is
+driven by named RNG streams, so one seed fixes the whole run.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ _LOG_CHUNK = 1 << 10
 # is resolved on its own
 _BATCH_LINKS = 1 << 15
 # Bytes per link that a flush holds at its peak: the (k, n_ue) arrays of
-# `resolve_subframe` and of the hand-off to the log and the ledger (traced at
-# the cap: 77 to 95 on mini-low, freeway-low and urban-medium)
+# `resolve_subframe` and of the hand-off to the ledger (traced at the cap:
+# 45 on freeway-low and 48 on urban-medium, where resolving sets the peak,
+# and 105 on mini-low, where every link goes to the ledger and the hand-off
+# and `record_arrays` set it)
 _FLUSH_BYTES_PER_LINK = 128
 # A flush with nothing queued resolves no transmission
 _NO_TX = (np.zeros(0, dtype=np.int64),) * 5
@@ -315,32 +319,42 @@ class Simulation:
                                self.rngs.stream("shadow"), self.geometry, cfg.subchannels,
                                self.static_shadow, self.rngs.stream("fading"), end - start)
         k = len(tx_ue)
-        rows = np.arange(k)
-        counts = np.bincount((4 * rows[:, None] + res.outcome).ravel(),
-                             minlength=4 * k).reshape(k, 4)
-        counts[:, Outcome.HALF_DUPLEX_BLOCKED] -= 1   # the self pair
-        others = np.ones((k, n_ue), dtype=bool)
-        others[rows, tx_ue] = False
+        # each row's links by outcome; the UEs sending in its subframe, its
+        # own among them, are the half-duplex blocked ones
+        decoded = res.outcome == Outcome.DECODED
+        n_decoded = decoded.sum(axis=1, dtype=np.int32)
+        n_collided = (res.outcome == Outcome.COLLIDED).sum(axis=1, dtype=np.int32)
+        sending = res.is_transmitting.sum(axis=1, dtype=np.int32)[tx_sf]
+        n_below = n_ue - sending - n_decoded - n_collided
 
         tx_x = self.x[tx_ue]
         # field by field: a third of the cost of np.rec.fromarrays on a batch
         log_rows = np.empty(k, TX_DTYPE)
         for name, col in zip(TX_DTYPE.names, (subframe, tx_ue, tx_subch, tx_power, tx_x,
-                                              self.lane[tx_ue], tx_period, delay, *counts.T)):
+                                              self.lane[tx_ue], tx_period, delay, n_decoded,
+                                              n_collided, n_below, sending - 1)):
             log_rows[name] = col
         self.log.append(log_rows)
 
+        # the links of the recorded rows to every other UE, as flat indices
+        # into the (k, n_ue) arrays
         region_lo, region_hi = self._region
-        recorded = (region_lo <= tx_x) & (tx_x <= region_hi) & (subframe >= self.warmup_sf)
-        if recorded.any():
-            links = others & recorded[:, None]
-            t, r = np.nonzero(links)
-            self.metrics.record_arrays(subframe[t], tx_ue[t] * n_ue + r, res.distance_m[links],
-                                       res.outcome[links] == Outcome.DECODED)
+        rec = np.flatnonzero((region_lo <= tx_x) & (tx_x <= region_hi)
+                             & (subframe >= self.warmup_sf))
+        if rec.size:
+            # each row's receivers: every UE but its transmitter
+            rx = np.arange(n_ue - 1)
+            rx = rx + (rx >= tx_ue[rec, None])
+            flat = (rec[:, None] * n_ue + rx).ravel()
+            self.metrics.record_arrays(np.repeat(subframe[rec], n_ue - 1),
+                                       (tx_ue[rec, None] * n_ue + rx).ravel(),
+                                       res.distance_m.ravel()[flat], decoded.ravel()[flat])
 
-        t, r = np.nonzero(res.outcome == Outcome.DECODED)
+        flat = np.flatnonzero(decoded)
+        t = flat // n_ue
         self.store.record_subframe(start, res.srssi_mw, ~res.is_transmitting,
-                                   (tx_sf[t], r, tx_subch[t], tx_period[t], res.rx_power_dbm[t, r]))
+                                   (tx_sf[t], flat - t * n_ue, tx_subch[t], tx_period[t],
+                                    res.rx_power_dbm.ravel()[flat]))
 
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue

@@ -26,7 +26,10 @@ samples, and p80 is the ceil(0.8 N)-th of the sorted samples.
 
 `resolve_subframe` is the subframe-by-subframe form of
 `cv2xsim.channel.resolve_subframe`: one call per subframe, with a draw and
-a `sum(axis=0)` per subchannel.
+a `sum(axis=0)` per subchannel, and the outcome as nested `np.where` over
+the failing conditions.  Its link budget takes `pathloss`, the form of
+`cv2xsim.channel.pathloss` that evaluates both slopes at every distance and
+picks one with `np.where`, each in fresh arrays.
 
 `pair_distances` is the (n, n) matrix of every pair's distance, computed at
 once: the reference for the distances that `cv2xsim.dcc.neighbor_counts`
@@ -55,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cv2xsim.channel import ChannelModel, Outcome, SubframeResolution, pathloss
+from cv2xsim.channel import ChannelModel, Outcome, SubframeResolution
 from cv2xsim.core import RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
@@ -235,6 +238,16 @@ def compute_cr(n: int, past_tx: list[int], period_sf: int, n_subch: int) -> floa
         if tau1 <= t < tau2:
             used[t - tau1, 0] = 1
     return occupancy_ratio(n, np.ones_like(used), used, (tau1, tau2))
+
+
+def pathloss(d_m: np.ndarray, model: ChannelModel) -> np.ndarray:
+    """Two-slope form of `cv2xsim.channel.pathloss`."""
+    d = np.maximum(np.asarray(d_m, dtype=float), model.d0_m)
+    pl = model.pl0_db + 10.0 * model.exponent * np.log10(d / model.d0_m)
+    bp = max(model.breakpoint_m, model.d0_m)
+    pl_bp = model.pl0_db + 10.0 * model.exponent * np.log10(bp / model.d0_m)
+    beyond = pl_bp + 10.0 * model.exponent_beyond * np.log10(d / bp)
+    return np.where(d > bp, beyond, pl)
 
 
 def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.ndarray,

@@ -10,6 +10,8 @@ from cv2xsim.channel import ChannelModel, Outcome, pathloss, resolve_subframe
 from cv2xsim.core import RoadGeometry, rng_stream
 
 GEO = RoadGeometry(length_m=10_000.0, lanes=12, lane_width_m=4.0, wraparound=False)
+# shorter than twice the 400 m spread of the drawn positions, so some links wrap
+RING = RoadGeometry(length_m=600.0, lanes=4, lane_width_m=4.0, wraparound=True)
 
 
 def clean_model(**kw):
@@ -221,6 +223,43 @@ class TestResolveSubframe:
         # both runs took the same shadowing draws, and the fading none of them
         assert shadow_a.normal(size=4).tolist() == shadow_b.normal(size=4).tolist()
 
+    def test_classification_boundaries(self):
+        # quiet channel, parked UEs: UE 0 sends to UE 1 alone on its
+        # subchannel, so the interference is 0.0 and the SINR is the SNR,
+        # computed here in the channel's steps.  A link exactly at the
+        # sensitivity or at the SINR threshold decodes; with either raised
+        # by one ulp it does not.
+        ues = [(0.0, 0), (120.0, 1)]
+        txs = [(0, 0, 23.0)]
+        quiet = clean_model()
+        res = resolve(txs, ues, quiet, rng_stream(1, "shadow"))
+        p_dbm = res.rx_power_dbm[0, 1]
+        p_mw = np.power(10.0, res.rx_power_dbm / 10.0)
+        snr_db = (10.0 * np.log10(p_mw / quiet.noise_mw))[0, 1]
+
+        def outcome_at_1(**kw):
+            return resolve(txs, ues, clean_model(**kw), rng_stream(1, "shadow")).outcome[0, 1]
+
+        assert outcome_at_1(sensitivity_dbm=p_dbm) == Outcome.DECODED
+        assert outcome_at_1(sensitivity_dbm=np.nextafter(p_dbm, np.inf)) == \
+            Outcome.BELOW_SENSITIVITY
+        assert outcome_at_1(sinr_threshold_db=snr_db) == Outcome.DECODED
+        assert outcome_at_1(sinr_threshold_db=np.nextafter(snr_db, np.inf)) == Outcome.COLLIDED
+
+    def test_first_failing_condition_names_the_outcome(self):
+        # UEs 0 and 2 send 5 m apart on two subchannels and UE 1 on UE 0's:
+        # a sending receiver is half-duplex blocked however strong the
+        # signal, its own row included; below sensitivity outranks collided
+        ues = [(0.0, 0), (120.0, 1), (5.0, 0), (5000.0, 0)]
+        txs = [(0, 0, 23.0), (2, 1, 23.0), (1, 0, 23.0)]
+        res = resolve(txs, ues, clean_model(), rng_stream(1, "shadow"))
+        assert res.outcome.dtype == np.int8
+        assert res.rx_power_dbm[0, 2] > clean_model().sensitivity_dbm + 30.0
+        assert res.outcome[0, 2] == res.outcome[1, 0] == Outcome.HALF_DUPLEX_BLOCKED
+        assert res.outcome[0, 0] == Outcome.HALF_DUPLEX_BLOCKED
+        assert sinr_db(res, txs, clean_model())[0, 3] < clean_model().sinr_threshold_db
+        assert res.outcome[0, 3] == Outcome.BELOW_SENSITIVITY
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_at_most_one_decode_per_receiver_and_subchannel(self, data):
@@ -265,12 +304,13 @@ def test_batch_matches_subframe_by_subframe(data):
     resolving each subframe on its own, and leaves the shadowing and fading
     streams where those calls leave them.  Subframes and subchannels may be
     empty, a UE may send in several subframes, and rows within a subframe
-    come in any UE order."""
+    come in any UE order.  The road is straight or a ring."""
+    geo = data.draw(st.sampled_from([GEO, RING]))
     n_ue = data.draw(st.integers(1, 8))
     n_subch = data.draw(st.integers(1, 3))
     n_sf = data.draw(st.integers(1, 6))
     x = np.array(data.draw(st.lists(st.floats(0.0, 400.0), min_size=n_ue, max_size=n_ue)))
-    y = GEO.lane_y(np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_ue,
+    y = geo.lane_y(np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_ue,
                                                max_size=n_ue))))
     subframes = []          # per subframe: (UE, subchannel, power) arrays
     for _ in range(n_sf):
@@ -292,9 +332,9 @@ def test_batch_matches_subframe_by_subframe(data):
     streams = [(rng_stream(seed, "shadow"), rng_stream(seed, "fading")) for _ in range(2)]
     tx_sf = np.repeat(np.arange(n_sf), [len(ues) for ues, _, _ in subframes])
     tx_ue, tx_subch, power = (np.concatenate(col) for col in zip(*subframes))
-    batch = resolve_subframe(tx_sf, tx_ue, tx_subch, power, x, y, model, streams[0][0], GEO,
+    batch = resolve_subframe(tx_sf, tx_ue, tx_subch, power, x, y, model, streams[0][0], geo,
                              n_subch, table, streams[0][1], n_sf)
-    each = [oracles.resolve_subframe(ues, subch, p, x, y, model, streams[1][0], GEO, n_subch,
+    each = [oracles.resolve_subframe(ues, subch, p, x, y, model, streams[1][0], geo, n_subch,
                                      table, streams[1][1]) for ues, subch, p in subframes]
 
     for name in ("rx_power_dbm", "outcome", "distance_m", "srssi_mw", "is_transmitting"):
