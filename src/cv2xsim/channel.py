@@ -97,12 +97,14 @@ class SubframeResolution:
     batch, those without a transmission included.  `outcome` is built as
     int8 from the failing conditions' masks, and the engine takes the links
     it hands on from the (k, n_ue) arrays by flat index, t * n_ue + r.
+    `srssi_mw` is UE-major, (n_ue, n_sf, n_subch), the layout of the sensing
+    store's rings: each UE's measurements of the batch are one block.
     """
 
     rx_power_dbm: np.ndarray      # (k, n_ue)
     outcome: np.ndarray           # (k, n_ue) int8 Outcome codes
     distance_m: np.ndarray        # (k, n_ue)
-    srssi_mw: np.ndarray          # (n_sf, n_ue, n_subch) total arrivals + noise
+    srssi_mw: np.ndarray          # (n_ue, n_sf, n_subch) total arrivals + noise
     is_transmitting: np.ndarray   # (n_sf, n_ue) bool, one True per transmission
 
 
@@ -204,8 +206,9 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
     failing *= Outcome.HALF_DUPLEX_BLOCKED
     np.maximum(outcome, failing, out=outcome)
 
-    srssi_mw = np.full((n_sf, nrx, n_subch), model.noise_mw)
-    group_sf, group_subch = np.divmod(group[order[first]], n_subch)
-    srssi_mw[group_sf, :, group_subch] += total_mw
+    # UE-major, so that the sensing store copies each UE's block as it is;
+    # a group's number is its column in the (subframe, subchannel) plane
+    srssi_mw = np.full((nrx, n_sf, n_subch), model.noise_mw)
+    srssi_mw.reshape(nrx, n_sf * n_subch)[:, group[order[first]]] += total_mw.T
 
     return SubframeResolution(p_dbm, outcome, d, srssi_mw, is_tx)

@@ -39,9 +39,14 @@ class RoadGeometry:
         return d
 
     def distance(self, x1, y1, x2, y2):
-        """Euclidean distance between (x1, y1) and (x2, y2), elementwise; the
-        longitudinal part wraps as `dx` does."""
-        return np.hypot(self.dx(x1, x2), y1 - y2)
+        """Euclidean distance between the arrays (x1, y1) and (x2, y2),
+        elementwise, in a new array; the longitudinal part wraps as `dx`
+        does.  The separation, its wrap and the distance share one buffer."""
+        d = np.subtract(x1, x2)
+        np.abs(d, out=d)
+        if self.wraparound:
+            np.minimum(d, self.length_m - d, out=d)
+        return np.hypot(d, y1 - y2, out=d)
 
     def within(self, x, y, radius_m):
         """(n, n) mask of the pairs of the points (x, y) at most `radius_m` apart."""

@@ -26,7 +26,11 @@ links counted by outcome, go to the event log as one chunk.  The links of
 the rows sent inside the region after the warm-up go to the metrics ledger
 and the decoded links, with the measurements, to the sensing store; each
 set is taken from the (transmission, UE) arrays by flat index, without a
-loop over subframes, transmissions or receivers.  The shadowing and fading
+loop over subframes, transmissions or receivers.  The sensing store keeps
+its rings UE-major, (UE, subframe, subchannel), so that a resource
+selection reads one UE's whole sensing history as one contiguous block; the
+channel emits the batch's S-RSSI in that layout, and the store copies each
+UE's part as one slab.  The shadowing and fading
 streams are drawn in the order resolving one subframe at a time draws
 them, so the batches leave every output as it would be.  Everything is
 driven by named RNG streams, so one seed fixes the whole run.
@@ -114,18 +118,19 @@ class RunConfig:
         in MiB.  It grows with `scenario.vehicle_count`, and the event log's
         tx rows also with `run.duration_s`.
 
-        Per ordered pair, 48 bytes: the ledger's `last_rx_ms` and its open
+        Per ordered pair, 40 bytes: the ledger's `last_rx_ms` and its open
         cell's bin, attempts and decodes (int32 at most each); the ledger's
         `roi_pairs` (int64 keys) in the worst case, where every pair stays
         in range; and the one-shot distance build of
         `dcc.neighbor_counts` and the first ROI tick,
-        whose peak holds three float64 arrays (the longitudinal and lateral
-        separations and their `hypot`).  A later ROI tick holds about 80
-        bytes per kept pair for a moment, which this covers while at most a
-        third of the pairs stay in range (5 % on urban-medium's road at
-        100 m).  Plus 8 bytes for the static shadowing draws when enabled.
-        Sensing: the (span, n, subchannels) rings of S-RSSI (float64),
-        reservation RSRP (float32) and period (int32), and the (span, n)
+        whose peak holds two float64 arrays (the lateral separation, and the
+        longitudinal one that `RoadGeometry.distance` wraps and turns into
+        the distance in place).  A later ROI tick holds about 64 bytes per
+        kept pair for a moment, which this covers while at most a quarter of
+        the pairs stay in range (5 % on urban-medium's road at 100 m).  Plus
+        8 bytes for the static shadowing draws when enabled.  Sensing: the
+        UE-major (n, span, subchannels) rings of S-RSSI (float64),
+        reservation RSRP (float32) and period (int32), and the (n, span)
         sensed mask.  The event log's tx rows, at one per vehicle per 100 ms
         (the shortest inter-transmit time) over the whole run.  A flush's
         transient: `_FLUSH_BYTES_PER_LINK` for each of up to `_BATCH_LINKS`
@@ -138,7 +143,7 @@ class RunConfig:
         which grow with the observed time.
         """
         n = self.scenario.vehicle_count
-        per_pair = 4 * 4 + 8 + 3 * 8
+        per_pair = 4 * 4 + 8 + 2 * 8
         if self.channel.shadowing_mode == "static" and self.channel.shadowing_sigma_db > 0:
             per_pair += 8
         span = self.sps.sensing_window_sf
@@ -352,9 +357,10 @@ class Simulation:
 
         flat = np.flatnonzero(decoded)
         t = flat // n_ue
-        self.store.record_subframe(start, res.srssi_mw, ~res.is_transmitting,
-                                   (tx_sf[t], flat - t * n_ue, tx_subch[t], tx_period[t],
-                                    res.rx_power_dbm.ravel()[flat]))
+        self.store.record_subframe(start, srssi_mw=res.srssi_mw,
+                                   sensed_mask=~res.is_transmitting,
+                                   decodes=(tx_sf[t], flat - t * n_ue, tx_subch[t], tx_period[t],
+                                            res.rx_power_dbm.ravel()[flat]))
 
     def run(self) -> RunResult:
         cfg, n_ue = self.cfg, self.n_ue

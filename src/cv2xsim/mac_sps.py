@@ -95,18 +95,21 @@ class CrConfig:
 class SensingStore:
     """Rolling per-subframe, per-subchannel channel memory shared by all UEs.
 
-    Every array is a ring of `span` subframe rows; a row is valid only while
-    its stamped subframe (`row_subframe`) is the one currently mapped to that
-    slot.  Each row holds, per (UE, subchannel), the S-RSSI, and in
-    `reservations` the PSSCH-RSRP in dBm of the transmission that UE decoded
-    there (float32, -inf where it decoded none) with its announced period in
-    `period_sf`.  One cell is enough because a receiver decodes at most one
-    transmission per subchannel and subframe while the SINR threshold is at
-    least 0 dB (`ChannelModel` enforces it).  `sensed` is False exactly where
-    the UE was transmitting (half duplex), which makes it the one record of
-    each UE's own transmissions.  Subframes are recorded a run of consecutive
-    ones at a time; recording a subframe overwrites its row, which evicts the
-    subframe one span older.
+    Every array is a ring of `span` subframe rows, laid out UE-major so that
+    one UE's whole sensing history is one contiguous block: `srssi_mw`,
+    `reservations` and `period_sf` are (n_ue, span, n_subch) and `sensed`
+    is (n_ue, span).  A row is valid only while its stamped subframe
+    (`row_subframe`) is the one currently mapped to that slot.  Each row
+    holds, per (UE, subchannel), the S-RSSI, and in `reservations` the
+    PSSCH-RSRP in dBm of the transmission that UE decoded there (float32,
+    -inf where it decoded none) with its announced period in `period_sf`.
+    One cell is enough because a receiver decodes at most one transmission
+    per subchannel and subframe while the SINR threshold is at least 0 dB
+    (`ChannelModel` enforces it).  `sensed` is False exactly where the UE
+    was transmitting (half duplex), which makes it the one record of each
+    UE's own transmissions.  Subframes are recorded a run of consecutive
+    ones at a time; recording a subframe overwrites its row, which evicts
+    the subframe one span older.
     """
 
     def __init__(self, n_ue: int, n_subch: int, span: int, noise_mw: float):
@@ -114,35 +117,54 @@ class SensingStore:
         self.n_subch = n_subch
         self.span = span
         self.noise_mw = noise_mw
-        self.srssi_mw = np.full((span, n_ue, n_subch), noise_mw)
-        self.sensed = np.zeros((span, n_ue), dtype=bool)
-        self.reservations = np.full((span, n_ue, n_subch), -np.inf, dtype=np.float32)
-        self.period_sf = np.zeros((span, n_ue, n_subch), dtype=np.int32)
+        self.srssi_mw = np.full((n_ue, span, n_subch), noise_mw)
+        self.sensed = np.zeros((n_ue, span), dtype=bool)
+        self.reservations = np.full((n_ue, span, n_subch), -np.inf, dtype=np.float32)
+        self.period_sf = np.zeros((n_ue, span, n_subch), dtype=np.int32)
         self.row_subframe = np.full(span, -1, dtype=np.int64)
         self.newest = -1
 
-    def record_subframe(self, n: int, srssi_mw: np.ndarray, sensed_mask: np.ndarray,
+    def record_subframe(self, n: int, *, srssi_mw: np.ndarray, sensed_mask: np.ndarray,
                         decodes: tuple[np.ndarray, ...]) -> None:
         """Store the measurements of subframes n, n+1, ..., n+m-1 in their
-        ring rows, clearing the decodes those rows held: `srssi_mw` is
-        (m, n_ue, n_subch) and `sensed_mask` (m, n_ue), with 1 <= m <= span.
+        ring rows, clearing the decodes those rows held.  `sensed_mask` is
+        (m, n_ue), with 1 <= m <= span, and `srssi_mw` is UE-major,
+        (n_ue, m, n_subch), as `resolve_subframe` emits it; each UE's block
+        is copied as one slab, two where the batch wraps the ring.
         `decodes` is (subframe offset, receiver, subchannel, period,
         PSSCH-RSRP dBm) arrays, one entry per decoded link and at most one
-        per (subframe, receiver, subchannel)."""
-        m = len(srssi_mw)
-        if n < self.newest:
-            raise ValueError(f"out-of-order sensing record: {n} < newest {self.newest}")
+        per (subframe, receiver, subchannel).  n must follow the newest
+        recorded subframe: a subframe is recorded once.  The arrays are
+        passed by name: at m = n_ue no shape check tells (n_ue, m, n_subch)
+        from (m, n_ue, n_subch), so the name carries the layout."""
+        m = len(sensed_mask)
+        if n <= self.newest:
+            raise ValueError(f"out-of-order sensing record: {n} <= newest {self.newest}")
         if not 1 <= m <= self.span:
             raise ValueError(f"a record covers 1 to {self.span} subframes, not {m}")
+        for name, array, shape in (("sensed_mask", sensed_mask, (m, self.n_ue)),
+                                   ("srssi_mw", srssi_mw, (self.n_ue, m, self.n_subch))):
+            if np.shape(array) != shape:
+                raise ValueError(f"{name} of {m} subframes must have shape {shape}, "
+                                 f"not {np.shape(array)}")
         subframes = np.arange(n, n + m)
         rows = subframes % self.span
-        self.row_subframe[rows] = subframes
-        self.srssi_mw[rows] = srssi_mw
-        self.sensed[rows] = sensed_mask
-        self.reservations[rows] = -np.inf
         offset, rx, subch, period, rsrp_dbm = decodes
-        self.reservations[rows[offset], rx, subch] = rsrp_dbm
-        self.period_sf[rows[offset], rx, subch] = period
+        # one flat index serves both decode arrays; it is bounds-checked per
+        # axis, so a decode outside the store fails before anything is written
+        cell = np.ravel_multi_index((rx, rows[offset], subch), self.reservations.shape)
+        self.row_subframe[rows] = subframes
+        first = n % self.span
+        split = min(m, self.span - first)
+        slabs = [(slice(first, first + split), slice(0, split))]
+        if split < m:
+            slabs.append((slice(0, m - split), slice(split, m)))
+        for ring, batch in slabs:
+            self.srssi_mw[:, ring] = srssi_mw[:, batch]
+            self.sensed[:, ring] = sensed_mask[batch].T
+            self.reservations[:, ring] = -np.inf
+        self.reservations.ravel()[cell] = rsrp_dbm
+        self.period_sf.ravel()[cell] = period
         self.newest = n + m - 1
 
     def oldest_valid(self) -> int:
@@ -154,22 +176,22 @@ class SensingStore:
 
     def cbp_counts(self, n: int, window_sf: int, threshold_mw: float):
         """(busy slot count, sensed slot count) per UE over [n-window, n-1]."""
-        rows = self.recorded(n - window_sf, n - 1)
-        sensed = self.sensed[rows]
-        busy = (np.sum(self.srssi_mw[rows] > threshold_mw, axis=2) * sensed).sum(axis=0)
-        slots = sensed.sum(axis=0, dtype=np.int64) * self.n_subch
-        return busy, slots
+        rows = np.flatnonzero(self.recorded(n - window_sf, n - 1))
+        sensed = np.take(self.sensed, rows, axis=1)
+        busy = np.take(self.srssi_mw, rows, axis=1) > threshold_mw
+        busy &= sensed[..., None]
+        return np.count_nonzero(busy, axis=(1, 2)), np.count_nonzero(sensed, axis=1) * self.n_subch
 
     def own_tx_counts(self, n: int, ues: np.ndarray) -> np.ndarray:
         """Per UE in `ues`, its own transmissions in [n-750, n-1]: the recorded
         subframes it did not sense, because it was transmitting.  The span
         must cover the 750 subframes."""
         rows = self.recorded(n - CR_PAST_SF, n - 1)
-        return np.count_nonzero(~self.sensed[:, ues][rows], axis=0)
+        return np.count_nonzero(rows & ~self.sensed[ues], axis=1)
 
 
 class SensingWindow(NamedTuple):
-    """One UE's view of a SensingStore (its column of measurements and masks)."""
+    """One UE's view of a SensingStore (its block of measurements and masks)."""
 
     store: SensingStore
     ue_index: int
@@ -223,41 +245,54 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     """
     store = window.store
     ue = window.ue_index
+    n_subch = store.n_subch
     lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
     ts = np.arange(lo, hi + 1)
-    pool_size = len(ts) * store.n_subch
+    pool_size = len(ts) * n_subch
     need = math.ceil(cfg.keep_fraction * pool_size)
     oldest = store.oldest_valid()
+    stamp = store.row_subframe
+    # the one mask of the sensing window's rows; every read below takes the
+    # UE's contiguous block of the store
+    recorded = store.recorded(oldest, n - 1)
 
-    # strongest covering reservation per cell; the cast to float64 keeps the
-    # threshold comparisons exact for thresholds a float32 cannot hold
-    rsrp = store.reservations[:, ue].astype(np.float64)
-    rows, subch = np.nonzero((rsrp > cfg.th_sps_dbm) & store.recorded(oldest, n - 1)[:, None])
-    period, rsrp = store.period_sf[rows, ue, subch], rsrp[rows, subch]
+    # strongest covering reservation per pool cell, the pool flattened to
+    # (subframe - lo) * n_subch + subchannel as the UE's block is to
+    # row * n_subch + subchannel; the cast to float64 keeps the threshold
+    # comparisons exact for thresholds a float32 cannot hold
+    rsrp = store.reservations[ue].astype(np.float64).ravel()
+    cells = np.flatnonzero(rsrp > cfg.th_sps_dbm)
+    rows = cells // n_subch
+    heard = recorded[rows]
+    cells, rows = cells[heard], rows[heard]
+    period = store.period_sf[ue].ravel()[cells]
     if np.any(period < 1):
         raise ValueError("reservation periods must be at least one subframe")
-    t = lo + (store.row_subframe[rows] - lo) % period
-    cover = np.full((len(ts), store.n_subch), -np.inf)
-    while t.size:
-        inside = t <= hi
-        t, period, subch, rsrp = t[inside], period[inside], subch[inside], rsrp[inside]
-        np.maximum.at(cover, (t - lo, subch), rsrp)
-        t = t + period
+    rsrp = rsrp[cells]
+    # each reservation's first occurrence at or after lo, as a pool cell
+    at = (stamp[rows] - lo) % period * n_subch + (cells - rows * n_subch)
+    step = period * np.int64(n_subch)
+    cover = np.full(pool_size, -np.inf)
+    while at.size:
+        inside = at < pool_size
+        at, step, rsrp = at[inside], step[inside], rsrp[inside]
+        np.maximum.at(cover, at, rsrp)
+        at = at + step
 
-    half_duplex = np.zeros(len(ts), dtype=bool)
+    free = np.ones(pool_size, dtype=bool)       # not exempt by half duplex
     if cfg.unsensed_exempt and own_period_sf > 0:
-        unsensed = store.row_subframe[store.recorded(max(oldest, n - store.span), n - 1)
-                                      & ~store.sensed[:, ue]]
+        unsensed = stamp[recorded & ~store.sensed[ue]]
+        unsensed = unsensed[unsensed >= n - store.span]
         if unsensed.size:
             residue = np.zeros(own_period_sf, dtype=bool)
             residue[unsensed % own_period_sf] = True
-            half_duplex = residue[ts % own_period_sf]
+            free = np.repeat(~residue[ts % own_period_sf], n_subch)
 
     threshold = cfg.th_sps_dbm
     escalations = 0
     while True:
         exempt = cover > threshold
-        survivors = ~(exempt | half_duplex[:, None])
+        survivors = free & ~exempt
         if np.count_nonzero(survivors) >= need:
             break
         if not exempt.any():
@@ -268,37 +303,41 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
         threshold += 3.0
         escalations += 1
 
-    metric = _rank_metric(store, ue, ts, cfg, oldest, n - 1)
-    t_idx, c_idx = np.nonzero(survivors)
-    ranked = metric[t_idx, c_idx]
+    cells = np.flatnonzero(survivors)
+    ranked = _rank_metric(store, ue, ts, cfg, oldest, recorded).ravel()[cells]
     order = np.argsort(ranked, kind="stable")
     ranked = ranked[order]
     cut = ranked[min(need, len(ranked)) - 1]
-    kept = order[:np.searchsorted(ranked, cut, side="right")]
-    candidates = np.column_stack((ts[t_idx[kept]], c_idx[kept]))
+    t_idx, c_idx = np.divmod(cells[order[:np.searchsorted(ranked, cut, side="right")]], n_subch)
+    candidates = np.column_stack((lo + t_idx, c_idx))
     return SelectionResult(candidates, escalations, threshold, pool_size)
 
 
 def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, cfg: SpsConfig,
-                 oldest: int, latest: int) -> np.ndarray:
+                 oldest: int, recorded: np.ndarray) -> np.ndarray:
     """(len(ts), n_subch) average S-RSSI over each resource's past projections,
-    newest first.  Only subframes strictly before the selection instant count."""
+    newest first.  `recorded` is the (span,) mask of the rows recorded in
+    [oldest, latest], latest the subframe before the selection instant: only
+    subframes strictly before it count."""
     stamp = store.row_subframe
-    usable = store.recorded(oldest, latest) & store.sensed[:, ue]       # per ring row
+    usable = recorded & store.sensed[ue]                # per ring row
     lags = cfg.rank_period_sf * np.arange(1, max(0, (ts[-1] - oldest) // cfg.rank_period_sf) + 1)
     js = ts[None, :] - lags[:, None]                  # (lag, subframe), newest first
     rows = js % store.span
     ok = (stamp[rows] == js) & usable[rows]
-    values = np.where(ok[..., None], store.srssi_mw[:, ue][rows], 0.0)
+    # the rows of the UE's block; `take` copies whole rows, where indexing
+    # gathers them element by element
+    values = np.take(store.srssi_mw[ue], rows, axis=0)
+    values[~ok] = 0.0
     if cfg.rank_average == "db":
         values[ok] = 10.0 * _log10(values[ok])
-    total = np.zeros((len(ts), store.n_subch))
-    for v in values:        # one lag at a time: the order a sequential sum adds them
-        total += v          # (adding 0.0 for a skipped projection changes nothing)
+    # lag by lag, newest first, the order a sequential sum adds them: NumPy
+    # sums pairwise only along the contiguous axis (adding 0.0 for a skipped
+    # projection changes nothing)
+    total = np.add.reduce(values, axis=0)
     count = ok.sum(axis=0)[:, None]
     empty = store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(count > 0, total / count, empty)
+    return np.divide(total, count, out=np.full(total.shape, empty), where=count > 0)
 
 
 def _log10(values: np.ndarray) -> np.ndarray:

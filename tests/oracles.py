@@ -13,7 +13,8 @@ over the occupancy window.
 over (average, subframe, subchannel) and a sequential sum per candidate.
 They read the same `SensingStore`, through `reservation_records`, which
 walks its reservation cells subframe by subframe, checking each row's stamp,
-and lists one record per decode.
+and lists one record per decode.  Every read of a store cell goes through
+`ring_cells`, the one place the tests name the store's layout.
 
 `DenseMetricsStore`, `pdr`, `slt` and `blind_nodes` are the dense form of
 the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
@@ -77,6 +78,14 @@ class Record(NamedTuple):
     rsrp_dbm: float        # a float32 value
 
 
+def ring_cells(array: np.ndarray, row, ue=slice(None)) -> np.ndarray:
+    """The cells of the `SensingStore` ring array `array` at ring row `row`
+    for UE `ue`, every UE by default.  The rings are UE-major: (UE, row) for
+    `sensed`, (UE, row, subchannel) for the others.  A basic index returns a
+    view, which a test may write to."""
+    return array[ue, row]
+
+
 def reservation_records(store: SensingStore) -> list[Record]:
     """The decodes of the store's recorded subframes, ordered by (subframe,
     receiver, subchannel)."""
@@ -84,10 +93,11 @@ def reservation_records(store: SensingStore) -> list[Record]:
     for j in valid_subframes(store, store.oldest_valid(), store.newest):
         row = j % store.span
         for r in range(store.n_ue):
+            rsrp = ring_cells(store.reservations, row, r)
+            period = ring_cells(store.period_sf, row, r)
             for c in range(store.n_subch):
-                rsrp = store.reservations[row, r, c]
-                if rsrp > -np.inf:
-                    records.append(Record(j, r, c, int(store.period_sf[row, r, c]), float(rsrp)))
+                if rsrp[c] > -np.inf:
+                    records.append(Record(j, r, c, int(period[c]), float(rsrp[c])))
     return records
 
 
@@ -135,7 +145,7 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     unsensed_exempt: set[tuple[int, int]] = set()
     if cfg.unsensed_exempt:
         for j in valid_subframes(store, max(oldest, n - store.span), n - 1):
-            if not store.sensed[j % store.span, ue]:
+            if not ring_cells(store.sensed, j % store.span, ue):
                 for t in _projected_candidates(j, own_period_sf, lo, hi):
                     for c in range(n_subch):
                         unsensed_exempt.add((t, c))
@@ -177,8 +187,8 @@ def _rank_metric(window: SensingWindow, subframe: int, subchannel: int, cfg: Sps
     while j >= oldest:
         if j <= latest:
             row = j % store.span
-            if store.row_subframe[row] == j and store.sensed[row, ue]:
-                v = float(store.srssi_mw[row, ue, subchannel])
+            if store.row_subframe[row] == j and ring_cells(store.sensed, row, ue):
+                v = float(ring_cells(store.srssi_mw, row, ue)[subchannel])
                 values.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
         j -= cfg.rank_period_sf
     if not values:
@@ -313,7 +323,7 @@ def resolve_subframe(tx_ue: np.ndarray, tx_subch: np.ndarray, tx_power_dbm: np.n
         codes[rows] = code
         dists[rows] = d
 
-    return SubframeResolution(rxp_dbm, codes, dists, srssi_mw[None], is_tx[None])
+    return SubframeResolution(rxp_dbm, codes, dists, srssi_mw[:, None], is_tx[None])
 
 
 def pair_distances(x: np.ndarray, y: np.ndarray, geometry: RoadGeometry) -> np.ndarray:

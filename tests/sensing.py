@@ -22,7 +22,7 @@ def build_window(records, span=30, n_subch=2):
                    np.array([subch for subch, _, _, _ in reservations], dtype=int),
                    np.array([period for _, _, period, _ in reservations], dtype=int),
                    np.array([rsrp for _, _, _, rsrp in reservations]))
-        store.record_subframe(n, row, np.array([[sensed]]), decodes)
+        store.record_subframe(n, srssi_mw=row, sensed_mask=np.array([[sensed]]), decodes=decodes)
     return SensingWindow(store, 0)
 
 

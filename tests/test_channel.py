@@ -37,7 +37,7 @@ def resolve(txs, ues, model, rng, static_shadow=None, fading_rng=None):
                            tx[:, 1].astype(int), tx[:, 2], pos[:, 0],
                            GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, 2,
                            static_shadow, fading_rng, 1)
-    return dataclasses.replace(res, srssi_mw=res.srssi_mw[0],
+    return dataclasses.replace(res, srssi_mw=res.srssi_mw[:, 0],
                                is_transmitting=res.is_transmitting[0])
 
 
@@ -338,7 +338,9 @@ def test_batch_matches_subframe_by_subframe(data):
                                      table, streams[1][1]) for ues, subch, p in subframes]
 
     for name in ("rx_power_dbm", "outcome", "distance_m", "srssi_mw", "is_transmitting"):
-        want = np.concatenate([getattr(res, name) for res in each])
+        # joined along the subframe axis; the S-RSSI is UE-major
+        want = np.concatenate([getattr(res, name) for res in each],
+                              axis=1 if name == "srssi_mw" else 0)
         got = getattr(batch, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     (shadow_a, fading_a), (shadow_b, fading_b) = streams

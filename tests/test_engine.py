@@ -391,7 +391,7 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
             ledger._rx]
     if shadowing == "static":
         held.append(sim.static_shadow)
-    assert build_peak >= 3 * 8 * sim.n_ue ** 2
+    assert build_peak >= 2 * 8 * sim.n_ue ** 2
     assert cfg.memory_estimate_mib() * 2 ** 20 >= \
         sum(a.nbytes for a in held) + build_peak + flush_peak
 

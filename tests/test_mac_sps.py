@@ -36,12 +36,46 @@ class TestSensingWindow:
     def test_out_of_order_rejected(self):
         store = build_window([(5, (-80.0, -100.0), True, [])], span=10).store
         with pytest.raises(ValueError):
-            store.record_subframe(4, np.full((1, 1, 2), NOISE_MW), np.array([[True]]),
+            store.record_subframe(4, srssi_mw=np.full((1, 1, 2), NOISE_MW),
+                                  sensed_mask=np.array([[True]]), decodes=NO_DECODES)
+
+    def test_rerecording_newest_rejected(self):
+        # a subframe is recorded once: a second record of the newest one
+        # would replace its decodes
+        store = build_window([(5, (-80.0, -100.0), True, [(0, 42, 5, -72.0)])], span=10).store
+        with pytest.raises(ValueError, match="newest 5"):
+            store.record_subframe(5, srssi_mw=np.full((1, 1, 2), NOISE_MW),
+                                  sensed_mask=np.array([[True]]), decodes=NO_DECODES)
+        assert oracles.reservation_records(store) == [(5, 0, 0, 5, -72.0)]
+
+    def test_malformed_record_rejected_whole(self):
+        # two UEs, two subchannels, three subframes: the S-RSSI must be
+        # (n_ue, m, n_subch) and the sensed mask (m, n_ue); the arrays go by
+        # name, so a call that passes them by place fails even where m = n_ue;
+        # a decode outside the store fails too, and none of them writes
+        store = SensingStore(2, 2, 10, NOISE_MW)
+        good = dict(srssi_mw=np.full((2, 3, 2), NOISE_MW),
+                    sensed_mask=np.ones((3, 2), dtype=bool), decodes=NO_DECODES)
+        with pytest.raises(ValueError, match=r"srssi_mw of 3 subframes must have shape "
+                                             r"\(2, 3, 2\), not \(3, 2, 2\)"):
+            store.record_subframe(0, **{**good, "srssi_mw": np.full((3, 2, 2), NOISE_MW)})
+        with pytest.raises(ValueError, match=r"sensed_mask of 2 subframes must have shape "
+                                             r"\(2, 2\), not \(2, 3\)"):
+            store.record_subframe(0, **{**good, "sensed_mask": np.ones((2, 3), dtype=bool)})
+        with pytest.raises(TypeError):
+            store.record_subframe(0, np.full((2, 2, 2), NOISE_MW), np.ones((2, 2), dtype=bool),
                                   NO_DECODES)
+        one = (np.array([2]), np.array([1]), np.array([2]), np.array([5]), np.array([-70.0]))
+        with pytest.raises(ValueError):         # subchannel 2 of 2
+            store.record_subframe(0, **{**good, "decodes": one})
+        assert store.newest == -1 and recorded_count(store) == 0
+        assert not store.sensed.any() and not np.isfinite(store.reservations).any()
+        store.record_subframe(0, **good)
+        assert recorded_count(store) == 3
 
     def test_own_transmission_marks_unsensed(self):
         store = build_window([(3, (-100.0, -100.0), False, [])], span=10).store
-        assert not store.sensed[3, 0]
+        assert not oracles.ring_cells(store.sensed, 3, 0)
         assert recorded_count(store) == 1
 
     def test_reservation_eviction(self):
@@ -129,8 +163,8 @@ def own_tx_store(n, times, span=1000, n_subch=1):
     store = SensingStore(len(times), n_subch, span, NOISE_MW)
     for lo in range(0, n, span):
         sensed = np.array([[j not in t for t in times] for j in range(lo, min(lo + span, n))])
-        store.record_subframe(lo, np.full(sensed.shape + (n_subch,), NOISE_MW), sensed,
-                              NO_DECODES)
+        store.record_subframe(lo, srssi_mw=np.full((len(times), len(sensed), n_subch), NOISE_MW),
+                              sensed_mask=sensed, decodes=NO_DECODES)
     return store
 
 
@@ -360,8 +394,9 @@ TH_CHOICES = [-85.0, -85.3, -85.3000031, -90.7, -79.9]
 
 
 @st.composite
-def sensing_histories(draw):
-    """A store filled through record_subframe with a known list of decodes.
+def sensing_histories(draw, min_ue=1):
+    """A store of `min_ue` to 3 UEs filled through record_subframe with a
+    known list of decodes.
 
     Histories run past the span (eviction, ring reuse), skip subframes
     (gaps), leave subframes without transmissions (their rows must lose the
@@ -381,7 +416,7 @@ def sensing_histories(draw):
                   rank_period_sf=draw(st.integers(1, 9)),
                   rank_average=draw(st.sampled_from(["mw", "db"])),
                   unsensed_exempt=draw(st.booleans()))
-    n_ue, n_subch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_ue, n_subch = draw(st.integers(min_ue, 3)), draw(st.integers(1, 3))
     span = draw(st.integers(12, 40))
     near = [float(v) for v in (np.float32(th), np.nextafter(np.float32(th), np.float32(-np.inf)),
                                np.nextafter(np.float32(th), np.float32(np.inf)))]
@@ -408,8 +443,8 @@ def sensing_histories(draw):
                     heard.append((n, u, c, period[i], float(np.float32(rsrp))))
         # (subframe offset, receiver, subchannel, period, rsrp) columns
         columns = [np.array(col) for col in zip(*heard)]
-        store.record_subframe(n, srssi[None], sensed[None],
-                              (columns[0] - n, *columns[1:]) if heard else NO_DECODES)
+        store.record_subframe(n, srssi_mw=srssi[:, None], sensed_mask=sensed[None],
+                              decodes=(columns[0] - n, *columns[1:]) if heard else NO_DECODES)
         decodes += heard
     n = last + 1 + draw(st.integers(0, 2))
     ue = draw(st.integers(0, n_ue - 1))
@@ -435,7 +470,7 @@ def test_batched_record_matches_per_subframe_writes(n_ue, n_subch, span, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     first = data.draw(st.integers(0, 2 * span))
     count = data.draw(st.integers(1, 4 * span))
-    srssi = NOISE_MW * rng.uniform(1.0, 1e4, size=(count, n_ue, n_subch))
+    srssi = NOISE_MW * rng.uniform(1.0, 1e4, size=(n_ue, count, n_subch))
     sensed = rng.random((count, n_ue)) < 0.8
     offset, rx, subch = np.nonzero(rng.random((count, n_ue, n_subch)) < 0.3)
     period = rng.integers(1, 50, size=offset.size)
@@ -445,18 +480,19 @@ def test_batched_record_matches_per_subframe_writes(n_ue, n_subch, span, data):
     while lo < count:
         hi = min(count, lo + data.draw(st.integers(1, span)))
         at = (lo <= offset) & (offset < hi)
-        batched.record_subframe(first + lo, srssi[lo:hi], sensed[lo:hi],
-                                (offset[at] - lo, rx[at], subch[at], period[at], rsrp[at]))
+        batched.record_subframe(first + lo, srssi_mw=srssi[:, lo:hi], sensed_mask=sensed[lo:hi],
+                                decodes=(offset[at] - lo, rx[at], subch[at], period[at], rsrp[at]))
         lo = hi
     for j in range(count):
         at = offset == j
-        single.record_subframe(first + j, srssi[j:j + 1], sensed[j:j + 1],
-                               (offset[at] - j, rx[at], subch[at], period[at], rsrp[at]))
+        single.record_subframe(first + j, srssi_mw=srssi[:, j:j + 1], sensed_mask=sensed[j:j + 1],
+                               decodes=(offset[at] - j, rx[at], subch[at], period[at], rsrp[at]))
     for name in ("srssi_mw", "sensed", "reservations", "period_sf", "row_subframe", "newest"):
         assert np.array_equal(getattr(batched, name), getattr(single, name)), name
     with pytest.raises(ValueError, match="1 to"):
-        batched.record_subframe(first + count, np.zeros((span + 1, n_ue, n_subch)),
-                                np.ones((span + 1, n_ue), dtype=bool), NO_DECODES)
+        batched.record_subframe(first + count, srssi_mw=np.zeros((n_ue, span + 1, n_subch)),
+                                sensed_mask=np.ones((span + 1, n_ue), dtype=bool),
+                                decodes=NO_DECODES)
 
 
 @settings(max_examples=300, deadline=None)
@@ -476,9 +512,80 @@ def test_selection_matches_reference(history):
     # every pool cell's ranking average, bit for bit
     ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)
     oldest = store.oldest_valid()
-    metric = _rank_metric(store, ue, ts, cfg, oldest, n - 1)
+    metric = _rank_metric(store, ue, ts, cfg, oldest, store.recorded(oldest, n - 1))
     assert metric.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
                                 for c in range(store.n_subch)] for t in ts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sensing_histories(min_ue=2), st.integers(0, 2 ** 32 - 1))
+def test_selection_reads_only_its_ue(history, seed):
+    """A UE's selection and ranking read its own cells of the store alone:
+    overwriting every other UE's S-RSSI, reservations, periods and sensed
+    flags with other values leaves both bit for bit as they were, and both
+    still match the reference."""
+    store, _, n, ue, cfg, own_period = history
+    ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)
+    oldest = store.oldest_valid()
+
+    def select():
+        w = SensingWindow(store, ue)
+        return (select_candidates(w, n, cfg, own_period_sf=own_period),
+                _rank_metric(store, ue, ts, cfg, oldest, store.recorded(oldest, n - 1)))
+
+    before, metric_before = select()
+    rng = np.random.default_rng(seed)
+    everyone = slice(None)
+    for other in set(range(store.n_ue)) - {ue}:
+        srssi = oracles.ring_cells(store.srssi_mw, everyone, other)
+        srssi[...] = NOISE_MW * rng.uniform(1.0, 1e5, size=srssi.shape)
+        rsrp = oracles.ring_cells(store.reservations, everyone, other)
+        rsrp[...] = rng.uniform(-70.0, -50.0, size=rsrp.shape)      # above every threshold
+        period = oracles.ring_cells(store.period_sf, everyone, other)
+        period[...] = rng.integers(1, 4, size=period.shape)
+        sensed = oracles.ring_cells(store.sensed, everyone, other)
+        sensed[...] = rng.random(sensed.shape) < 0.5
+    after, metric_after = select()
+    assert after.candidates.tolist() == before.candidates.tolist()
+    assert (after.escalations, after.threshold_dbm, after.pool_size) == \
+        (before.escalations, before.threshold_dbm, before.pool_size)
+    assert metric_after.tobytes() == metric_before.tobytes()
+    w = SensingWindow(store, ue)
+    want = oracles.select_candidates(w, n, cfg, own_period_sf=own_period)
+    assert list(map(tuple, after.candidates.tolist())) == want.candidates
+    assert metric_after.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
+                                      for c in range(store.n_subch)] for t in ts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(2, 12), st.data())
+def test_wrapping_batch_lands_in_each_ues_cells(n_ue, n_subch, span, data):
+    """A batch that wraps the ring puts each UE's S-RSSI, sensed flag and
+    decodes in that UE's cells of each subframe's row; batches as long as
+    the UE count are among those drawn."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m = data.draw(st.integers(2, span))
+    n = data.draw(st.integers(0, 3)) * span + data.draw(st.integers(span - m + 1, span - 1))
+    srssi = NOISE_MW * rng.uniform(1.0, 1e4, size=(n_ue, m, n_subch))
+    sensed = rng.random((m, n_ue)) < 0.7
+    offset, rx, subch = np.nonzero(rng.random((m, n_ue, n_subch)) < 0.3)
+    period = rng.integers(1, 50, size=offset.size)
+    rsrp = rng.uniform(-110.0, -60.0, size=offset.size).astype(np.float32)
+    store = SensingStore(n_ue, n_subch, span, NOISE_MW)
+    store.record_subframe(n, srssi_mw=srssi, sensed_mask=sensed,
+                          decodes=(offset, rx, subch, period, rsrp))
+    assert (n + m - 1) % span < n % span        # the batch wrapped
+    for j in range(m):
+        row = (n + j) % span
+        assert store.row_subframe[row] == n + j
+        for u in range(n_ue):
+            assert oracles.ring_cells(store.srssi_mw, row, u).tolist() == srssi[u, j].tolist()
+            assert oracles.ring_cells(store.sensed, row, u) == sensed[j, u]
+    for j, u, c, p, v in zip(offset.tolist(), rx.tolist(), subch.tolist(), period.tolist(),
+                             rsrp.tolist()):
+        assert oracles.ring_cells(store.reservations, (n + j) % span, u)[c] == v
+        assert oracles.ring_cells(store.period_sf, (n + j) % span, u)[c] == p
+    assert len(oracles.reservation_records(store)) == offset.size
 
 
 @settings(max_examples=100, deadline=None)
@@ -491,6 +598,7 @@ def test_cbp_counts_match_per_subframe_count(history, window_sf, threshold_mw):
     want_slots = np.zeros(store.n_ue, dtype=np.int64)
     for j in oracles.valid_subframes(store, n - window_sf, n - 1):
         row = j % store.span
-        want_slots += store.sensed[row] * store.n_subch
-        want_busy += np.sum(store.srssi_mw[row] > threshold_mw, axis=1) * store.sensed[row]
+        sensed = oracles.ring_cells(store.sensed, row)
+        want_slots += sensed * store.n_subch
+        want_busy += np.sum(oracles.ring_cells(store.srssi_mw, row) > threshold_mw, axis=1) * sensed
     assert busy.tolist() == want_busy.tolist() and slots.tolist() == want_slots.tolist()
