@@ -61,20 +61,30 @@ class ChannelModel:
 
 def pathloss(d_m: np.ndarray, model: ChannelModel) -> np.ndarray:
     """Pathloss in dB at each distance of d_m, clamped below d0, in a new
-    array that the caller may write to."""
+    array that the caller may write to.
+
+    The slope beyond the breakpoint is taken in place over every clamped
+    distance, and the near slope only over the distances at or inside the
+    breakpoint, whose losses it then overwrites, so each loss is its own
+    slope's arithmetic.  The near distances are few on a road much longer
+    than the breakpoint, and gathering the far ones would cost more than
+    the near ones' share of the far slope."""
     bp = max(model.breakpoint_m, model.d0_m)
     pl_bp = model.pl0_db + 10.0 * model.exponent * np.log10(bp / model.d0_m)
-    d = np.maximum(d_m, model.d0_m, out=np.empty(np.shape(d_m)))
-    far = d > bp
-    pl = np.log10(d / model.d0_m)
-    pl *= 10.0 * model.exponent
-    pl += model.pl0_db
-    # the slope beyond the breakpoint, in the clamped distances' buffer
-    np.divide(d, bp, out=d)
-    np.log10(d, out=d)
-    d *= 10.0 * model.exponent_beyond
-    d += pl_bp
-    return np.where(far, d, pl)
+    pl = np.maximum(d_m, model.d0_m, out=np.empty(np.shape(d_m)))
+    near = np.flatnonzero(pl <= bp)
+    d_near = pl.ravel()[near]
+    np.divide(pl, bp, out=pl)
+    np.log10(pl, out=pl)
+    pl *= 10.0 * model.exponent_beyond
+    pl += pl_bp
+    if near.size:
+        d_near /= model.d0_m
+        np.log10(d_near, out=d_near)
+        d_near *= 10.0 * model.exponent
+        d_near += model.pl0_db
+        pl.ravel()[near] = d_near
+    return pl
 
 
 class Outcome:
@@ -116,38 +126,40 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
     """Resolve every transmission of a batch of `n_sf` subframes against
     every UE, each subframe on its own.
 
-    Transmission t is sent in subframe `tx_sf[t]` (0 <= tx_sf[t] < n_sf, rows
-    ordered by subframe) by UE `tx_ue[t]` on subchannel `tx_subch[t]` at
-    `tx_power_dbm[t]`; UE r stands at (`x[r]`, `y[r]`) throughout the batch.
-    For each (transmission, receiver) link the signal is the received power
-    of that transmission; interference is the mW sum of all other received
-    powers on the same subframe and subchannel.  A link decodes iff the
-    receiver is not itself transmitting in that subframe, the signal is at or
-    above sensitivity, and signal / (interference + noise) clears the SINR
-    threshold; the first failing condition names the outcome.  Every
-    receiver also obtains a per-subframe, per-subchannel S-RSSI (total
-    arrivals + noise, own signal excluded).
+    Transmission t is sent in subframe `tx_sf[t]` (0 <= tx_sf[t] < n_sf)
+    by UE `tx_ue[t]` on subchannel `tx_subch[t]` at `tx_power_dbm[t]`; the
+    rows are ordered by (subframe, subchannel).  UE r stands at (`x[r]`,
+    `y[r]`) throughout the batch.  For each (transmission, receiver) link
+    the signal is the received power of that transmission; interference is
+    the mW sum of all other received powers on the same subframe and
+    subchannel.  A link decodes iff the receiver is not itself
+    transmitting in that subframe, the signal is at or above sensitivity,
+    and signal / (interference + noise) clears the SINR threshold; the
+    first failing condition names the outcome.  Every receiver also
+    obtains a per-subframe, per-subchannel S-RSSI (total arrivals + noise,
+    own signal excluded).
 
-    Shadowing is drawn here per (tx, rx) from `rng` in iid mode; in static
-    mode it is looked up from `static_shadow[tx_ue, rx_ue]` (None when the
-    mode is off).  Fast fading, when enabled, draws from `fading_rng`, so
-    toggling it leaves the shadowing realization untouched.  Each stream is
-    drawn once per batch, its rows taken in (subframe, subchannel, row)
-    order: on Philox one draw of the joined size equals the draws of the
-    (subframe, subchannel) groups in turn, which is what resolving the
-    subframes one at a time takes.  Each group's total is likewise summed row
-    by row in row order, as `sum(axis=0)` adds the rows of one group.
+    In that order each (subframe, subchannel) group is one run of rows; a
+    call that breaks it raises ValueError, and within a group the rows may
+    come in any order.  Shadowing is drawn here per (tx, rx) from `rng` in
+    iid mode; in static mode it is looked up from
+    `static_shadow[tx_ue, rx_ue]` (None when the mode is off).  Fast
+    fading, when enabled, draws from `fading_rng`, so toggling it leaves
+    the shadowing realization untouched.  Each stream is drawn once per
+    batch, row by row: on Philox one draw of the joined size equals the
+    draws of the groups in turn, which is what resolving the subframes one
+    at a time takes.  Each group's total is `sum(axis=0)` over its rows,
+    which adds them one at a time in row order, as resolving one subframe
+    at a time sums each subchannel.
     """
     k, nrx = len(tx_ue), len(x)
+    group = tx_sf * n_subch + tx_subch
+    if np.any(group[1:] < group[:-1]):
+        raise ValueError("resolve_subframe: rows must be ordered by (subframe, subchannel)")
     is_tx = np.zeros((n_sf, nrx), dtype=bool)
     is_tx[tx_sf, tx_ue] = True
-
-    # the (subframe, subchannel) groups: `order` lists the rows group by
-    # group, each group's rows in row order; `first` is where each group
-    # starts in it
-    group = tx_sf * n_subch + tx_subch
-    order = np.argsort(group, kind="stable")
-    first = np.flatnonzero(np.diff(group[order], prepend=-1))
+    # where each group's run of rows starts, and its length
+    first = np.flatnonzero(np.diff(group, prepend=-1))
     size = np.diff(first, append=k)
 
     d = geometry.distance(x[tx_ue][:, None], y[tx_ue][:, None], x[None, :], y[None, :])
@@ -161,13 +173,13 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
                 raise ValueError("static shadowing mode needs a pair table")
             sh = static_shadow[tx_ue]
         else:
-            sh = np.empty((k, nrx))
-            sh[order] = rng.normal(0.0, model.shadowing_sigma_db, size=(k, nrx))
+            # the draws of `rng.normal(0.0, sigma)`, which adds the 0.0
+            sh = rng.standard_normal((k, nrx))
+            sh *= model.shadowing_sigma_db
         p_dbm -= sh
 
     if model.fading == "nakagami":
-        fade = np.empty((k, nrx))
-        fade[order] = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=(k, nrx))
+        fade = fading_rng.gamma(model.nakagami_m, 1.0 / model.nakagami_m, size=(k, nrx))
         np.maximum(fade, 1e-12, out=fade)
         np.log10(fade, out=fade)
         fade *= -10.0
@@ -178,16 +190,14 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
     # own signal does not reach own receiver chain
     p_mw[np.arange(k), tx_ue] = 0.0
 
-    # each group's total over its rows, added one position at a time
-    total_mw = np.zeros((first.size, nrx))
-    for j in range(size.max(initial=0)):
-        g = np.flatnonzero(size > j)
-        total_mw[g] += p_mw[order[first[g] + j]]
-    row_group = np.empty(k, dtype=np.int64)
-    row_group[order] = np.repeat(np.arange(first.size), size)
+    # each group's total over its run of rows, a group of one row being
+    # that row (`np.add.reduceat` gives sums that differ in the last bit)
+    total_mw = p_mw[first]
+    for g in np.flatnonzero(size > 1).tolist():
+        p_mw[first[g]:first[g] + size[g]].sum(axis=0, out=total_mw[g])
     # signal / (interference + noise) in dB, the interference being the
     # group's total less the signal
-    sinr_db = total_mw[row_group]
+    sinr_db = np.repeat(total_mw, size, axis=0)
     sinr_db -= p_mw
     sinr_db += model.noise_mw
     with np.errstate(divide="ignore"):
@@ -209,6 +219,6 @@ def resolve_subframe(tx_sf: np.ndarray, tx_ue: np.ndarray, tx_subch: np.ndarray,
     # UE-major, so that the sensing store copies each UE's block as it is;
     # a group's number is its column in the (subframe, subchannel) plane
     srssi_mw = np.full((nrx, n_sf, n_subch), model.noise_mw)
-    srssi_mw.reshape(nrx, n_sf * n_subch)[:, group[order[first]]] += total_mw.T
+    srssi_mw.reshape(nrx, n_sf * n_subch)[:, group[first]] += total_mw.T
 
     return SubframeResolution(p_dbm, outcome, d, srssi_mw, is_tx)

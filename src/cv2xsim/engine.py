@@ -21,19 +21,28 @@ mobility tick, and the end of the run.  It also flushes before the queued
 span more subframes than the sensing ring holds.  A flush resolves every
 subframe since the last one, those without a transmission included, in one
 `resolve_subframe` call, which turns them into (transmission, UE) arrays
-with the outcome as int8 codes.  From those the batch's rows, each with its
-links counted by outcome, go to the event log as one chunk.  The links of
-the rows sent inside the region after the warm-up go to the metrics ledger
-and the decoded links, with the measurements, to the sensing store; each
-set is taken from the (transmission, UE) arrays by flat index, without a
-loop over subframes, transmissions or receivers.  The sensing store keeps
-its rings UE-major, (UE, subframe, subchannel), so that a resource
-selection reads one UE's whole sensing history as one contiguous block; the
-channel emits the batch's S-RSSI in that layout, and the store copies each
-UE's part as one slab.  The shadowing and fading
-streams are drawn in the order resolving one subframe at a time draws
-them, so the batches leave every output as it would be.  Everything is
-driven by named RNG streams, so one seed fixes the whole run.
+with the outcome as int8 codes.  The flush sorts the batch's rows once,
+stably, by (subframe, subchannel), the order `resolve_subframe` requires:
+each (subframe, subchannel) group is then one run of rows.  From the arrays
+the batch's rows, each with its links counted by outcome, go to the event
+log as one chunk, put back in event order (by UE within a subframe).  The
+ledger and the store take the links in the sorted order, as neither depends
+on the order of a batch's rows.  The links of the rows sent inside the
+region after the warm-up go to the metrics ledger and the decoded links,
+with the measurements, to the sensing store; each set is taken from the
+(transmission, UE) arrays by flat index, without a loop over subframes,
+transmissions or receivers.  The sensing store keeps its rings UE-major,
+(UE, subframe, subchannel), so that a resource selection reads one UE's
+whole sensing history as one contiguous block; the channel emits the batch's
+S-RSSI in that layout, and the store copies each UE's part as one slab.  The
+shadowing and fading streams are drawn in the order resolving one subframe
+at a time draws them, so the batches leave every output as it would be.
+Everything is driven by named RNG streams, so one seed fixes the whole run.
+
+A resource selection at subframe 0 finds nothing recorded in the sensing
+window; `select_candidates` then returns the whole pool in (subframe,
+subchannel) order without running the selection steps, which is what they
+would give.
 """
 
 from __future__ import annotations
@@ -62,10 +71,10 @@ _LOG_CHUNK = 1 << 10
 # is resolved on its own
 _BATCH_LINKS = 1 << 15
 # Bytes per link that a flush holds at its peak: the (k, n_ue) arrays of
-# `resolve_subframe` and of the hand-off to the ledger (traced at the cap:
-# 45 on freeway-low and 48 on urban-medium, where resolving sets the peak,
-# and 105 on mini-low, where every link goes to the ledger and the hand-off
-# and `record_arrays` set it)
+# `resolve_subframe` and of the hand-off to the ledger (traced at the cap
+# with the rows sorted by (subframe, subchannel): 45 on freeway-low and 48
+# on urban-medium, where resolving sets the peak, and 105 on mini-low, where
+# every link goes to the ledger and the hand-off and `record_arrays` set it)
 _FLUSH_BYTES_PER_LINK = 128
 # A flush with nothing queued resolves no transmission
 _NO_TX = (np.zeros(0, dtype=np.int64),) * 5
@@ -320,6 +329,11 @@ class Simulation:
         subframe = np.repeat(subframes, [len(ue) for ue in columns[0]])
         tx_ue, tx_subch, tx_power, tx_period, delay = map(np.concatenate, columns)
         tx_sf = subframe - start
+        # the channel takes the rows in (subframe, subchannel) order, and the
+        # log keeps them in event order, by UE within a subframe
+        order = np.argsort(tx_sf * cfg.subchannels + tx_subch, kind="stable")
+        subframe, tx_sf, tx_ue, tx_subch, tx_power, tx_period, delay = (
+            a[order] for a in (subframe, tx_sf, tx_ue, tx_subch, tx_power, tx_period, delay))
         res = resolve_subframe(tx_sf, tx_ue, tx_subch, tx_power, self.x, self.y, cfg.channel,
                                self.rngs.stream("shadow"), self.geometry, cfg.subchannels,
                                self.static_shadow, self.rngs.stream("fading"), end - start)
@@ -338,7 +352,7 @@ class Simulation:
         for name, col in zip(TX_DTYPE.names, (subframe, tx_ue, tx_subch, tx_power, tx_x,
                                               self.lane[tx_ue], tx_period, delay, n_decoded,
                                               n_collided, n_below, sending - 1)):
-            log_rows[name] = col
+            log_rows[name][order] = col
         self.log.append(log_rows)
 
         # the links of the recorded rows to every other UE, as flat indices

@@ -229,6 +229,11 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     array code over it, and the result is exactly that of enumerating the
     rules resource by resource (tests/oracles.py keeps that reference):
 
+    - A sensing window with no recorded subframe (in a run, each selection
+      at subframe 0) leaves nothing to exempt and ranks every resource at
+      the noise floor.  The result is the whole pool in (subframe,
+      subchannel) order, with no escalation and the threshold at
+      th_sps_dbm, and it is returned as that without the steps below.
     - Each cell's `cover` is the strongest RSRP, in float64, among this UE's
       reservation cells on that subchannel in the recorded subframes of the
       sensing window whose occurrences, stepped by the cell's period, reach
@@ -255,6 +260,11 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     # the one mask of the sensing window's rows; every read below takes the
     # UE's contiguous block of the store
     recorded = store.recorded(oldest, n - 1)
+    if not recorded.any():
+        # nothing recorded exempts nothing and ranks every resource at the
+        # noise floor: the keep set is the whole pool, in pool order
+        t_idx, c_idx = np.divmod(np.arange(pool_size), n_subch)
+        return SelectionResult(np.column_stack((lo + t_idx, c_idx)), 0, cfg.th_sps_dbm, pool_size)
 
     # strongest covering reservation per pool cell, the pool flattened to
     # (subframe - lo) * n_subch + subchannel as the UE's block is to

@@ -28,17 +28,22 @@ def resolve(txs, ues, model, rng, static_shadow=None, fading_rng=None):
     """`resolve_subframe` over two subchannels for (ue, subchannel, power_dbm)
     transmissions among UEs placed at (x, lane), UE i at `ues[i]`, as a batch
     of one subframe whose `srssi_mw` and `is_transmitting` are that
-    subframe's.  Fading, when the model has it, draws from `fading_rng` or a
-    fresh stream."""
+    subframe's.  The channel takes the transmissions sorted by subchannel,
+    stably; row t of the result is `txs[t]`.  Fading, when the model has
+    it, draws from `fading_rng` or a fresh stream."""
     tx = np.array(txs, dtype=float).reshape(-1, 3)
+    order = np.argsort(tx[:, 1], kind="stable")
+    tx = tx[order]
     pos = np.array(ues, dtype=float)
     fading_rng = rng_stream(1, "fading") if fading_rng is None else fading_rng
     res = resolve_subframe(np.zeros(len(tx), dtype=int), tx[:, 0].astype(int),
                            tx[:, 1].astype(int), tx[:, 2], pos[:, 0],
                            GEO.lane_y(pos[:, 1].astype(int)), model, rng, GEO, 2,
                            static_shadow, fading_rng, 1)
-    return dataclasses.replace(res, srssi_mw=res.srssi_mw[:, 0],
-                               is_transmitting=res.is_transmitting[0])
+    back = np.argsort(order)
+    return dataclasses.replace(res, rx_power_dbm=res.rx_power_dbm[back],
+                               outcome=res.outcome[back], distance_m=res.distance_m[back],
+                               srssi_mw=res.srssi_mw[:, 0], is_transmitting=res.is_transmitting[0])
 
 
 def sinr_db(res, txs, model):
@@ -92,6 +97,27 @@ class TestPathloss:
         just_below = pathloss(150.0 - 1e-9, m)
         just_above = pathloss(150.0 + 1e-9, m)
         assert just_above == pytest.approx(just_below, abs=1e-6)
+
+    @pytest.mark.parametrize("model", [
+        clean_model(),
+        clean_model(d0_m=1.0, pl0_db=47.9, breakpoint_m=80.0, exponent=2.7, exponent_beyond=4.1),
+        single_slope(exponent=3.0),
+        clean_model(breakpoint_m=4.0),          # a breakpoint inside d0 acts at d0
+    ], ids=["default", "steep", "one-slope", "breakpoint-at-d0"])
+    def test_slopes_match_two_slope_reference(self, model):
+        # bit for bit at d0 and at the breakpoint and one ulp to either side
+        # of each, on inputs with near and far distances, only far ones and
+        # only near ones, in any shape; the input is left as it was
+        bp = max(model.breakpoint_m, model.d0_m)
+        edges = [np.nextafter(e, to) for e in (model.d0_m, bp) for to in (-np.inf, e, np.inf)]
+        far = np.array([np.nextafter(bp, np.inf), 2 * bp, 7 * bp + 0.3, 1e4])
+        near = np.array([0.0, model.d0_m / 3, model.d0_m, bp])
+        for d in (np.array(edges), np.array(edges + [0.0, 1e4]).reshape(2, 4), far,
+                  far.reshape(2, 2), near, np.zeros((0, 3)), np.float64(bp)):
+            given = np.copy(d)
+            got, want = pathloss(d, model), oracles.pathloss(d, model)
+            assert got.shape == np.shape(d) and got.tobytes() == want.tobytes(), d
+            assert np.array_equal(d, given)
 
     def test_vectorized_matches_scalar(self):
         m = clean_model()
@@ -281,6 +307,9 @@ class TestResolveSubframe:
                                                max_size=k)))
         power = np.array(data.draw(st.lists(st.sampled_from([10.0, 17.0, 23.0])
                                             | st.floats(-10.0, 30.0), min_size=k, max_size=k)))
+        # the channel's row order: by subchannel, UEs in any order within one
+        by_subch = np.argsort(tx_subch, kind="stable")
+        tx_ue, tx_subch, power = tx_ue[by_subch], tx_subch[by_subch], power[by_subch]
         sigma = data.draw(st.sampled_from([0.0, 3.0, 8.0]))
         model = ChannelModel(sinr_threshold_db=data.draw(st.just(0.0) | st.floats(0.0, 10.0)),
                              shadowing_sigma_db=sigma,
@@ -303,8 +332,9 @@ def test_batch_matches_subframe_by_subframe(data):
     """One call over a batch of subframes gives, bit for bit, the arrays of
     resolving each subframe on its own, and leaves the shadowing and fading
     streams where those calls leave them.  Subframes and subchannels may be
-    empty, a UE may send in several subframes, and rows within a subframe
-    come in any UE order.  The road is straight or a ring."""
+    empty, a UE may send in several subframes, and the rows of a subframe,
+    ordered by subchannel, come in any UE order within one.  The road is
+    straight or a ring."""
     geo = data.draw(st.sampled_from([GEO, RING]))
     n_ue = data.draw(st.integers(1, 8))
     n_subch = data.draw(st.integers(1, 3))
@@ -319,8 +349,9 @@ def test_batch_matches_subframe_by_subframe(data):
                                    max_size=len(ues)))
         power = data.draw(st.lists(st.sampled_from([10.0, 23.0]) | st.floats(-10.0, 30.0),
                                    min_size=len(ues), max_size=len(ues)))
-        subframes.append((np.array(ues, dtype=int), np.array(subch, dtype=int),
-                          np.array(power)))
+        by_subch = np.argsort(subch, kind="stable")
+        subframes.append((np.array(ues, dtype=int)[by_subch],
+                          np.array(subch, dtype=int)[by_subch], np.array(power)[by_subch]))
     sigma = data.draw(st.sampled_from([0.0, 3.0]))
     model = ChannelModel(shadowing_sigma_db=sigma,
                          shadowing_mode=data.draw(st.sampled_from(["iid", "static"])),
@@ -346,6 +377,23 @@ def test_batch_matches_subframe_by_subframe(data):
     (shadow_a, fading_a), (shadow_b, fading_b) = streams
     assert shadow_a.random() == shadow_b.random()
     assert fading_a.random() == fading_b.random()
+
+
+def test_rows_out_of_subframe_subchannel_order_rejected():
+    # each (subframe, subchannel) group must be one run of rows, the runs in
+    # (subframe, subchannel) order; UE order within a run is free
+    x, y = np.array([0.0, 50.0, 100.0]), GEO.lane_y(np.zeros(3, dtype=int))
+
+    def resolve_rows(tx_sf, tx_ue, tx_subch):
+        return resolve_subframe(np.array(tx_sf), np.array(tx_ue), np.array(tx_subch),
+                                np.full(len(tx_ue), 23.0), x, y, clean_model(),
+                                rng_stream(1, "shadow"), GEO, 2, None, rng_stream(1, "fading"), 2)
+
+    for tx_sf, tx_subch in (([0, 0], [1, 0]), ([1, 0], [0, 0]), ([0, 1, 0], [0, 0, 1])):
+        with pytest.raises(ValueError, match=r"ordered by \(subframe, subchannel\)"):
+            resolve_rows(tx_sf, list(range(len(tx_sf))), tx_subch)
+    res = resolve_rows([0, 0, 1], [2, 0, 1], [0, 0, 1])
+    assert res.outcome[0, 0] == res.outcome[1, 2] == Outcome.HALF_DUPLEX_BLOCKED
 
 
 def test_model_validation():

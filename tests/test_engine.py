@@ -282,8 +282,11 @@ def test_outcome_counts_match_resolved_links(monkeypatch):
     resolved = config.resolve(None, {"run.duration_s": "1.0", "run.warmup_s": "0.5"},
                               scenario="mini-oversat", scheme="baseline", seed=1)
     res, batches = resolved_links(config.build_run_config(resolved), monkeypatch)
-    outcome = np.concatenate([o for _, _, o in batches])
-    tx_ue = np.concatenate([ue for _, ue, _ in batches])
+    # the channel takes each batch's rows by (subframe, subchannel) and the
+    # log keeps them in the engine's order, by UE within a subframe
+    log_order = [np.lexsort((ue, sf)) for sf, ue, _ in batches]
+    outcome = np.concatenate([o[r] for (_, _, o), r in zip(batches, log_order)])
+    tx_ue = np.concatenate([ue[r] for (_, ue, _), r in zip(batches, log_order)])
     k = len(outcome)
     tally = np.stack([np.count_nonzero(outcome == code, axis=1) for code in
                       (Outcome.DECODED, Outcome.COLLIDED, Outcome.BELOW_SENSITIVITY,

@@ -279,8 +279,9 @@ class TestSelection:
         cfg = SpsConfig()
         result = select_candidates(w, 0, cfg, own_period_sf=100)
         assert result.pool_size == 200
-        assert len(result.candidates) == 200
-        assert result.escalations == 0
+        # the pool in (subframe, subchannel) order
+        assert result.candidates.tolist() == [[t, c] for t in range(1, 101) for c in range(2)]
+        assert result.escalations == 0 and result.threshold_dbm == cfg.th_sps_dbm
         # uniform choice over the whole pool: many distinct picks across draws
         rng = rng_stream(3, "sps")
         picks = {select_resource(w, 0, cfg, rng, own_period_sf=100) for _ in range(600)}
@@ -403,7 +404,8 @@ def sensing_histories(draw, min_ue=1):
     decodes of one span earlier), leave UEs unsensed (half-duplex), draw
     periods up to several selection windows long, put RSRP values on and
     next to the float32 rounding of the threshold, and in saturated histories
-    reserve almost everything above it so the threshold must escalate.  Each
+    reserve almost everything above it so the threshold must escalate.  Some
+    histories record nothing, so that the sensing window is empty.  Each
     UE decodes at most one of the transmissions on a subchannel, as the
     channel does at SINR thresholds of 0 dB and above, so receivers of
     different transmissions on one subchannel hold different periods.
@@ -422,7 +424,8 @@ def sensing_histories(draw, min_ue=1):
                                np.nextafter(np.float32(th), np.float32(np.inf)))]
     store = SensingStore(n_ue, n_subch, span, NOISE_MW)
     decodes = []      # (subframe, receiver, subchannel, period, rsrp) in that order
-    last = rnd.randint(span // 2, 3 * span)
+    # -1: nothing recorded, the selection's empty window
+    last = -1 if draw(st.integers(0, 4)) == 4 else rnd.randint(span // 2, 3 * span)
     levels = [-99.0, -90.0, -80.0, -70.0]
     for n in range(last + 1):
         if rnd.random() < 0.1:
@@ -515,6 +518,24 @@ def test_selection_matches_reference(history):
     metric = _rank_metric(store, ue, ts, cfg, oldest, store.recorded(oldest, n - 1))
     assert metric.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
                                 for c in range(store.n_subch)] for t in ts]
+
+
+@pytest.mark.parametrize("keep_fraction", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("rank_average", ["mw", "db"])
+@pytest.mark.parametrize("unsensed_exempt", [True, False])
+def test_empty_window_matches_reference(keep_fraction, rank_average, unsensed_exempt):
+    # the histories draw an empty window about one time in five; this
+    # checks it under every config they draw, on every run
+    cfg = toy_cfg(t1_sf=2, t2_sf=9, keep_fraction=keep_fraction, rank_average=rank_average,
+                  unsensed_exempt=unsensed_exempt)
+    w = SensingWindow(SensingStore(2, 3, 20, NOISE_MW), 1)
+    for n in (0, 5):
+        got = select_candidates(w, n, cfg, own_period_sf=4)
+        want = oracles.select_candidates(w, n, cfg, own_period_sf=4)
+        assert got.candidates.dtype == np.int64
+        assert list(map(tuple, got.candidates.tolist())) == want.candidates
+        assert (got.escalations, got.threshold_dbm, got.pool_size) == \
+            (want.escalations, want.threshold_dbm, want.pool_size)
 
 
 @settings(max_examples=150, deadline=None)
