@@ -4,7 +4,9 @@ Each case exercises one path of the simulator (shadowing mode, fading, CR
 limit, ranking average, half-duplex exemption, rate control with speed
 perturbation, an oversaturated ring, a straight road whose metrics come
 only from its middle-third region, a straight road whose perturbed
-vehicles respawn at its ends, and held grants that see the ITT change).
+vehicles respawn at its ends, held grants that see the ITT change, and
+tracking packets whose held grant is too far away, so it is dropped and
+reselected).
 The output files of the first case and of the first straight road are
 pinned byte for byte as well, and the gap and transmission files of the
 held-grant case.
@@ -61,6 +63,11 @@ CASES = [
     # so packets queue behind grants held across the ITT change
     ("itt-change-held-grants", "mini-oversat", "dcc-std", 1, ITT_CHANGE,
      "cd7a95237e37dce9db0b9545dbfd2c0436883e559904d20723d507a03939ea77"),
+    # 400 initial selections and 31 grants dropped for a tracking packet
+    # (held more than rate.pte_wait_limit_ms away), no counter expiry
+    ("tracking-drops-grant", "mini-oversat", "dcc-std", 1,
+     {**SHORT, "scenario.speed_sigma": "1.0"},
+     "20d41816a397f0e395add3784e50edce20b0b46aad22c1391235c7e2863ae7a6"),
 ]
 
 # sha256 of the files that `cli.write_outputs` writes, per case.  All but
