@@ -35,6 +35,9 @@ class RateControlConfig:
             raise ValueError(f"itt_max_ms must be at least {BASE_ITT_MS:g} ms")
         if self.neighbor_radius_m <= 0:
             raise ValueError("neighbor_radius_m must be positive")
+        for name in ("pte_threshold_m", "pte_wait_limit_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
 
 
 @dataclass(frozen=True)

@@ -1,48 +1,26 @@
 """Deterministic per-subframe simulation loop.
 
 Each 1 ms subframe advances mobility (on its tick), updates every UE's
-congestion controller, releases packets and serves the due grants.  Every
-piece of per-UE state is an array indexed by UE id: the fleet's positions
-and speeds, the controllers' outputs, and each UE's grant as its next
-occurrence (`next_tx`, -1 before the first selection), subchannel, period
-and reselection counter.  Release and grant service are mask operations
-over those arrays; only the draws from each UE's own RNG stream (resource
-selection and the counter after a transmission) loop over the UEs concerned.
-A UE's own transmissions are recorded once, as the subframes the sensing
-store marks it unsensed, and its channel-occupancy ratio counts them there.
+congestion controller and releases packets; on a subframe with a release or
+a due grant occurrence, `mac_sps.Grants.step` then serves the grants and
+selects new ones.  Per-UE state is arrays indexed by UE id: the fleet's,
+the controllers' outputs, the waiting packet with its release time and last
+broadcast state, and in `Grants` each UE's grant.
 
-The channel is resolved a batch of subframes at a time.  Grant service
-queues each transmitting subframe's arrays (UE, subchannel, power, period,
-queue delay); nothing reads a subframe's outcomes until the sensing store is
-next read or the vehicles move.  So the engine flushes the queue just before
-each of those: a resource selection, a CBP measurement, a CR check, a
-mobility tick, and the end of the run.  It also flushes before the queued
-(transmission, UE) links would pass `_BATCH_LINKS`, and before a batch would
-span more subframes than the sensing ring holds.  A flush resolves every
-subframe since the last one, those without a transmission included, in one
-`resolve_subframe` call, which turns them into (transmission, UE) arrays
-with the outcome as int8 codes.  The flush sorts the batch's rows once,
-stably, by (subframe, subchannel), the order `resolve_subframe` requires:
-each (subframe, subchannel) group is then one run of rows.  From the arrays
-the batch's rows, each with its links counted by outcome, go to the event
-log as one chunk, put back in event order (by UE within a subframe).  The
-ledger and the store take the links in the sorted order, as neither depends
-on the order of a batch's rows.  The links of the rows sent inside the
-region after the warm-up go to the metrics ledger and the decoded links,
-with the measurements, to the sensing store; each set is taken from the
-(transmission, UE) arrays by flat index, without a loop over subframes,
-transmissions or receivers.  The sensing store keeps its rings UE-major,
-(UE, subframe, subchannel), so that a resource selection reads one UE's
-whole sensing history as one contiguous block; the channel emits the batch's
-S-RSSI in that layout, and the store copies each UE's part as one slab.  The
-shadowing and fading streams are drawn in the order resolving one subframe
-at a time draws them, so the batches leave every output as it would be.
-Everything is driven by named RNG streams, so one seed fixes the whole run.
-
-A resource selection at subframe 0 finds nothing recorded in the sensing
-window; `select_candidates` then returns the whole pool in (subframe,
-subchannel) order without running the selection steps, which is what they
-would give.
+The channel is resolved a batch of subframes at a time.  Each transmitting
+subframe's arrays (UE, subchannel, power, period, queue delay) are queued,
+and the queue is flushed just before the sensing store is read (a resource
+selection, a CBP measurement, a CR check), at a mobility tick, at the end of
+the run, before its (transmission, UE) links would pass `_BATCH_LINKS`, and
+before a batch would span more subframes than the sensing ring holds.  A
+flush resolves every subframe since the last one in one `resolve_subframe`
+call, the rows sorted by (subframe, subchannel) as it requires.  The rows,
+their links counted by outcome, go to the event log in event order (by UE
+within a subframe); the links of the rows sent inside the region after the
+warm-up go to the metrics ledger, and the decoded links with their
+measurements to the sensing store, each taken by flat index.  The shadowing
+and fading streams are drawn in the order resolving one subframe at a time
+draws them, so the batches leave every output as it would be.
 """
 
 from __future__ import annotations
@@ -163,12 +141,6 @@ class RunConfig:
         return (n * n * per_pair + sensing + flush + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20
 
 
-def _grant_period(itt_ms: np.ndarray) -> np.ndarray:
-    """The period of a grant selected at each ITT: the ITT rounded (half to
-    even) to whole subframes, at least one."""
-    return np.maximum(1, np.rint(itt_ms)).astype(np.int64)
-
-
 class EventLog:
     """Append-only transmission record with per-event outcome tallies.
 
@@ -245,25 +217,18 @@ class Simulation:
             else mobility.generate_scenario(self.scenario, self.rngs.stream("mobility"))
         # views of the fleet's arrays, which mobility.step updates in place
         self.x, self.speed, self.lane = self.fleet.x, self.fleet.speed_mps, self.fleet.lane
-        self.n_ue = len(self.x)
-
-        n = self.n_ue
+        self.n_ue = n = len(self.x)
         self.y = self.geometry.lane_y(self.lane)
 
         self.itt_ms = np.full(n, dcc.BASE_ITT_MS)
-        self.itt_sf = _grant_period(self.itt_ms)
+        self.itt_sf = mac_sps.grant_period(self.itt_ms)
         self.power_dbm = np.full(n, cfg.range.p_max_dbm)
         self.n_sta_s = np.zeros(n)
         self.cbp_pct = np.zeros(n)
         self.last_tx = np.full(n, -(10 ** 9), dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
         self.gen_time = np.zeros(n, dtype=np.int64)
-        self.next_tx = np.full(n, -1, dtype=np.int64)
-        self.grant_subch = np.zeros(n, dtype=np.int64)
-        self.grant_period = np.zeros(n, dtype=np.int64)
-        self.slrrc = np.zeros(n, dtype=np.int64)
-        self.bcast_x = self.x.copy()
-        self.bcast_v = self.speed.copy()
+        self.bcast_x, self.bcast_v = self.x.copy(), self.speed.copy()
         self.bcast_t = np.zeros(n, dtype=np.int64)
 
         self.store = SensingStore(n, cfg.subchannels, cfg.sps.sensing_window_sf,
@@ -287,23 +252,26 @@ class Simulation:
         self.log = EventLog()
         self.timeseries: list[tuple] = []
         self._cr_points = cfg.cr.points() if cfg.cr.cbp_limit < 1.0 else None
+        cr_allows = None if self._cr_points is None else self._cr_allows
+        self.grants = mac_sps.Grants(n, cfg.sps, cfg.rate.pte_wait_limit_ms, self.rngs,
+                                     self._pick, cr_allows)
 
         self.warmup_sf = int(round(cfg.warmup_s * 1000))
         self.total_sf = int(round(cfg.duration_s * 1000))
-        lo, hi = self.scenario.region_bounds_m
-        self._region = (lo, hi)
+        self._region = self.scenario.region_bounds_m
 
-    def _select_grant(self, ue: int, n: int) -> None:
+    def _pick(self, ue: int, n: int, period: int, rng) -> tuple[int, int]:
+        """`Grants.pick`: a resource from UE ue's sensing window at n."""
         self._flush(n)
-        period = int(self.itt_sf[ue])
-        sps = self.cfg.sps
-        rng = self.rngs.stream("sps", ue)
-        # the resource pick draws first, then the counter
-        subframe, subch = mac_sps.select_resource(SensingWindow(self.store, ue), n, sps, rng,
-                                                  own_period_sf=period)
-        slrrc = mac_sps.draw_counter(rng, sps)
-        self.next_tx[ue], self.grant_subch[ue] = subframe, subch
-        self.grant_period[ue], self.slrrc[ue] = period, slrrc
+        return mac_sps.select_resource(SensingWindow(self.store, ue), n, self.cfg.sps, rng,
+                                       own_period_sf=period)
+
+    def _cr_allows(self, n: int, ues: np.ndarray, period: np.ndarray) -> np.ndarray:
+        """`Grants.cr_allows`: which UEs' occupancy ratio at n is within its limit."""
+        self._flush(n)
+        cr = mac_sps.compute_cr(self.store.own_tx_counts(n, ues), period, self.cfg.subchannels)
+        cbp = np.minimum(self.cbp_pct[ues] / 100.0, 1.0)
+        return cr <= mac_sps.cr_limit(cbp, self.cfg.cr.cbp_limit, self._cr_points)
 
     def _queue(self, n: int, tx_ue: np.ndarray, tx_subch: np.ndarray,
                tx_period: np.ndarray) -> None:
@@ -380,7 +348,6 @@ class Simulation:
         cfg, n_ue = self.cfg, self.n_ue
         rate_cfg, range_cfg = cfg.rate, cfg.range
         cbp_thresh_mw = dbm_to_mw(cfg.cbp_rssi_threshold_dbm)
-        pte_on = rate_cfg.pte_enabled
         perturb_rng = self.rngs.stream("perturb")
         span_sf = self.store.span
 
@@ -407,7 +374,7 @@ class Simulation:
                                              rate_cfg.neighbor_radius_m)
                 self.n_sta_s = dcc.smooth_density(counts, self.n_sta_s)
                 self.itt_ms = dcc.compute_itt(self.n_sta_s, rate_cfg)
-                self.itt_sf = _grant_period(self.itt_ms)
+                self.itt_sf = mac_sps.grant_period(self.itt_ms)
 
             # busy measurement -> range control
             if n % cfg.power_period_ms == 0 and n > 0:
@@ -421,7 +388,7 @@ class Simulation:
             # positions on the mobility tick: constant-speed motion must give
             # exactly zero tracking error.
             x_true, pte = self.x, None
-            if pte_on:
+            if rate_cfg.pte_enabled:
                 frac_s = (n % cfg.mobility_tick_ms) / 1000.0
                 x_true = self.geometry.wrap_x(self.x + self.speed * frac_s)
                 pte = dcc.tracking_error(x_true, self.bcast_x, self.bcast_v,
@@ -430,51 +397,20 @@ class Simulation:
                                                    pte, rate_cfg.pte_threshold_m)
             gen = ready if pte_fire is None else ready | pte_fire
             # np.count_nonzero for .any() and .all(): half the cost on arrays this small
-            if np.count_nonzero(gen):
+            released = np.count_nonzero(gen)
+            if released:
                 self.pending |= gen
                 self.gen_time[gen] = n
-                select = gen & (self.next_tx < 0)
-                if pte_on:
-                    # the grant lands too late for a tracking update: reselect now
-                    select |= pte_fire & ~ready & (self.next_tx > n + rate_cfg.pte_wait_limit_ms)
-                for ue in select.nonzero()[0].tolist():
-                    self._select_grant(ue, n)
-
-            # grant occurrences: transmit when a packet waits and the occupancy
-            # is within its congestion limit, otherwise let the reservation slot
-            # pass unused (the counter only counts transmissions)
-            tx_ue = due = (self.next_tx == n).nonzero()[0]
-            if due.size:
-                send = self.pending[due]
-                if self._cr_points is not None:
-                    self._flush(n)
-                    ues = due[send]
-                    cr = mac_sps.compute_cr(self.store.own_tx_counts(n, ues),
-                                            self.grant_period[ues], cfg.subchannels)
-                    cbp = np.minimum(self.cbp_pct[ues] / 100.0, 1.0)
-                    send[send] = cr <= mac_sps.cr_limit(cbp, cfg.cr.cbp_limit, self._cr_points)
-                if np.count_nonzero(send) < due.size:
-                    skipped, tx_ue = due[~send], due[send]
-                    self.next_tx[skipped] = n + self.grant_period[skipped]
-
-            # queued for channel resolution, logging, metrics and sensing
-            if tx_ue.size:
-                tx_subch = self.grant_subch[tx_ue]
-                tx_period = self.itt_sf[tx_ue]
-                self.pending[tx_ue] = False
-                self.last_tx[tx_ue] = n
-                self.bcast_x[tx_ue] = x_true[tx_ue]
-                self.bcast_v[tx_ue], self.bcast_t[tx_ue] = self.speed[tx_ue], n
-                for ue, period in zip(tx_ue.tolist(), tx_period.tolist()):
-                    slrrc = mac_sps.on_transmission(int(self.slrrc[ue]),
-                                                    self.rngs.stream("sps", ue), cfg.sps)
-                    if slrrc is None:
-                        # the new grant's period comes from the same itt_sf as `period`
-                        self._select_grant(ue, n)
-                    else:
-                        self.slrrc[ue], self.grant_period[ue] = slrrc, period
-                        self.next_tx[ue] = n + period
-                self._queue(n, tx_ue, tx_subch, tx_period)
+            due = self.grants.due(n)
+            if released or due.size:
+                tx_ue, tx_subch, tx_period, _ = self.grants.step(n, due, ready, pte_fire,
+                                                                 self.pending, self.itt_sf)
+                # queued for channel resolution, logging, metrics and sensing
+                if tx_ue.size:
+                    self.pending[tx_ue], self.last_tx[tx_ue] = False, n
+                    self.bcast_x[tx_ue] = x_true[tx_ue]
+                    self.bcast_v[tx_ue], self.bcast_t[tx_ue] = self.speed[tx_ue], n
+                    self._queue(n, tx_ue, tx_subch, tx_period)
 
             if n % cfg.timeseries_period_ms == 0:
                 self.timeseries.append((n / 1000.0, float(self.cbp_pct.mean()),

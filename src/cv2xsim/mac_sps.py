@@ -1,12 +1,11 @@
 """Sensing-based semi-persistent scheduling.
 
-Maintains the trailing 1000 ms sensing window, performs resource
-(re)selection from it, manages the reselection counter lifecycle, and
-computes the channel-occupancy ratio and its congestion limit.  A grant is
-not an object here: the engine keeps each UE's next occurrence, subchannel,
-period and counter in arrays, `select_resource` returns a (subframe,
-subchannel) pair, `draw_counter` a fresh counter and `on_transmission` the
-next counter value.
+Maintains the trailing 1000 ms sensing window, selects resources from it,
+and computes the channel-occupancy ratio and its congestion limit.
+`Grants` holds every UE's grant as four arrays (next occurrence,
+subchannel, period and reselection counter) and runs the whole grant
+lifecycle in one step per subframe: when a packet selects a grant, when an
+occurrence passes unused, and how the counter steps after a transmission.
 """
 
 from __future__ import annotations
@@ -95,28 +94,22 @@ class CrConfig:
 class SensingStore:
     """Rolling per-subframe, per-subchannel channel memory shared by all UEs.
 
-    Every array is a ring of `span` subframe rows, laid out UE-major so that
-    one UE's whole sensing history is one contiguous block: `srssi_mw`,
-    `reservations` and `period_sf` are (n_ue, span, n_subch) and `sensed`
-    is (n_ue, span).  A row is valid only while its stamped subframe
-    (`row_subframe`) is the one currently mapped to that slot.  Each row
-    holds, per (UE, subchannel), the S-RSSI, and in `reservations` the
-    PSSCH-RSRP in dBm of the transmission that UE decoded there (float32,
-    -inf where it decoded none) with its announced period in `period_sf`.
-    One cell is enough because a receiver decodes at most one transmission
-    per subchannel and subframe while the SINR threshold is at least 0 dB
-    (`ChannelModel` enforces it).  `sensed` is False exactly where the UE
-    was transmitting (half duplex), which makes it the one record of each
-    UE's own transmissions.  Subframes are recorded a run of consecutive
-    ones at a time; recording a subframe overwrites its row, which evicts
-    the subframe one span older.
+    Every array is a ring of `span` subframe rows, UE-major so that one UE's
+    whole sensing history is one contiguous block: `srssi_mw`, `reservations`
+    and `period_sf` are (n_ue, span, n_subch), `sensed` is (n_ue, span).  A
+    row is valid only while its stamp (`row_subframe`) is the subframe mapped
+    to it.  Per (UE, subchannel) a row holds the S-RSSI, and in
+    `reservations` the PSSCH-RSRP in dBm of the transmission that UE decoded
+    there (float32, -inf where none) with its announced period in
+    `period_sf`; a receiver decodes at most one per subchannel and subframe
+    while the SINR threshold is at least 0 dB (`ChannelModel` enforces it).
+    `sensed` is False exactly where the UE was transmitting (half duplex),
+    the one record of each UE's own transmissions.  Recording a subframe
+    overwrites its row, which evicts the subframe one span older.
     """
 
     def __init__(self, n_ue: int, n_subch: int, span: int, noise_mw: float):
-        self.n_ue = n_ue
-        self.n_subch = n_subch
-        self.span = span
-        self.noise_mw = noise_mw
+        self.n_ue, self.n_subch, self.span, self.noise_mw = n_ue, n_subch, span, noise_mw
         self.srssi_mw = np.full((n_ue, span, n_subch), noise_mw)
         self.sensed = np.zeros((n_ue, span), dtype=bool)
         self.reservations = np.full((n_ue, span, n_subch), -np.inf, dtype=np.float32)
@@ -212,28 +205,24 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     1. Pool every resource in the selection window [n+T1, n+T2].
     2. Exempt resources whose past occurrences (congruent modulo the
        reserving UE's announced period) carry a decoded reservation above the
-       working threshold; when enabled, also exempt resources projecting onto
-       subframes this UE could not sense because it was transmitting (the
-       projection uses the UE's own reservation period).
+       working threshold; when enabled, also those projecting (by the UE's
+       own period) onto subframes it could not sense while transmitting.
     3. While fewer than keep_fraction of the pool survives, raise the working
-       threshold by 3 dB and redo step 2.  Once no reservation clears the
-       threshold, the half-duplex exemptions are lifted as well so the loop
-       always terminates.
-    4. Rank survivors by average S-RSSI over their past projections
-       (most recent first; unsensed occurrences skipped, no data counts as
-       noise floor) and keep the lowest ceil(keep_fraction * pool) of them.
-       Ties at the keep boundary are kept, so indistinguishable resources
-       stay equally likely.
+       threshold by 3 dB and redo step 2; once no reservation clears it,
+       lift the half-duplex exemptions too, so the loop always ends.
+    4. Rank survivors by average S-RSSI over their past projections (newest
+       first; unsensed occurrences skipped, no data counts as noise floor)
+       and keep the lowest ceil(keep_fraction * pool) of them, ties at the
+       boundary included, so indistinguishable resources stay equally likely.
 
     The pool is a (T2-T1+1, n_subch) grid, subframe-major.  Every step is
     array code over it, and the result is exactly that of enumerating the
     rules resource by resource (tests/oracles.py keeps that reference):
 
     - A sensing window with no recorded subframe (in a run, each selection
-      at subframe 0) leaves nothing to exempt and ranks every resource at
-      the noise floor.  The result is the whole pool in (subframe,
-      subchannel) order, with no escalation and the threshold at
-      th_sps_dbm, and it is returned as that without the steps below.
+      at subframe 0) exempts nothing and ranks every resource at the noise
+      floor: the result, returned without the steps below, is the whole pool
+      in (subframe, subchannel) order, no escalation, threshold th_sps_dbm.
     - Each cell's `cover` is the strongest RSRP, in float64, among this UE's
       reservation cells on that subchannel in the recorded subframes of the
       sensing window whose occurrences, stepped by the cell's period, reach
@@ -242,11 +231,10 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
       level is the single comparison `cover > threshold`.
     - A half-duplex subframe j exempts subframe t iff t = j (mod own period):
       t > j holds for every t in the window.
-    - The ranking sum is accumulated lag by lag, newest first, in the order a
+    - The ranking sum is accumulated lag by lag, newest first, as a
       sequential sum over the projections adds them, so the averages are
-      bit-equal.  Survivors are enumerated in (subframe, subchannel) order and
-      sorted stably by average, which is the (average, subframe, subchannel)
-      order.
+      bit-equal.  Survivors in (subframe, subchannel) order are sorted stably
+      by average: the (average, subframe, subchannel) order.
     """
     store = window.store
     ue = window.ue_index
@@ -261,8 +249,6 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     # UE's contiguous block of the store
     recorded = store.recorded(oldest, n - 1)
     if not recorded.any():
-        # nothing recorded exempts nothing and ranks every resource at the
-        # noise floor: the keep set is the whole pool, in pool order
         t_idx, c_idx = np.divmod(np.arange(pool_size), n_subch)
         return SelectionResult(np.column_stack((lo + t_idx, c_idx)), 0, cfg.th_sps_dbm, pool_size)
 
@@ -362,8 +348,7 @@ def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: np.rando
     returns (subframe, subchannel)."""
     candidates = select_candidates(window, n, cfg, own_period_sf=own_period_sf).candidates
     # the row `rng.choice(candidates)` returns, drawn at a quarter of its cost
-    subframe, subchannel = candidates[rng.integers(len(candidates))].tolist()
-    return subframe, subchannel
+    return tuple(candidates[rng.integers(len(candidates))].tolist())
 
 
 def draw_counter(rng: np.random.Generator, cfg: SpsConfig) -> int:
@@ -372,12 +357,10 @@ def draw_counter(rng: np.random.Generator, cfg: SpsConfig) -> int:
 
 
 def on_transmission(slrrc: int, rng: np.random.Generator, cfg: SpsConfig) -> int | None:
-    """Advance a grant's reselection counter after a transmission.
-
-    Returns the new counter, or None when the reservation must change
-    (counter expired and the change probability fired).  A kept grant whose
-    counter expired gets a fresh counter drawn uniformly from the range.
-    """
+    """Advance a grant's reselection counter after a transmission: the new
+    counter, or None when the reservation must change (the counter expired
+    and the change probability fired).  A kept grant whose counter expired
+    gets a fresh counter drawn uniformly from the range."""
     if slrrc < 1:
         raise ValueError("on_transmission called with an expired counter")
     slrrc -= 1
@@ -386,6 +369,84 @@ def on_transmission(slrrc: int, rng: np.random.Generator, cfg: SpsConfig) -> int
     if rng.random() < cfg.p_resel:
         return None
     return draw_counter(rng, cfg)
+
+
+def grant_period(itt_ms: np.ndarray) -> np.ndarray:
+    """The period of a grant taken at each ITT: the ITT rounded (half to
+    even) to whole subframes, at least one."""
+    return np.maximum(1, np.rint(itt_ms)).astype(np.int64)
+
+
+# Why a UE selects a grant, each a rule of `Grants.step`
+INITIAL, TRACKING, EXPIRY = "initial", "tracking", "expiry"
+
+
+class Grants:
+    """Every UE's SPS grant: its next occurrence `next_tx` (-1 before the
+    first selection), `subchannel`, `period` and reselection `counter`, as
+    arrays indexed by UE.  `pick(ue, n, period, rng)` returns the (subframe,
+    subchannel) of a resource selected at n; `cr_allows(n, ues, period)`
+    masks the due UEs that may send within their occupancy limit (None: no
+    limit).  UE u draws from `rngs.stream("sps", u)`."""
+
+    def __init__(self, n_ue: int, cfg: SpsConfig, wait_limit_sf: int, rngs, pick,
+                 cr_allows=None):
+        self.next_tx = np.full(n_ue, -1, dtype=np.int64)
+        self.subchannel, self.period, self.counter = np.zeros((3, n_ue), dtype=np.int64)
+        self.cfg, self.wait_limit_sf, self.rngs = cfg, wait_limit_sf, rngs
+        self.pick, self.cr_allows = pick, cr_allows
+
+    def due(self, n: int) -> np.ndarray:
+        """The UEs whose grant has an occurrence at n, ascending."""
+        return (self.next_tx == n).nonzero()[0]
+
+    def step(self, n: int, due: np.ndarray, timer: np.ndarray, tracking: np.ndarray | None,
+             pending: np.ndarray, period_sf: np.ndarray) -> tuple:
+        """Serve the grants `due` at n, then select the new ones.  `timer` and
+        `tracking` mask the UEs releasing a packet at n (`tracking` None while
+        that trigger is off), `pending` those with one waiting, and `period_sf`
+        is the period a grant takes at a selection or a transmission.  Returns
+        the UEs that send (ascending), each one's subchannel and announced
+        period, and {UE: cause} of the UEs that selected a grant.
+
+        A waiting packet selects a grant if its UE holds none, and so does one
+        released by tracking alone if the held grant's next occurrence is more
+        than `wait_limit_sf` after n (no such UE is due: the limit is at least
+        0).  A due grant sends while a packet waits and `cr_allows` lets it;
+        otherwise the occurrence passes unused, the next a period on, and the
+        counter (it counts transmissions) does not step.  After a transmission
+        `on_transmission` steps it, and the grant keeps its resource at
+        `period_sf` or selects anew.  Per UE, the draws are `on_transmission`'s,
+        then `pick`'s, then the new counter."""
+        next_tx = self.next_tx
+        selected = dict.fromkeys((pending & (next_tx < 0)).nonzero()[0].tolist(), INITIAL)
+        if tracking is not None:
+            late = tracking & ~timer & (next_tx > n + self.wait_limit_sf)
+            selected.update(dict.fromkeys(late.nonzero()[0].tolist(), TRACKING))
+        tx_ue = subchannel = period = due
+        if due.size:
+            send = pending[due]
+            if self.cr_allows is not None:
+                ues = due[send]
+                # the period before this transmission; the ones after it follow period_sf
+                send[send] = self.cr_allows(n, ues, self.period[ues])
+            if np.count_nonzero(send) < due.size:
+                skipped, tx_ue = due[~send], due[send]
+                next_tx[skipped] = n + self.period[skipped]
+            subchannel, period = self.subchannel[tx_ue], period_sf[tx_ue]
+            for ue, p in zip(tx_ue.tolist(), period.tolist()):
+                counter = on_transmission(int(self.counter[ue]), self.rngs.stream("sps", ue),
+                                          self.cfg)
+                if counter is None:
+                    selected[ue] = EXPIRY
+                else:
+                    self.counter[ue], self.period[ue], next_tx[ue] = counter, p, n + p
+
+        for ue in selected:
+            rng, p = self.rngs.stream("sps", ue), int(period_sf[ue])
+            next_tx[ue], self.subchannel[ue] = self.pick(ue, n, p, rng)
+            self.period[ue], self.counter[ue] = p, draw_counter(rng, self.cfg)
+        return tx_ue, subchannel, period, selected
 
 
 def compute_cr(past, period_sf, n_subch: int) -> np.ndarray:

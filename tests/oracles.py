@@ -3,6 +3,12 @@
 `compute_itt`, `power_target` and `update_power` are the one-UE, branch by
 branch form of the congestion-control rules in `cv2xsim.dcc`.
 
+`Grant` and `grant_step` are the one-UE, one-subframe form of
+`cv2xsim.mac_sps.Grants.step`: a grant as four ints, advanced rule by rule
+with the counter stepped and redrawn inline, where the step serves the
+fleet's due grants as arrays and draws through `on_transmission` and
+`draw_counter`.
+
 `compute_cr` is the table form of `cv2xsim.mac_sps.compute_cr` over the
 counts of `SensingStore.own_tx_counts`: (1000, n_subch) indicator tables of
 the resource pool and of the slots the UE used, listed by time, or reserved
@@ -64,7 +70,8 @@ from cv2xsim.core import RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
 from cv2xsim.metrics import BinValue, BlindReport, GainBin, MetricsStore
-from cv2xsim.mac_sps import SelectionResult, SensingStore, SensingWindow, SpsConfig
+from cv2xsim.mac_sps import (EXPIRY, INITIAL, TRACKING, SelectionResult, SensingStore,
+                             SensingWindow, SpsConfig)
 from cv2xsim.mobility import ScenarioConfig
 
 
@@ -194,6 +201,48 @@ def _rank_metric(window: SensingWindow, subframe: int, subchannel: int, cfg: Sps
     if not values:
         return store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
     return sum(values) / len(values)
+
+
+@dataclass
+class Grant:
+    """One UE's SPS grant; -1 as `next_tx` before the first selection."""
+
+    next_tx: int = -1
+    subchannel: int = 0
+    period: int = 0
+    counter: int = 0
+
+
+def grant_step(grant: Grant, ue: int, n: int, timer: bool, tracking: bool, pending: bool,
+               period_sf: int, cfg: SpsConfig, wait_limit_sf: int, cr_allows, pick,
+               rng: np.random.Generator) -> tuple[bool, str | None]:
+    """Advance UE `ue`'s grant over subframe n; returns whether it sends and
+    the cause of its selection (None: none).  The arguments are those of
+    `Grants.step` for this UE alone, `cr_allows` asked with a one-UE array."""
+    cause = None
+    if pending and grant.next_tx < 0:
+        cause = INITIAL
+    elif tracking and not timer and grant.next_tx > n + wait_limit_sf:
+        cause = TRACKING
+    sends = False
+    if grant.next_tx == n:
+        sends = pending and (cr_allows is None
+                             or bool(cr_allows(n, np.array([ue]), np.array([grant.period]))[0]))
+        if not sends:
+            grant.next_tx = n + grant.period
+        else:
+            grant.counter -= 1
+            if grant.counter == 0 and rng.random() < cfg.p_resel:
+                cause = EXPIRY
+            else:
+                if grant.counter == 0:
+                    grant.counter = int(rng.integers(cfg.slrrc_min, cfg.slrrc_max + 1))
+                grant.period, grant.next_tx = period_sf, n + period_sf
+    if cause is not None:
+        grant.next_tx, grant.subchannel = pick(ue, n, period_sf, rng)
+        grant.period = period_sf
+        grant.counter = int(rng.integers(cfg.slrrc_min, cfg.slrrc_max + 1))
+    return sends, cause
 
 
 def compute_itt(n_sta_smoothed: float, cfg: RateControlConfig) -> float:

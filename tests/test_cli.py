@@ -220,7 +220,8 @@ def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
     *(pytest.param([f"{key}={value}"], key, id=f"{key}={value}") for key, value in (
         ("run.subchannels", "0"), ("run.payload_bytes", "0"), ("run.cbp_window_ms", "2000"),
         ("sps.slrrc_min", "0"), ("sps.t1_sf", "0"), ("channel.exponent", "0"),
-        ("scenario.region", "x"))),
+        ("scenario.region", "x"), ("rate.pte_wait_limit_ms", "-5"),
+        ("rate.pte_threshold_m", "-1"))),
 ])
 def test_validate_rejects_bad_config(sets, key, capsys):
     args = ["validate", "--scenario", "mini-low"]

@@ -380,7 +380,7 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
     n = 0
     while (n + 1) * k * sim.n_ue <= engine._BATCH_LINKS:
         tx_ue = np.sort(np.random.default_rng(n).choice(sim.n_ue, k, replace=False))
-        sim._queue(n, tx_ue, sim.grant_subch[tx_ue], np.full(k, 100))
+        sim._queue(n, tx_ue, sim.grants.subchannel[tx_ue], np.full(k, 100))
         n += 1
     assert sim._queued_links > engine._BATCH_LINKS - k * sim.n_ue
     tracemalloc.start()

@@ -1,16 +1,17 @@
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from sensing import NO_DECODES, NOISE_MW, build_window, recorded_count
 
-from cv2xsim.core import rng_stream
-from cv2xsim.mac_sps import (SensingStore, SensingWindow, SpsConfig,
+from cv2xsim.core import RngPool, rng_stream
+from cv2xsim.mac_sps import (Grants, SensingStore, SensingWindow, SpsConfig,
                              _rank_metric, compute_cr, cr_limit, draw_counter, on_transmission,
                              select_candidates, select_resource)
 
@@ -151,6 +152,116 @@ class TestOnTransmission:
                     break
         expected = 10.0 / 0.2
         assert total / lifetimes == pytest.approx(expected, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# grant lifecycle
+
+class Lifecycle(NamedTuple):
+    """The inputs of a run of `Grants.step`: per subframe and UE, the timer
+    and tracking releases (None: tracking off) and the period a grant takes;
+    per UE, the CR verdicts in the order they are asked (None: no limit;
+    past the list every occurrence may send)."""
+
+    cfg: SpsConfig
+    wait_limit_sf: int
+    timer: list[list[bool]]
+    tracking: list[list[bool]] | None
+    period_sf: list[list[int]]
+    verdicts: list[list[bool]] | None
+    seed: int
+
+
+class Script:
+    """Scripted stand-ins for the sensing store: a pick uniform over the next
+    `PICK_SF` subframes' resources with one draw, as `select_resource`
+    draws, and the CR verdicts of a `Lifecycle`; every call is recorded."""
+
+    PICK_SF, N_SUBCH = 8, 2
+
+    def __init__(self, verdicts):
+        self.verdicts = None if verdicts is None else [list(v) for v in verdicts]
+        self.calls = []
+
+    def pick(self, ue, n, period, rng):
+        self.calls.append(("pick", n, ue, period))
+        k = int(rng.integers(self.PICK_SF * self.N_SUBCH))
+        return n + 1 + k // self.N_SUBCH, k % self.N_SUBCH
+
+    def cr_allows(self, n, ues, period):
+        self.calls += [("cr", n, ue, p) for ue, p in zip(ues.tolist(), period.tolist())]
+        return np.array([self.verdicts[ue].pop(0) if self.verdicts[ue] else True
+                         for ue in ues.tolist()], dtype=bool)
+
+
+@st.composite
+def lifecycles(draw):
+    n_ue, n_sf = draw(st.integers(1, 3)), draw(st.integers(1, 60))
+    lo = draw(st.integers(1, 3))
+    cfg = SpsConfig(slrrc_min=lo, slrrc_max=draw(st.integers(lo, 4)),
+                    p_resel=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    masks = st.lists(st.lists(st.booleans(), min_size=n_ue, max_size=n_ue),
+                     min_size=n_sf, max_size=n_sf)
+    periods = st.lists(st.lists(st.integers(1, 6), min_size=n_ue, max_size=n_ue),
+                       min_size=n_sf, max_size=n_sf)
+    verdicts = st.lists(st.lists(st.booleans(), max_size=8), min_size=n_ue, max_size=n_ue)
+    return Lifecycle(cfg, draw(st.integers(0, 4)), draw(masks), draw(st.none() | masks),
+                     draw(periods), draw(st.none() | verdicts), draw(st.integers(0, 2 ** 16)))
+
+
+def stream_states(rngs, n_ue):
+    return [str(rngs.stream("sps", ue).bit_generator.state) for ue in range(n_ue)]
+
+
+# One UE whose counter is 1 after every selection: its first due occurrence
+# is skipped by CR, so the counter must not step there and no draw is made
+@example(Lifecycle(SpsConfig(slrrc_min=1, slrrc_max=1, p_resel=0.5), 0, [[True]] * 40, None,
+                   [[3]] * 40, [[False]], 5))
+@settings(max_examples=200, deadline=None)
+@given(lifecycles())
+def test_grant_step_matches_the_scalar_reference(run):
+    """`Grants.step`, called on every subframe, against `oracles.grant_step`
+    per UE, with the same releases, CR verdicts and per-UE streams: after each
+    subframe the same UEs send, the same select for the same cause, the
+    grants agree, every stream stands at the same draw, and the scripted
+    store saw the same (subframe, UE, period) asks."""
+    n_ue = len(run.timer[0])
+    rngs, ref_rngs = RngPool(run.seed), RngPool(run.seed)
+    script, ref_script = Script(run.verdicts), Script(run.verdicts)
+    grants = Grants(n_ue, run.cfg, run.wait_limit_sf, rngs, script.pick,
+                    None if run.verdicts is None else script.cr_allows)
+    ref = [oracles.Grant() for _ in range(n_ue)]
+    pending = np.zeros(n_ue, dtype=bool)
+    for n, timer in enumerate(run.timer):
+        # only a UE with no packet waiting releases one, as `release_triggers` has it
+        timer = np.array(timer) & ~pending
+        tracking = None if run.tracking is None else np.array(run.tracking[n]) & ~pending
+        period_sf = np.array(run.period_sf[n], dtype=np.int64)
+        pending |= timer if tracking is None else timer | tracking
+        held = [g.subchannel for g in ref]
+        expect_tx, expect_selected = [], {}
+        for ue, grant in enumerate(ref):
+            sends, cause = oracles.grant_step(
+                grant, ue, n, bool(timer[ue]), tracking is not None and bool(tracking[ue]),
+                bool(pending[ue]), int(period_sf[ue]), run.cfg, run.wait_limit_sf,
+                None if run.verdicts is None else ref_script.cr_allows, ref_script.pick,
+                ref_rngs.stream("sps", ue))
+            if sends:
+                expect_tx.append(ue)
+            if cause is not None:
+                expect_selected[ue] = cause
+
+        tx_ue, subchannel, period, selected = grants.step(n, grants.due(n), timer, tracking,
+                                                          pending, period_sf)
+        assert tx_ue.tolist() == expect_tx
+        assert subchannel.tolist() == [held[ue] for ue in expect_tx]
+        assert period.tolist() == period_sf[expect_tx].tolist()
+        assert selected == expect_selected
+        for name in ("next_tx", "subchannel", "period", "counter"):
+            assert getattr(grants, name).tolist() == [getattr(g, name) for g in ref], name
+        assert stream_states(rngs, n_ue) == stream_states(ref_rngs, n_ue)
+        assert sorted(script.calls) == sorted(ref_script.calls)
+        pending[tx_ue] = False
 
 
 # ---------------------------------------------------------------------------
