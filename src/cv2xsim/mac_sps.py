@@ -389,8 +389,7 @@ class Grants:
     masks the due UEs that may send within their occupancy limit (None: no
     limit).  UE u draws from `rngs.stream("sps", u)`."""
 
-    def __init__(self, n_ue: int, cfg: SpsConfig, wait_limit_sf: int, rngs, pick,
-                 cr_allows=None):
+    def __init__(self, n_ue: int, cfg: SpsConfig, wait_limit_sf: int, rngs, pick, cr_allows):
         self.next_tx = np.full(n_ue, -1, dtype=np.int64)
         self.subchannel, self.period, self.counter = np.zeros((3, n_ue), dtype=np.int64)
         self.cfg, self.wait_limit_sf, self.rngs = cfg, wait_limit_sf, rngs
