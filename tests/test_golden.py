@@ -53,6 +53,10 @@ CASES = [
     ("db-ranking", "mini-oversat", "dcc-7", 3,
      {**SHORT_OVERSAT, "sps.rank_average": "db"},
      "41d9a1cc79f40cd6db7de905907349eecd70a2f2215c9a5738a57a9f3ac28358"),
+    # short counters on a saturated ring: 400 initial and 115 counter-expiry
+    # selections
+    ("mini-oversat-dcc7", "mini-oversat", "dcc-7", 3, SHORT_OVERSAT,
+     "de73c6eb20f14fcb3152fbec7f6bd06630f41031865b8d4a596b9f485c055dcc"),
     ("straight-road-middle-third", "freeway-high", "dcc-std", 1, SHORT_ROAD,
      "851385b9cb37a13b0bb77a4954deb7da78d0af2d09b9223f4f6bf2b3ef0438e7"),
     # speed perturbation together with respawns (4 in this run)
