@@ -19,6 +19,9 @@ import numpy as np
 # The occupancy window of `compute_cr` reaches this far into the past of n
 # and into its future
 CR_PAST_SF, CR_FUTURE_SF = 750, 250
+# P_step of TS 36.213 §14.1.1.6 step 8: the S-RSSI ranking averages the
+# subframes this far apart, or an own period apart where that is shorter
+P_STEP_SF = 100
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,6 @@ class SpsConfig:
     p_resel: float = 0.2            # probability the reservation CHANGES at counter expiry
     sensing_window_sf: int = 1000
     keep_fraction: float = 0.20
-    rank_period_sf: int = 100       # grid used to project a candidate onto past occurrences
-    rank_average: str = "mw"        # "mw" (linear) or "db"
-    unsensed_exempt: bool = True    # half-duplex subframes exempt their projected candidates
 
     def __post_init__(self):
         if not 0 < self.t1_sf <= self.t2_sf:
@@ -44,10 +44,6 @@ class SpsConfig:
             raise ValueError("p_resel must be in [0, 1]")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if self.rank_period_sf < 1:
-            raise ValueError("rank_period_sf must be at least 1")
-        if self.rank_average not in ("mw", "db"):
-            raise ValueError(f"rank_average must be 'mw' or 'db', not {self.rank_average!r}")
 
 
 @dataclass(frozen=True)
@@ -200,20 +196,18 @@ class SelectionResult:
 
 def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
                       own_period_sf: int) -> SelectionResult:
-    """Run the selection pipeline and return the final candidate set.
-
-    1. Pool every resource in the selection window [n+T1, n+T2].
-    2. Exempt resources whose past occurrences (congruent modulo the
-       reserving UE's announced period) carry a decoded reservation above the
-       working threshold; when enabled, also those projecting (by the UE's
-       own period) onto subframes it could not sense while transmitting.
-    3. While fewer than keep_fraction of the pool survives, raise the working
-       threshold by 3 dB and redo step 2; once no reservation clears it,
-       lift the half-duplex exemptions too, so the loop always ends.
-    4. Rank survivors by average S-RSSI over their past projections (newest
-       first; unsensed occurrences skipped, no data counts as noise floor)
-       and keep the lowest ceil(keep_fraction * pool) of them, ties at the
-       boundary included, so indistinguishable resources stay equally likely.
+    """The TS 36.213 §14.1.1.6 candidate set, for a UE whose own period is
+    `own_period_sf`, of the pool of every resource in [n+T1, n+T2].  Step 5
+    exempts the resources that project, by the own period, onto a subframe
+    the UE could not sense while transmitting.  Step 6 exempts those onto
+    which a decoded reservation above the working threshold projects.  Step
+    7 raises that threshold by 3 dB and redoes step 6 while fewer than
+    keep_fraction of the pool survives; once no reservation clears it, the
+    half-duplex exemptions are lifted too, so the loop always ends.  Step 8
+    ranks the survivors by linear average S-RSSI over the subframes
+    min(P_STEP_SF, own period) apart before them (unsensed ones skipped, no
+    data counts as noise floor) and keeps the lowest ceil(keep_fraction *
+    pool), ties at the boundary included.
 
     The pool is a (T2-T1+1, n_subch) grid, subframe-major.  Every step is
     array code over it, and the result is exactly that of enumerating the
@@ -236,8 +230,9 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
       bit-equal.  Survivors in (subframe, subchannel) order are sorted stably
       by average: the (average, subframe, subchannel) order.
     """
-    store = window.store
-    ue = window.ue_index
+    if own_period_sf < 1:
+        raise ValueError(f"own_period_sf must be at least 1, not {own_period_sf}")
+    store, ue = window
     n_subch = store.n_subch
     lo, hi = n + cfg.t1_sf, n + cfg.t2_sf
     ts = np.arange(lo, hi + 1)
@@ -276,13 +271,12 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
         at = at + step
 
     free = np.ones(pool_size, dtype=bool)       # not exempt by half duplex
-    if cfg.unsensed_exempt and own_period_sf > 0:
-        unsensed = stamp[recorded & ~store.sensed[ue]]
-        unsensed = unsensed[unsensed >= n - store.span]
-        if unsensed.size:
-            residue = np.zeros(own_period_sf, dtype=bool)
-            residue[unsensed % own_period_sf] = True
-            free = np.repeat(~residue[ts % own_period_sf], n_subch)
+    unsensed = stamp[recorded & ~store.sensed[ue]]
+    unsensed = unsensed[unsensed >= n - store.span]
+    if unsensed.size:
+        residue = np.zeros(own_period_sf, dtype=bool)
+        residue[unsensed % own_period_sf] = True
+        free = np.repeat(~residue[ts % own_period_sf], n_subch)
 
     threshold = cfg.th_sps_dbm
     escalations = 0
@@ -300,7 +294,7 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
         escalations += 1
 
     cells = np.flatnonzero(survivors)
-    ranked = _rank_metric(store, ue, ts, cfg, oldest, recorded).ravel()[cells]
+    ranked = _rank_metric(store, ue, ts, own_period_sf, oldest, recorded).ravel()[cells]
     order = np.argsort(ranked, kind="stable")
     ranked = ranked[order]
     cut = ranked[min(need, len(ranked)) - 1]
@@ -309,15 +303,16 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
     return SelectionResult(candidates, escalations, threshold, pool_size)
 
 
-def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, cfg: SpsConfig,
+def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, own_period_sf: int,
                  oldest: int, recorded: np.ndarray) -> np.ndarray:
     """(len(ts), n_subch) average S-RSSI over each resource's past projections,
-    newest first.  `recorded` is the (span,) mask of the rows recorded in
-    [oldest, latest], latest the subframe before the selection instant: only
-    subframes strictly before it count."""
+    min(P_STEP_SF, own_period_sf) apart, newest first.  `recorded` is the
+    (span,) mask of the rows recorded in [oldest, latest], latest the
+    subframe before the selection instant: only subframes before it count."""
     stamp = store.row_subframe
     usable = recorded & store.sensed[ue]                # per ring row
-    lags = cfg.rank_period_sf * np.arange(1, max(0, (ts[-1] - oldest) // cfg.rank_period_sf) + 1)
+    grid = min(P_STEP_SF, own_period_sf)
+    lags = np.arange(grid, ts[-1] - oldest + 1, grid)
     js = ts[None, :] - lags[:, None]                  # (lag, subframe), newest first
     rows = js % store.span
     ok = (stamp[rows] == js) & usable[rows]
@@ -325,27 +320,17 @@ def _rank_metric(store: SensingStore, ue: int, ts: np.ndarray, cfg: SpsConfig,
     # gathers them element by element
     values = np.take(store.srssi_mw[ue], rows, axis=0)
     values[~ok] = 0.0
-    if cfg.rank_average == "db":
-        values[ok] = 10.0 * _log10(values[ok])
     # lag by lag, newest first, the order a sequential sum adds them: NumPy
     # sums pairwise only along the contiguous axis (adding 0.0 for a skipped
     # projection changes nothing)
     total = np.add.reduce(values, axis=0)
     count = ok.sum(axis=0)[:, None]
-    empty = store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
-    return np.divide(total, count, out=np.full(total.shape, empty), where=count > 0)
-
-
-def _log10(values: np.ndarray) -> np.ndarray:
-    # math.log10 is the C library's; NumPy's vectorised log10 may differ from
-    # it in the last bit depending on the CPU's instruction set
-    return np.array([math.log10(v) for v in values.ravel().tolist()]).reshape(values.shape)
+    return np.divide(total, count, out=np.full(total.shape, store.noise_mw), where=count > 0)
 
 
 def select_resource(window: SensingWindow, n: int, cfg: SpsConfig, rng: np.random.Generator,
                     *, own_period_sf: int) -> tuple[int, int]:
-    """Pick uniformly at random from the selection pipeline's candidate set;
-    returns (subframe, subchannel)."""
+    """A (subframe, subchannel) drawn uniformly from `select_candidates`' set."""
     candidates = select_candidates(window, n, cfg, own_period_sf=own_period_sf).candidates
     # the row `rng.choice(candidates)` returns, drawn at a quarter of its cost
     return tuple(candidates[rng.integers(len(candidates))].tolist())
@@ -411,12 +396,12 @@ class Grants:
         A waiting packet selects a grant if its UE holds none, and so does one
         released by tracking alone if the held grant's next occurrence is more
         than `wait_limit_sf` after n (no such UE is due: the limit is at least
-        0).  A due grant sends while a packet waits and `cr_allows` lets it;
-        otherwise the occurrence passes unused, the next a period on, and the
-        counter (it counts transmissions) does not step.  After a transmission
-        `on_transmission` steps it, and the grant keeps its resource at
-        `period_sf` or selects anew.  Per UE, the draws are `on_transmission`'s,
-        then `pick`'s, then the new counter."""
+        0).  A due grant sends while a packet waits and `cr_allows`, asked with
+        `period_sf`, lets it; otherwise the occurrence passes unused, the next
+        a period on, and the counter (it counts transmissions) does not step.
+        After a transmission `on_transmission` steps it, and the grant keeps
+        its resource at `period_sf` or selects anew.  Per UE, the draws are
+        `on_transmission`'s, then `pick`'s, then the new counter."""
         next_tx = self.next_tx
         selected = dict.fromkeys((pending & (next_tx < 0)).nonzero()[0].tolist(), INITIAL)
         if tracking is not None:
@@ -427,8 +412,8 @@ class Grants:
             send = pending[due]
             if self.cr_allows is not None:
                 ues = due[send]
-                # the period before this transmission; the ones after it follow period_sf
-                send[send] = self.cr_allows(n, ues, self.period[ues])
+                # the period the grant keeps, or reselects at, after this transmission
+                send[send] = self.cr_allows(n, ues, period_sf[ues])
             if np.count_nonzero(send) < due.size:
                 skipped, tx_ue = due[~send], due[send]
                 next_tx[skipped] = n + self.period[skipped]

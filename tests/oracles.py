@@ -70,8 +70,8 @@ from cv2xsim.core import RoadGeometry
 from cv2xsim.dcc import RangeControlConfig, RateControlConfig
 from cv2xsim.engine import TX_DTYPE, EventLog
 from cv2xsim.metrics import BinValue, BlindReport, GainBin, MetricsStore
-from cv2xsim.mac_sps import (EXPIRY, INITIAL, TRACKING, SelectionResult, SensingStore,
-                             SensingWindow, SpsConfig)
+from cv2xsim.mac_sps import (EXPIRY, INITIAL, P_STEP_SF, TRACKING, SelectionResult,
+                             SensingStore, SensingWindow, SpsConfig)
 from cv2xsim.mobility import ScenarioConfig
 
 
@@ -116,8 +116,6 @@ def valid_subframes(store: SensingStore, lo: int, hi: int) -> list[int]:
 
 def _projected_candidates(j: int, period: int, lo: int, hi: int):
     """Future subframes t in [lo, hi] with t = j + m*period, m >= 1."""
-    if period <= 0:
-        return
     m = (lo - j + period - 1) // period
     if m < 1:
         m = 1
@@ -149,13 +147,12 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
             if classes.get(key, -math.inf) < rec.rsrp_dbm:
                 classes[key] = rec.rsrp_dbm
 
-    unsensed_exempt: set[tuple[int, int]] = set()
-    if cfg.unsensed_exempt:
-        for j in valid_subframes(store, max(oldest, n - store.span), n - 1):
-            if not ring_cells(store.sensed, j % store.span, ue):
-                for t in _projected_candidates(j, own_period_sf, lo, hi):
-                    for c in range(n_subch):
-                        unsensed_exempt.add((t, c))
+    half_duplex_exempt: set[tuple[int, int]] = set()
+    for j in valid_subframes(store, max(oldest, n - store.span), n - 1):
+        if not ring_cells(store.sensed, j % store.span, ue):
+            for t in _projected_candidates(j, own_period_sf, lo, hi):
+                for c in range(n_subch):
+                    half_duplex_exempt.add((t, c))
 
     threshold = cfg.th_sps_dbm
     escalations = 0
@@ -166,7 +163,8 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
                 first = lo + (residue - lo) % period
                 for t in range(first, hi + 1, period):
                     rsrp_exempt.add((t, c))
-        survivors = [csr for csr in pool if csr not in rsrp_exempt and csr not in unsensed_exempt]
+        survivors = [csr for csr in pool
+                     if csr not in rsrp_exempt and csr not in half_duplex_exempt]
         if len(survivors) >= need:
             break
         if not rsrp_exempt:
@@ -177,29 +175,30 @@ def select_candidates(window: SensingWindow, n: int, cfg: SpsConfig, *,
         threshold += 3.0
         escalations += 1
 
-    ranked = sorted(((_rank_metric(window, t, c, cfg, oldest, n - 1), t, c, (t, c))
+    ranked = sorted(((_rank_metric(window, t, c, own_period_sf, oldest, n - 1), t, c, (t, c))
                      for t, c in survivors), key=lambda e: e[:3])
     cut = ranked[min(need, len(ranked)) - 1][0]
     kept = [e[3] for e in ranked if e[0] <= cut]
     return SelectionResult(kept, escalations, threshold, len(pool))
 
 
-def _rank_metric(window: SensingWindow, subframe: int, subchannel: int, cfg: SpsConfig,
+def _rank_metric(window: SensingWindow, subframe: int, subchannel: int, own_period_sf: int,
                  oldest: int, latest: int) -> float:
-    """Average S-RSSI over the candidate's past projections, newest first.
-    Only subframes strictly before the selection instant count."""
+    """Average S-RSSI in mW over the candidate's past projections, newest
+    first, P_STEP_SF apart, or the own period apart if it is shorter.  Only
+    subframes strictly before the selection instant count."""
     store, ue = window.store, window.ue_index
+    step = own_period_sf if own_period_sf < P_STEP_SF else P_STEP_SF
     values = []
-    j = subframe - cfg.rank_period_sf
+    j = subframe - step
     while j >= oldest:
         if j <= latest:
             row = j % store.span
             if store.row_subframe[row] == j and ring_cells(store.sensed, row, ue):
-                v = float(ring_cells(store.srssi_mw, row, ue)[subchannel])
-                values.append(v if cfg.rank_average == "mw" else 10.0 * math.log10(v))
-        j -= cfg.rank_period_sf
+                values.append(float(ring_cells(store.srssi_mw, row, ue)[subchannel]))
+        j -= step
     if not values:
-        return store.noise_mw if cfg.rank_average == "mw" else 10.0 * math.log10(store.noise_mw)
+        return store.noise_mw
     return sum(values) / len(values)
 
 
@@ -227,7 +226,7 @@ def grant_step(grant: Grant, ue: int, n: int, timer: bool, tracking: bool, pendi
     sends = False
     if grant.next_tx == n:
         sends = pending and (cr_allows is None
-                             or bool(cr_allows(n, np.array([ue]), np.array([grant.period]))[0]))
+                             or bool(cr_allows(n, np.array([ue]), np.array([period_sf]))[0]))
         if not sends:
             grant.next_tx = n + grant.period
         else:

@@ -82,7 +82,7 @@ def test_each_default_is_the_dataclass_default():
         assert getattr(run, section) == value
         want.update({f"{section}.{k}": v for k, v in asdict(value).items()})
     assert defaults == want
-    assert len(defaults) == 60
+    assert len(defaults) == 57
     # resolving nothing builds the dataclass defaults under the baseline scheme
     # and the default scenario, which sets no key to other than its default
     assert config.build_run_config(config.resolve()) == replace(
@@ -150,8 +150,7 @@ NON_DEFAULT = {
     "channel.sensitivity_dbm": "-93", "channel.sinr_threshold_db": "3",
     "sps.t1_sf": "2", "sps.t2_sf": "50", "sps.th_sps_dbm": "-80", "sps.slrrc_min": "4",
     "sps.slrrc_max": "12", "sps.p_resel": "0.4", "sps.sensing_window_sf": "1100",
-    "sps.keep_fraction": "0.3", "sps.rank_period_sf": "50", "sps.rank_average": "db",
-    "sps.unsensed_exempt": "false",
+    "sps.keep_fraction": "0.3",
     "rate.density_coefficient": "30", "rate.itt_max_ms": "500", "rate.neighbor_radius_m": "150",
     "rate.pte_threshold_m": "1", "rate.pte_enabled": "false", "rate.pte_wait_limit_ms": "30",
     "range.p_min_dbm": "5", "range.p_max_dbm": "20", "range.u_min_pct": "40",
@@ -198,9 +197,6 @@ def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
     pytest.param(["channel.fading=nakagami", "channel.nakagami_m=0"], "channel.nakagami_m",
                  id="channel.nakagami_m"),
     pytest.param(["scenario.lanes=0"], "scenario.lanes", id="scenario.lanes"),
-    pytest.param(["sps.rank_period_sf=0"], "sps.rank_period_sf", id="sps.rank_period_sf=0"),
-    pytest.param(["sps.rank_period_sf=-100"], "sps.rank_period_sf",
-                 id="sps.rank_period_sf<0"),
     pytest.param(["scenario.lane_width_m=-4"], "scenario.lane_width_m",
                  id="scenario.lane_width_m"),
     pytest.param(["scenario.speed_sigma=-1"], "scenario.speed_sigma", id="scenario.speed_sigma"),
@@ -330,6 +326,15 @@ class TestCliCommands:
                                   "0.1.0")
             assert main(["validate", "--config", str(path)]) == 2
             assert key in capsys.readouterr().err
+
+    def test_run_from_manifest_with_removed_sps_key_exit_code(self, tmp_path, capsys):
+        # manifests written while the ranking average was a key carry it
+        path, out = tmp_path / "manifest.json", tmp_path / "run"
+        config.write_manifest(path, {**config.resolve(scenario="mini-low", overrides=FAST),
+                                     "sps.rank_average": "mw"}, "0.1.0")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "sps.rank_average" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_with_non_finite_value_exit_code(self, tmp_path, capsys):
         # json reads NaN, Infinity and ints past the float range, but no

@@ -1,12 +1,11 @@
 """Golden behaviour lock: pinned event-log digests of short seeded runs.
 
 Each case exercises one path of the simulator (shadowing mode, fading, CR
-limit, ranking average, half-duplex exemption, rate control with speed
-perturbation, an oversaturated ring, a straight road whose metrics come
-only from its middle-third region, a straight road whose perturbed
-vehicles respawn at its ends, held grants that see the ITT change, and
-tracking packets whose held grant is too far away, so it is dropped and
-reselected).
+limit, rate control with speed perturbation, an oversaturated ring, short
+reselection counters on it, a straight road whose metrics come only from
+its middle-third region, a straight road whose perturbed vehicles respawn
+at its ends, held grants that see the ITT change, and tracking packets
+whose held grant is too far away, so it is dropped and reselected).
 The output files of the first case and of the first straight road are
 pinned byte for byte as well, and the gap and transmission files of the
 held-grant case.
@@ -39,9 +38,6 @@ CASES = [
     ("nakagami-fading", "mini-low", "baseline", 1,
      {**SHORT, "channel.fading": "nakagami"},
      "7a5ac2a3490af5b4ce60562069d64983dfccaac28d02a0dd114265c09120ee13"),
-    ("no-half-duplex-exemption", "mini-low", "baseline", 1,
-     {**SHORT, "sps.unsensed_exempt": "false"},
-     "8e0e9e2384000b24fcda61aa814f318162a06790c9de2c50d2a54860662b5b38"),
     ("dcc7-speed-sigma", "mini-low", "dcc-7", 1,
      {**SHORT, "scenario.speed_sigma": "1.0"},
      "33176a48bffdab4d0c090bb2deea5137db21b6f4967e5e43a3c00b51689f3c99"),
@@ -50,9 +46,6 @@ CASES = [
     ("cr-limit", "mini-oversat", "baseline", 1,
      {**SHORT_OVERSAT, "cr.cbp_limit": "0.6"},
      "54c8f506e2e68cb054cd7df38fbeaaa2e2b289b14172d37969577bf4f3015510"),
-    ("db-ranking", "mini-oversat", "dcc-7", 3,
-     {**SHORT_OVERSAT, "sps.rank_average": "db"},
-     "41d9a1cc79f40cd6db7de905907349eecd70a2f2215c9a5738a57a9f3ac28358"),
     # short counters on a saturated ring: 400 initial and 115 counter-expiry
     # selections
     ("mini-oversat-dcc7", "mini-oversat", "dcc-7", 3, SHORT_OVERSAT,

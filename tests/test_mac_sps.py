@@ -93,7 +93,7 @@ class TestSensingWindow:
         # resources it projects onto (subframes 5 and 10 on subchannel 0)
         th = -85.3000031
         assert float(np.float32(th)) > th
-        cfg = toy_cfg(th_sps_dbm=th, keep_fraction=0.5, unsensed_exempt=False)
+        cfg = toy_cfg(th_sps_dbm=th, keep_fraction=0.5)
         projected = {(5, 0), (10, 0)}
         for rsrp, exempt in ((float(np.float32(th)), True), (-85.4, False)):
             # every S-RSSI at the noise floor: all survivors tie and are kept
@@ -264,6 +264,21 @@ def test_grant_step_matches_the_scalar_reference(run):
         pending[tx_ue] = False
 
 
+def test_cr_is_asked_with_the_period_the_grant_takes():
+    """A grant selected at period 100 whose UE's period is 300 at its due
+    occurrence asks the CR limit with 300, the period of the occurrences
+    after this transmission."""
+    script = Script([[]])
+    grants = Grants(1, SpsConfig(), 0, RngPool(1), script.pick, script.cr_allows)
+    yes = np.array([True])
+    grants.step(0, grants.due(0), yes, None, yes, np.array([100]))
+    assert grants.period.tolist() == [100]
+    n = int(grants.next_tx[0])
+    tx_ue, _, period, _ = grants.step(n, grants.due(n), ~yes, None, yes, np.array([300]))
+    assert tx_ue.tolist() == [0] and period.tolist() == [300]
+    assert [call for call in script.calls if call[0] == "cr"] == [("cr", n, 0, 300)]
+
+
 # ---------------------------------------------------------------------------
 # channel-occupancy ratio and its limit
 
@@ -350,7 +365,7 @@ class TestCrLimit:
 
 def toy_cfg(**kw):
     base = dict(t1_sf=1, t2_sf=10, th_sps_dbm=-85.0, sensing_window_sf=30,
-                keep_fraction=0.2, rank_period_sf=5)
+                keep_fraction=0.2)
     base.update(kw)
     return SpsConfig(**base)
 
@@ -358,10 +373,7 @@ def toy_cfg(**kw):
 def random_instance(rnd):
     span = rnd.randint(15, 30)
     n_subch = 2
-    cfg = toy_cfg(t2_sf=rnd.randint(5, 10), sensing_window_sf=span,
-                  rank_period_sf=rnd.choice([3, 5, 7]),
-                  unsensed_exempt=rnd.random() < 0.8,
-                  rank_average=rnd.choice(["mw", "db"]))
+    cfg = toy_cfg(t2_sf=rnd.randint(5, 10), sensing_window_sf=span)
     own_period = rnd.choice([3, 5, 10])
     saturate = rnd.random() < 0.25
     records = []
@@ -450,28 +462,53 @@ class TestSelection:
                 reservations = [(0, 3, 5, -70.0)]    # and is reserved with period 5
             records.append((n, srssi, True, reservations))
         w = build_window(records, span=30)
-        cfg = toy_cfg(rank_period_sf=5, unsensed_exempt=False)
-        result = select_candidates(w, 10, cfg, own_period_sf=5)
+        result = select_candidates(w, 10, toy_cfg(), own_period_sf=5)
         assert [14, 0] not in result.candidates.tolist()
 
     def test_unsensed_subframe_exempts_projection(self):
-        records = []
-        for n in range(10):
-            sensed = n != 4
-            records.append((n, (-65.0, -65.0), sensed, []))
-        w = build_window(records, span=30)
-        cfg = toy_cfg(unsensed_exempt=True)
-        result = select_candidates(w, 10, cfg, own_period_sf=5)
+        def window(unsensed):
+            return build_window([(n, (-65.0, -65.0), n not in unsensed, []) for n in range(10)],
+                                span=30)
+        result = select_candidates(window({4}), 10, toy_cfg(), own_period_sf=5)
         picked = set(map(tuple, result.candidates.tolist()))
         # 14 and 19 project onto the unsensed subframe 4 with period 5
         assert not ({(14, 0), (14, 1), (19, 0), (19, 1)} & picked)
-        relaxed = select_candidates(w, 10, toy_cfg(unsensed_exempt=False), own_period_sf=5)
-        assert len(relaxed.candidates) >= len(result.candidates)
+        sensed = select_candidates(window(set()), 10, toy_cfg(), own_period_sf=5)
+        assert {(14, 0), (14, 1), (19, 0), (19, 1)} <= set(map(tuple, sensed.candidates.tolist()))
+        assert len(sensed.candidates) >= len(result.candidates)
 
     def test_malformed_inputs_fail_loudly(self):
         w = build_window([(0, (-70.0, -70.0), True, [(0, 7, 0, -60.0)])], span=30)
         with pytest.raises(ValueError, match="period"):
             select_candidates(w, 1, toy_cfg(), own_period_sf=100)
+        # an own period below one, on an empty window and on a half-duplex one
+        empty = SensingWindow(SensingStore(1, 2, 30, NOISE_MW), 0)
+        unsensed = build_window([(0, (-70.0, -70.0), False, [])], span=30)
+        for w in (empty, unsensed):
+            for own in (0, -100):
+                with pytest.raises(ValueError, match="own_period_sf"):
+                    select_candidates(w, 1, toy_cfg(), own_period_sf=own)
+                with pytest.raises(ValueError, match="own_period_sf"):
+                    select_resource(w, 1, toy_cfg(), rng_stream(1, "sps"), own_period_sf=own)
+
+    def test_ranking_grid_is_the_own_period_below_p_step(self):
+        """Step 8 averages a candidate's S-RSSI over the subframes
+        min(100, own period) apart before it: with a distinct S-RSSI in
+        every subframe, the candidates kept are those whose average on that
+        grid is the lowest (candidates an own period apart project onto the
+        same subframes, so they tie)."""
+        rnd = random.Random(3)
+        dbm = [rnd.uniform(-99.0, -60.0) for _ in range(1000)]
+        w = build_window([(j, (v,), True, []) for j, v in enumerate(dbm)], span=1000, n_subch=1)
+        cfg = SpsConfig(keep_fraction=0.01)         # a pool of 100 keeps the lowest
+        for own, grid in ((20, 20), (50, 50), (99, 99), (100, 100), (150, 100), (600, 100)):
+            average = {}
+            for t in range(1001, 1101):
+                mw = [10 ** (dbm[j] / 10.0) for j in range(t - grid, -1, -grid) if j < 1000]
+                average[t] = sum(mw) / len(mw)
+            want = [[t, 0] for t, v in average.items() if v == min(average.values())]
+            got = select_candidates(w, 1000, cfg, own_period_sf=own).candidates.tolist()
+            assert got == want, own
 
     def test_oracle_equivalence_quick(self):
         rnd = random.Random(99)
@@ -496,7 +533,7 @@ def test_sps_config_validation():
     with pytest.raises(ValueError):
         SpsConfig(p_resel=1.5)
     with pytest.raises(ValueError):
-        SpsConfig(rank_average="median")
+        SpsConfig(keep_fraction=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +562,7 @@ def sensing_histories(draw, min_ue=1):
     th = draw(st.sampled_from(TH_CHOICES))
     saturated = draw(st.booleans())
     cfg = toy_cfg(t1_sf=draw(st.integers(1, 3)), t2_sf=draw(st.integers(4, 14)),
-                  th_sps_dbm=th, keep_fraction=draw(st.sampled_from([0.2, 0.5, 1.0])),
-                  rank_period_sf=draw(st.integers(1, 9)),
-                  rank_average=draw(st.sampled_from(["mw", "db"])),
-                  unsensed_exempt=draw(st.booleans()))
+                  th_sps_dbm=th, keep_fraction=draw(st.sampled_from([0.2, 0.5, 1.0])))
     n_ue, n_subch = draw(st.integers(min_ue, 3)), draw(st.integers(1, 3))
     span = draw(st.integers(12, 40))
     near = [float(v) for v in (np.float32(th), np.nextafter(np.float32(th), np.float32(-np.inf)),
@@ -626,19 +660,16 @@ def test_selection_matches_reference(history):
     # every pool cell's ranking average, bit for bit
     ts = np.arange(n + cfg.t1_sf, n + cfg.t2_sf + 1)
     oldest = store.oldest_valid()
-    metric = _rank_metric(store, ue, ts, cfg, oldest, store.recorded(oldest, n - 1))
-    assert metric.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
+    metric = _rank_metric(store, ue, ts, own_period, oldest, store.recorded(oldest, n - 1))
+    assert metric.tolist() == [[oracles._rank_metric(w, int(t), c, own_period, oldest, n - 1)
                                 for c in range(store.n_subch)] for t in ts]
 
 
 @pytest.mark.parametrize("keep_fraction", [0.2, 0.5, 1.0])
-@pytest.mark.parametrize("rank_average", ["mw", "db"])
-@pytest.mark.parametrize("unsensed_exempt", [True, False])
-def test_empty_window_matches_reference(keep_fraction, rank_average, unsensed_exempt):
+def test_empty_window_matches_reference(keep_fraction):
     # the histories draw an empty window about one time in five; this
     # checks it under every config they draw, on every run
-    cfg = toy_cfg(t1_sf=2, t2_sf=9, keep_fraction=keep_fraction, rank_average=rank_average,
-                  unsensed_exempt=unsensed_exempt)
+    cfg = toy_cfg(t1_sf=2, t2_sf=9, keep_fraction=keep_fraction)
     w = SensingWindow(SensingStore(2, 3, 20, NOISE_MW), 1)
     for n in (0, 5):
         got = select_candidates(w, n, cfg, own_period_sf=4)
@@ -663,7 +694,7 @@ def test_selection_reads_only_its_ue(history, seed):
     def select():
         w = SensingWindow(store, ue)
         return (select_candidates(w, n, cfg, own_period_sf=own_period),
-                _rank_metric(store, ue, ts, cfg, oldest, store.recorded(oldest, n - 1)))
+                _rank_metric(store, ue, ts, own_period, oldest, store.recorded(oldest, n - 1)))
 
     before, metric_before = select()
     rng = np.random.default_rng(seed)
@@ -685,7 +716,8 @@ def test_selection_reads_only_its_ue(history, seed):
     w = SensingWindow(store, ue)
     want = oracles.select_candidates(w, n, cfg, own_period_sf=own_period)
     assert list(map(tuple, after.candidates.tolist())) == want.candidates
-    assert metric_after.tolist() == [[oracles._rank_metric(w, int(t), c, cfg, oldest, n - 1)
+    assert metric_after.tolist() == [[oracles._rank_metric(w, int(t), c, own_period, oldest,
+                                                           n - 1)
                                       for c in range(store.n_subch)] for t in ts]
 
 
