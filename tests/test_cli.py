@@ -197,6 +197,10 @@ def test_every_key_round_trips_through_a_manifest(tmp_path, capsys):
     pytest.param(["channel.fading=nakagami", "channel.nakagami_m=0"], "channel.nakagami_m",
                  id="channel.nakagami_m"),
     pytest.param(["scenario.lanes=0"], "scenario.lanes", id="scenario.lanes"),
+    # the ranking grid is no longer a key: any value of it is rejected by name
+    pytest.param(["sps.rank_period_sf=0"], "sps.rank_period_sf", id="sps.rank_period_sf=0"),
+    pytest.param(["sps.rank_period_sf=-100"], "sps.rank_period_sf",
+                 id="sps.rank_period_sf<0"),
     pytest.param(["scenario.lane_width_m=-4"], "scenario.lane_width_m",
                  id="scenario.lane_width_m"),
     pytest.param(["scenario.speed_sigma=-1"], "scenario.speed_sigma", id="scenario.speed_sigma"),

@@ -666,11 +666,27 @@ def test_selection_matches_reference(history):
 
 
 @pytest.mark.parametrize("keep_fraction", [0.2, 0.5, 1.0])
-def test_empty_window_matches_reference(keep_fraction):
-    # the histories draw an empty window about one time in five; this
-    # checks it under every config they draw, on every run
+@pytest.mark.parametrize("plane", ["mw", "db"])
+@pytest.mark.parametrize("sensed", [True, False])
+def test_empty_window_matches_reference(keep_fraction, plane, sensed):
+    """The histories draw an empty window about one time in five; this
+    checks it under every keep fraction they draw, on every run.  The UE's
+    ring rows, none of them recorded, hold stale values that neither form
+    may read: sensed flags `sensed` (step 5's input) and, by `plane`,
+    S-RSSI far above the noise floor in the mW plane (step 8's) or
+    period-1 reservations above the threshold in the dBm one (step 6's).
+    Either way the result is the whole pool at th_sps_dbm."""
     cfg = toy_cfg(t1_sf=2, t2_sf=9, keep_fraction=keep_fraction)
-    w = SensingWindow(SensingStore(2, 3, 20, NOISE_MW), 1)
+    store, ue = SensingStore(2, 3, 20, NOISE_MW), 1
+    rows = slice(None)
+    oracles.ring_cells(store.sensed, rows, ue)[...] = sensed
+    if plane == "mw":
+        srssi = oracles.ring_cells(store.srssi_mw, rows, ue)
+        srssi[...] = NOISE_MW * np.random.default_rng(7).uniform(1e2, 1e5, size=srssi.shape)
+    else:
+        oracles.ring_cells(store.reservations, rows, ue)[...] = -60.0
+        oracles.ring_cells(store.period_sf, rows, ue)[...] = 1
+    w = SensingWindow(store, ue)
     for n in (0, 5):
         got = select_candidates(w, n, cfg, own_period_sf=4)
         want = oracles.select_candidates(w, n, cfg, own_period_sf=4)
@@ -678,6 +694,8 @@ def test_empty_window_matches_reference(keep_fraction):
         assert list(map(tuple, got.candidates.tolist())) == want.candidates
         assert (got.escalations, got.threshold_dbm, got.pool_size) == \
             (want.escalations, want.threshold_dbm, want.pool_size)
+        assert want.candidates == [(t, c) for t in range(n + 2, n + 10) for c in range(3)]
+        assert (want.escalations, want.threshold_dbm) == (0, cfg.th_sps_dbm)
 
 
 @settings(max_examples=150, deadline=None)
