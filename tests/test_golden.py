@@ -7,8 +7,9 @@ its middle-third region, a straight road whose perturbed vehicles respawn
 at its ends, held grants that see the ITT change, and tracking packets
 whose held grant is too far away, so it is dropped and reselected).
 The output files of the first case and of the first straight road are
-pinned byte for byte as well, and the gap and transmission files of the
-held-grant case.
+pinned byte for byte as well, the gap and transmission files of the
+held-grant case, and the distance-binned files of the two perturbed-speed
+cases, whose pairs come back to bins they left.
 When the digests were pinned, every case with an override was checked to
 differ from the same run without it, so a change to that path moves its
 digest.  Two cases are also run with every transmitting subframe resolved in
@@ -71,7 +72,10 @@ CASES = [
 # manifest.json (it carries the version) for mini-low-baseline; the CSVs for
 # the straight road, whose metrics only its region's transmitters feed and
 # whose range control writes powers other than 23 dBm into txevents.csv; the
-# gaps and transmissions of the held grants, whose ITT is not 100 ms.
+# gaps and transmissions of the held grants, whose ITT is not 100 ms; the
+# distance-binned files of the two perturbed-speed cases, where pairs come
+# back to a bin they left (39 pairs on the straight road, 7 on the ring), so
+# a bin adds up two or more cells of one pair.
 FILE_PINS = {
     "mini-low-baseline": {
         "pdr_vs_distance.csv": "bf4adb3853a2df295ed69525a6dfab9f5e010dce56d2327b81270791077b0466",
@@ -89,6 +93,16 @@ FILE_PINS = {
         "blind_nodes.csv": "5e9ae640209b5f6aca479465cdd7b83eefcdbf6b40f3526be8f1969f9ef1fc3b",
         "txevents.csv": "16b5fcd6cc3cd22d1cc0f43e460893c4c5df4ec2bf96143a00dd6f2eb4dd767f",
         "timeseries.csv": "0c4ed1892c1c73014ced30196b956fbf040c0d27c5f357992e185502be27a550",
+    },
+    "dcc7-speed-sigma": {
+        "pdr_vs_distance.csv": "ffa7c25e35d2417c1cd12c5d991018f714c4eed6fe01b2257464393f6716e162",
+        "slt_vs_distance.csv": "aafb669742d9217dd2fa7351d1fd86d27eec6d97e01bc4fe27ee61e18cb7f91c",
+        "blind_nodes.csv": "c94f96d505a3c7830b105e2480e702b9e3d645c5273ab895d455062c0ac6dde3",
+    },
+    "straight-road-speed-sigma": {
+        "pdr_vs_distance.csv": "332e2a57ed5097787facb3727567a613ca2cf960dec3cfbd3f69865d47fd8eff",
+        "slt_vs_distance.csv": "95b57ff3989fa6e9f5b2660a99e9a3b3f2a75e6d1ef66be8dbb01b0ad86f2a80",
+        "blind_nodes.csv": "9675de08b397daeed5dd598e1c9ca3f51c4b8693e86c0f2be8c658882b98ba15",
     },
     "itt-change-held-grants": {
         "ipg.csv": "46c65849a7ed130423fadeddea016878cc8dac9a3871bbb11783856b67e4e29a",
