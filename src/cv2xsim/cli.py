@@ -47,8 +47,9 @@ def write_outputs(out_dir: Path, resolved: dict[str, object],
     config.write_manifest(out_dir / "manifest.json", resolved, __version__)
 
     store = result.metrics
-    pdr_rows = metrics.pdr(store)
+    # one pass over the ledger: the SLT bins' pass gives the PDR bins too
     slt_rows = metrics.slt(store, result.observation_s)
+    pdr_rows = metrics.pdr(store)
     ipg = metrics.ipg_stats(store)
     blind = metrics.blind_nodes(store)
     metrics.write_bin_csv(out_dir / "pdr_vs_distance.csv", pdr_rows, "pdr")
@@ -84,7 +85,8 @@ def write_outputs(out_dir: Path, resolved: dict[str, object],
 
 
 def execute_run(resolved: dict[str, object], out_dir: Path) -> tuple[dict, metrics.RunBins]:
-    """Build, run and write one run; return its summary and (PDR, SLT) bins."""
+    """Build, run and write one run; return its summary and (PDR, SLT) bins,
+    read from the ledger pass that `write_outputs` made."""
     cfg = config.build_run_config(resolved)
     result = engine.run(cfg)
     summary = write_outputs(out_dir, resolved, result)

@@ -126,8 +126,11 @@ class RunConfig:
         at most the sensing window.  A subframe with more links than the cap
         is resolved alone, and its transient exceeds this term.  The tx rows
         count twice: the per-batch chunks and the array they are joined into.
-        Left out: the ledger's closed cells, 16 bytes per cell a pair left,
-        which grow with the observed time.
+        The output pass (`metrics.pass_bytes`): two bool masks per pair, and
+        one range of `metrics._RANGE_CELLS` cells.  Left out: the ledger's
+        closed cells, 16 bytes per cell a pair left, which grow with the
+        observed time; and a bin with more cells than a range holds, which the
+        pass takes whole.
         """
         n = self.scenario.vehicle_count
         per_pair = 4 * 4 + 8 + 2 * 8
@@ -138,7 +141,8 @@ class RunConfig:
         tx_rows = n * int(round(self.duration_s * 1000)) // int(dcc.BASE_ITT_MS)
         flush = _BATCH_LINKS * _FLUSH_BYTES_PER_LINK \
             + min(span, self.mobility_tick_ms) * n * (8 * self.subchannels + 2)
-        return (n * n * per_pair + sensing + flush + 2 * tx_rows * TX_DTYPE.itemsize) / 2 ** 20
+        return (n * n * per_pair + sensing + flush + 2 * tx_rows * TX_DTYPE.itemsize
+                + metrics.pass_bytes(n)) / 2 ** 20
 
 
 class EventLog:

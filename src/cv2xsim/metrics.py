@@ -1,6 +1,11 @@
 """Evaluation metrics computed from reception ledgers: distance-binned packet
 delivery ratio, inter-packet gap statistics with ECDF, sidelink throughput,
-blind-node detection, and scheme-vs-baseline gains."""
+blind-node detection, and scheme-vs-baseline gains.
+
+PDR and SLT come from one pass over the ledger (`_bin_pass`), which joins
+and sorts the cells of a range of bins at a time, so the output never holds
+a sorted copy of the whole ledger.  The pass is kept on the store until the
+next `record_arrays`."""
 
 from __future__ import annotations
 
@@ -15,6 +20,17 @@ from .core import RoadGeometry
 
 # Every float of every output CSV row: 6 significant digits
 FLOAT = "%.6g"
+# Cells the output pass joins and sorts at once: a range of bins holds about
+# this many, or is one bin that holds more.  A closed-cell chunk this large
+# merges no more.
+_RANGE_CELLS = 1 << 14
+# Closed-cell chunks below `_RANGE_CELLS` that may follow the last larger
+# one; one more, and they merge into one
+_TAIL_CHUNKS = 16
+# Bytes the pass holds per cell of a range at its peak, 40 of them traced:
+# the joined keys and counts (16), with either the open cells' pair ids and
+# columns they are joined from (24) or the sort order and sorted copies (24)
+_PASS_BYTES_PER_CELL = 56
 
 
 @dataclass(frozen=True)
@@ -28,14 +44,11 @@ class MetricsConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-class LedgerCells(NamedTuple):
-    """The (pair, distance bin) cells with at least one attempt, ordered by
-    bin and, inside a bin, by pair (tx*n_ue+rx)."""
-
-    pair: np.ndarray     # int64
-    bin: np.ndarray      # the ledger's unsigned bin type
-    tx: np.ndarray       # attempts, int32
-    rx: np.ndarray       # decodes, int32
+def pass_bytes(n_ue: int) -> int:
+    """Peak bytes of the output pass on `n_ue` UEs, while no bin holds more
+    than `_RANGE_CELLS` cells: two (n_ue**2,) masks that pick each range's
+    open cells, and one range."""
+    return 2 * n_ue * n_ue + _PASS_BYTES_PER_CELL * _RANGE_CELLS
 
 
 class MetricsStore:
@@ -44,12 +57,18 @@ class MetricsStore:
     Pairs are ordered (transmitter, receiver) flattened to tx*n_ue+rx; bins
     are distances at transmission time.  Vehicles move only at mobility
     ticks, so a pair has one open cell: its bin (`_bin`) and that cell's
-    attempt and decode counts (`_tx`, `_rx`).  A link toward another bin
-    closes it into `_closed`, as arrays of (bin*n_ue**2 + pair, attempts,
-    decodes).  Gap statistics pool all pairs.  `roi_pairs` holds the sorted
-    keys of the pairs (tx != rx) that were within `roi_radius_m` on every
-    mobility tick of the observation window, so blind-node detection only
-    reports pairs that stayed in range; it is None until the first tick.
+    attempt and decode counts (`_tx`, `_rx`).  A pair that ever had an attempt
+    keeps an open cell, so `_tx > 0` marks it, and `last_rx_ms >= 0` marks a
+    pair that decoded something.  A link toward another bin closes the cell
+    into `_closed`, a list of chunks of (bin*n_ue**2 + pair, attempts,
+    decodes) arrays, each sorted by that key, so the cells of a range of bins
+    are one slice of each chunk.  A pair that comes back to a bin closes a
+    second cell there; the output pass adds them up.  Small chunks merge as
+    they come (`_close`), so the chunks stay few.  Gap statistics pool
+    all pairs.  `roi_pairs` holds the sorted keys of the pairs (tx != rx)
+    that were within `roi_radius_m` on every mobility tick of the
+    observation window, so blind-node detection only reports pairs that
+    stayed in range; it is None until the first tick.
     """
 
     def __init__(self, n_ue: int, bin_width_m: float, max_range_m: float,
@@ -66,7 +85,7 @@ class MetricsStore:
         self._tx = np.zeros(n_ue * n_ue, dtype=np.int32)
         self._rx = np.zeros(n_ue * n_ue, dtype=np.int32)
         self._closed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._cells: LedgerCells | None = None
+        self._pass: _BinPass | None = None
         self.gap_sum_ms = np.zeros(self.n_bins)
         self.gap_count = np.zeros(self.n_bins, dtype=np.int64)
         self.gap_hist = np.zeros(0, dtype=np.int64)    # pooled gap samples per gap in ms
@@ -82,7 +101,7 @@ class MetricsStore:
         links of a pair in one call lie in one bin (the engine's batches end
         at mobility ticks); a call that breaks this raises ValueError."""
         bins = np.minimum((dist_m / self.bin_width_m).astype(np.int64), self.n_bins - 1)
-        self._cells = None
+        self._pass = None
         moved = self._bin[pair_ids] != bins
         if moved.any():
             pairs, first = np.unique(pair_ids[moved], return_index=True)
@@ -92,9 +111,13 @@ class MetricsStore:
                 self._bin[pairs] = old
                 raise ValueError("record_arrays: a pair has links in two distance bins")
             was_open = self._tx[pairs] > 0
-            pairs = pairs[was_open]
-            self._closed.append((old[was_open].astype(np.int64) * (self.n_ue * self.n_ue) + pairs,
-                                 self._tx[pairs], self._rx[pairs]))
+            # the closed cells by (bin, pair): a stable sort of the bins of
+            # the sorted pairs, a radix sort on the narrow bin type
+            old, pairs = old[was_open], pairs[was_open]
+            order = old.argsort(kind="stable")
+            old, pairs = old[order], pairs[order]
+            self._close(old * np.int64(self.n_ue * self.n_ue) + pairs,
+                        self._tx[pairs], self._rx[pairs])
             self._tx[pairs] = self._rx[pairs] = 0
         # a NumPy scalar: np.add.at takes its fast path only on a matching dtype
         np.add.at(self._tx, pair_ids, np.int32(1))
@@ -126,32 +149,26 @@ class MetricsStore:
             closes = np.append(opens[1:], True)
             self.last_rx_ms[dp[closes]] = dt[closes]
 
-    def cells(self) -> LedgerCells:
-        """Attempt and decode counts of every cell that saw an attempt, built
-        once and kept until the next `record_arrays`: the closed and open
-        cells in (bin, pair) order, the cells of a pair that came back to a
-        bin added together."""
-        if self._cells is None:
-            n2 = self.n_ue * self.n_ue
-            pairs = np.flatnonzero(self._tx)
-            # the closed cells, then the open ones.  At urban scale this build
-            # is the output's largest transient, so each temporary goes once used
-            keys, tx, rx = (np.concatenate([c[i] for c in self._closed] + [column])
-                            for i, column in enumerate((self._bin[pairs] * np.int64(n2) + pairs,
-                                                        self._tx[pairs], self._rx[pairs])))
-            del pairs
-            order = keys.argsort()
-            keys = keys[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            keys = keys[starts]
-            tx = np.add.reduceat(tx[order], starts, dtype=np.int32)
-            rx = np.add.reduceat(rx[order], starts, dtype=np.int32)
-            del order, starts
-            b, pair = np.divmod(keys, n2)
-            self._cells = LedgerCells(pair, b.astype(self._bin.dtype), tx, rx)
-            for a in self._cells:
-                a.flags.writeable = False   # every caller shares these arrays
-        return self._cells
+    def _close(self, keys: np.ndarray, tx: np.ndarray, rx: np.ndarray) -> None:
+        """Append a key-sorted chunk of closed cells.  Once more than
+        `_TAIL_CHUNKS` chunks below `_RANGE_CELLS` cells end the list, they
+        merge into one, so the chunks stay few and a cell is copied only
+        until its chunk is full."""
+        chunks = self._closed
+        if not keys.size:
+            return
+        chunks.append((keys, tx, rx))
+        tail = len(chunks)
+        while tail and chunks[tail - 1][0].size < _RANGE_CELLS:
+            tail -= 1
+        if len(chunks) - tail > _TAIL_CHUNKS:
+            merged = [np.concatenate(column) for column in zip(*chunks[tail:])]
+            del chunks[tail:]
+            # a stable sort of sorted runs merges them
+            order = merged[0].argsort(kind="stable")
+            for i in range(3):
+                merged[i] = merged[i][order]
+            chunks.append(tuple(merged))
 
     def update_roi(self, x: np.ndarray, y: np.ndarray, geometry: RoadGeometry) -> None:
         """Keep the pairs still within `roi_radius_m` at this tick's
@@ -178,24 +195,118 @@ class BinValue:
     n_pairs: int
 
 
-def _bin_means(store: MetricsStore, cells: LedgerCells, values: np.ndarray) -> list[BinValue]:
-    """Mean of `values` (one per cell) over the pairs of each bin, summed in
-    pair order; bins without an attempt are omitted."""
-    starts = np.flatnonzero(np.diff(cells.bin, prepend=-1))
-    ends = np.append(starts[1:], cells.bin.size)
-    out = []
-    for b, lo_i, hi_i in zip(cells.bin[starts].tolist(), starts.tolist(), ends.tolist()):
-        lo, hi = store.bin_edges(b)
-        out.append(BinValue(lo, hi, float(values[lo_i:hi_i].mean()), hi_i - lo_i))
-    return out
+class _BinPass(NamedTuple):
+    """PDR bins, and SLT bins over `observation_s` unless it is None."""
+
+    observation_s: float | None
+    pdr: list[BinValue]
+    slt: list[BinValue] | None
+
+
+def _bin_ranges(counts: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) ranges of bins that cover all of `counts` (cells
+    per bin): each holds at most `budget` cells, or one bin with cells that
+    holds more."""
+    ranges, lo, total = [], 0, 0
+    for b, c in enumerate(counts.tolist()):
+        if total and total + c > budget:
+            ranges.append((lo, b))
+            lo, total = b, 0
+        total += c
+    ranges.append((lo, len(counts)))
+    return ranges
+
+
+def _open_pairs(store: MetricsStore, lo: int, hi: int, mask: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """The pairs whose open cell lies in bins [lo, hi), ascending, picked
+    through the (n_ue**2,) bool buffers `mask` and `scratch`.  A pair that
+    never had an attempt holds bin 0, so bin 0's are picked by attempts."""
+    if lo:
+        np.greater_equal(store._bin, lo, out=mask)
+    else:
+        np.greater(store._tx, 0, out=mask)
+    if hi < store.n_bins:
+        mask &= np.less(store._bin, hi, out=scratch)
+    return np.flatnonzero(mask)
+
+
+def _bin_pass(store: MetricsStore, observation_s: float | None) -> _BinPass:
+    """PDR and SLT bins from one pass over the ledger's cells, a range of
+    bins at a time (`_bin_ranges` over `_RANGE_CELLS`)."""
+    n2 = store.n_ue * store.n_ue
+    chunks = store._closed
+    # where each bin starts in each chunk, and the cells of each bin
+    edges = np.arange(store.n_bins + 1) * np.int64(n2)
+    cuts = [k.searchsorted(edges) for k, _, _ in chunks]
+    counts = np.zeros(store.n_bins, dtype=np.int64)
+    for c in cuts:
+        counts += np.diff(c)
+    for i in range(0, n2, _RANGE_CELLS):
+        counts += np.bincount(store._bin[i:i + _RANGE_CELLS], minlength=store.n_bins)
+    counts[0] -= n2 - np.count_nonzero(store._tx)
+    mask, scratch = np.empty(n2, dtype=bool), np.empty(n2, dtype=bool)
+    pdr_rows: list[BinValue] = []
+    slt_rows: list[BinValue] = []
+    for lo, hi in _bin_ranges(counts, _RANGE_CELLS):
+        _add_rows(store, lo, hi, [(k[c[lo]:c[hi]], t[c[lo]:c[hi]], r[c[lo]:c[hi]])
+                                  for (k, t, r), c in zip(chunks, cuts)],
+                  _open_pairs(store, lo, hi, mask, scratch), observation_s, pdr_rows, slt_rows)
+    return _BinPass(observation_s, pdr_rows, slt_rows if observation_s is not None else None)
+
+
+def _add_rows(store: MetricsStore, lo: int, hi: int, parts: list, pairs: np.ndarray,
+              observation_s: float | None, pdr_rows: list, slt_rows: list) -> None:
+    """Append the PDR (and, with an observation time, SLT) rows of bins
+    [lo, hi), from their cells: the closed chunks' slices `parts` and the open
+    cells of `pairs`.  They are sorted by (bin, pair), and a pair's cells of
+    one bin added up, so each bin's value is the `.mean()` of its pairs'
+    values in pair order, as from a sort of the whole ledger."""
+    n2 = store.n_ue * store.n_ue
+    keys, tx, rx = (np.concatenate([p[i] for p in parts] + [column])
+                    for i, column in enumerate((store._bin[pairs] * np.int64(n2) + pairs,
+                                                store._tx[pairs], store._rx[pairs])))
+    del parts, pairs
+    if not keys.size:
+        return
+    order = keys.argsort()
+    keys, tx, rx = keys[order], tx[order], rx[order]
+    del order
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    if not starts.all():
+        # a pair that came back to a bin: its cells there add up
+        starts = np.flatnonzero(starts)
+        keys = keys[starts]
+        tx = np.add.reduceat(tx, starts, dtype=np.int32)
+        rx = np.add.reduceat(rx, starts, dtype=np.int32)
+    del starts
+    first = keys.searchsorted(np.arange(lo, hi + 1) * np.int64(n2)).tolist()
+    del keys
+    ratio = rx / tx
+    if observation_s is not None:
+        # in float64: int32 decodes times the payload could overflow int32,
+        # and each product is the exact one rounded once, as from int64
+        rate = rx * float(store.payload_bytes)
+        rate /= observation_s
+    for b in range(lo, hi):
+        i, j = first[b - lo], first[b - lo + 1]
+        if i < j:
+            edge_lo, edge_hi = store.bin_edges(b)
+            pdr_rows.append(BinValue(edge_lo, edge_hi, float(ratio[i:j].mean()), j - i))
+            if observation_s is not None:
+                slt_rows.append(BinValue(edge_lo, edge_hi, float(rate[i:j].mean()), j - i))
 
 
 def pdr(store: MetricsStore) -> list[BinValue]:
     """Per-bin delivery ratio: each pair's received/transmitted inside the
     bin, averaged over pairs with at least one attempt there.  Empty bins are
-    omitted."""
-    cells = store.cells()
-    return _bin_means(store, cells, cells.rx / cells.tx)
+    omitted.  Reads the store's last pass, whatever its observation time, so
+    an `slt` before it leaves nothing to recompute."""
+    if store._pass is None:
+        store._pass = _bin_pass(store, None)
+    return list(store._pass.pdr)
 
 
 @dataclass(frozen=True)
@@ -227,13 +338,13 @@ def ipg_stats(store: MetricsStore) -> IpgStats:
 
 def slt(store: MetricsStore, observation_s: float) -> list[BinValue]:
     """Per-bin throughput: bytes each pair delivered inside the bin divided
-    by the observation time, averaged over pairs with an attempt there."""
+    by the observation time, averaged over pairs with an attempt there.  The
+    pass that gives these bins gives `pdr`'s too."""
     if observation_s <= 0:
         raise ValueError("observation_s must be positive")
-    cells = store.cells()
-    # in float64: int32 decodes times the payload could overflow int32, and
-    # each product is the exact one rounded once, as from int64
-    return _bin_means(store, cells, cells.rx * float(store.payload_bytes) / observation_s)
+    if store._pass is None or store._pass.observation_s != observation_s:
+        store._pass = _bin_pass(store, observation_s)
+    return list(store._pass.slt)
 
 
 @dataclass(frozen=True)
@@ -244,14 +355,16 @@ class BlindReport:
 
 def blind_nodes(store: MetricsStore) -> BlindReport:
     """Pairs that stayed inside the region of interest for the whole window,
-    saw at least one attempt, and decoded nothing."""
-    cells = store.cells()
-    silent = np.zeros(store.n_ue * store.n_ue, dtype=bool)
-    silent[cells.pair] = True
-    silent[cells.pair[cells.rx > 0]] = False
+    saw at least one attempt, and decoded nothing.  Read from the per-pair
+    arrays: an open cell marks the attempts, a last decode time any decode."""
     keys = store.roi_pairs
-    # without a mobility tick in the window every silent pair counts
-    keys = np.flatnonzero(silent) if keys is None else keys[silent[keys]]
+    if keys is None:
+        # without a mobility tick in the window every silent pair counts
+        silent = store._tx > 0
+        silent &= store.last_rx_ms < 0
+        keys = np.flatnonzero(silent)
+    else:
+        keys = keys[(store._tx[keys] > 0) & (store.last_rx_ms[keys] < 0)]
     tx, rx = np.divmod(keys, store.n_ue)
     return BlindReport(len(set(rx.tolist())), list(zip(tx.tolist(), rx.tolist())))
 

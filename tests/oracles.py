@@ -26,7 +26,9 @@ and lists one record per decode.  Every read of a store cell goes through
 the reception ledger in `cv2xsim.metrics`: two (n_ue**2, n_bins) count
 tables written cell by cell and swept column by column, and an (n_ue, n_ue)
 region-of-interest mask that each tick's in-range mask is ANDed into.
-`dense_counts` lays the sparse ledger's cells out in the same tables.
+`ledger_cells` is the whole-ledger form of the output pass of
+`cv2xsim.metrics`: every closed and open cell of a `MetricsStore` joined and
+sorted at once, and `dense_counts` lays them out in the same tables.
 `ipg_stats` is the sample form of `cv2xsim.metrics.ipg_stats`: every gap
 sample is kept with its bin, each bin's mean is a Python int sum over its
 samples, and p80 is the ceil(0.8 N)-th of the sorted samples.
@@ -486,9 +488,36 @@ def ipg_stats(store: DenseMetricsStore) -> IpgSamples:
     return ipg_samples(bins, store.gap_ms)
 
 
+class LedgerCells(NamedTuple):
+    """The (pair, distance bin) cells with at least one attempt, ordered by
+    bin and, inside a bin, by pair (tx*n_ue+rx)."""
+
+    pair: np.ndarray     # int64
+    bin: np.ndarray      # int64
+    tx: np.ndarray       # attempts, int32
+    rx: np.ndarray       # decodes, int32
+
+
+def ledger_cells(store: MetricsStore) -> LedgerCells:
+    """Attempt and decode counts of every cell of a sparse ledger that saw an
+    attempt: the closed and open cells in (bin, pair) order, the cells of a
+    pair that came back to a bin added together."""
+    n2 = store.n_ue * store.n_ue
+    pairs = np.flatnonzero(store._tx)
+    keys, tx, rx = (np.concatenate([c[i] for c in store._closed] + [column])
+                    for i, column in enumerate((store._bin[pairs] * np.int64(n2) + pairs,
+                                                store._tx[pairs], store._rx[pairs])))
+    order = keys.argsort()
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    b, pair = np.divmod(keys[starts], n2)
+    return LedgerCells(pair, b, np.add.reduceat(tx[order], starts, dtype=np.int32),
+                       np.add.reduceat(rx[order], starts, dtype=np.int32))
+
+
 def dense_counts(store: MetricsStore) -> tuple[np.ndarray, np.ndarray]:
     """(attempts, decodes) of a sparse ledger as (n_ue**2, n_bins) tables."""
-    cells = store.cells()
+    cells = ledger_cells(store)
     tx = np.zeros((store.n_ue * store.n_ue, store.n_bins), dtype=np.int64)
     rx = np.zeros_like(tx)
     tx[cells.pair, cells.bin] = cells.tx

@@ -425,15 +425,16 @@ class TestCliCommands:
         assert oversat[-2:] == ["scenario.region=full", "rate.neighbor_radius_m=300.0"]
 
     def test_run_writes_artifacts_and_manifest(self, tmp_path, capsys, monkeypatch):
-        builds = []
-        cells = metrics.LedgerCells
-        monkeypatch.setattr(metrics, "LedgerCells", lambda *a: builds.append(1) or cells(*a))
+        passes = []
+        bin_pass = metrics._bin_pass
+        monkeypatch.setattr(metrics, "_bin_pass", lambda *a: passes.append(a[1]) or bin_pass(*a))
         out = tmp_path / "run1"
         rc = main(["run", "--scenario", "mini-low", "--scheme", "baseline",
                    "--seed", "7", "--out", str(out),
                    "--set", "run.duration_s=2", "--set", "run.warmup_s=1"])
         assert rc == 0
-        assert len(builds) == 1     # the ledger cells are built once for all outputs
+        # one pass over the ledger for all outputs and the returned bins
+        assert passes == [1.0]
         for name in ("manifest.json", "pdr_vs_distance.csv", "ipg.csv",
                      "slt_vs_distance.csv", "blind_nodes.csv", "timeseries.csv",
                      "txevents.csv", "summary.json"):

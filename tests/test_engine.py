@@ -363,8 +363,20 @@ def test_config_validation():
 @pytest.mark.parametrize("scenario", ["mini-low", "urban-medium"])
 def test_memory_estimate_covers_scale_state(scenario, shadowing):
     # the arrays sized by the vehicle count, as a Simulation holds them after
-    # its first ROI tick, plus the traced peaks of the one-shot distance builds
-    # and of one flush of a batch at the link cap, every link after the warm-up
+    # its first ROI tick, plus the traced peaks of the one-shot distance builds,
+    # of one flush of a batch at the link cap, every link after the warm-up,
+    # and of the output pass after a short run (several ranges on urban-medium)
+    short = engine.run(config.build_run_config(config.resolve(
+        overrides={"channel.shadowing_mode": shadowing, "run.duration_s": "1.2",
+                   "run.warmup_s": "1.0"}, scenario=scenario)))
+    tracemalloc.start()
+    metrics.slt(short.metrics, short.observation_s)
+    metrics.pdr(short.metrics)
+    metrics.blind_nodes(short.metrics)
+    pass_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert metrics.pass_bytes(short.n_ue) >= pass_peak
+
     cfg = config.build_run_config(config.resolve(
         overrides={"channel.shadowing_mode": shadowing, "run.warmup_s": "0"},
         scenario=scenario))
@@ -396,7 +408,7 @@ def test_memory_estimate_covers_scale_state(scenario, shadowing):
         held.append(sim.static_shadow)
     assert build_peak >= 2 * 8 * sim.n_ue ** 2
     assert cfg.memory_estimate_mib() * 2 ** 20 >= \
-        sum(a.nbytes for a in held) + build_peak + flush_peak
+        sum(a.nbytes for a in held) + build_peak + flush_peak + pass_peak
 
 
 def test_baseline_rate_ceiling_acts():

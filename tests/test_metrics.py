@@ -1,4 +1,6 @@
 import collections
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,13 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cv2xsim import metrics
+import test_golden
+from cv2xsim import config, engine, metrics
 from cv2xsim.core import RoadGeometry
 from cv2xsim.metrics import (BinValue, MetricsStore, blind_nodes, gains, ipg_stats, pdr,
                              slt)
 from roads import road_ticks
 
 ROI_M = 100.0
+
+
+def one_cell_ranges():
+    """The output pass with a budget of one cell: every bin with a cell is a
+    range of its own, and one with two or more holds more than the budget.
+    Closed chunks then never merge."""
+    return mock.patch.object(metrics, "_RANGE_CELLS", 1)
 
 
 def store(n_ue=4, bin_width=25.0, max_range=500.0, payload=190):
@@ -156,7 +166,7 @@ class TestSlt:
             ok = rng.random(rx.size) < 0.5
             decoded_total += int(ok.sum())
             s.record_arrays(np.full(rx.size, 10 * t), tx * 6 + rx, d, ok)
-        assert int(s.cells().rx.sum()) == decoded_total
+        assert int(oracles.ledger_cells(s).rx.sum()) == decoded_total
 
 
 class TestBlindNodes:
@@ -345,16 +355,32 @@ def ledger_calls(draw):
     return n_ue, max_range, calls, ticks
 
 
-@settings(max_examples=150, deadline=None)
-@given(ledger_calls())
 # pair 1 leaves bin 0 for bin 2 and comes back to each; pair 2 reaches the
 # clamped last bin
-@example((2, 110.0, [(5, [(1, 10.0, True), (2, 80.0, False)]), (100, [(1, 60.0, True)]),
-                     (100, [(1, 15.0, False), (2, 80.0, True)]),
-                     (100, [(2, 120.0, True), (1, 55.0, True)]), (100, [(1, 5.0, True)])],
-          []))
+COME_BACK = (2, 110.0, [(5, [(1, 10.0, True), (2, 80.0, False)]), (100, [(1, 60.0, True)]),
+                        (100, [(1, 15.0, False), (2, 80.0, True)]),
+                        (100, [(2, 120.0, True), (1, 55.0, True)]), (100, [(1, 5.0, True)])],
+             [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledger_calls())
+@example(COME_BACK)
 def test_sparse_ledger_matches_dense_oracle(case):
     """Every cell count and every metric equals the dense ledger's, bit for bit."""
+    check_sparse_ledger(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ledger_calls())
+@example(COME_BACK)
+def test_sparse_ledger_matches_dense_oracle_in_one_cell_ranges(case):
+    """As above, with every bin a range of its own and no chunk merged."""
+    with one_cell_ranges():
+        check_sparse_ledger(case)
+
+
+def check_sparse_ledger(case):
     n_ue, max_range, calls, ticks = case
     sparse = MetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
     dense = oracles.DenseMetricsStore(n_ue, 25.0, max_range, 190, ROI_M)
@@ -375,8 +401,9 @@ def test_sparse_ledger_matches_dense_oracle(case):
 
     tx, rx = oracles.dense_counts(sparse)
     assert np.array_equal(tx, dense.tx_count) and np.array_equal(rx, dense.rx_count)
-    cells = sparse.cells()
-    assert (cells.tx > 0).all()
+    assert (oracles.ledger_cells(sparse).tx > 0).all()
+    for keys, _, _ in sparse._closed:
+        assert (np.diff(keys) >= 0).all()
     assert pdr(sparse) == oracles.pdr(dense)
     assert slt(sparse, 3.0) == oracles.slt(dense, 3.0)
     assert blind_nodes(sparse) == oracles.blind_nodes(dense)
@@ -428,6 +455,18 @@ def test_roi_and_blind_nodes_match_dense_oracle(case, p_decode, seed):
     """The kept ROI keys are the dense mask's pairs after every tick, on ring
     and straight roads, with pairs exactly at the radius and respawns; and
     blind_nodes equals the dense ledger's, with or without a tick."""
+    check_roi_and_blind_nodes(case, p_decode, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(road_ticks(), st.sampled_from([0.0, 0.5]), st.integers(0, 2 ** 32 - 1))
+def test_roi_and_blind_nodes_match_dense_oracle_in_one_cell_ranges(case, p_decode, seed):
+    """As above, with every bin a range of its own and no chunk merged."""
+    with one_cell_ranges():
+        check_roi_and_blind_nodes(case, p_decode, seed)
+
+
+def check_roi_and_blind_nodes(case, p_decode, seed):
     geometry, start, ticks, radius = case
     n_ue = len(start[0])
     sparse = MetricsStore(n_ue, 25.0, 1000.0, 190, radius)
@@ -442,22 +481,94 @@ def test_roi_and_blind_nodes_match_dense_oracle(case, p_decode, seed):
         update_roi(sparse, dense, x, y, geometry)
         assert sparse.roi_pairs.tolist() == np.flatnonzero(dense.roi_always).tolist()
     assert blind_nodes(sparse) == oracles.blind_nodes(dense)
+    assert pdr(sparse) == oracles.pdr(dense) and slt(sparse, 1.0) == oracles.slt(dense, 1.0)
 
 
 def test_cells_built_once_until_the_next_record(monkeypatch):
-    """pdr, slt and blind_nodes share one build of the cells; recording a
-    link drops it, and the next build counts that link."""
-    builds = []
-    cells = metrics.LedgerCells
-    monkeypatch.setattr(metrics, "LedgerCells", lambda *a: builds.append(1) or cells(*a))
+    """slt, pdr and blind_nodes share one pass over the cells: slt's pass
+    gives pdr's bins, and blind_nodes reads the per-pair arrays.  Recording a
+    link drops the pass, and the next one counts that link.  A pdr before any
+    slt passes without the SLT bins, and an slt over another observation
+    time passes again."""
+    passes = []
+    bin_pass = metrics._bin_pass
+    monkeypatch.setattr(metrics, "_bin_pass", lambda *a: passes.append(a[1]) or bin_pass(*a))
     s = random_ledger(4)
-    before = pdr(s), slt(s, 2.0), blind_nodes(s)
-    assert len(builds) == 1
-    attempts = int(s.cells().tx.sum())
+    before = slt(s, 2.0), pdr(s), blind_nodes(s)
+    assert passes == [2.0]
+    assert (slt(s, 2.0), pdr(s), blind_nodes(s)) == before and passes == [2.0]
+    attempts = int(oracles.ledger_cells(s).tx.sum())
     record(s, 5000, 0, 1, 30.0, True)
-    assert int(s.cells().tx.sum()) == attempts + 1
+    assert int(oracles.ledger_cells(s).tx.sum()) == attempts + 1
     after = pdr(s), slt(s, 2.0), blind_nodes(s)
-    assert len(builds) == 2 and after[1] != before[1]
+    assert passes == [2.0, None, 2.0] and after[1] != before[0]
+    assert slt(s, 4.0) != after[1] and pdr(s) == after[0] and passes == [2.0, None, 2.0, 4.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=30), st.integers(1, 60))
+def test_bin_ranges_cover_the_bins_within_the_budget(counts, budget):
+    """The ranges run back to back over every bin; each holds at most the
+    budget, or one bin with cells that holds more, and no range could take
+    its next bin without passing the budget."""
+    ranges = metrics._bin_ranges(np.array(counts), budget)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == len(counts) and all(lo < hi for lo, hi in ranges)
+    for (lo, hi), nxt in zip(ranges, ranges[1:] + [None]):
+        total = sum(counts[lo:hi])
+        assert total <= budget or np.count_nonzero(counts[lo:hi]) == 1
+        if nxt is not None and total:
+            assert total + counts[hi] > budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 300), max_size=80), st.integers(1, 2000), st.integers(1, 6))
+def test_closed_chunks_stay_key_sorted_and_few(sizes, budget, tail):
+    """Closed chunks merge as they come: each stays sorted by key and every
+    cell is kept, and at most `_TAIL_CHUNKS` chunks below the budget follow
+    the last one that reached it."""
+    rng = np.random.default_rng(len(sizes))
+    s = store(n_ue=30)
+    closed = collections.Counter()
+    with mock.patch.multiple(metrics, _RANGE_CELLS=budget, _TAIL_CHUNKS=tail):
+        for k in sizes:
+            keys = np.sort(rng.integers(0, s.n_bins * 900, k))
+            counts = rng.integers(1, 9, k, dtype=np.int32)
+            s._close(keys, counts, counts // 2)
+            closed.update(zip(keys.tolist(), counts.tolist()))
+    kept = [keys.size for keys, _, _ in s._closed]
+    assert 0 not in kept
+    full = [i for i, n in enumerate(kept) if n >= budget]
+    assert len(kept) - (full[-1] + 1 if full else 0) <= tail
+    got = collections.Counter()
+    for keys, tx, rx in s._closed:
+        assert (np.diff(keys) >= 0).all() and np.array_equal(rx, tx // 2)
+        got.update(zip(keys.tolist(), tx.tolist()))
+    assert got == closed
+
+
+def test_output_pass_peak_is_bounded_per_range_cell_and_pair():
+    """The traced peak of slt, pdr and blind_nodes on the run of golden case
+    straight-road-speed-sigma (300 UEs, about 57,600 cells) stays under the
+    design's bound, fixed before it was run: 56 B per cell of one range of
+    `_RANGE_CELLS` (the joined keys and counts, their sort order and sorted
+    copies, the value arrays), 2 B per pair (the two masks that pick a
+    range's open cells), and 64 KiB for the rows.  A sort of the whole
+    ledger at once held about 41 B per cell, 2.4 MB here."""
+    scenario, scheme, seed, overrides, _ = {c[0]: c[1:] for c in test_golden.CASES}[
+        "straight-road-speed-sigma"]
+    result = engine.run(config.build_run_config(config.resolve(
+        None, overrides, scenario=scenario, scheme=scheme, seed=seed)))
+    s = result.metrics
+    cells = oracles.ledger_cells(s)
+    # several ranges, none of them a bin above the budget
+    assert cells.bin.size > 3 * metrics._RANGE_CELLS
+    assert np.bincount(cells.bin).max() < metrics._RANGE_CELLS
+    tracemalloc.start()
+    slt(s, result.observation_s), pdr(s), blind_nodes(s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 56 * metrics._RANGE_CELLS + 2 * s.n_ue ** 2 + 2 ** 16
 
 
 def test_pair_in_two_bins_in_one_call_is_rejected():
@@ -465,11 +576,11 @@ def test_pair_in_two_bins_in_one_call_is_rejected():
     leaves the ledger as it was; one bin per pair, as the engine's batches
     give, is accepted, also where the pair moved since the last call."""
     s = random_ledger(5)
-    before = s.cells()
+    before = oracles.ledger_cells(s)
     with pytest.raises(ValueError, match="two distance bins"):
         s.record_arrays(np.array([6000, 6010]), np.array([1, 1]), np.array([30.0, 80.0]),
                         np.array([True, True]))
-    assert all(np.array_equal(a, b) for a, b in zip(s.cells(), before))
+    assert all(np.array_equal(a, b) for a, b in zip(oracles.ledger_cells(s), before))
     s.record_arrays(np.array([6000, 6010]), np.array([1, 1]), np.array([455.0, 460.0]),
                     np.array([True, False]))
     tx, rx = oracles.dense_counts(s)
@@ -478,7 +589,7 @@ def test_pair_in_two_bins_in_one_call_is_rejected():
 
 def test_empty_ledger():
     s = store()
-    cells = s.cells()
+    cells = oracles.ledger_cells(s)
     assert all(a.size == 0 for a in cells)
     assert pdr(s) == [] and slt(s, 1.0) == []
     assert blind_nodes(s) == oracles.blind_nodes(oracles.DenseMetricsStore(4, 25.0, 500.0, 190,
